@@ -920,6 +920,17 @@ let parse_commit buf ~pos ~block =
         }
   end
 
+(* [read_pooled dev ~off ~len f] reads [len] bytes at [off] into a pooled
+   buffer and parses it with [f], which must copy out what it keeps. The
+   buffer goes back to the pool afterwards; if the read raises, it is
+   left to the GC. *)
+let read_pooled dev ~off ~len f =
+  let buf = Pool.alloc len in
+  Device.read_into dev ~off (Slice.of_bytes buf);
+  let r = f buf in
+  Pool.recycle buf;
+  r
+
 (* Mount an FFS image: newest intact metadata snapshot, plus the replay
    of every committed journal transaction younger than it. Fails loudly
    ([Mount_error]) when acknowledged transactions cannot be
@@ -935,10 +946,12 @@ let mount dev ~kind =
      past slot 1's blocks, so read its full possible extent). *)
   let snap =
     let s0 =
-      parse_snapshot (Device.read dev ~off:dev_bs ~len:((meta_blocks - 1) * dev_bs)) ~slot:0
+      read_pooled dev ~off:dev_bs ~len:((meta_blocks - 1) * dev_bs)
+        (parse_snapshot ~slot:0)
     in
     let s1 =
-      parse_snapshot (Device.read dev ~off:(32 * dev_bs) ~len:(32 * dev_bs)) ~slot:1
+      read_pooled dev ~off:(32 * dev_bs) ~len:(32 * dev_bs)
+        (parse_snapshot ~slot:1)
     in
     match (s0, s1) with
     | None, s | s, None -> s
@@ -966,15 +979,14 @@ let mount dev ~kind =
       (seq, cursor, Some slot)
   in
   (* Scan the whole ring for intact commit records. *)
-  let jbuf =
-    Device.read dev ~off:(meta_blocks * dev_bs) ~len:(journal_blocks * dev_bs)
-  in
   let records = ref [] in
-  for b = 0 to journal_blocks - 1 do
-    match parse_commit jbuf ~pos:(b * dev_bs) ~block:(meta_blocks + b) with
-    | Some r -> records := r :: !records
-    | None -> ()
-  done;
+  read_pooled dev ~off:(meta_blocks * dev_bs) ~len:(journal_blocks * dev_bs)
+    (fun jbuf ->
+      for b = 0 to journal_blocks - 1 do
+        match parse_commit jbuf ~pos:(b * dev_bs) ~block:(meta_blocks + b) with
+        | Some r -> records := r :: !records
+        | None -> ()
+      done);
   let newer =
     List.sort
       (fun a b -> compare a.jc_seq b.jc_seq)

@@ -1,61 +1,26 @@
-(* splitmix64 carried as two untagged 32-bit halves. The simulator draws
-   from Rng.t inside every workload inner loop; the boxed-Int64
-   formulation allocated ~a dozen minor words per draw. State and
-   results live in native ints (plus a reusable 2-cell scratch for the
-   {!Splitmix} mix output), so a draw allocates nothing. Sequences are
-   bit-exact with the Int64 original — RNG draws are simulated values —
-   pinned by the differential suite in test_util.ml. *)
+(* splitmix64 draws from the native kernel in {!Splitmix}: the state is
+   its 8-byte [Splitmix.state] and every draw arrives as a tagged int, so
+   a draw allocates nothing even where -opaque stops inlining across
+   modules. Sequences are simulated values, pinned bit for bit by the
+   Int64 differential in test_util.ml. *)
 
-let mask32 = Splitmix.mask32
+type t = Splitmix.state
 
-type t = { mutable hi : int; mutable lo : int; out : int array }
-
-(* golden gamma 0x9E3779B97F4A7C15 *)
-let gamma_hi = 0x9E3779B9
-let gamma_lo = 0x7F4A7C15
-
-let create seed =
-  (* Matches Int64.of_int: asr sign-extends negative seeds into the
-     high half exactly as two's complement does. *)
-  { hi = (seed asr 32) land mask32; lo = seed land mask32; out = [| 0; 0 |] }
-
-(* state += gamma; mix state into t.out. *)
-let[@inline] step t =
-  let s = t.lo + gamma_lo in
-  t.lo <- s land mask32;
-  t.hi <- (t.hi + gamma_hi + (s lsr 32)) land mask32;
-  Splitmix.mix t.hi t.lo t.out
-
-let bits64 t =
-  step t;
-  Int64.logor
-    (Int64.shift_left (Int64.of_int t.out.(0)) 32)
-    (Int64.of_int t.out.(1))
-
-let split t =
-  step t;
-  { hi = t.out.(0); lo = t.out.(1); out = [| 0; 0 |] }
+let create = Splitmix.create
+let split = Splitmix.split
+let bits64 = Splitmix.next64
 
 let int t bound =
   assert (bound > 0);
-  step t;
-  (* Low 62 bits, i.e. [Int64.to_int (bits64 t) land max_int]. *)
-  let v = ((t.out.(0) land 0x3FFFFFFF) lsl 32) lor t.out.(1) in
-  v mod bound
+  Splitmix.next62 t mod bound
 
 let int_in t lo hi =
   assert (hi >= lo);
   lo + int t (hi - lo + 1)
 
-let float t =
-  step t;
-  (* bits64 >>> 11 is a 53-bit value; exact in both int64 and float. *)
-  let v = (t.out.(0) lsl 21) lor (t.out.(1) lsr 11) in
-  float_of_int v *. 0x1p-53
-
-let bool t =
-  step t;
-  t.out.(1) land 1 = 1
+(* The high 53 bits, exact in both int and float. *)
+let float t = float_of_int (Splitmix.next53 t) *. 0x1p-53
+let bool t = Splitmix.next62 t land 1 = 1
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

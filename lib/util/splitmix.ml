@@ -1,66 +1,56 @@
-(* The splitmix64 finalizer on unboxed 32-bit halves.
+(* splitmix64 on native Int64. [mix] and [next] are inlined into every
+   entry point below, where ocamlopt keeps their int64 intermediates
+   unboxed in registers. A function that returned an int64 to another
+   module would box it under the dev profile's -opaque, so the entry
+   points return tagged ints and keep state in Bytes. *)
 
-   Both the RNG ({!Rng}) and the on-media checksum ({!Wire.checksum})
-   run one full mix per drawn value / per 8 bytes hashed, deep inside
-   simulation hot loops. [Int64] arithmetic boxes every intermediate,
-   which made these two functions the dominant minor-heap allocators of
-   the WAL-backed experiments; carrying a 64-bit quantity as two
-   untagged native ints (its 32-bit halves) makes a mix allocate
-   nothing. Every step is bit-exact with the Int64 original — pinned by
-   the qcheck differential suites in test_util.ml, because RNG draw
-   sequences and on-media checksum bytes are simulated values that must
-   not move. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
-let mask32 = 0xFFFFFFFF
+let[@inline] mix z =
+  let open Int64 in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  logxor z (shift_right_logical z 31)
 
-(* z ^= z >>> s for 0 < s < 32, in halves. *)
-let[@inline] xsr_hi hi s = hi lxor (hi lsr s)
+type state = Bytes.t
 
-let[@inline] xsr_lo hi lo s =
-  lo lxor (((lo lsr s) lor ((hi lsl (32 - s)) land mask32)) land mask32)
+let create seed =
+  let s = Bytes.create 8 in
+  set64u s 0 (Int64.of_int seed);
+  s
 
-(* 64-bit multiply (mod 2^64) in halves. 16-bit limbs keep the partial
-   products of the low word inside OCaml's 63-bit int range; the cross
-   terms feed only the high word, where native-int wraparound (mod 2^63)
-   preserves the 32 bits that are kept. [mul64_lo] returns up to 34 bits:
-   the low 32 of the product plus the carry into the high half, which the
-   caller passes to [mul64_hi]. *)
-let[@inline] mul64_lo al bl =
-  let al0 = al land 0xFFFF and al1 = al lsr 16 in
-  let bl0 = bl land 0xFFFF and bl1 = bl lsr 16 in
-  (al0 * bl0)
-  + ((((al0 * bl1) land 0xFFFF) + ((al1 * bl0) land 0xFFFF)) lsl 16)
+(* state += golden gamma; the draw is the mixed state. *)
+let[@inline] next s =
+  let z = Int64.add (get64u s 0) 0x9E3779B97F4A7C15L in
+  set64u s 0 z;
+  mix z
 
-let[@inline] mul64_hi ah al bh bl carry =
-  let al0 = al land 0xFFFF and al1 = al lsr 16 in
-  let bl0 = bl land 0xFFFF and bl1 = bl lsr 16 in
-  ((al1 * bl1) + ((al0 * bl1) lsr 16) + ((al1 * bl0) lsr 16) + carry
-  + (al * bh) + (ah * bl))
-  land mask32
+let split s =
+  let t = Bytes.create 8 in
+  set64u t 0 (next s);
+  t
 
-(* splitmix64's two multiplicative constants. *)
-let c1_hi = 0xBF58476D
-let c1_lo = 0x1CE4E5B9
-let c2_hi = 0x94D049BB
-let c2_lo = 0x133111EB
+let next64 s = next s
+let next62 s = Int64.to_int (next s) land max_int
+let next53 s = Int64.to_int (Int64.shift_right_logical (next s) 11)
 
-(* One full mix: z ^= z >>> 30; z *= C1; z ^= z >>> 27; z *= C2;
-   z ^= z >>> 31. The result lands in [out.(0)] (high half) and
-   [out.(1)] (low half): OCaml cannot return an unboxed pair, so the
-   caller supplies a reusable 2-cell scratch. *)
-let mix hi lo out =
-  let lo1 = xsr_lo hi lo 30 and hi1 = xsr_hi hi 30 in
-  let t = mul64_lo lo1 c1_lo in
-  let lo2 = t land mask32 in
-  let hi2 = mul64_hi hi1 lo1 c1_hi c1_lo (t lsr 32) in
-  let lo3 = xsr_lo hi2 lo2 27 and hi3 = xsr_hi hi2 27 in
-  let t = mul64_lo lo3 c2_lo in
-  let lo4 = t land mask32 in
-  let hi4 = mul64_hi hi3 lo3 c2_hi c2_lo (t lsr 32) in
-  out.(0) <- xsr_hi hi4 31;
-  out.(1) <- xsr_lo hi4 lo4 31
+let[@inline] get64_le b o =
+  if Sys.big_endian then bswap64 (get64u b o) else get64u b o
 
-(* mix (a + b) where both are 64-bit values in halves. *)
-let[@inline] mix_add a_hi a_lo b_hi b_lo out =
-  let s = a_lo + b_lo in
-  mix ((a_hi + b_hi + (s lsr 32)) land mask32) (s land mask32) out
+let fold ~init b ~pos ~len =
+  let h = ref (mix (Int64.of_int init)) in
+  let full = len / 8 in
+  for i = 0 to full - 1 do
+    h := mix (Int64.add !h (get64_le b (pos + (i * 8))))
+  done;
+  if len mod 8 <> 0 then begin
+    (* The tail, first byte most significant; < 2^56. *)
+    let word = ref 0 in
+    for i = pos + (full * 8) to pos + len - 1 do
+      word := (!word lsl 8) lor Char.code (Bytes.unsafe_get b i)
+    done;
+    h := mix (Int64.add !h (Int64.of_int !word))
+  end;
+  Int64.to_int (mix (Int64.add !h (Int64.of_int len))) land max_int

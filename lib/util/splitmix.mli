@@ -1,21 +1,36 @@
-(** splitmix64's finalizer over unboxed 32-bit halves — the shared,
-    allocation-free 64-bit core under {!Rng} (draws) and {!Wire}
-    (on-media checksums). A 64-bit quantity is carried as two untagged
-    native ints holding its high and low 32 bits; results land in a
-    caller-supplied 2-cell scratch array ([out.(0)] = high, [out.(1)] =
-    low) because OCaml cannot return an unboxed pair.
+(** splitmix64 as a native [Int64] kernel: the one 64-bit mix under
+    {!Rng} (draws) and {!Wire} (on-media checksums).
 
-    Bit-exact with the boxed Int64 formulation (see the differential
-    suites in test_util.ml): RNG sequences and checksum bytes are
-    simulated values, so this module changes host cost only. *)
+    Dune's dev profile compiles with [-opaque], which boxes every
+    [int64] that crosses a module boundary. So no [int64] leaves this
+    module on a hot path: generator state lives in 8 bytes of [Bytes],
+    and draws and checksums come out as tagged ints. Only {!next64}
+    returns a boxed [int64], for tests and benchmarks.
 
-val mask32 : int
-(** [0xFFFFFFFF]. *)
+    RNG sequences and checksum bytes are simulated values. The
+    differential suites in test_util.ml pin both bit for bit against
+    the boxed [Int64] reference. *)
 
-val mix : int -> int -> int array -> unit
-(** [mix hi lo out] applies the splitmix64 finalizer to the 64-bit value
-    [(hi, lo)]. *)
+type state
+(** A generator's 64-bit state. *)
 
-val mix_add : int -> int -> int -> int -> int array -> unit
-(** [mix_add a_hi a_lo b_hi b_lo out] is [mix] of the 64-bit sum
-    [a + b] (mod 2^64). *)
+val create : int -> state
+(** [create seed] starts from [Int64.of_int seed]. *)
+
+val split : state -> state
+(** [split s] advances [s] and starts a new state at the draw. *)
+
+val next64 : state -> int64
+(** The next raw 64-bit draw (boxed). *)
+
+val next62 : state -> int
+(** The low 62 bits of the next draw, non-negative. *)
+
+val next53 : state -> int
+(** The high 53 bits of the next draw. *)
+
+val fold : init:int -> Bytes.t -> pos:int -> len:int -> int
+(** [fold ~init b ~pos ~len] mixes [init], each little-endian 64-bit
+    word of [b[pos..pos+len)], the trailing bytes and [len], and keeps
+    the low 62 bits. No bounds check: the caller must ensure
+    [0 <= pos], [0 <= len] and [pos + len <= Bytes.length b]. *)

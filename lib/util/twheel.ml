@@ -2,13 +2,13 @@
 
    A monotone priority queue over integer timestamps with FIFO order
    among equal priorities — the exact (prio, seq) lexicographic order of
-   the binary heap it replaces (Msnap_sim.Pq, kept as the reference
-   implementation for the differential tests) — but allocation-free in
-   steady state. Entries live in a struct-of-arrays arena (int columns
-   for prio and seq, one value column); each occupied wheel slot is a
-   FIFO ring (Iring) of arena indices, so push recycles an arena slot
-   and appends one int, and pop_min removes one int: no per-entry boxing
-   and no O(log n) sifting.
+   the binary heap it replaces (test/pq.ml, the reference for the
+   differential tests) — but allocation-free in steady state. Entries
+   live in a struct-of-arrays arena (int columns for prio and seq, one
+   value column); each occupied wheel slot is a FIFO ring (Iring) of
+   arena indices, so push recycles an arena slot and appends one int,
+   and pop_min removes one int: no per-entry boxing and no O(log n)
+   sifting.
 
    Layout: 13 levels of 32 slots each (5-bit digits, 65 bits >= the 63
    significant bits of an OCaml int). An entry with priority [p] is

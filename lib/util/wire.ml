@@ -13,50 +13,13 @@ let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 let get_u64 b off = Int64.to_int (Bytes.get_int64_le b off) land max_int
 let set_u64 b off v = Bytes.set_int64_le b off (Int64.of_int v)
 
-let mask32 = Splitmix.mask32
-
-(* splitmix64-fed fold over the bytes, word at a time; the result is a
-   non-negative OCaml int so it round-trips through {!set_u64}. An
-   [init] chains checksums (each WAL frame mixes in its predecessor's).
-
-   The checksum runs over every journaled byte — one full mix per 8-byte
-   word of every WAL frame and journal record — so the fold works on
-   unboxed 32-bit halves ({!Splitmix}): the only allocation per call is
-   the 2-cell scratch, never per word. Bit-exact with the seed's Int64
-   fold (qcheck-pinned in test_util.ml); the media format must not
-   move. *)
+(* A splitmix64 fold over the bytes, one mix per 8-byte word, returned
+   as a non-negative int so it round-trips through {!set_u64}. [init]
+   chains checksums: each WAL frame mixes in its predecessor's. Every
+   journaled byte passes through here, so the fold is the native
+   {!Splitmix} kernel and allocates nothing. The media format is pinned
+   by the Int64 differential in test_util.ml. *)
 let checksum ?(init = 0x5DEECE66D) b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Wire.checksum";
-  let out = [| 0; 0 |] in
-  (* h = mix64 init; init is a non-negative int (<= 2^62 - 1). *)
-  Splitmix.mix (init lsr 32) (init land mask32) out;
-  let h_hi = ref out.(0) and h_lo = ref out.(1) in
-  let full = len / 8 in
-  for i = 0 to full - 1 do
-    let o = pos + (i * 8) in
-    (* Little-endian 64-bit word in halves (16-bit reads stay untagged). *)
-    let w_lo =
-      Bytes.get_uint16_le b o lor (Bytes.get_uint16_le b (o + 2) lsl 16)
-    in
-    let w_hi =
-      Bytes.get_uint16_le b (o + 4) lor (Bytes.get_uint16_le b (o + 6) lsl 16)
-    in
-    Splitmix.mix_add !h_hi !h_lo w_hi w_lo out;
-    h_hi := out.(0);
-    h_lo := out.(1)
-  done;
-  let word = ref 0 in
-  for i = pos + (full * 8) to pos + len - 1 do
-    word := (!word lsl 8) lor Char.code (Bytes.get b i)
-  done;
-  if len mod 8 <> 0 then begin
-    (* word < 2^56, non-negative. *)
-    Splitmix.mix_add !h_hi !h_lo (!word lsr 32) (!word land mask32) out;
-    h_hi := out.(0);
-    h_lo := out.(1)
-  end;
-  (* Fold in the length, then keep the low 62 bits (a non-negative
-     OCaml int), exactly as [Int64.to_int _ land max_int] did. *)
-  Splitmix.mix_add !h_hi !h_lo (len lsr 32) (len land mask32) out;
-  ((out.(0) land 0x3FFFFFFF) lsl 32) lor out.(1)
+  Splitmix.fold ~init b ~pos ~len

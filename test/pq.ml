@@ -1,8 +1,7 @@
-(* Binary min-heap over (prio, seq): the scheduler's original run queue,
-   kept as the reference implementation for the timing wheel that
-   replaced it (Msnap_util.Twheel — see the differential suite in
-   test/test_util.ml, which pins the wheel to this heap pop for pop).
-   Not on the hot path anymore. *)
+(* Binary min-heap over (prio, seq): the scheduler's original run queue.
+   It lives with the tests as the reference for the timing wheel that
+   replaced it (Msnap_util.Twheel): the differential suite in
+   test_util.ml pins the wheel to this heap pop for pop. *)
 
 type 'a entry = { prio : int; seq : int; value : 'a }
 

@@ -245,6 +245,31 @@ let test_sync_meta_writes () =
       checkb "metadata flushed to device" true (Fs.bytes_written_to_disk fs > before))
     ()
 
+(* Mount scans both snapshot slots and the whole journal ring; the scan
+   buffers come from the pool and all go back to it. *)
+let test_mount_recycles_scan_buffers () =
+  in_sim (fun () ->
+      let dev =
+        Device.of_stripe
+          (Stripe.create [ Disk.create ~name:"d0" ~size:(Size.mib 64) ();
+              Disk.create ~name:"d1" ~size:(Size.mib 64) () ])
+      in
+      let fs = Fs.mkfs dev ~kind:Fs.Ffs in
+      let f = Fs.open_file fs "kept" in
+      Fs.write fs f ~off:0 (Bytes.make 5000 'k');
+      Fs.fsync fs f;
+      Fs.sync_meta fs;
+      let module Pool = Msnap_util.Pool in
+      let before = Pool.totals () in
+      let fs2 = Fs.mount dev ~kind:Fs.Ffs in
+      let after = Pool.totals () in
+      checki "no buffer left outstanding" before.Pool.t_outstanding
+        after.Pool.t_outstanding;
+      checki "three scan buffers recycled" (before.Pool.t_recycles + 3)
+        after.Pool.t_recycles;
+      checki "file recovered" 5000 (Fs.size fs2 (Fs.open_file fs2 "kept")))
+    ()
+
 let test_fdatasync_cheaper_than_fsync () =
   in_sim (fun () ->
       let fs = mk_fs () in
@@ -276,6 +301,7 @@ let () =
           tc "remove" test_remove;
           tc "resident scan" test_resident_scan_cost_grows;
           tc "sync_meta" test_sync_meta_writes;
+          tc "mount recycles scan buffers" test_mount_recycles_scan_buffers;
           tc "fdatasync" test_fdatasync_cheaper_than_fsync;
         ] );
       ( "zfs",

@@ -430,8 +430,6 @@ let test_trace_buffer_cap_keeps_summary_exact () =
   checki "summary counts all emissions" 20 count;
   checki "summary total exact past the cap" 100 total
 
-module Pq = Msnap_sim.Pq
-
 let test_pq_order () =
   (* Interleaved pushes and pops must drain in (prio, insertion) order —
      exercises the vacated-slot clearing in pop. *)

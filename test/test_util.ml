@@ -69,10 +69,9 @@ let test_rng_bytes_len () =
   let rng = Rng.create 1 in
   checki "length" 33 (Bytes.length (Rng.bytes rng 33))
 
-(* The unboxed splitmix64 (Rng, Wire.checksum) must be bit-exact with
-   the boxed Int64 formulation it replaced: RNG draw sequences and
-   on-media checksum bytes are simulated values. This is the Int64
-   reference. *)
+(* The Splitmix kernel (Rng, Wire.checksum) must be bit-exact with the
+   plain boxed Int64 formulation: RNG draw sequences and on-media
+   checksum bytes are simulated values. This is the Int64 reference. *)
 module Ref64 = struct
   let mix z =
     let open Int64 in
@@ -152,26 +151,61 @@ let prop_checksum_differential =
 
 let test_checksum_long () =
   (* Cover multi-page lengths (beyond qcheck's small payloads) and
-     chained inits, as the WAL uses them. *)
+     chained inits, as the WAL uses them, at every start alignment: the
+     fold reads unaligned 64-bit words. *)
   let rng = Rng.create 4242 in
   let b = Rng.bytes rng 16384 in
-  let prev = ref 0x5DEECE66D in
-  List.iter
-    (fun len ->
-      let a = Msnap_util.Wire.checksum ~init:!prev b ~pos:3 ~len in
-      let r = Ref64.checksum ~init:!prev b ~pos:3 ~len in
-      checkb "chained checksum" true (a = r);
-      prev := a)
-    [ 4096; 4097; 8192; 12288; 16381 ]
+  for pos = 0 to 7 do
+    let prev = ref 0x5DEECE66D in
+    List.iter
+      (fun len ->
+        let len = min len (Bytes.length b - pos) in
+        let a = Msnap_util.Wire.checksum ~init:!prev b ~pos ~len in
+        let r = Ref64.checksum ~init:!prev b ~pos ~len in
+        checkb (Printf.sprintf "chained checksum pos %d len %d" pos len) true
+          (a = r);
+        prev := a)
+      [ 4096; 4097; 8192; 12288; 16381 ]
+  done
+
+(* [words f] is the minor words allocated by 1000 calls of [f], after
+   one warm-up call. *)
+let words f =
+  f ();
+  let m0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    f ()
+  done;
+  Gc.minor_words () -. m0
 
 let test_rng_alloc_free () =
   let rng = Rng.create 7 in
-  ignore (Rng.int rng 10);
-  let m0 = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    ignore (Rng.int rng 1000)
-  done;
-  checkb "Rng.int allocates nothing" true (Gc.minor_words () -. m0 = 0.0)
+  checkb "Rng.int allocates nothing" true
+    (words (fun () -> ignore (Rng.int rng 1000)) = 0.0)
+
+let test_rng_bool_alloc_free () =
+  let rng = Rng.create 7 in
+  checkb "Rng.bool allocates nothing" true
+    (words (fun () -> ignore (Rng.bool rng)) = 0.0)
+
+let test_rng_float_alloc_free () =
+  (* The draw itself allocates nothing. A float returned from another
+     module is boxed (2 words) unless the call is inlined, which the dev
+     profile's -opaque forbids, so that box is the only allowance. *)
+  let rng = Rng.create 7 in
+  let acc = [| 0.0 |] in
+  let w = words (fun () -> acc.(0) <- acc.(0) +. Rng.float rng) in
+  checkb "Rng.float allocates at most its result box" true
+    (w = 0.0 || w = 2000.0);
+  checkb "draws in [0,1)" true (acc.(0) >= 0.0 && acc.(0) < 1001.0)
+
+let test_checksum_alloc_free () =
+  let page = Rng.bytes (Rng.create 9) 4096 in
+  let sum = ref 0 in
+  checkb "Wire.checksum allocates nothing" true
+    (words (fun () ->
+         sum := !sum lxor Msnap_util.Wire.checksum page ~pos:0 ~len:4096)
+    = 0.0)
 
 (* --- Keyfmt / Intern --- *)
 
@@ -932,87 +966,6 @@ let prop_tp_model =
 
 module Twheel = Msnap_util.Twheel
 
-(* Verbatim copy of the scheduler's previous run queue (lib/sim/pq.ml):
-   a binary heap over (prio, seq) with an insertion sequence number for
-   FIFO order among equal priorities. The timing wheel must match it
-   pop for pop. *)
-module Ref_pq = struct
-  type 'a entry = { prio : int; seq : int; value : 'a }
-
-  type 'a t = {
-    mutable data : 'a entry array;
-    mutable size : int;
-    mutable next_seq : int;
-  }
-
-  let dummy_entry : unit entry = { prio = 0; seq = 0; value = () }
-  let dummy () : 'a entry = Obj.magic dummy_entry
-  let create () = { data = [||]; size = 0; next_seq = 0 }
-  let is_empty t = t.size = 0
-
-  let less a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
-
-  let grow t =
-    let cap = Array.length t.data in
-    if t.size = cap then begin
-      let ncap = if cap = 0 then 16 else cap * 2 in
-      let nd = Array.make ncap (dummy ()) in
-      Array.blit t.data 0 nd 0 t.size;
-      t.data <- nd
-    end
-
-  let push t ~prio value =
-    let e = { prio; seq = t.next_seq; value } in
-    t.next_seq <- t.next_seq + 1;
-    grow t;
-    let i = ref t.size in
-    t.size <- t.size + 1;
-    t.data.(!i) <- e;
-    let continue_ = ref true in
-    while !continue_ && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      if less t.data.(!i) t.data.(parent) then begin
-        let tmp = t.data.(parent) in
-        t.data.(parent) <- t.data.(!i);
-        t.data.(!i) <- tmp;
-        i := parent
-      end
-      else continue_ := false
-    done
-
-  let pop t =
-    if t.size = 0 then None
-    else begin
-      let top = t.data.(0) in
-      t.size <- t.size - 1;
-      if t.size > 0 then begin
-        t.data.(0) <- t.data.(t.size);
-        t.data.(t.size) <- dummy ();
-        let i = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < t.size && less t.data.(l) t.data.(!smallest) then
-            smallest := l;
-          if r < t.size && less t.data.(r) t.data.(!smallest) then
-            smallest := r;
-          if !smallest <> !i then begin
-            let tmp = t.data.(!smallest) in
-            t.data.(!smallest) <- t.data.(!i);
-            t.data.(!i) <- tmp;
-            i := !smallest
-          end
-          else continue_ := false
-        done
-      end
-      else t.data.(0) <- dummy ();
-      Some top.value
-    end
-
-  let min_prio t = if t.size = 0 then None else Some t.data.(0).prio
-end
-
 (* Equal priorities pop in push order, including across an interleaved
    pop that advances the wheel's "now" between the pushes. *)
 let test_twheel_fifo_ties () =
@@ -1070,20 +1023,20 @@ let prop_twheel_differential =
         ~finally:(fun () -> Msnap_util.Slice.debug_checks := saved)
         (fun () ->
           let tw = Twheel.create ~initial:2 () in
-          let pq = Ref_pq.create () in
+          let pq = Pq.create () in
           let now = ref 0 in
           let next = ref 0 in
           let mins_agree () =
             Twheel.min_prio tw
-            = (match Ref_pq.min_prio pq with Some p -> p | None -> -1)
+            = (match Pq.min_prio pq with Some p -> p | None -> -1)
           in
           let step (kind, delta) =
             if kind = 0 then
-              if Ref_pq.is_empty pq then Twheel.is_empty tw
+              if Pq.is_empty pq then Twheel.is_empty tw
               else begin
                 now := Twheel.min_prio tw;
                 let v = Twheel.pop_min tw in
-                Some v = Ref_pq.pop pq && mins_agree ()
+                Some v = Pq.pop pq && mins_agree ()
               end
             else begin
               (* kind 3 spreads pushes across wheel levels *)
@@ -1091,7 +1044,7 @@ let prop_twheel_differential =
               let v = !next in
               incr next;
               Twheel.push tw ~prio v;
-              Ref_pq.push pq ~prio v;
+              Pq.push pq ~prio v;
               mins_agree ()
             end
           in
@@ -1099,9 +1052,9 @@ let prop_twheel_differential =
           &&
           (* drain: every remaining entry in identical order *)
           let rec drain () =
-            if Ref_pq.is_empty pq then Twheel.is_empty tw
+            if Pq.is_empty pq then Twheel.is_empty tw
             else
-              Some (Twheel.pop_min tw) = Ref_pq.pop pq
+              Some (Twheel.pop_min tw) = Pq.pop pq
               && mins_agree () && drain ()
           in
           drain ()))
@@ -1122,11 +1075,14 @@ let () =
           tc "shuffle permutes" test_rng_shuffle_permutes;
           tc "bytes length" test_rng_bytes_len;
           tc "int draws allocation-free" test_rng_alloc_free;
+          tc "bool draws allocation-free" test_rng_bool_alloc_free;
+          tc "float draws allocation-free" test_rng_float_alloc_free;
           QCheck_alcotest.to_alcotest prop_rng_differential;
         ] );
       ( "wire",
         [
           tc "checksum long/chained" test_checksum_long;
+          tc "checksum allocation-free" test_checksum_alloc_free;
           QCheck_alcotest.to_alcotest prop_checksum_differential;
         ] );
       ( "keyfmt",
