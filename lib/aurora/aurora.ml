@@ -38,11 +38,11 @@ module Kernel = struct
        meanwhile are satisfied by the next round. *)
     mutable waiters : unit Sync.Ivar.t list;
     mutable ckpt_running : bool;
-    mutable shadow_frames : (int * Phys.page) list;
-        (* Snapshot frames of the in-flight checkpoint: (rel page, frame). *)
     mutable cow_copies : Phys.page list;
-        (* Original frames replaced by COW during the flight; freed at
-           collapse. *)
+        (* Frames that COW faults left unmapped during the flight, dirty
+           snapshot frames and clean ones alike. A dirty one may still be
+           referenced by the checkpoint's IO, so all are freed at
+           collapse, after the commit returns. *)
     mutable breakdown : (int * int * int * int) option;
   }
 
@@ -91,28 +91,32 @@ module Region = struct
 
   (* Write fault during an in-flight checkpoint: redirect the writer to a
      fresh copy so the shadow frame stays stable ("shadow object"). The
-     faulting frame is re-resolved under the kernel fault lock because a
-     concurrent fault may already have COWed or unprotected the page. *)
-  let on_write_fault k (fault : Aspace.fault) =
-    Sync.Mutex.with_lock k.fault_lock @@ fun () ->
-    let aspace = fault.Aspace.f_aspace in
-    let pte = Ptloc.get fault.Aspace.f_loc in
-    let page = Phys.get (Aspace.phys aspace) (Pte.frame pte) in
+     in-flight mark is the PTE's COW bit (set by [shadow_region], cleared
+     by [collapse_region]); it is re-read under the kernel fault lock
+     because a concurrent fault may already have COWed or unprotected the
+     page. The copy's PTE drops the bit: the new frame is not in flight. *)
+  let on_write_fault r (fault : Aspace.fault) =
+    Sync.Mutex.with_lock r.k.fault_lock @@ fun () ->
+    let loc = fault.Aspace.f_loc in
+    let pte = Ptloc.get loc in
     if Pte.writable pte then ()
-    else if page.Phys.ckpt_in_progress then begin
+    else if Pte.cow pte then begin
       if Trace.is_on () then
         Trace.instant Probe.aurora_cow_fault
           ~argi:("vpn", fault.Aspace.f_vpn);
-      let copy = Phys.copy_page (Aspace.phys aspace) page in
-      Phys.rmap_remove page fault.Aspace.f_loc;
-      Phys.rmap_add copy fault.Aspace.f_loc;
-      let pte = Ptloc.get fault.Aspace.f_loc in
-      Ptloc.set fault.Aspace.f_loc
-        (Pte.set_writable (Pte.set_frame pte copy.Phys.frame) true)
+      let phys = Aspace.phys fault.Aspace.f_aspace in
+      let page = Phys.get phys (Pte.frame pte) in
+      let copy = Phys.copy_page phys page in
+      Phys.rmap_remove page loc;
+      if Phys.rmap_is_empty page then r.cow_copies <- page :: r.cow_copies;
+      Phys.rmap_add copy loc;
+      let pte = Ptloc.get loc in
+      Ptloc.set loc
+        (Pte.set_cow
+           (Pte.set_writable (Pte.set_frame pte copy.Phys.frame) true)
+           false)
     end
-    else
-      Ptloc.set fault.Aspace.f_loc
-        (Pte.set_writable (Ptloc.get fault.Aspace.f_loc) true)
+    else Ptloc.set loc (Pte.set_writable pte true)
 
   let create k ~name ~va ~len =
     let obj =
@@ -143,13 +147,13 @@ module Region = struct
     in
     let mapping =
       Aspace.map k.aspace ~name:("aurora:" ^ name) ~va ~len ~writable:true
-        ~new_pages_writable:false ~pager ~on_write_fault:(on_write_fault k) ()
+        ~new_pages_writable:false ~pager ()
     in
     let r =
       { k; r_name = name; r_va = va; r_len = len; mapping; obj; waiters = [];
-        ckpt_running = false; shadow_frames = []; cow_copies = [];
-        breakdown = None }
+        ckpt_running = false; cow_copies = []; breakdown = None }
     in
+    Aspace.set_write_fault_handler mapping (Some (on_write_fault r));
     k.regions <- r :: k.regions;
     r
 
@@ -175,7 +179,8 @@ module Region = struct
 
   (* Shadow one region: collect the dirty set and COW-protect every
      present page. Returns the dirty (rel, frame) list. Runs with the
-     world stopped. *)
+     world stopped. The pass rewrites PTE words in place leaf by leaf and
+     resolves a frame only for the dirty (writable) ones. *)
   let shadow_region r =
     let aspace = r.k.aspace in
     let pt = Aspace.page_table aspace in
@@ -185,23 +190,27 @@ module Region = struct
     let dirty = ref [] in
     let present = ref 0 in
     let visited =
-      Ptable.scan_range pt ~vpn:start_vpn ~n:npages ~f:(fun vpn loc ->
-          incr present;
-          let pte = Ptloc.get loc in
-          let page = Phys.get phys (Pte.frame pte) in
-          if Pte.writable pte then
-            dirty := (vpn - start_vpn, page) :: !dirty;
-          page.Phys.ckpt_in_progress <- true;
-          Ptloc.set loc (Pte.set_cow (Pte.set_writable pte false) true))
+      Ptable.iter_leaves pt ~vpn:start_vpn ~n:npages ~f:(fun slots base s0 s1 ->
+          for s = s0 to s1 do
+            let pte = slots.(s) in
+            if Pte.present pte then begin
+              incr present;
+              if Pte.writable pte then
+                dirty :=
+                  (base + s - start_vpn, Phys.get phys (Pte.frame pte))
+                  :: !dirty;
+              slots.(s) <- Pte.set_cow (Pte.set_writable pte false) true
+            end
+          done)
     in
     Sched.cpu ((visited * Costs.pte_visit) + (!present * Costs.pte_update_bulk));
     Msnap_vm.Tlb.flush (Aspace.tlb aspace);
     Sched.cpu Costs.tlb_flush_all;
-    r.shadow_frames <- List.rev !dirty;
-    r.shadow_frames
+    List.rev !dirty
 
   (* Collapse the shadow object back into the base: another pass over the
-     whole mapping merging page lists, plus freeing COW copies. *)
+     whole mapping merging page lists, plus freeing the frames COW faults
+     orphaned during the flight. *)
   let collapse_region r =
     let aspace = r.k.aspace in
     let pt = Aspace.page_table aspace in
@@ -210,31 +219,28 @@ module Region = struct
     let npages = Addr.pages_spanned ~off:r.r_va ~len:r.r_len in
     let present = ref 0 in
     let visited =
-      Ptable.scan_range pt ~vpn:start_vpn ~n:npages ~f:(fun _ loc ->
-          incr present;
-          let pte = Ptloc.get loc in
-          let page = Phys.get phys (Pte.frame pte) in
-          page.Phys.ckpt_in_progress <- false;
-          Ptloc.set loc (Pte.set_cow pte false))
+      Ptable.iter_leaves pt ~vpn:start_vpn ~n:npages ~f:(fun slots _ s0 s1 ->
+          for s = s0 to s1 do
+            let pte = slots.(s) in
+            if Pte.present pte then begin
+              incr present;
+              slots.(s) <- Pte.set_cow pte false
+            end
+          done)
     in
     (* Merging the shadow's page list into the base costs a visit per
        page plus the list manipulation. *)
     Sched.cpu ((visited * Costs.pte_visit) + (!present * Costs.pte_update_bulk));
-    List.iter
-      (fun (_, page) ->
-        page.Phys.ckpt_in_progress <- false;
-        if Phys.rmap_is_empty page then Phys.free phys page)
-      r.shadow_frames;
-    List.iter (fun p -> if Phys.rmap_is_empty p then Phys.free phys p) r.cow_copies;
-    r.cow_copies <- [];
-    r.shadow_frames <- []
+    List.iter (Phys.free phys) r.cow_copies;
+    r.cow_copies <- []
 
   let flush_dirty r dirty =
     (* Zero-copy: the commit's scatter/gather list references the page
-       frames themselves. Safe under the ownership rule — every dirty
-       frame has [ckpt_in_progress] set, so writers COW away from it
-       while the IO is in flight, and [collapse_region] (which may free
-       orphaned frames) only runs after the commit returns. *)
+       frames themselves. Safe under the ownership rule — every PTE that
+       maps a dirty frame carries the COW bit from [shadow_region] on, so
+       writers COW away from the frame while the IO is in flight, and
+       [collapse_region] (which clears the bit and may free orphaned
+       frames) only runs after the commit returns. *)
     let pages = List.map (fun (rel, page) -> (rel, page.Phys.data)) dirty in
     if pages <> [] then ignore (Store.commit r.k.store r.obj pages)
 

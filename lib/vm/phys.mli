@@ -13,6 +13,10 @@ type page = {
   frame : int;
   data : Bytes.t;
   mutable ckpt_in_progress : bool;
+      (** MemSnap's per-frame in-flight COW mark: set while a
+          μCheckpoint's IO references the frame, so a writer copies it
+          instead of mutating it. Aurora does not use it; its in-flight
+          mark is the PTE's COW bit ({!Pte.cow}). *)
   rmap : Ptloc.t Msnap_util.Fvec.t;
       (** Every PTE currently mapping this frame. Iteration order is a
           host-side artifact (swap-removal); use the [rmap_*] helpers. *)

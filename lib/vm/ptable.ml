@@ -59,31 +59,35 @@ let find_loc t vpn =
 
 let set t vpn pte = Ptloc.set (walk t vpn) pte
 
-let scan_range t ~vpn ~n ~f =
-  let visited = ref 0 in
+(* The one window-clipping descent. Only the child indices that overlap
+   [first, last] are visited at each level, so an absent subtree costs
+   nothing and a leaf is handed over once with its clipped slot range. *)
+let iter_leaves t ~vpn ~n ~f =
   let first = vpn and last = vpn + n - 1 in
-  (* Recursive descent over the radix tree, clipping to [first, last]. *)
-  let rec go level children base =
-    let span = 1 lsl (level * Addr.index_bits) in
-    for i = 0 to Addr.fanout - 1 do
-      let lo = base + (i * span) in
-      let hi = lo + span - 1 in
-      if hi >= first && lo <= last then begin
-        match children.(i) with
-        | None -> ()
-        | Some (Leaf slots) ->
-          for s = 0 to Addr.fanout - 1 do
-            let v = lo + s in
-            if v >= first && v <= last then begin
-              incr visited;
-              if Pte.present slots.(s) then f v (Ptloc.make slots s)
-            end
-          done
-        | Some (Inner ch) -> go (level - 1) ch lo
-      end
-    done
+  let rec go level children base visited =
+    let shift = level * Addr.index_bits in
+    let i0 = if first > base then (first - base) lsr shift else 0 in
+    let i1 = min (Addr.fanout - 1) ((last - base) lsr shift) in
+    let visited = ref visited in
+    for i = i0 to i1 do
+      let lo = base + (i lsl shift) in
+      match children.(i) with
+      | None -> ()
+      | Some (Leaf slots) ->
+        let s0 = max 0 (first - lo) in
+        let s1 = min (Addr.fanout - 1) (last - lo) in
+        visited := !visited + (s1 - s0 + 1);
+        f slots lo s0 s1
+      | Some (Inner ch) -> visited := go (level - 1) ch lo !visited
+    done;
+    !visited
   in
-  go (Addr.levels - 1) t.root 0;
-  !visited
+  if n <= 0 || last < 0 then 0 else go (Addr.levels - 1) t.root 0 0
+
+let scan_range t ~vpn ~n ~f =
+  iter_leaves t ~vpn ~n ~f:(fun slots base s0 s1 ->
+      for s = s0 to s1 do
+        if Pte.present slots.(s) then f (base + s) (Ptloc.make slots s)
+      done)
 
 let node_count t = t.nodes

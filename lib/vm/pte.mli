@@ -3,7 +3,9 @@
     A PTE is a plain integer: flag bits in the low bits, the physical frame
     number above {!Addr.page_shift}. The [writable] bit is the hardware
     write-permission bit MemSnap clears to arm dirty tracking; [cow] is the
-    software bit Aurora's shadowing uses. *)
+    software bit Aurora's shadowing uses: set on every present PTE of a
+    region while its checkpoint is in flight, so a write fault on such a
+    PTE copies the frame instead of mutating it. *)
 
 type t = int
 

@@ -6,6 +6,9 @@ module Device = Msnap_blockdev.Device
 module Store = Msnap_objstore.Store
 module Phys = Msnap_vm.Phys
 module Aspace = Msnap_vm.Aspace
+module Addr = Msnap_vm.Addr
+module Pte = Msnap_vm.Pte
+module Ptable = Msnap_vm.Ptable
 module Aurora = Msnap_aurora.Aurora
 
 (* Run the whole suite with the data plane's ownership-rule checks on:
@@ -142,6 +145,126 @@ let test_cow_during_flight () =
         (Bytes.to_string (Aurora.Region.read r2 ~off:0 ~len:4)))
     ()
 
+(* In-flight COW invariants. A 16-page region is populated (all of it
+   unless [populate] says fewer) and cleaned, pages 0..3 are dirtied, and a checkpoint is started in its
+   own thread. [during] runs once the shadow has COW-marked the mapping
+   and while the checkpoint's IO is still in flight; it gets the region,
+   the physical map and a PTE reader. *)
+let va = 0x5000_0000
+let region_pages = 16
+
+let with_flight ?(populate = region_pages) dev ~during =
+  let k, aspace = mk_kernel dev in
+  let r = Aurora.Region.create k ~name:"r" ~va ~len:(region_pages * 4096) in
+  for i = 0 to populate - 1 do
+    Aurora.Region.write r ~off:(i * 4096) (Bytes.of_string "OLD!")
+  done;
+  Aurora.Region.checkpoint r;
+  for i = 0 to 3 do
+    Aurora.Region.write r ~off:(i * 4096) (Bytes.of_string "old!")
+  done;
+  let phys = Aspace.phys aspace in
+  let pte i = Ptable.lookup (Aspace.page_table aspace) (Addr.vpn_of_va va + i) in
+  let flying = ref true in
+  let c =
+    Sched.spawn (fun () ->
+        Aurora.Region.checkpoint r;
+        flying := false)
+  in
+  while not (Pte.cow (pte 0)) do Sched.delay 100 done;
+  during r phys pte;
+  checkb "writes landed inside the flight" true !flying;
+  Sched.join c;
+  (r, phys, pte)
+
+let test_cow_page_in_after_shadow () =
+  in_sim (fun () ->
+      ignore
+        (with_flight ~populate:8 (mk_dev ()) ~during:(fun r phys pte ->
+             checkb "unpopulated page absent" false (Pte.present (pte 12));
+             let live = Phys.live_frames phys in
+             Aurora.Region.write r ~off:(12 * 4096) (Bytes.of_string "new!");
+             checki "page-in allocates one frame, no copy" (live + 1)
+               (Phys.live_frames phys);
+             checkb "paged-in PTE carries no COW bit" false (Pte.cow (pte 12)))))
+    ()
+
+let test_cow_second_write_no_copy () =
+  in_sim (fun () ->
+      ignore
+        (with_flight (mk_dev ()) ~during:(fun r phys pte ->
+             let live = Phys.live_frames phys in
+             let shadow_frame = Pte.frame (pte 1) in
+             Aurora.Region.write r ~off:4096 (Bytes.of_string "NEW1");
+             Aurora.Region.write r ~off:(4096 + 8) (Bytes.of_string "NEW2");
+             checki "one copy for two writes" (live + 1) (Phys.live_frames phys);
+             checkb "writer moved off the shadow frame" true
+               (Pte.frame (pte 1) <> shadow_frame);
+             checkb "copy is not in flight" false (Pte.cow (pte 1)))))
+    ()
+
+let test_cow_bits_clear_after_collapse () =
+  in_sim (fun () ->
+      let _, phys, pte =
+        with_flight (mk_dev ()) ~during:(fun r _ pte ->
+            for i = 0 to region_pages - 1 do
+              checkb "shadow marks every present PTE" true (Pte.cow (pte i))
+            done;
+            (* Two dirty (snapshot) pages and one clean page: every
+               frame a COW fault orphans is freed at collapse. *)
+            List.iter
+              (fun i -> Aurora.Region.write r ~off:(i * 4096) (Bytes.of_string "NEW!"))
+              [ 0; 2; 9 ])
+      in
+      for i = 0 to region_pages - 1 do
+        checkb "present" true (Pte.present (pte i));
+        checkb "COW bit cleared by collapse" false (Pte.cow (pte i))
+      done;
+      checki "orphaned frames freed" region_pages (Phys.live_frames phys))
+    ()
+
+let test_cow_write_in_next_checkpoint () =
+  in_sim (fun () ->
+      let dev = mk_dev () in
+      let r, _, pte =
+        with_flight dev ~during:(fun r _ _ ->
+            Aurora.Region.write r ~off:0 (Bytes.of_string "NEW!"))
+      in
+      let recovered () =
+        let k2, _ = mk_kernel ~format:false dev in
+        let r2 = Aurora.Region.create k2 ~name:"r" ~va ~len:(region_pages * 4096) in
+        Bytes.to_string (Aurora.Region.read r2 ~off:0 ~len:4)
+      in
+      checks "flight captured the pre-flight bytes" "old!" (recovered ());
+      checkb "written page stays dirty past collapse" true (Pte.writable (pte 0));
+      Aurora.Region.checkpoint r;
+      checks "next checkpoint carries the new bytes" "NEW!" (recovered ()))
+    ()
+
+(* Shadow and collapse rewrite PTE words in place: a 1-page checkpoint of
+   a 4096-page region allocates about what one of a 64-page region does,
+   instead of a location record and a closure call per present PTE. *)
+let test_checkpoint_alloc_independent_of_mapping () =
+  in_sim (fun () ->
+      let k, _ = mk_kernel (mk_dev ()) in
+      let ckpt_words ~name ~va ~pages =
+        let r = Aurora.Region.create k ~name ~va ~len:(pages * 4096) in
+        for i = 0 to pages - 1 do
+          Aurora.Region.write r ~off:(i * 4096) (Bytes.make 8 'x')
+        done;
+        Aurora.Region.checkpoint r;
+        Aurora.Region.write r ~off:0 (Bytes.make 8 'y');
+        let w0 = Gc.minor_words () in
+        Aurora.Region.checkpoint r;
+        int_of_float (Gc.minor_words () -. w0)
+      in
+      let small = ckpt_words ~name:"small" ~va:0x5000_0000 ~pages:64 in
+      let big = ckpt_words ~name:"big" ~va:0x6000_0000 ~pages:4096 in
+      if big - small > 512 then
+        Alcotest.failf "4096-page checkpoint allocates %d words, 64-page %d"
+          big small)
+    ()
+
 let test_writes_stall_during_stop_the_world () =
   in_sim (fun () ->
       let k, _ = mk_kernel (mk_dev ()) in
@@ -207,6 +330,12 @@ let () =
           tc "breakdown phases" test_breakdown_phases;
           tc "cost scales with mapping" test_shadow_cost_scales_with_mapping;
           tc "cow during flight" test_cow_during_flight;
+          tc "cow: page-in after shadow" test_cow_page_in_after_shadow;
+          tc "cow: second write no copy" test_cow_second_write_no_copy;
+          tc "cow: bits clear after collapse" test_cow_bits_clear_after_collapse;
+          tc "cow: write in next checkpoint" test_cow_write_in_next_checkpoint;
+          tc "checkpoint alloc independent of mapping"
+            test_checkpoint_alloc_independent_of_mapping;
           tc "stop-the-world stalls writers" test_writes_stall_during_stop_the_world;
           tc "flat combining" test_flat_combining;
         ] );

@@ -88,6 +88,73 @@ let test_ptable_scan_range () =
   ignore (Ptable.scan_range pt ~vpn:15 ~n:590 ~f:(fun vpn _ -> seen := vpn :: !seen));
   Alcotest.(check (list int)) "clipped" [ 20; 600 ] (List.rev !seen)
 
+(* [iter_leaves] and [scan_range] against a per-vpn model: a vpn is
+   visited iff its leaf exists ([find_loc]) and reported iff its PTE is
+   present ([lookup]). Table entries and window ends cluster around the
+   512 (leaf) and 262,144 (level-2 node) boundaries, so windows start
+   and end mid-leaf and cross node edges. Some entries are written
+   non-present: their leaf exists but the scans must skip them. *)
+let prop_ptable_scans_model =
+  let near_boundary =
+    QCheck.Gen.(
+      map3
+        (fun unit k off -> max 0 ((k * unit) + off))
+        (oneofl [ 512; 262_144 ])
+        (int_range 0 3) (int_range (-700) 700))
+  in
+  let window =
+    QCheck.Gen.(
+      pair near_boundary
+        (frequency
+           [ (1, return 0); (4, int_range 1 1_500);
+             (1, int_range 1_500 600_000) ]))
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 0 40) (pair near_boundary bool))
+        (list_size (int_range 1 4) window))
+  in
+  QCheck.Test.make ~count:150 ~name:"iter_leaves/scan_range agree with per-vpn model"
+    (QCheck.make gen) (fun (entries, windows) ->
+      let pt = Ptable.create () in
+      List.iter
+        (fun (vpn, present) ->
+          Ptable.set pt vpn
+            (if present then Pte.make ~frame:(vpn + 1) ~writable:true
+             else Pte.empty))
+        entries;
+      List.for_all
+        (fun (vpn, n) ->
+          let m_visited = ref 0 and m_present = ref [] in
+          for v = vpn to vpn + n - 1 do
+            if Ptable.find_loc pt v <> None then incr m_visited;
+            if Pte.present (Ptable.lookup pt v) then m_present := v :: !m_present
+          done;
+          let m_present = List.rev !m_present in
+          let s_present = ref [] in
+          let s_visited =
+            Ptable.scan_range pt ~vpn ~n ~f:(fun v loc ->
+                assert (Ptloc.get loc = Ptable.lookup pt v);
+                s_present := v :: !s_present)
+          in
+          let l_present = ref [] and l_sum = ref 0 and last_base = ref (-1) in
+          let l_visited =
+            Ptable.iter_leaves pt ~vpn ~n ~f:(fun slots base s0 s1 ->
+                assert (base mod Addr.fanout = 0 && base > !last_base);
+                assert (0 <= s0 && s0 <= s1 && s1 < Addr.fanout);
+                assert (base + s0 >= vpn && base + s1 < vpn + n);
+                last_base := base;
+                l_sum := !l_sum + (s1 - s0 + 1);
+                for s = s0 to s1 do
+                  if Pte.present slots.(s) then l_present := (base + s) :: !l_present
+                done)
+          in
+          s_visited = !m_visited && l_visited = !m_visited && !l_sum = l_visited
+          && List.rev !s_present = m_present
+          && List.rev !l_present = m_present)
+        windows)
+
 let prop_ptable_model =
   QCheck.Test.make ~count:100 ~name:"page table agrees with assoc model"
     QCheck.(list_of_size Gen.(int_range 1 50)
@@ -544,6 +611,7 @@ let () =
           tc "walk/set/lookup" test_ptable_walk_set_lookup;
           tc "loc stable" test_ptable_loc_stable;
           tc "scan_range" test_ptable_scan_range;
+          QCheck_alcotest.to_alcotest prop_ptable_scans_model;
           QCheck_alcotest.to_alcotest prop_ptable_model;
         ] );
       ( "phys",
