@@ -43,7 +43,10 @@ let test_radix =
        Radix.update_batch ~read_node ~alloc ~root:0 ~height:0
          (List.init 64 (fun i -> (i * 97, 10_000 + i)))
      in
-     List.iter (fun (b, n) -> Hashtbl.replace nodes b n) r.Radix.node_writes)
+     List.iter (fun (b, n) -> Hashtbl.replace nodes b n) r.Radix.node_writes;
+     (* The store recycles superseded images after its header flip; doing
+        the same here keeps the run on pooled images, as in steady state. *)
+     List.iter (fun (_, n) -> Msnap_util.Pool.recycle n) r.Radix.node_writes)
 
 let test_zipf =
   Test.make ~name:"dist.zipf sample"

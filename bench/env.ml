@@ -6,7 +6,8 @@
 (* --- end-of-run disposal ---
 
    Machine builders register teardown hooks that return pooled buffers
-   (page frames, file-system cache blocks, disk medium chunks) to
+   (page frames, file-system cache blocks, radix node images, disk
+   medium chunks) to
    [Msnap_util.Pool] when the simulation finishes, so the next experiment
    on this domain reuses them instead of allocating fresh. Host-only:
    disposal runs after the simulated clock has stopped. *)
@@ -84,6 +85,7 @@ let mk_msnap ?mib () =
   let aspace = Aspace.create phys in
   Store.format dev;
   let store = Store.mount dev in
+  on_dispose (fun () -> Store.dispose store);
   let k = Msnap.init ~store in
   Msnap.attach k aspace;
   (dev, k, aspace, phys)
@@ -95,6 +97,7 @@ let mk_aurora ?mib ?other_mapped_pages () =
   let aspace = Aspace.create phys in
   Store.format dev;
   let store = Store.mount dev in
+  on_dispose (fun () -> Store.dispose store);
   (dev, Aurora.Kernel.create ~aspace ~store ?other_mapped_pages (), aspace)
 
 (* Dirty [pages] distinct random 4 KiB pages of a MemSnap region. *)

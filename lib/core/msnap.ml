@@ -11,6 +11,7 @@ module Pte = Msnap_vm.Pte
 module Ptloc = Msnap_vm.Ptloc
 module Tlb = Msnap_vm.Tlb
 module Slice = Msnap_util.Slice
+module Itab = Msnap_util.Itab
 module Store = Msnap_objstore.Store
 
 exception Property_violation of string
@@ -38,10 +39,13 @@ and region = {
   r_len : int;
   r_obj : Store.obj;
   r_kernel : t;
-  frames : Phys.page array; (* rel page -> shared frame; null_page = none *)
-  populating : Phys.page Sync.Ivar.t option array;
-      (* busy-page lock: concurrent faults on the same missing page wait
-         for the first to materialize the frame *)
+  frames : Phys.page array array;
+      (* rel page -> shared frame; null_page = none. Two levels of
+         512-slot leaves (see [frame]/[set_frame]). *)
+  populating : Phys.page Sync.Ivar.t Itab.t;
+      (* busy-page lock, keyed by rel page while a page-in is in flight:
+         concurrent faults on the same missing page wait for the first to
+         materialize the frame *)
   mutable r_aspaces : Aspace.t list;
   tickets : (int, Store.ticket) Hashtbl.t; (* epoch -> in-flight commit *)
   mutable r_flow : int;
@@ -70,6 +74,25 @@ and t = {
 }
 
 type md = region
+
+(* A region's frame table is sized by the pages it touches, not by its
+   length: a top array of 512-slot leaves, each materialized on its first
+   store. Untouched ranges share [empty_leaf], which is never written, so
+   a lookup is two loads and never hashes. *)
+let leaf_bits = 9
+let leaf_mask = (1 lsl leaf_bits) - 1
+let empty_leaf = Array.make (1 lsl leaf_bits) Phys.null_page
+
+let frame r rel = r.frames.(rel lsr leaf_bits).(rel land leaf_mask)
+
+let set_frame r rel p =
+  let i = rel lsr leaf_bits in
+  if r.frames.(i) == empty_leaf then
+    r.frames.(i) <- Array.make (1 lsl leaf_bits) Phys.null_page;
+  r.frames.(i).(rel land leaf_mask) <- p
+
+(* [populating]'s miss sentinel: never filled, never read. *)
+let no_page_in : Phys.page Sync.Ivar.t = Sync.Ivar.create ()
 
 let dset_create () =
   { d_vpn = [||]; d_rel = [||]; d_page = [||]; d_reg = [||]; d_len = 0 }
@@ -182,7 +205,7 @@ let on_write_fault t r (fault : Aspace.fault) =
         Phys.rmap_add copy loc)
       page;
     Phys.rmap_clear page;
-    r.frames.(rel) <- copy;
+    set_frame r rel copy;
     (* Make the faulting PTE writable; other processes keep read-only
        PTEs so their first store still takes a tracking fault. *)
     Ptloc.set fault.Aspace.f_loc
@@ -217,24 +240,25 @@ let on_write_fault t r (fault : Aspace.fault) =
 let region_pager t r =
   { Aspace.page_in =
       (fun rel ->
-        let p = r.frames.(rel) in
+        let p = frame r rel in
         if not (Phys.is_null p) then `Page p
         else
-          match r.populating.(rel) with
-          | Some iv -> `Page (Sync.Ivar.read iv)
-          | None ->
+          let iv = Itab.find r.populating rel in
+          if iv != no_page_in then `Page (Sync.Ivar.read iv)
+          else begin
             let iv = Sync.Ivar.create () in
-            r.populating.(rel) <- Some iv;
+            Itab.set r.populating rel iv;
             let p = Phys.alloc (kernel_phys t) in
             (* Read the block straight into the frame; the memcpy charge
                models the kernel copying from the IO buffer into the
                page, exactly as the staged read did. *)
             if Store.read_block_into t.store r.r_obj rel p.Phys.data then
               Sched.cpu (Costs.memcpy Addr.page_size);
-            r.frames.(rel) <- p;
-            r.populating.(rel) <- None;
+            set_frame r rel p;
+            Itab.remove r.populating rel;
             Sync.Ivar.fill iv p;
-            `Page p)
+            `Page p
+          end)
   }
 
 let map_region_into t r aspace =
@@ -271,8 +295,8 @@ let open_region t ?aspace ~name ~len () =
   let npages = r_len / Addr.page_size in
   let r =
     { r_name = name; r_va = va; r_len; r_obj = obj; r_kernel = t;
-      frames = Array.make npages Phys.null_page;
-      populating = Array.make npages None;
+      frames = Array.make ((npages + leaf_mask) lsr leaf_bits) empty_leaf;
+      populating = Itab.create ~initial:8 ~absent:no_page_in ();
       r_aspaces = []; tickets = Hashtbl.create 8; r_flow = 0 }
   in
   Hashtbl.replace t.regions name r;
@@ -401,7 +425,7 @@ let complete_entries t taken idxs =
       let page = taken.d_page.(i) in
       page.Phys.ckpt_in_progress <- false;
       if Phys.rmap_is_empty page then begin
-        let live = taken.d_reg.(i).frames.(taken.d_rel.(i)) in
+        let live = frame taken.d_reg.(i) taken.d_rel.(i) in
         if not (live == page) (* still the live frame? *) then
           Phys.free phys page
       end)
@@ -686,5 +710,7 @@ let recoverable ~region ~len ~cells =
       in
       Msnap_faults.Recoverable.check_state ~label history state
 
-    let dispose r = Phys.dispose r.rec_phys
+    let dispose r =
+      Store.dispose r.rec_kernel.store;
+      Phys.dispose r.rec_phys
   end : Msnap_faults.Recoverable.S with type t = recovered)

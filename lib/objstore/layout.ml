@@ -1,5 +1,4 @@
 let block_size = 4096
-let block_shift = 12
 let sb_blocks = 2
 let first_data_block = 2
 let ptr_size = 8

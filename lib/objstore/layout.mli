@@ -11,7 +11,6 @@
     single sector flips the object to its new epoch. *)
 
 val block_size : int (* 4096 *)
-val block_shift : int
 val sb_blocks : int (* 2 *)
 val first_data_block : int
 val ptr_size : int (* 8 *)

@@ -1,18 +1,12 @@
-type node = int array
+module Pool = Msnap_util.Pool
+
+type node = Bytes.t
 
 let fanout = Layout.radix_fanout
+let bsz = Layout.block_size
 
-let node_to_bytes_into n b =
-  Bytes.fill b 0 Layout.block_size '\000';
-  Array.iteri (fun i v -> Bytes.set_int64_le b (i * 8) (Int64.of_int v)) n
-
-let node_to_bytes n =
-  let b = Bytes.create Layout.block_size in
-  node_to_bytes_into n b;
-  b
-
-let node_of_bytes b =
-  Array.init fanout (fun i -> Int64.to_int (Bytes.get_int64_le b (i * 8)))
+let get n i = Int64.to_int (Bytes.get_int64_le n (i * 8))
+let set n i v = Bytes.set_int64_le n (i * 8) (Int64.of_int v)
 
 let capacity ~height =
   if height <= 0 then 0
@@ -64,16 +58,19 @@ let update_batch ~read_node ~alloc ~root ~height updates =
       incr visited;
       let entries, old_block =
         match src with
-        | Block 0 -> (Array.make fanout 0, 0)
-        | Block b -> (Array.copy (read_node b), b)
-        | Grown -> (Array.make fanout 0, 0)
+        | Block 0 | Grown -> (Pool.alloc_zeroed bsz, 0)
+        | Block b ->
+          let old = read_node b and n = Pool.alloc bsz in
+          Bytes.blit old 0 n 0 bsz;
+          (n, b)
       in
       if level = 1 then
         List.iter
           (fun (idx, data) ->
             assert (idx >= 0 && idx < fanout);
-            if entries.(idx) <> 0 then freed := entries.(idx) :: !freed;
-            entries.(idx) <- data)
+            let prev = get entries idx in
+            if prev <> 0 then freed := prev :: !freed;
+            set entries idx data)
           ups
       else begin
         let span = capacity ~height:(level - 1) in
@@ -105,15 +102,15 @@ let update_batch ~read_node ~alloc ~root ~height updates =
               | Grown when slot = 0 ->
                 if level - 1 > orig_height then Grown else Block orig_root
               | Grown -> Block 0
-              | Block _ -> Block entries.(slot)
+              | Block _ -> Block (get entries slot)
             in
             (* Linking the unmodified old tree in does not rewrite it. *)
             if rel_ups = [] then begin
               match child_src with
-              | Block b -> entries.(slot) <- b
-              | Grown -> entries.(slot) <- cow (level - 1) child_src []
+              | Block b -> set entries slot b
+              | Grown -> set entries slot (cow (level - 1) child_src [])
             end
-            else entries.(slot) <- cow (level - 1) child_src rel_ups)
+            else set entries slot (cow (level - 1) child_src rel_ups))
           (List.rev !slots)
       end;
       if old_block <> 0 then freed := old_block :: !freed;
@@ -133,38 +130,36 @@ let lookup ~read_node ~root ~height idx =
   else begin
     let rec go level block idx =
       if block = 0 then 0
-      else if level = 1 then (read_node block).(idx)
+      else if level = 1 then get (read_node block) idx
       else begin
         let span = capacity ~height:(level - 1) in
-        go (level - 1) (read_node block).(idx / span) (idx mod span)
+        go (level - 1) (get (read_node block) (idx / span)) (idx mod span)
       end
     in
     go height root idx
   end
 
+(* [f i b] for every non-hole pointer [b], at slot [i], of a node image. *)
+let iter_ptrs n f =
+  for i = 0 to fanout - 1 do
+    let b = get n i in
+    if b <> 0 then f i b
+  done
+
 let iter ~read_node ~root ~height ~f =
-  if root <> 0 then begin
-    let rec go level block base =
-      if block <> 0 then begin
-        let entries = read_node block in
-        if level = 1 then
-          Array.iteri (fun i b -> if b <> 0 then f ~index:(base + i) ~block:b) entries
-        else begin
-          let span = capacity ~height:(level - 1) in
-          Array.iteri (fun i b -> if b <> 0 then go (level - 1) b (base + (i * span))) entries
-        end
-      end
-    in
-    go height root 0
-  end
+  let rec go level block base =
+    let entries = read_node block in
+    if level = 1 then iter_ptrs entries (fun i b -> f ~index:(base + i) ~block:b)
+    else begin
+      let span = capacity ~height:(level - 1) in
+      iter_ptrs entries (fun i b -> go (level - 1) b (base + (i * span)))
+    end
+  in
+  if root <> 0 then go height root 0
 
 let iter_nodes ~read_node ~root ~height ~f =
-  if root <> 0 then begin
-    let rec go level block =
-      if block <> 0 then begin
-        f block;
-        if level > 1 then Array.iter (fun b -> go (level - 1) b) (read_node block)
-      end
-    in
-    go height root
-  end
+  let rec go level block =
+    f block;
+    if level > 1 then iter_ptrs (read_node block) (fun _ b -> go (level - 1) b)
+  in
+  if root <> 0 then go height root

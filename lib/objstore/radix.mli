@@ -8,18 +8,15 @@
     Nothing is persisted here — the caller writes the returned node images
     and flips the object header.
 
-    Node images are read through an abstract [read_node] callback so the
-    module does not depend on the device. *)
+    A node is its on-disk image: 512 little-endian u64 block pointers in
+    a pooled 4 KiB buffer ({!Msnap_util.Pool}). A COW copy is one blit
+    into a fresh image, which is then both the cached node and the device
+    write's payload. Images are read through an abstract [read_node]
+    callback (so the module does not depend on the device) and are never
+    mutated; [update_batch] writes only the fresh images it returns. *)
 
-type node = int array
-(** 512 block pointers; 0 = hole. *)
-
-val node_to_bytes : node -> Bytes.t
-
-val node_to_bytes_into : node -> Bytes.t -> unit
-(** Serialize into a caller-provided (e.g. pooled) block-sized buffer. *)
-
-val node_of_bytes : Bytes.t -> node
+type node = Bytes.t
+(** A block-sized image of 512 little-endian u64 block pointers; 0 = hole. *)
 
 val capacity : height:int -> int
 (** Data blocks addressable by a tree of the given height (height 0 = 0). *)
@@ -30,7 +27,8 @@ val height_for : int -> int
 type update_result = {
   new_root : int;
   new_height : int;
-  node_writes : (int * node) list;  (** fresh blocks, to persist *)
+  node_writes : (int * node) list;
+      (** fresh blocks with their images (pooled, owned by the caller) *)
   freed : int list;  (** superseded node blocks and data blocks *)
   nodes_visited : int;  (** for CPU cost accounting *)
 }

@@ -1,6 +1,7 @@
 module Device = Msnap_blockdev.Device
 module Slice = Msnap_util.Slice
 module Pool = Msnap_util.Pool
+module Itab = Msnap_util.Itab
 module Sync = Msnap_sim.Sync
 module Sched = Msnap_sim.Sched
 module Costs = Msnap_sim.Costs
@@ -35,20 +36,20 @@ type obj = {
 type t = {
   dev : Device.t;
   alloc : Alloc.t;
-  cache : (int, Radix.node) Hashtbl.t;
+  cache : Radix.node Itab.t; (* block -> owned image; Bytes.empty = miss *)
   mutable sb : Layout.superblock;
   objects : (string, obj) Hashtbl.t;
   meta_lock : Sync.Mutex.t;
   mutable next_obj_id : int;
-  mutable s_nodes_written : int;
-  mutable s_data_written : int;
 }
 
 let bsz = Layout.block_size
 
 let block_off b = b * bsz
 
-let write_block dev b bytes = Device.write dev ~off:(block_off b) bytes
+(* Metadata blocks are fresh buffers, never reused: lent as they are. *)
+let write_block dev b bytes =
+  Device.write_slice dev ~off:(block_off b) (Slice.of_bytes bytes)
 let read_block_raw dev b = Device.read dev ~off:(block_off b) ~len:bsz
 
 let read_block_raw_into dev b dst =
@@ -58,28 +59,33 @@ let read_block_raw_into dev b dst =
    single-sector write is what makes the commit atomic. *)
 let write_commit_sector dev b bytes =
   assert (Bytes.length bytes = 512);
-  Device.write dev ~off:(block_off b) bytes
+  write_block dev b bytes
 
 let read_commit_sector dev b = Device.read dev ~off:(block_off b) ~len:512
 
-let device t = t.dev
-
+(* A miss reads the block straight into a pooled buffer, which becomes
+   the cached node image: the on-disk bytes are the node. *)
 let read_node t b =
-  match Hashtbl.find_opt t.cache b with
-  | Some n -> n
-  | None ->
-    (* Pooled staging: the raw block bytes only live until they are
-       parsed into the cached int-array node. *)
-    let staging = Pool.alloc bsz in
-    let n =
-      Fun.protect
-        ~finally:(fun () -> Pool.recycle staging)
-        (fun () ->
-          read_block_raw_into t.dev b staging;
-          Radix.node_of_bytes staging)
-    in
-    Hashtbl.replace t.cache b n;
+  let n = Itab.find t.cache b in
+  if n != Bytes.empty then n
+  else begin
+    let n = Pool.alloc bsz in
+    read_block_raw_into t.dev b n;
+    Itab.set t.cache b n;
     n
+  end
+
+(* Uncache freed blocks and recycle their images: called after the header
+   flip, so they belong to an older epoch whose write has completed. *)
+let evict t blocks =
+  List.iter
+    (fun b ->
+      let n = Itab.find t.cache b in
+      if n != Bytes.empty then begin
+        Itab.remove t.cache b;
+        Pool.recycle n
+      end)
+    blocks
 
 (* --- formatting and mount --- *)
 
@@ -121,13 +127,11 @@ let mount dev =
     {
       dev;
       alloc = Alloc.create ~total_blocks:sb.Layout.total_blocks;
-      cache = Hashtbl.create 1024;
+      cache = Itab.create ~initial:1024 ~absent:Bytes.empty ();
       sb;
       objects = Hashtbl.create 16;
       meta_lock = Sync.Mutex.create ();
       next_obj_id = 1;
-      s_nodes_written = 0;
-      s_data_written = 0;
     }
   in
   if sb.Layout.directory_block <> 0 then begin
@@ -227,7 +231,7 @@ let delete t o =
           freed := block :: !freed);
       Alloc.free_deferred t.alloc !freed;
       Alloc.apply_deferred t.alloc;
-      List.iter (Hashtbl.remove t.cache) !freed)
+      evict t !freed)
 
 let list_objects t = List.map fst (directory_entries t)
 
@@ -281,21 +285,16 @@ and drain_batch t o batch =
         ~height:o.hdr.Layout.height updates
     in
     Sched.cpu (result.Radix.nodes_visited * Costs.cow_node_cpu);
-    t.s_nodes_written <- t.s_nodes_written + List.length result.Radix.node_writes;
     (* Insert fresh nodes into the cache before they hit the device so
        concurrent readers of *other* objects never see stale views; this
-       object is protected by [committing]. *)
-    List.iter
-      (fun (b, n) -> Hashtbl.replace t.cache b n)
-      result.Radix.node_writes;
-    (* Node payloads are pooled: they only need to outlive the vectored
-       write below (the cache holds the parsed int-array nodes). *)
+       object is protected by [committing]. Each image is also its own
+       device segment: it is immutable from here on, so lending it to the
+       write below satisfies the ownership rule. *)
     let node_segs =
       List.map
         (fun (b, n) ->
-          let buf = Pool.alloc bsz in
-          Radix.node_to_bytes_into n buf;
-          (block_off b, Slice.of_bytes buf))
+          Itab.set t.cache b n;
+          (block_off b, Slice.of_bytes n))
         result.Radix.node_writes
     in
     (* One vectored command carries every data page and COW node of the
@@ -316,10 +315,7 @@ and drain_batch t o batch =
         (fun (a, _) (b, _) -> compare (a : int) b)
         (List.fold_right (fun p acc -> p.p_segs @ acc) batch node_segs)
     in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter (fun (_, s) -> Pool.recycle (Slice.buf s)) node_segs)
-      (fun () -> Device.writev t.dev segs);
+    Device.writev t.dev segs;
     write_header t o
       { o.hdr with
         Layout.epoch;
@@ -346,7 +342,7 @@ and drain_batch t o batch =
     end;
     Alloc.free_deferred t.alloc result.Radix.freed;
     Alloc.apply_deferred t.alloc;
-    List.iter (Hashtbl.remove t.cache) result.Radix.freed;
+    evict t result.Radix.freed;
     List.iter (fun p -> Sync.Ivar.fill p.p_ivar (Ok ())) batch
 
 let commit_async ?(flow = 0) t o pages =
@@ -368,7 +364,6 @@ let commit_async ?(flow = 0) t o pages =
           [ ("object", Trace.S o.hdr.Layout.obj_name);
             ("pages", Trace.I npages); ("epoch", Trace.I epoch) ];
     Sched.cpu (npages * Costs.io_initiate);
-    t.s_data_written <- t.s_data_written + npages;
     let worker () =
       try
         let data_blocks = Alloc.alloc_run t.alloc npages in
@@ -432,9 +427,11 @@ let grow t o ~size_bytes =
   if size_bytes > o.hdr.Layout.size_bytes then
     o.hdr <- { o.hdr with Layout.size_bytes }
 
+let dispose t =
+  Itab.iter (fun _ n -> Pool.recycle n) t.cache;
+  Itab.clear t.cache
+
 let free_blocks t = Alloc.free_blocks t.alloc
-let nodes_written t = t.s_nodes_written
-let data_blocks_written t = t.s_data_written
 
 (* --- crash recovery contract --- *)
 
@@ -492,5 +489,5 @@ let recoverable ~objects ~blocks =
       in
       Msnap_faults.Recoverable.check_state ~label history state
 
-    let dispose _ = ()
+    let dispose = dispose
   end : Msnap_faults.Recoverable.S with type t = t)

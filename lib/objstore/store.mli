@@ -30,8 +30,6 @@ val mount : Msnap_blockdev.Device.t -> t
     object headers, and rebuild the allocator by walking every tree.
     Raises [Corrupt] when no valid superblock exists. *)
 
-val device : t -> Msnap_blockdev.Device.t
-
 val create : t -> name:string -> ?meta:int -> unit -> obj
 (** Create an empty object (durable before returning). Raises
     [Invalid_argument] if the name exists. *)
@@ -82,13 +80,12 @@ val read_block_into : t -> obj -> int -> Bytes.t -> bool
 val grow : t -> obj -> size_bytes:int -> unit
 (** Record a larger logical size (next header commit persists it). *)
 
-(** {2 Introspection} *)
+val dispose : t -> unit
+(** End-of-run teardown: return every cached radix node image to
+    [Msnap_util.Pool]. Valid only once the store is idle and never used
+    again (no commit in flight, no later read). *)
 
 val free_blocks : t -> int
-val nodes_written : t -> int
-(** Total COW tree nodes written since mount (write-amplification metric). *)
-
-val data_blocks_written : t -> int
 
 (** {2 Crash recovery ({!Msnap_faults})} *)
 

@@ -39,16 +39,19 @@ let length t = t.len
    pages), so spread the low bits before masking. *)
 let hash k cap_mask = (k * 0x9E3779B1) land cap_mask
 
+(* The probe loops are top-level functions over explicit arguments: a
+   local recursive closure would capture [t]/[k] and be allocated on
+   every call. *)
+let rec probe keys k mask i =
+  let kk = Array.unsafe_get keys i in
+  if kk = k then i
+  else if kk = k_empty then -1
+  else probe keys k mask ((i + 1) land mask)
+
 (* Slot holding [k], or -1 if not present. *)
 let find_slot t k =
   let mask = Array.length t.keys - 1 in
-  let rec go i =
-    let kk = Array.unsafe_get t.keys i in
-    if kk = k then i
-    else if kk = k_empty then -1
-    else go ((i + 1) land mask)
-  in
-  go (hash k mask)
+  probe t.keys k mask (hash k mask)
 
 let mem t k = if k < 0 then false else find_slot t k >= 0
 
@@ -89,31 +92,40 @@ let resize t =
     end
   done
 
+let rec insert t k v mask i tomb =
+  let kk = Array.unsafe_get t.keys i in
+  if kk = k then Array.unsafe_set t.vals i v
+  else if kk = k_empty then begin
+    let dst = if tomb >= 0 then tomb else i in
+    if dst = i then t.used <- t.used + 1;
+    Array.unsafe_set t.keys dst k;
+    Array.unsafe_set t.vals dst v;
+    t.len <- t.len + 1
+  end
+  else if kk = k_tomb && tomb < 0 then insert t k v mask ((i + 1) land mask) i
+  else insert t k v mask ((i + 1) land mask) tomb
+
 let set t k v =
   if k < 0 then invalid_arg "Itab.set: negative key";
   let cap = Array.length t.keys in
   if 4 * (t.used + 1) > 3 * cap then resize t;
   let mask = Array.length t.keys - 1 in
-  let rec go i tomb =
-    let kk = Array.unsafe_get t.keys i in
-    if kk = k then Array.unsafe_set t.vals i v
-    else if kk = k_empty then begin
-      let dst = if tomb >= 0 then tomb else i in
-      if dst = i then t.used <- t.used + 1;
-      Array.unsafe_set t.keys dst k;
-      Array.unsafe_set t.vals dst v;
-      t.len <- t.len + 1
-    end
-    else if kk = k_tomb && tomb < 0 then go ((i + 1) land mask) i
-    else go ((i + 1) land mask) tomb
-  in
-  go (hash k mask) (-1)
+  insert t k v mask (hash k mask) (-1)
 
+(* A removed slot followed by a never-used one can itself become
+   never-used: no probe for a live key crosses it, since that probe
+   would have to cross the empty successor too. Tables that hold a few
+   short-lived entries (busy locks) then never accumulate tombstones. *)
 let remove t k =
   if k >= 0 then begin
     let s = find_slot t k in
     if s >= 0 then begin
-      Array.unsafe_set t.keys s k_tomb;
+      let next = (s + 1) land (Array.length t.keys - 1) in
+      if Array.unsafe_get t.keys next = k_empty then begin
+        Array.unsafe_set t.keys s k_empty;
+        t.used <- t.used - 1
+      end
+      else Array.unsafe_set t.keys s k_tomb;
       Array.unsafe_set t.vals s t.absent;
       t.len <- t.len - 1
     end

@@ -1,8 +1,8 @@
 (** Size-classed, per-domain free lists of large [Bytes.t] buffers.
 
     The data plane's big allocations — 4 KiB page frames, FS cache
-    blocks, WAL/journal staging, object-store payload copies, disk
-    medium chunks — are all long-lived enough to land on the major heap,
+    blocks, WAL/journal staging, object-store payload copies and radix
+    node images, disk medium chunks — are all long-lived enough to land on the major heap,
     and PRs 2/4 left them as the dominant host cost. The pool recycles
     them explicitly: [alloc] pops a parked buffer of the exact size when
     one is available (a {e hit}), otherwise falls back to [Bytes.create]

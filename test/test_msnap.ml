@@ -458,6 +458,68 @@ let prop_dirty_model =
           && Bytes.equal shadow.(0) (Msnap.read k mds.(0) ~off:0 ~len:rlen)
           && Bytes.equal shadow.(1) (Msnap.read k mds.(1) ~off:0 ~len:rlen)))
 
+(* --- Region bookkeeping sized by use --- *)
+
+let major_words () =
+  let _, _, major = Gc.counters () in
+  major
+
+(* Opening a region costs per touched leaf, not per page: a 65,536-page
+   (256 MiB) region must not allocate two page-indexed arrays up front. *)
+let test_open_large_region_allocation () =
+  in_sim (fun () ->
+      let k, _, _ = mk_machine (mk_dev ()) in
+      Gc.minor ();
+      let w0 = major_words () in
+      let md = Msnap.open_region k ~name:"big" ~len:(65_536 * 4096) () in
+      let words = major_words () -. w0 in
+      checki "length" (65_536 * 4096) (Msnap.length md);
+      if words >= 4096. then
+        Alcotest.failf "opening a 65,536-page region allocated %.0f major words"
+          words)
+    ()
+
+(* The frame table's leaf boundaries: pages 511 and 512 sit in different
+   leaves, and page 999 in a partial last leaf. Tracking faults, the
+   in-flight COW redirect, the completion-time orphan free and the
+   page-in after a reboot must all resolve through the right leaf. *)
+let test_leaf_boundaries () =
+  in_sim (fun () ->
+      let dev = mk_dev () in
+      let k, _, phys = mk_machine dev in
+      let len = 1000 * 4096 in
+      let md = Msnap.open_region k ~name:"db" ~len () in
+      let pages = [ 511; 512; 999 ] in
+      let put tag =
+        List.iter
+          (fun p -> Msnap.write_string k md ~off:(p * 4096) (Printf.sprintf "%s%03d" tag p))
+          pages
+      in
+      let expect k md tag =
+        List.iter
+          (fun p ->
+            checks (Printf.sprintf "page %d" p) (Printf.sprintf "%s%03d" tag p)
+              (str_read k md ~off:(p * 4096) ~len:6))
+          pages
+      in
+      put "OLD";
+      let live = Phys.live_frames phys in
+      let e = Msnap.persist k ~region:md ~mode:`Async () in
+      put "NEW";
+      expect k md "NEW";
+      Msnap.wait k md e;
+      checki "orphaned frames freed" live (Phys.live_frames phys);
+      let k2, _, _ = mk_machine ~format:false dev in
+      let md2 = Msnap.open_region k2 ~name:"db" ~len () in
+      expect k2 md2 "OLD";
+      checks "untouched page in the partial leaf" "\000\000"
+        (str_read k2 md2 ~off:(998 * 4096) ~len:2);
+      ignore (Msnap.persist k ~region:md ());
+      let k3, _, _ = mk_machine ~format:false dev in
+      let md3 = Msnap.open_region k3 ~name:"db" ~len () in
+      expect k3 md3 "NEW")
+    ()
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "msnap"
@@ -493,5 +555,10 @@ let () =
           tc "pointer stability" test_multi_region_pointer_stability;
           QCheck_alcotest.to_alcotest prop_persist_recover_random;
           QCheck_alcotest.to_alcotest prop_dirty_model;
+        ] );
+      ( "regions",
+        [
+          tc "large region open allocation" test_open_large_region_allocation;
+          tc "leaf boundaries" test_leaf_boundaries;
         ] );
     ]

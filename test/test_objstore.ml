@@ -521,6 +521,149 @@ let test_store_large_sparse_object () =
       checkb "holes stay holes" true (Store.read_block s o (idx - 1) = None))
     ()
 
+(* --- Node images: cold mounts, allocation, pool return --- *)
+
+let pages_equal a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Bytes.equal x y
+  | _ -> false
+
+(* The warm store answers from node images it COWed in memory; a fresh
+   mount reads every image back from disk. Both must agree on every
+   lookup: the image the store caches is the bytes it wrote. *)
+let prop_cold_remount_differential =
+  QCheck.Test.make ~count:30 ~name:"cold remount answers like the warm store"
+    QCheck.(list_of_size Gen.(int_range 1 6)
+              (list_of_size Gen.(int_range 1 8) (int_bound 300_000)))
+    (fun batches ->
+      Sched.run (fun () ->
+          let dev, s = mk_store ~mib:32 () in
+          let o = Store.create s ~name:"o" () in
+          List.iteri
+            (fun e idxs ->
+              let idxs = List.sort_uniq compare idxs in
+              ignore
+                (Store.commit s o
+                   (List.map
+                      (fun i ->
+                        (i, Store.tag_page (Printf.sprintf "%d@%d" i e)))
+                      idxs)))
+            batches;
+          let probes =
+            List.concat_map
+              (fun i -> [ i; i + 1; max 0 (i - 1); i lxor 511 ])
+              (List.concat batches)
+            |> List.sort_uniq compare
+          in
+          let cold = Store.mount dev in
+          match Store.open_obj cold ~name:"o" with
+          | None -> false
+          | Some o2 ->
+            Store.epoch o2 = Store.epoch o
+            && Store.size_bytes o2 = Store.size_bytes o
+            && List.for_all
+                 (fun i ->
+                   pages_equal (Store.read_block s o i)
+                     (Store.read_block cold o2 i))
+                 probes))
+
+(* Superseded images stay cached until the header flip: while a batch is
+   in flight, readers still resolve the committed epoch through them, even
+   as another object's commit allocates fresh images. *)
+let test_reads_during_flight_see_committed_epoch () =
+  in_sim (fun () ->
+      let _, s = mk_store () in
+      let o = Store.create s ~name:"o" () in
+      let other = Store.create s ~name:"other" () in
+      ignore (Store.commit s o [ (1, page 'a'); (600, page 'b') ]);
+      let e, ticket = Store.commit_async s o [ (1, page 'A'); (600, page 'B') ] in
+      let _, t2 = Store.commit_async s other [ (5, page 'x'); (700, page 'y') ] in
+      let reads = ref 0 in
+      while Store.epoch o < e do
+        let expect i c =
+          match Store.read_block s o i with
+          | Some b when Store.epoch o < e ->
+            incr reads;
+            checkb (Printf.sprintf "block %d in flight" i) true
+              (Bytes.for_all (fun x -> x = c) b)
+          | Some _ -> ()
+          | None -> Alcotest.fail "committed block missing in flight"
+        in
+        expect 1 'a';
+        expect 600 'b';
+        Sched.delay 1_000
+      done;
+      Store.wait ticket;
+      Store.wait t2;
+      checkb "read while in flight" true (!reads > 0);
+      match Store.read_block s o 600 with
+      | Some b -> checkb "new epoch" true (Bytes.for_all (fun x -> x = 'B') b)
+      | None -> Alcotest.fail "missing")
+    ()
+
+let major_words () =
+  let _, _, major = Gc.counters () in
+  major
+
+(* A steady-state commit COWs its path into recycled pooled images and
+   lends them to the device as they are: no per-node heap copy, no
+   serialization buffer. The medium's 256 KiB chunks are pre-warmed so
+   the data blocks' fresh media land in parked chunks too. *)
+let test_commit_allocation () =
+  in_sim (fun () ->
+      let chunk = 256 * 1024 in
+      List.iter Msnap_util.Pool.recycle
+        (List.init 16 (fun _ -> Msnap_util.Pool.alloc chunk));
+      let _, s = mk_store () in
+      let o = Store.create s ~name:"o" () in
+      let a = page 'a' and b = page 'b' in
+      (* Index 600 makes the tree height 2: a root over two leaves. *)
+      for _ = 1 to 8 do
+        ignore (Store.commit s o [ (3, a); (600, b) ])
+      done;
+      Gc.minor ();
+      let w0 = major_words () in
+      ignore (Store.commit s o [ (3, b); (600, a) ]);
+      let words = major_words () -. w0 in
+      if words > 64. then
+        Alcotest.failf "steady-state 2-page commit allocated %.0f major words"
+          words)
+    ()
+
+let outstanding_4k () =
+  match
+    List.find_opt
+      (fun c -> c.Msnap_util.Pool.cs_size = Layout.block_size)
+      (Msnap_util.Pool.stats ())
+  with
+  | Some c -> c.Msnap_util.Pool.cs_outstanding
+  | None -> 0
+
+(* Every superseded node image goes back to the pool after its header
+   flip: over many commits only the live tree's images stay out. *)
+let test_freed_images_recycled () =
+  in_sim (fun () ->
+      let _, s = mk_store () in
+      let o = Store.create s ~name:"o" () in
+      let before = outstanding_4k () in
+      let rng = Rng.create 5 in
+      let leaves = Hashtbl.create 8 in
+      for _ = 1 to 200 do
+        let i = Rng.int rng 2048 and j = Rng.int rng 2048 in
+        Hashtbl.replace leaves (i / 512) ();
+        Hashtbl.replace leaves (j / 512) ();
+        ignore
+          (Store.commit s o
+             (List.sort_uniq compare [ i; j ] |> List.map (fun i -> (i, page 'r'))))
+      done;
+      let live_nodes = 1 + Hashtbl.length leaves in
+      let grown = outstanding_4k () - before in
+      if grown > live_nodes then
+        Alcotest.failf "4 KiB class grew by %d outstanding, live tree has %d nodes"
+          grown live_nodes)
+    ()
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "objstore"
@@ -568,5 +711,13 @@ let () =
           tc "space reuse" test_store_space_reuse;
           tc "sparse object" test_store_large_sparse_object;
           QCheck_alcotest.to_alcotest prop_store_crash_any_point;
+        ] );
+      ( "images",
+        [
+          QCheck_alcotest.to_alcotest prop_cold_remount_differential;
+          tc "reads in flight see the committed epoch"
+            test_reads_during_flight_see_committed_epoch;
+          tc "steady-state commit allocation" test_commit_allocation;
+          tc "freed images recycled" test_freed_images_recycled;
         ] );
     ]
