@@ -6,11 +6,12 @@
 (* --- end-of-run disposal ---
 
    Machine builders register teardown hooks that return pooled buffers
-   (page frames, file-system cache blocks, radix node images, disk
-   medium chunks) to
+   (page frames, file-system cache blocks, radix node images) to
    [Msnap_util.Pool] when the simulation finishes, so the next experiment
-   on this domain reuses them instead of allocating fresh. Host-only:
-   disposal runs after the simulated clock has stopped. *)
+   on this domain reuses them instead of allocating fresh. Device
+   teardown parks the media's off-heap chunks for the next device the
+   same way, outside the pool ([Disk.dispose]). Host-only: disposal runs
+   after the simulated clock has stopped. *)
 
 let disposals_key : (unit -> unit) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
@@ -330,8 +331,8 @@ let force (p : _ pending) =
    recycled on a cold domain. Build-and-dispose a small file-system
    machine and a small MemSnap machine once per domain, outside any
    accounting frame, so the first real experiment finds the machine-
-   building size classes (fs cache blocks, disk medium chunks, page
-   frames) already parked. Host-only: pool warmth affects hit/miss
+   building size classes (fs cache blocks, page frames) already
+   parked. Host-only: pool warmth affects hit/miss
    counters, never a simulated value. *)
 
 let warm () =

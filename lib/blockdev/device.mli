@@ -40,8 +40,9 @@ module type S = sig
   val reset_stats : t -> unit
 
   val dispose : t -> unit
-  (** End-of-run teardown: return pooled host buffers (medium chunks) to
-      [Msnap_util.Pool]. The device must be idle and never used again. *)
+  (** End-of-run teardown: hand the media's chunks to the next device
+      built on this domain ({!Disk.dispose}). The device must be idle and
+      never used again. *)
 
   (** {2 Crash-schedule capture (host-only)}
 

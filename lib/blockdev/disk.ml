@@ -9,90 +9,192 @@ module Pool = Msnap_util.Pool
 
 exception Powered_off
 
-(* The persistent medium, stored sparsely: chunks are materialized on
-   first write, and reads of never-written ranges yield zeros. Purely a
-   host-memory optimization — a simulated machine no longer costs the
-   host ~1 GiB of zeroed pages up front — with contents and simulated
-   costs identical to a flat zero-initialized buffer. *)
+(* The persistent medium, stored sparsely off the OCaml heap. A 256 KiB
+   chunk is a char Bigarray allocated on its first write; each chunk
+   records which of its 64 4 KiB pages were ever written. The first
+   write to a page zeroes only the part of it that the write does not
+   cover, and reads of never-written pages (or never-allocated chunks)
+   yield zeros, so contents equal a flat zero-initialized buffer.
+   Purely host-side: simulated costs do not depend on any of it.
+
+   Payload moves through two memcpy stubs that check nothing, so every
+   offset and length is checked here, before each call, unconditionally
+   (not only under [debug_checks]). *)
 module Medium = struct
   let chunk_bits = 18 (* 256 KiB *)
   let chunk_size = 1 lsl chunk_bits
+  let page_bits = 12 (* 4 KiB: 64 pages per chunk *)
+  let page_size = 1 lsl page_bits
 
-  type t = { m_size : int; chunks : Bytes.t option array }
+  type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+  external stub_blit_in : Bytes.t -> int -> buf -> int -> int -> unit
+    = "msnap_medium_blit_in"
+  [@@noalloc]
+
+  external stub_blit_out : buf -> int -> Bytes.t -> int -> int -> unit
+    = "msnap_medium_blit_out"
+  [@@noalloc]
+
+  (* Page-validity bits: pages 0-31 in [lo], 32-63 in [hi] (an OCaml int
+     holds 63 bits, not 64). *)
+  type chunk = { data : buf; mutable lo : int; mutable hi : int }
+
+  type t = { m_size : int; chunks : chunk array }
+
+  (* Stands for every never-written chunk; never written itself. *)
+  let absent =
+    { data = Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0;
+      lo = 0; hi = 0 }
+
+  let zeros = Bytes.make page_size '\000'
+
+  let blit_in src spos c coff n =
+    if spos < 0 || n < 0 || coff < 0
+       || spos > Bytes.length src - n
+       || coff > Bigarray.Array1.dim c.data - n
+    then invalid_arg "Disk.Medium: copy into chunk out of bounds";
+    stub_blit_in src spos c.data coff n
+
+  let blit_out c coff dst dpos n =
+    if dpos < 0 || n < 0 || coff < 0
+       || dpos > Bytes.length dst - n
+       || coff > Bigarray.Array1.dim c.data - n
+    then invalid_arg "Disk.Medium: copy out of chunk out of bounds";
+    stub_blit_out c.data coff dst dpos n
+
+  let is_valid c p =
+    if p < 32 then c.lo land (1 lsl p) <> 0
+    else c.hi land (1 lsl (p - 32)) <> 0
+
+  (* Bits [a, b] of a 32-bit half, 0 <= a <= b <= 31. *)
+  let bits a b = ((1 lsl (b - a + 1)) - 1) lsl a
+
+  let mark_valid c p0 p1 =
+    if p0 < 32 then c.lo <- c.lo lor bits p0 (min p1 31);
+    if p1 >= 32 then c.hi <- c.hi lor bits (max p0 32 - 32) (p1 - 32)
+
+  (* Chunks of disposed media, per domain, for the next medium's first
+     writes; capped like a [Pool] size class, the excess goes to the GC. *)
+  type free = { mutable stack : chunk array; mutable depth : int }
+
+  let max_free = Pool.max_retained_bytes_per_class / chunk_size
+
+  let free_key : free Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> { stack = [||]; depth = 0 })
+
+  let take_chunk () =
+    let f = Domain.DLS.get free_key in
+    if f.depth = 0 then
+      { data = Bigarray.Array1.create Bigarray.char Bigarray.c_layout chunk_size;
+        lo = 0; hi = 0 }
+    else begin
+      f.depth <- f.depth - 1;
+      let c = f.stack.(f.depth) in
+      f.stack.(f.depth) <- absent;
+      c.lo <- 0;
+      c.hi <- 0;
+      c
+    end
+
+  let park_chunk c =
+    let f = Domain.DLS.get free_key in
+    if f.depth < max_free then begin
+      if Array.length f.stack = 0 then f.stack <- Array.make max_free absent;
+      (* A page-validity bug then reads back as poison, not as zeros. *)
+      if !Slice.debug_checks then Bigarray.Array1.fill c.data '\xa5';
+      f.stack.(f.depth) <- c;
+      f.depth <- f.depth + 1
+    end
 
   let create size =
     { m_size = size;
-      chunks = Array.make ((size + chunk_size - 1) / chunk_size) None }
+      chunks = Array.make ((size + chunk_size - 1) / chunk_size) absent }
 
   let size m = m.m_size
 
-  let chunk_for_write m i =
-    match m.chunks.(i) with
-    | Some c -> c
-    | None ->
-      let c = Pool.alloc_zeroed chunk_size in
-      m.chunks.(i) <- Some c;
-      c
+  let check m ~off ~len buf ~pos =
+    if off < 0 || len < 0 || pos < 0
+       || off > m.m_size - len
+       || pos > Bytes.length buf - len
+    then
+      invalid_arg
+        (Printf.sprintf
+           "Disk.Medium: range off=%d len=%d (medium %d) pos=%d (buffer %d)"
+           off len m.m_size pos (Bytes.length buf))
 
-  (* Return every materialized chunk to the buffer pool. Only valid once
-     nothing will read the medium again (end of a bench run). *)
+  let chunk_for_write m i =
+    let c = m.chunks.(i) in
+    if c != absent then c
+    else begin
+      let c = take_chunk () in
+      m.chunks.(i) <- c;
+      c
+    end
+
+  (* Write [src[spos, spos+n)] at [coff] of chunk [c], within the chunk.
+     Only a first write to a page pays for zeroing, and only the part of
+     the page outside [coff, coff+n). *)
+  let write_chunk c coff src spos n =
+    if n > 0 then begin
+      let e = coff + n in
+      let p0 = coff lsr page_bits and p1 = (e - 1) lsr page_bits in
+      let head = p0 lsl page_bits and tail = (p1 + 1) lsl page_bits in
+      if coff > head && not (is_valid c p0) then
+        blit_in zeros 0 c head (coff - head);
+      if e < tail && not (is_valid c p1) then blit_in zeros 0 c e (tail - e);
+      blit_in src spos c coff n;
+      mark_valid c p0 p1
+    end
+
+  (* Read [n] bytes at [coff] of chunk [c] into [dst[dpos..]]: one copy
+     per run of written pages, one zero fill per run of unwritten ones. *)
+  let read_chunk c coff dst dpos n =
+    let e = coff + n in
+    let pos = ref coff in
+    while !pos < e do
+      let v = is_valid c (!pos lsr page_bits) in
+      let stop = ref (min e (((!pos lsr page_bits) + 1) lsl page_bits)) in
+      while !stop < e && is_valid c (!stop lsr page_bits) = v do
+        stop := min e (!stop + page_size)
+      done;
+      let len = !stop - !pos in
+      if v then blit_out c !pos dst (dpos + !pos - coff) len
+      else Bytes.fill dst (dpos + !pos - coff) len '\000';
+      pos := !stop
+    done
+
+  let write m ~off src ~pos ~len =
+    check m ~off ~len src ~pos;
+    let o = ref off and e = off + len in
+    while !o < e do
+      let coff = !o land (chunk_size - 1) in
+      let n = min (e - !o) (chunk_size - coff) in
+      write_chunk (chunk_for_write m (!o lsr chunk_bits)) coff src
+        (pos + !o - off) n;
+      o := !o + n
+    done
+
+  let read_into m ~off dst ~pos ~len =
+    check m ~off ~len dst ~pos;
+    let o = ref off and e = off + len in
+    while !o < e do
+      let coff = !o land (chunk_size - 1) in
+      let n = min (e - !o) (chunk_size - coff) in
+      read_chunk m.chunks.(!o lsr chunk_bits) coff dst (pos + !o - off) n;
+      o := !o + n
+    done
+
+  (* Park every materialized chunk for the next medium on this domain.
+     Only valid once nothing will read the medium again. *)
   let dispose m =
     Array.iteri
       (fun i c ->
-        match c with
-        | Some b ->
-          m.chunks.(i) <- None;
-          Pool.recycle b
-        | None -> ())
+        if c != absent then begin
+          m.chunks.(i) <- absent;
+          park_chunk c
+        end)
       m.chunks
-
-  (* Apply [f chunk_index chunk_off rel_pos len] over [off, off+len). *)
-  let iter_ranges _m off len f =
-    let pos = ref off and remaining = ref len in
-    while !remaining > 0 do
-      let i = !pos lsr chunk_bits in
-      let coff = !pos land (chunk_size - 1) in
-      let n = min !remaining (chunk_size - coff) in
-      f i coff (!pos - off) n;
-      pos := !pos + n;
-      remaining := !remaining - n
-    done
-
-  let write m ~off data ~pos ~len =
-    iter_ranges m off len (fun i coff rel n ->
-        Bytes.blit data (pos + rel) (chunk_for_write m i) coff n)
-
-  let read_into m ~off dst ~pos ~len =
-    iter_ranges m off len (fun i coff rel n ->
-        match m.chunks.(i) with
-        | Some c -> Bytes.blit c coff dst (pos + rel) n
-        | None -> Bytes.fill dst (pos + rel) n '\000')
-
-  (* Write a run of exactly-adjacent slices [(abs_off, slice); ...] with
-     a single two-pointer walk over chunks and segments, instead of one
-     chunk-range traversal per segment. Byte effect identical to writing
-     each segment in order. *)
-  let write_segs m segs =
-    match segs with
-    | [] -> ()
-    | (off0, _) :: _ ->
-      let cur = ref segs in
-      let pos = ref off0 in
-      let continue = ref true in
-      while !continue do
-        match !cur with
-        | [] -> continue := false
-        | (o, s) :: tl ->
-          let send = o + Slice.length s in
-          let i = !pos lsr chunk_bits in
-          let coff = !pos land (chunk_size - 1) in
-          let n = min (send - !pos) (chunk_size - coff) in
-          Bytes.blit (Slice.buf s)
-            (Slice.pos s + (!pos - o))
-            (chunk_for_write m i) coff n;
-          pos := !pos + n;
-          if !pos >= send then cur := tl
-      done
 end
 
 type stats = {
@@ -116,6 +218,7 @@ type t = {
   medium : Medium.t;
   channels : Sync.Semaphore.t;
   mutable powered : bool;
+  mutable outages : int; (* [fail_power] calls, for reads in flight *)
   mutable inflight : inflight list;
   mutable recorder : (Record.t * int) option; (* recorder, member index *)
   mutable s_reads : int;
@@ -132,6 +235,7 @@ let create ?(name = "nvme") ~size () =
     medium = Medium.create size;
     channels = Sync.Semaphore.create Costs.disk_channels;
     powered = true;
+    outages = 0;
     inflight = [];
     recorder = None;
     s_reads = 0;
@@ -152,32 +256,13 @@ let check_range t off len =
       (Printf.sprintf "%s: IO out of range (off=%d len=%d size=%d)" t.dname off
          len (Medium.size t.medium))
 
-(* The only payload copy on the write path: slice -> medium, at commit. *)
-let commit_seg t (off, s) =
-  Medium.write t.medium ~off (Slice.buf s) ~pos:(Slice.pos s)
-    ~len:(Slice.length s)
-
-(* Commit coalescing: maximal sector-adjacent runs of a command's
-   segments go to the medium as one fused walk. Segments within a run
-   cannot overlap (they are exactly adjacent) and runs are processed in
-   list order, so the final bytes equal committing every segment in
-   order. Host-only: the command's simulated duration was charged for
-   its total size up front, fused or not. *)
-let commit_segs t segs =
-  let rec split_run acc endo = function
-    | (o, s) :: tl when o = endo -> split_run ((o, s) :: acc) (o + Slice.length s) tl
-    | rest -> (List.rev acc, rest)
-  in
-  let rec go = function
-    | [] -> ()
-    | (off, s) :: rest ->
-      let run, rest = split_run [ (off, s) ] (off + Slice.length s) rest in
-      (match run with
-      | [ seg ] -> commit_seg t seg
-      | run -> Medium.write_segs t.medium run);
-      go rest
-  in
-  go segs
+(* The only payload copy on the write path: slice -> medium, at commit,
+   segment by segment in list order. *)
+let rec commit_segs m = function
+  | [] -> ()
+  | (off, s) :: tl ->
+    Medium.write m ~off (Slice.buf s) ~pos:(Slice.pos s) ~len:(Slice.length s);
+    commit_segs m tl
 
 let verify_checksums t fl =
   if fl.checksums <> [] then
@@ -249,7 +334,7 @@ let writev t segs =
       t.inflight <- List.filter (fun f -> f != fl) t.inflight;
       if fl.torn then raise Powered_off;
       verify_checksums t fl;
-      commit_segs t segs;
+      commit_segs t.medium segs;
       List.iter (fun (_, s) -> Slice.release s) segs;
       t.s_writes <- t.s_writes + 1;
       t.s_bytes_written <- t.s_bytes_written + total;
@@ -278,7 +363,11 @@ let read_into t ~off dst =
   let dur = Costs.disk_base + Costs.disk_xfer len in
   traced t Probe.disk_read ~bytes:len @@ fun () ->
   service t ~dur ~io:(fun dur ->
+      let outages = t.outages in
       Sched.delay dur;
+      (* An outage during the transfer fails the read even if power is
+         back by the time it would have completed. *)
+      if t.outages <> outages then raise Powered_off;
       t.s_reads <- t.s_reads + 1;
       t.s_bytes_read <- t.s_bytes_read + len;
       Medium.read_into t.medium ~off (Slice.buf dst) ~pos:(Slice.pos dst) ~len)
@@ -326,6 +415,7 @@ let torn_sector_budget ~rng ~elapsed ~dur ~total_sectors =
    equals tearing from an issue-time snapshot. *)
 let fail_power t ~torn_seed =
   t.powered <- false;
+  t.outages <- t.outages + 1;
   let rng = Rng.create (torn_seed lxor 0x5EED) in
   let tear fl =
     fl.torn <- true;
@@ -377,9 +467,9 @@ let reset_stats t =
   t.s_bytes_written <- 0;
   t.s_busy <- 0
 
-(* End-of-run teardown: the medium's chunks go back to the buffer pool
-   so the next simulated machine reuses them. Only valid once the device
-   is idle and nothing will read it again. *)
+(* End-of-run teardown: the medium's chunks go to this domain's free
+   stack so the next simulated machine reuses them. Only valid once the
+   device is idle and nothing will read it again. *)
 let dispose t = Medium.dispose t.medium
 
 (* --- crash-schedule capture (host-only) --- *)

@@ -25,7 +25,18 @@
     fail loudly in tests.
 
     The legacy byte API ({!write}) instead snapshots by copying at issue;
-    callers may reuse the buffer immediately. *)
+    callers may reuse the buffer immediately.
+
+    {2 The medium}
+
+    Contents live off the OCaml heap, in 256 KiB chunks (char
+    [Bigarray]s) allocated on a chunk's first write. Each chunk records
+    which of its 4 KiB pages were ever written: the first write to a
+    page zeroes only the part the write leaves uncovered, and reads of
+    unwritten pages return zeros without touching the chunk. Host-only:
+    no simulated cost depends on the layout. Every offset and length is
+    checked before a byte moves, so out-of-range arguments raise
+    [Invalid_argument] from every entry point, [peek]/[poke] included. *)
 
 module Slice = Msnap_util.Slice
 
@@ -57,7 +68,9 @@ val write : t -> off:int -> Bytes.t -> unit
 
 val read_into : t -> off:int -> Slice.t -> unit
 (** Read [Slice.length dst] bytes at [off] directly into the caller's
-    buffer — no intermediate allocation. *)
+    buffer — no intermediate allocation. Raises [Powered_off] if power
+    fails at any point of the transfer, even if it is back before the
+    transfer would have ended. *)
 
 val read : t -> off:int -> len:int -> Bytes.t
 
@@ -109,6 +122,8 @@ val stats : t -> stats
 val reset_stats : t -> unit
 
 val dispose : t -> unit
-(** Return the medium's materialized chunks to [Msnap_util.Pool]. Only
-    valid once the device is idle and will never be read again — i.e. at
-    the end of a simulation run. *)
+(** Park the medium's chunks on this domain's free stack, where the next
+    disk created on the domain takes them for its first writes. The
+    stack keeps at most [Msnap_util.Pool.max_retained_bytes_per_class]
+    bytes; the rest go to the GC. Only valid once the device is idle and
+    will never be read again — i.e. at the end of a simulation run. *)

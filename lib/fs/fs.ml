@@ -811,17 +811,25 @@ let encode_snapshot t buf =
   Wire.set_u32 buf 24 !pos;
   Wire.set_u64 buf !pos (Wire.checksum buf ~pos:0 ~len:!pos)
 
+(* [String.length (string_of_int n)], by arithmetic. *)
+let decimal_width n =
+  let rec go n w = if n > -10 && n < 10 then w else go (n / 10) (w + 1) in
+  go n (if n < 0 then 2 else 1)
+
+(* Length of the legacy text form of the inode table, which pins the
+   cost model's snapshot IO size: per file its name, its size, then
+   "idx:first" for each block mapping. *)
+let meta_text_length t =
+  Hashtbl.fold
+    (fun name f acc ->
+      Hashtbl.fold
+        (fun idx first acc -> acc + decimal_width idx + 1 + decimal_width first)
+        f.f_blocks
+        (acc + String.length name + decimal_width f.f_size))
+    t.files 0
+
 let sync_meta t =
-  (* The legacy string serialization still determines the IO size — the
-     cost model is pinned by it. *)
-  let buf = Buffer.create 4096 in
-  Hashtbl.iter
-    (fun name f ->
-      Buffer.add_string buf name;
-      Buffer.add_string buf (string_of_int f.f_size);
-      Hashtbl.iter (fun idx first -> Buffer.add_string buf (Printf.sprintf "%d:%d" idx first)) f.f_blocks)
-    t.files;
-  let len = min (Buffer.length buf) ((meta_blocks - 1) * dev_bs) in
+  let len = min (meta_text_length t) ((meta_blocks - 1) * dev_bs) in
   let data = Pool.alloc_zeroed (Msnap_util.Bits.round_up (max len dev_bs) dev_bs) in
   Fun.protect
     ~finally:(fun () -> Pool.recycle data)
@@ -1041,6 +1049,8 @@ let dispose t =
   t.scratch_zeros <- Bytes.empty;
   Pool.recycle t.scratch_journal;
   t.scratch_journal <- Bytes.empty
+
+let debug_blocks _t f = Hashtbl.fold (fun idx first acc -> (idx, first) :: acc) f.f_blocks []
 
 let debug_resident _t f =
   Hashtbl.fold (fun idx cb acc -> Printf.sprintf "%d(lru%d,%b) %s" idx cb.cb_lru cb.cb_dirty acc) f.f_cache ""

@@ -122,6 +122,14 @@ val rmw_reads : t -> int
 val debug_resident : t -> file -> string
 (** Resident block indexes, for tests. *)
 
+val meta_text_length : t -> int
+(** The IO size {!sync_meta} charges for before its cap: the length of
+    the inode table's legacy text form (per file: name, size, then
+    ["idx:first"] per block mapping), computed from digit counts. *)
+
+val debug_blocks : t -> file -> (int * int) list
+(** The file's (fs-block idx, first device block) mappings, for tests. *)
+
 (** {2 Crash recovery ({!Msnap_faults})} *)
 
 val recoverable :

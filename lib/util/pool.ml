@@ -22,9 +22,8 @@ let min_pooled = 4096
 
 (* Retaining more than this per class stops paying: excess recycles are
    dropped to the GC instead of parked. 256 MiB covers the largest
-   single-run working set in the bench suite (a fully-written 128 MiB
-   file's worth of 256 KiB medium chunks) without letting a pathological
-   caller pin unbounded host memory. *)
+   single-run working set of any class in the bench suite without
+   letting a pathological caller pin unbounded host memory. *)
 let max_retained_bytes_per_class = 256 * 1024 * 1024
 
 let debug_checks = Slice.debug_checks

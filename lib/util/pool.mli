@@ -2,8 +2,8 @@
 
     The data plane's big allocations — 4 KiB page frames, FS cache
     blocks, WAL/journal staging, object-store payload copies and radix
-    node images, disk medium chunks — are all long-lived enough to land on the major heap,
-    and PRs 2/4 left them as the dominant host cost. The pool recycles
+    node images — are all long-lived enough to land on the major heap,
+    where they were the dominant host cost. The pool recycles
     them explicitly: [alloc] pops a parked buffer of the exact size when
     one is available (a {e hit}), otherwise falls back to [Bytes.create]
     (a {e miss}); [recycle] parks a buffer for reuse once its owner is
@@ -63,6 +63,10 @@ exception Violation of string
 
 val min_pooled : int
 (** Smallest buffer size the pool manages (4096 bytes). *)
+
+val max_retained_bytes_per_class : int
+(** Most bytes one size class keeps parked (256 MiB); recycles past it
+    go to the GC. *)
 
 val debug_checks : bool ref
 (** The same ref as [Slice.debug_checks] — one switch arms every

@@ -4,6 +4,7 @@ module Size = Msnap_util.Size
 module Disk = Msnap_blockdev.Disk
 module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
+module Slice = Msnap_util.Slice
 
 (* Run the whole suite with the data plane's ownership-rule checks on:
    the device checksums every lent slice at issue and re-verifies at
@@ -161,6 +162,237 @@ let test_torn_write () =
       ignore (!any_new, !any_old))
     ()
 
+(* A read in flight when power fails must fail, like a write in the
+   same position, even if power is back before its transfer would have
+   ended: the data never reached the host. *)
+let test_power_failure_during_read () =
+  in_sim (fun () ->
+      let d = mk_disk () in
+      Disk.write d ~off:0 (Bytes.make 4096 'r');
+      let dur = Costs.disk_base + Costs.disk_xfer 4096 in
+      let read_across_outage ~restore_before_end =
+        let outcome = ref "" in
+        let reader =
+          Sched.spawn (fun () ->
+              outcome :=
+                match Disk.read d ~off:0 ~len:4096 with
+                | _ -> "data"
+                | exception Disk.Powered_off -> "powered off")
+        in
+        Sched.delay (dur / 2);
+        Disk.fail_power d ~torn_seed:1;
+        if restore_before_end then Disk.restore_power d;
+        Sched.join reader;
+        Disk.restore_power d;
+        !outcome
+      in
+      check_bytes "outage, power still off at the end" "powered off"
+        (read_across_outage ~restore_before_end:false);
+      check_bytes "outage, power back before the end" "powered off"
+        (read_across_outage ~restore_before_end:true);
+      check_bytes "a read after the outage succeeds" (String.make 4096 'r')
+        (Bytes.to_string (Disk.read d ~off:0 ~len:4096)))
+    ()
+
+(* --- the medium: sparse off-heap chunks, zeroed lazily per page --- *)
+
+let chunk = Size.kib 256
+
+(* A chunk recycled through [dispose] keeps no stale bytes: under
+   [debug_checks] a disposed chunk is poisoned, so any page the new
+   medium never wrote but reads back as non-zero is a validity bug. *)
+let test_chunk_reuse () =
+  in_sim (fun () ->
+      let d = mk_disk ~size:chunk () in
+      Disk.write d ~off:0 (Bytes.make chunk 'x');
+      Disk.dispose d;
+      let d = mk_disk ~size:chunk () in
+      Disk.write d ~off:0 (Bytes.make 512 'y');
+      let want = Bytes.make chunk '\000' in
+      Bytes.fill want 0 512 'y';
+      checkb "512 written bytes, then zeros" true
+        (Bytes.equal want (Disk.read d ~off:0 ~len:chunk));
+      (* A sub-sector write into the middle of a fresh page. *)
+      Disk.poke d ~off:(chunk - 5000) ~data:(Bytes.make 3 'z');
+      Bytes.fill want (chunk - 5000) 3 'z';
+      checkb "sub-page first write zeroes the rest of its page" true
+        (Bytes.equal want (Disk.peek d ~off:0 ~len:chunk)))
+    ()
+
+let raises_invalid f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+(* Every medium access is checked before any byte moves: out-of-range
+   arguments raise [Invalid_argument] and leave the medium untouched,
+   including ranges that end past the device but inside its last chunk. *)
+let test_medium_bounds () =
+  in_sim (fun () ->
+      let size = 8192 in
+      let d = mk_disk ~size () in
+      let bad =
+        [ ("peek past the end", fun () -> ignore (Disk.peek d ~off:(size - 4) ~len:8));
+          ("peek negative off", fun () -> ignore (Disk.peek d ~off:(-1) ~len:8));
+          ("peek negative len", fun () -> ignore (Disk.peek d ~off:0 ~len:(-1)));
+          ("poke past the end",
+            fun () -> Disk.poke d ~off:(size - 100) ~data:(Bytes.make 4096 'p'));
+          ("poke negative off", fun () -> Disk.poke d ~off:(-8) ~data:(Bytes.make 16 'p'));
+          ("poke at max_int",
+            fun () -> Disk.poke d ~off:max_int ~data:(Bytes.make 16 'p'));
+          ("read past the end", fun () -> ignore (Disk.read d ~off:size ~len:1));
+          ("writev past the end",
+            fun () ->
+              Disk.writev d
+                [ (0, Slice.of_bytes (Bytes.make 512 'w'));
+                  (size, Slice.of_bytes (Bytes.make 512 'w')) ]) ]
+      in
+      List.iter (fun (name, f) -> checkb name true (raises_invalid f)) bad;
+      checkb "medium untouched" true
+        (Bytes.equal (Bytes.make size '\000') (Disk.peek d ~off:0 ~len:size)))
+    ()
+
+(* Differential: [Disk] against a flat zero-initialized [Bytes] model,
+   over random vectored writes (sector-adjacent runs that cross chunk
+   and page boundaries take the fused path), sub-page and 512-byte first
+   writes, reads, peek/poke and torn power failures. The disk under test
+   draws recycled, poisoned chunks, so a stale page reads back as 0xA5. *)
+type medium_op =
+  | Writev of (int * int) list (* (off, len) per segment *)
+  | Read of int * int
+  | Poke of int * int
+  | Torn of (int * int) list * int * int (* segments, delay per mille, seed *)
+
+let medium_size = 4 * chunk
+
+let show_op = function
+  | Writev segs ->
+    "writev "
+    ^ String.concat "," (List.map (fun (o, l) -> Printf.sprintf "%d+%d" o l) segs)
+  | Read (o, l) -> Printf.sprintf "read %d+%d" o l
+  | Poke (o, l) -> Printf.sprintf "poke %d+%d" o l
+  | Torn (segs, pm, seed) ->
+    Printf.sprintf "torn(%d/1000, seed %d) %s" pm seed
+      (String.concat "," (List.map (fun (o, l) -> Printf.sprintf "%d+%d" o l) segs))
+
+let gen_medium_ops =
+  let open QCheck.Gen in
+  (* Offsets cluster around chunk and page boundaries. *)
+  let off =
+    frequency
+      [ (2, int_range 0 (medium_size - 1));
+        (3, map2 (fun c d -> max 0 ((c * chunk) + d)) (int_range 0 3)
+              (int_range (-3000) 3000));
+        (2, map2 (fun p d -> max 0 ((p * 4096) + d)) (int_range 0 255)
+              (int_range (-600) 600)) ]
+  in
+  let len =
+    frequency
+      [ (3, int_range 1 600); (2, return 512); (2, return 4096);
+        (2, int_range 1 20_000); (1, int_range 1 (chunk + 9000)) ]
+  in
+  let clip (o, l) = (o, min l (medium_size - o)) in
+  (* A run of exactly adjacent segments, then maybe an unrelated one. *)
+  let segs =
+    let* o = off and* lens = list_size (int_range 1 4) len in
+    let run, _ =
+      List.fold_left
+        (fun (acc, o) l ->
+          if o >= medium_size then (acc, o)
+          else
+            let o, l = clip (o, l) in
+            ((o, l) :: acc, o + l))
+        ([], o) lens
+    in
+    let* extra = opt (pair off len) in
+    let extra = match extra with Some (o, l) -> [ clip (o, l) ] | None -> [] in
+    return (List.rev run @ extra)
+  in
+  let op =
+    frequency
+      [ (5, map (fun s -> Writev s) segs);
+        (3, map (fun ol -> let o, l = clip ol in Read (o, l)) (pair off len));
+        (2, map (fun ol -> let o, l = clip ol in Poke (o, l)) (pair off len));
+        (1, map3 (fun s pm seed -> Torn (s, pm, seed)) segs (int_range 1 999)
+              (int_range 0 1_000_000)) ]
+  in
+  list_size (int_range 1 25) op
+
+let prop_medium_differential =
+  QCheck.Test.make ~count:150 ~name:"disk = flat zeroed model"
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       gen_medium_ops)
+    (fun ops ->
+      Sched.run (fun () ->
+          (* Leave poisoned chunks on this domain's free stack. *)
+          let junk = Disk.create ~size:medium_size () in
+          Disk.poke junk ~off:0 ~data:(Bytes.make medium_size 'j');
+          Disk.dispose junk;
+          let d = Disk.create ~size:medium_size () in
+          let model = Bytes.make medium_size '\000' in
+          let rng = Msnap_util.Rng.create (List.length ops) in
+          let slices segs =
+            List.map (fun (o, l) -> (o, Slice.of_bytes (Msnap_util.Rng.bytes rng l))) segs
+          in
+          let apply ?(upto = max_int) segs =
+            (* Segments commit in order; [upto] bounds the sectors. *)
+            ignore
+              (List.fold_left
+                 (fun left (o, s) ->
+                   let len = Slice.length s in
+                   let sectors = (len + Costs.sector - 1) / Costs.sector in
+                   let take = min sectors left in
+                   Bytes.blit (Slice.buf s) (Slice.pos s) model o
+                     (min len (take * Costs.sector));
+                   left - take)
+                 upto segs)
+          in
+          let same o l = Bytes.equal (Disk.peek d ~off:o ~len:l) (Bytes.sub model o l) in
+          List.for_all
+            (fun op ->
+              match op with
+              | Writev segs ->
+                let segs = slices segs in
+                Disk.writev d segs;
+                apply segs;
+                true
+              | Read (o, l) ->
+                let dst = Bytes.make (l + 3) '?' in
+                Disk.read_into d ~off:o (Slice.make dst ~pos:3 ~len:l);
+                Bytes.sub dst 0 3 = Bytes.of_string "???"
+                && Bytes.equal (Bytes.sub dst 3 l) (Bytes.sub model o l)
+              | Poke (o, l) ->
+                let data = Msnap_util.Rng.bytes rng l in
+                Disk.poke d ~off:o ~data;
+                Bytes.blit data 0 model o l;
+                same o l
+              | Torn (segs, pm, seed) ->
+                let segs = slices segs in
+                let total = List.fold_left (fun a (_, s) -> a + Slice.length s) 0 segs in
+                let dur = Costs.disk_base + Costs.disk_xfer total in
+                let elapsed = max 1 (dur * pm / 1000) in
+                let w =
+                  Sched.spawn (fun () ->
+                      try Disk.writev d segs with Disk.Powered_off -> ())
+                in
+                Sched.delay elapsed;
+                Disk.fail_power d ~torn_seed:seed;
+                Sched.join w;
+                Disk.restore_power d;
+                (* The budget [fail_power] draws for its only command. *)
+                let total_sectors =
+                  List.fold_left
+                    (fun a (_, s) ->
+                      a + ((Slice.length s + Costs.sector - 1) / Costs.sector))
+                    0 segs
+                in
+                let rng = Msnap_util.Rng.create (seed lxor 0x5EED) in
+                apply ~upto:(Disk.torn_sector_budget ~rng ~elapsed ~dur ~total_sectors)
+                  segs;
+                true)
+            ops
+          && same 0 medium_size))
+
 (* --- Stripe --- *)
 
 let mk_stripe ?(unit_size = Size.kib 64) ?(n = 2) ?(disk_size = Size.mib 4) () =
@@ -217,8 +449,6 @@ let test_stripe_crash () =
     ()
 
 (* --- zero-copy crash equivalence --- *)
-
-module Slice = Msnap_util.Slice
 
 (* Replay one crashing vectored write and return the whole recovered
    medium. [copy_at_issue] selects the reference data plane (the
@@ -476,8 +706,15 @@ let () =
           tc "buffer snapshot" test_write_buffer_snapshot;
           tc "power failure" test_power_failure_blocks_io;
           tc "torn write" test_torn_write;
+          tc "power failure during a read" test_power_failure_during_read;
           tc "torn prefix sweep (zero-copy = snapshot)" test_torn_prefix_sweep;
           QCheck_alcotest.to_alcotest prop_zero_copy_crash_equivalence;
+        ] );
+      ( "medium",
+        [
+          tc "chunk reuse reads zeros" test_chunk_reuse;
+          tc "out-of-range arguments" test_medium_bounds;
+          QCheck_alcotest.to_alcotest prop_medium_differential;
         ] );
       ( "stripe",
         [

@@ -245,6 +245,72 @@ let test_sync_meta_writes () =
       checkb "metadata flushed to device" true (Fs.bytes_written_to_disk fs > before))
     ()
 
+(* The construction [sync_meta] used to size its snapshot IO (one
+   [sprintf] per block mapping), kept as the reference for the digit
+   arithmetic of [Fs.meta_text_length]. *)
+let legacy_meta_length fs files =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (name, f) ->
+      Buffer.add_string buf name;
+      Buffer.add_string buf (string_of_int (Fs.size fs f));
+      List.iter
+        (fun (idx, first) -> Buffer.add_string buf (Printf.sprintf "%d:%d" idx first))
+        (Fs.debug_blocks fs f))
+    files;
+  Buffer.length buf
+
+let prop_meta_length =
+  let open QCheck.Gen in
+  (* Values on both sides of each digit-count step, and anything else. *)
+  let number hi =
+    frequency
+      [ (2, map (fun k -> int_of_float (10. ** float_of_int k)) (int_range 0 12));
+        (2, map (fun k -> int_of_float (10. ** float_of_int k) - 1) (int_range 1 12));
+        (3, int_range 0 hi) ]
+  in
+  let file =
+    triple
+      (string_size ~gen:printable (int_range 1 24))
+      (list_size (int_range 0 6) (map (fun n -> min n 99_999) (number 99_999)))
+      (opt (number 1_000_000_000))
+  in
+  let print (files, removed) =
+    Printf.sprintf "files %s, removed %d"
+      (String.concat "; "
+         (List.map
+            (fun (name, idxs, size) ->
+              Printf.sprintf "%S blocks [%s] size %s" name
+                (String.concat "," (List.map string_of_int idxs))
+                (match size with Some n -> string_of_int n | None -> "-"))
+            files))
+      removed
+  in
+  QCheck.Test.make ~count:100 ~name:"sync_meta IO size = legacy text length"
+    (QCheck.make ~print (pair (list_size (int_range 0 6) file) (int_range 0 6)))
+    (fun (files, removed) ->
+      Sched.run (fun () ->
+          let fs = mk_fs () in
+          let bs = Fs.fs_block_size fs in
+          let opened =
+            List.fold_left
+              (fun acc (name, idxs, size) ->
+                let f = Fs.open_file fs name in
+                List.iter (fun i -> Fs.write fs f ~off:(i * bs) (Bytes.make 1 'b')) idxs;
+                Fs.fsync fs f;
+                Option.iter (Fs.truncate fs f) size;
+                (name, f) :: List.remove_assoc name acc)
+              [] files
+          in
+          let opened =
+            match List.nth_opt opened removed with
+            | Some (name, _) ->
+              Fs.remove fs name;
+              List.remove_assoc name opened
+            | None -> opened
+          in
+          Fs.meta_text_length fs = legacy_meta_length fs opened))
+
 (* Mount scans both snapshot slots and the whole journal ring; the scan
    buffers come from the pool and all go back to it. *)
 let test_mount_recycles_scan_buffers () =
@@ -301,6 +367,7 @@ let () =
           tc "remove" test_remove;
           tc "resident scan" test_resident_scan_cost_grows;
           tc "sync_meta" test_sync_meta_writes;
+          QCheck_alcotest.to_alcotest prop_meta_length;
           tc "mount recycles scan buffers" test_mount_recycles_scan_buffers;
           tc "fdatasync" test_fdatasync_cheaper_than_fsync;
         ] );

@@ -608,13 +608,9 @@ let major_words () =
 
 (* A steady-state commit COWs its path into recycled pooled images and
    lends them to the device as they are: no per-node heap copy, no
-   serialization buffer. The medium's 256 KiB chunks are pre-warmed so
-   the data blocks' fresh media land in parked chunks too. *)
+   serialization buffer. *)
 let test_commit_allocation () =
   in_sim (fun () ->
-      let chunk = 256 * 1024 in
-      List.iter Msnap_util.Pool.recycle
-        (List.init 16 (fun _ -> Msnap_util.Pool.alloc chunk));
       let _, s = mk_store () in
       let o = Store.create s ~name:"o" () in
       let a = page 'a' and b = page 'b' in
