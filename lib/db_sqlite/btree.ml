@@ -18,21 +18,18 @@ let root t = t.root
 
 (* Child page that covers [key] in an interior node. *)
 let child_for b key =
-  match Page.search b key with
-  | `Found i -> fst (Page.interior_cell b i)
-  | `Insert_before i ->
-    if i < Page.ncells b then fst (Page.interior_cell b i)
-    else Page.right_child b
+  let i = Page.search b key in
+  let i = if i >= 0 then i else -i - 1 in
+  if i < Page.ncells b then Page.interior_child b i else Page.right_child b
 
 let find t key =
   let rec go pgno =
     Sched.cpu node_visit_cost;
     let b = Pager.get_page t.pager pgno in
     match Page.kind_of b with
-    | Page.Leaf -> (
-      match Page.search b key with
-      | `Found i -> Some (snd (Page.leaf_cell b i))
-      | `Insert_before _ -> None)
+    | Page.Leaf ->
+      let i = Page.search b key in
+      if i >= 0 then Some (Page.leaf_value b i) else None
     | Page.Interior -> go (child_for b key)
   in
   go t.root
@@ -48,33 +45,25 @@ let split t pgno =
   match Page.kind_of b with
   | Page.Leaf ->
     Page.init rb Page.Leaf;
-    (* Move cells [mid..n) to the right page. *)
-    for i = mid to n - 1 do
-      let k, v = Page.leaf_cell b i in
-      assert (Page.leaf_insert_at rb (i - mid) ~key:k ~value:v)
-    done;
-    for _ = mid to n - 1 do
-      Page.delete_at b (Page.ncells b - 1)
-    done;
-    let sep = Page.leaf_key b (Page.ncells b - 1) in
-    (sep, right_pg)
+    Page.move_cells b ~from:mid rb;
+    (Page.leaf_key b (mid - 1), right_pg)
   | Page.Interior ->
     Page.init rb Page.Interior;
     (* The middle separator is promoted; its child becomes the left
        page's right child. *)
-    let promoted_child, promoted_key = Page.interior_cell b mid in
-    ignore promoted_child;
-    for i = mid + 1 to n - 1 do
-      let c, k = Page.interior_cell b i in
-      assert (Page.interior_insert_at rb (i - mid - 1) ~child:c ~key:k)
-    done;
+    let promoted_key = Page.interior_key b mid in
+    let mid_child = Page.interior_child b mid in
+    Page.move_cells b ~from:(mid + 1) rb;
     Page.set_right_child rb (Page.right_child b);
-    let mid_child, _ = Page.interior_cell b mid in
-    for _ = mid to n - 1 do
-      Page.delete_at b (Page.ncells b - 1)
-    done;
+    Page.truncate b mid;
     Page.set_right_child b mid_child;
     (promoted_key, right_pg)
+
+(* Index of the cell pointing at [child], or -1. *)
+let rec find_child b child i n =
+  if i >= n then -1
+  else if Page.interior_child b i = child then i
+  else find_child b child (i + 1) n
 
 (* Link a freshly split child into an interior node: [child] kept the
    keys <= sep, [new_right] took the rest. The cell pointing to [child]
@@ -83,38 +72,32 @@ let split t pgno =
    lacks space, [`Not_here] when the child is not referenced here. *)
 let try_link b ~child ~sep ~new_right =
   let n = Page.ncells b in
-  let rec find i =
-    if i >= n then None
-    else if fst (Page.interior_cell b i) = child then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some i ->
-    let _, old_key = Page.interior_cell b i in
-    (* Net new space: the (child, sep) cell plus slack for re-inserting
-       the old cell after the delete. *)
+  let i = find_child b child 0 n in
+  if i >= 0 then begin
+    (* Room for the (child, sep) cell, plus the old cell's size and some
+       slack. This threshold decides when interior nodes split. *)
     if Page.free_space b
-       < Page.interior_cell_size ~key:sep + Page.interior_cell_size ~key:old_key + 8
+       < Page.interior_cell_size ~key:sep + Page.cell_size b i + 8
     then `Full
     else begin
-      Page.delete_at b i;
+      (* Cell i keeps its separator and now points at [new_right]; the
+         new (child, sep) cell goes in front of it. *)
+      Page.set_interior_child b i new_right;
       if not (Page.interior_insert_at b i ~child ~key:sep) then
         failwith "Btree: link lost space";
-      if not (Page.interior_insert_at b (i + 1) ~child:new_right ~key:old_key)
-      then failwith "Btree: link lost space";
       `Ok
     end
-  | None ->
-    if Page.right_child b = child then begin
-      if Page.free_space b < Page.interior_cell_size ~key:sep + 8 then `Full
-      else begin
-        if not (Page.interior_insert_at b n ~child ~key:sep) then
-          failwith "Btree: link lost space";
-        Page.set_right_child b new_right;
-        `Ok
-      end
+  end
+  else if Page.right_child b = child then begin
+    if Page.free_space b < Page.interior_cell_size ~key:sep + 8 then `Full
+    else begin
+      if not (Page.interior_insert_at b n ~child ~key:sep) then
+        failwith "Btree: link lost space";
+      Page.set_right_child b new_right;
+      `Ok
     end
-    else `Not_here
+  end
+  else `Not_here
 
 (* Insert into the subtree; on child split, returns the (separator,
    new_right_page) the caller must link. *)
@@ -122,26 +105,23 @@ let rec insert_into t pgno key value =
   Sched.cpu node_visit_cost;
   let b = Pager.get_page t.pager pgno in
   match Page.kind_of b with
-  | Page.Leaf -> (
+  | Page.Leaf ->
     let b = Pager.page_for_write t.pager pgno in
-    (match Page.search b key with
-    | `Found i -> Page.delete_at b i
-    | `Insert_before _ -> ());
-    match Page.search b key with
-    | `Found _ -> assert false
-    | `Insert_before i ->
-      if Page.leaf_insert_at b i ~key ~value then None
-      else begin
-        let sep, right_pg = split t pgno in
-        let target_pg = if key <= sep then pgno else right_pg in
-        let tb = Pager.page_for_write t.pager target_pg in
-        (match Page.search tb key with
-        | `Found _ -> assert false
-        | `Insert_before j ->
-          if not (Page.leaf_insert_at tb j ~key ~value) then
-            failwith "Btree.insert: pair exceeds page capacity");
-        Some (sep, right_pg)
-      end)
+    (* A replaced pair is deleted first; the key then belongs where it
+       was. *)
+    let i = Page.search b key in
+    let i = if i >= 0 then (Page.delete_at b i; i) else -i - 1 in
+    if Page.leaf_insert_at b i ~key ~value then None
+    else begin
+      let sep, right_pg = split t pgno in
+      let target_pg = if String.compare key sep <= 0 then pgno else right_pg in
+      let tb = Pager.page_for_write t.pager target_pg in
+      let j = Page.search tb key in
+      assert (j < 0);
+      if not (Page.leaf_insert_at tb (-j - 1) ~key ~value) then
+        failwith "Btree.insert: pair exceeds page capacity";
+      Some (sep, right_pg)
+    end
   | Page.Interior -> (
     let child = child_for b key in
     match insert_into t child key value with
@@ -193,27 +173,27 @@ let delete t key =
     let b = Pager.get_page t.pager pgno in
     match Page.kind_of b with
     | Page.Leaf -> (
-      match Page.search b key with
-      | `Found i ->
-        let b = Pager.page_for_write t.pager pgno in
-        Page.delete_at b i;
+      let i = Page.search b key in
+      if i < 0 then false
+      else begin
+        Page.delete_at (Pager.page_for_write t.pager pgno) i;
         true
-      | `Insert_before _ -> false)
+      end)
     | Page.Interior -> go (child_for b key)
   in
   go t.root
 
 let iter_range t ?lo ?hi f =
-  let below_hi k = match hi with None -> true | Some h -> k <= h in
-  let above_lo k = match lo with None -> true | Some l -> k >= l in
+  (* Bounds are checked in place; only pairs in range are copied out. *)
+  let below_hi b i = match hi with None -> true | Some h -> Page.compare_key b i h <= 0 in
+  let above_lo b i = match lo with None -> true | Some l -> Page.compare_key b i l >= 0 in
   let rec go pgno =
     Sched.cpu node_visit_cost;
     let b = Pager.get_page t.pager pgno in
     match Page.kind_of b with
     | Page.Leaf ->
       for i = 0 to Page.ncells b - 1 do
-        let k, v = Page.leaf_cell b i in
-        if above_lo k && below_hi k then f k v
+        if above_lo b i && below_hi b i then f (Page.leaf_key b i) (Page.leaf_value b i)
       done
     | Page.Interior ->
       (* Visit children whose key range intersects [lo, hi]. Cell i's
@@ -221,10 +201,8 @@ let iter_range t ?lo ?hi f =
       let n = Page.ncells b in
       let rec visit i =
         if i < n then begin
-          let child, k = Page.interior_cell b i in
-          let lo_ok = match lo with None -> true | Some l -> l <= k in
-          if lo_ok then go child;
-          let hi_done = match hi with None -> false | Some h -> k >= h in
+          if above_lo b i then go (Page.interior_child b i);
+          let hi_done = match hi with None -> false | Some h -> Page.compare_key b i h >= 0 in
           if not hi_done then visit (i + 1)
         end
         else go (Page.right_child b)
@@ -244,7 +222,7 @@ let depth t =
     match Page.kind_of b with
     | Page.Leaf -> acc
     | Page.Interior ->
-      if Page.ncells b > 0 then go (fst (Page.interior_cell b 0)) (acc + 1)
+      if Page.ncells b > 0 then go (Page.interior_child b 0) (acc + 1)
       else go (Page.right_child b) (acc + 1)
   in
   go t.root 1

@@ -8,128 +8,166 @@ type backend = {
   b_commit : (int * Bytes.t) list -> unit;
 }
 
-type txn = {
-  dirty : (int, unit) Hashtbl.t;
-  undo : (int, Bytes.t) Hashtbl.t; (* pre-images for rollback *)
-  mutable new_pages : int list;
-  hwm_at_begin : int;
-}
-
+(* Page numbers are dense (1..hwm), so every per-page table is an array
+   indexed by page number, grown by doubling. [Bytes.empty] marks an
+   absent buffer: a page buffer is never physically equal to it. *)
 type t = {
   backend : backend;
-  cache : (int, Bytes.t) Hashtbl.t;
+  mutable cache : Bytes.t array;
+  mutable ncached : int;
+  mutable undo : Bytes.t array; (* pre-images for rollback *)
+  (* [stamp.(pgno) = txn_id] iff the open transaction dirtied [pgno]. *)
+  mutable stamp : int array;
+  mutable dirty : int list; (* page numbers, each once *)
+  mutable txn_id : int;
+  mutable in_txn : bool;
   mutable hwm : int; (* highest allocated page number *)
-  mutable txn : txn option;
+  mutable hwm_at_begin : int;
   write_lock : Sync.Mutex.t;
 }
 
 (* Userspace cost of a page-cache probe (hash + pin). *)
 let cache_probe_cost = 120
 
+let none = Bytes.empty
+
+let ensure t pgno =
+  let cap = Array.length t.cache in
+  if pgno >= cap then begin
+    let cap' = max (pgno + 1) (2 * cap) in
+    let grow a fill =
+      let a' = Array.make cap' fill in
+      Array.blit a 0 a' 0 cap;
+      a'
+    in
+    t.cache <- grow t.cache none;
+    t.undo <- grow t.undo none;
+    t.stamp <- grow t.stamp 0
+  end
+
+let cached t pgno = if pgno < Array.length t.cache then t.cache.(pgno) else none
+
+let install t pgno b =
+  ensure t pgno;
+  if t.cache.(pgno) == none then t.ncached <- t.ncached + 1;
+  t.cache.(pgno) <- b
+
 let create backend =
   let t =
-    { backend; cache = Hashtbl.create 1024; hwm = 1; txn = None;
+    { backend; cache = Array.make 1024 none; ncached = 0;
+      undo = Array.make 1024 none; stamp = Array.make 1024 0; dirty = [];
+      txn_id = 0; in_txn = false; hwm = 1; hwm_at_begin = 1;
       write_lock = Sync.Mutex.create () }
   in
   (* Page 1 always exists (database header / catalog). *)
   (match backend.b_read_page 1 with
-  | Some b -> Hashtbl.replace t.cache 1 b
-  | None -> Hashtbl.replace t.cache 1 (Pool.alloc_zeroed Page.size));
+  | Some b -> install t 1 b
+  | None -> install t 1 (Pool.alloc_zeroed Page.size));
   t
 
 let backend_label t = t.backend.b_label
 
 let begin_write t =
   Sync.Mutex.lock t.write_lock;
-  assert (t.txn = None);
-  t.txn <-
-    Some
-      { dirty = Hashtbl.create 16; undo = Hashtbl.create 16; new_pages = [];
-        hwm_at_begin = t.hwm }
+  assert (not t.in_txn);
+  t.in_txn <- true;
+  t.txn_id <- t.txn_id + 1;
+  t.hwm_at_begin <- t.hwm
 
-let the_txn t =
-  match t.txn with
-  | Some txn -> txn
-  | None -> invalid_arg "Pager: no open transaction"
+let check_txn t = if not t.in_txn then invalid_arg "Pager: no open transaction"
 
 let get_page t pgno =
   Sched.cpu cache_probe_cost;
-  match Hashtbl.find_opt t.cache pgno with
-  | Some b -> b
-  | None ->
+  let b = cached t pgno in
+  if b != none then b
+  else begin
     let b =
       match t.backend.b_read_page pgno with
       | Some b -> b
       | None -> Pool.alloc_zeroed Page.size
     in
-    Hashtbl.replace t.cache pgno b;
+    install t pgno b;
     if pgno > t.hwm then t.hwm <- pgno;
     b
+  end
+
+(* Add [pgno] to the transaction's dirty set; [false] if already in. *)
+let mark_dirty t pgno =
+  ensure t pgno;
+  if t.stamp.(pgno) = t.txn_id then false
+  else begin
+    t.stamp.(pgno) <- t.txn_id;
+    t.dirty <- pgno :: t.dirty;
+    true
+  end
 
 let page_for_write t pgno =
-  let txn = the_txn t in
+  check_txn t;
   let b = get_page t pgno in
-  if not (Hashtbl.mem txn.dirty pgno) then begin
-    Hashtbl.replace txn.dirty pgno ();
+  if mark_dirty t pgno then begin
     (* Pooled pre-image: private to the transaction, recycled when commit
        discards the undo log (rollback promotes it into the cache
        instead). *)
     let pre = Pool.alloc Page.size in
     Bytes.blit b 0 pre 0 Page.size;
-    Hashtbl.replace txn.undo pgno pre
+    t.undo.(pgno) <- pre
   end;
   b
 
+(* Pages the transaction allocated are dirty without a pre-image. *)
 let alloc_page t =
-  let txn = the_txn t in
+  check_txn t;
   t.hwm <- t.hwm + 1;
   let pgno = t.hwm in
-  Hashtbl.replace t.cache pgno (Pool.alloc_zeroed Page.size);
-  Hashtbl.replace txn.dirty pgno ();
-  txn.new_pages <- pgno :: txn.new_pages;
+  install t pgno (Pool.alloc_zeroed Page.size);
+  ignore (mark_dirty t pgno : bool);
   pgno
 
-let commit t =
-  let txn = the_txn t in
-  let pages =
-    Hashtbl.fold (fun pgno () acc -> (pgno, Hashtbl.find t.cache pgno) :: acc)
-      txn.dirty []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  if pages <> [] then t.backend.b_commit pages;
-  Hashtbl.iter (fun _ pre -> Pool.recycle pre) txn.undo;
-  t.txn <- None;
+let end_txn t =
+  t.dirty <- [];
+  t.in_txn <- false;
   Sync.Mutex.unlock t.write_lock
 
-let rollback t =
-  let txn = the_txn t in
-  Hashtbl.iter
-    (fun pgno pre ->
-      (* The promoted pre-image replaces the mutated cache buffer, which
-         nothing else references — recycle it. *)
-      (match Hashtbl.find_opt t.cache pgno with
-      | Some cur when cur != pre -> Pool.recycle cur
-      | _ -> ());
-      Hashtbl.replace t.cache pgno pre)
-    txn.undo;
+let commit t =
+  check_txn t;
+  let pgnos = List.sort Int.compare t.dirty in
+  if pgnos <> [] then
+    t.backend.b_commit (List.map (fun pgno -> (pgno, t.cache.(pgno))) pgnos);
   List.iter
     (fun pgno ->
-      (* Pages allocated by the aborted transaction never made it to the
-         backend; their zeroed buffers go straight back. New pages have
-         no undo entry (alloc_page marks them dirty), so this cannot
-         double-recycle a promoted pre-image. *)
-      (match Hashtbl.find_opt t.cache pgno with
-      | Some b -> Pool.recycle b
-      | None -> ());
-      Hashtbl.remove t.cache pgno)
-    txn.new_pages;
-  t.hwm <- txn.hwm_at_begin;
-  (* New pages above the pre-txn high-water mark are abandoned; the page
-     numbers are not reused, like SQLite's freelist-less fast path. *)
-  t.txn <- None;
-  Sync.Mutex.unlock t.write_lock
+      let pre = t.undo.(pgno) in
+      if pre != none then begin
+        Pool.recycle pre;
+        t.undo.(pgno) <- none
+      end)
+    t.dirty;
+  end_txn t
 
-let in_txn t = t.txn <> None
+let rollback t =
+  check_txn t;
+  List.iter
+    (fun pgno ->
+      let pre = t.undo.(pgno) in
+      (* The mutated cache buffer goes back to the pool: nothing else
+         references it. A page with a pre-image gets the pre-image back;
+         a page the transaction allocated never reached the backend and
+         leaves the cache. *)
+      Pool.recycle t.cache.(pgno);
+      if pre != none then begin
+        t.cache.(pgno) <- pre;
+        t.undo.(pgno) <- none
+      end
+      else begin
+        t.cache.(pgno) <- none;
+        t.ncached <- t.ncached - 1
+      end)
+    t.dirty;
+  (* Page numbers above the pre-transaction high-water mark are handed
+     out again by the next [alloc_page], as zeroed pages. *)
+  t.hwm <- t.hwm_at_begin;
+  end_txn t
+
+let in_txn t = t.in_txn
 let npages t = t.hwm
 
 (* End-of-run teardown: the page cache holds one pooled buffer per page
@@ -138,15 +176,18 @@ let npages t = t.hwm
    bench. Returning them lets the next experiment on this domain run
    nearly miss-free. *)
 let dispose t =
-  if t.txn <> None then invalid_arg "Pager.dispose: open transaction";
-  Hashtbl.iter (fun _ b -> Pool.recycle b) t.cache;
-  Hashtbl.reset t.cache
+  if t.in_txn then invalid_arg "Pager.dispose: open transaction";
+  Array.iteri
+    (fun pgno b ->
+      if b != none then begin
+        Pool.recycle b;
+        t.cache.(pgno) <- none
+      end)
+    t.cache;
+  t.ncached <- 0
 
 let restore_hwm t hwm = if hwm > t.hwm then t.hwm <- hwm
 
-let hwm_changed_in_txn t =
-  match t.txn with Some txn -> t.hwm <> txn.hwm_at_begin | None -> false
-let cached_pages t = Hashtbl.length t.cache
-
-let dirty_pages t =
-  match t.txn with Some txn -> Hashtbl.length txn.dirty | None -> 0
+let hwm_changed_in_txn t = t.in_txn && t.hwm <> t.hwm_at_begin
+let cached_pages t = t.ncached
+let dirty_pages t = List.length t.dirty

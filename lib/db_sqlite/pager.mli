@@ -32,6 +32,10 @@ val backend_label : t -> string
 val begin_write : t -> unit
 val commit : t -> unit
 val rollback : t -> unit
+(** Restore every page the transaction changed from its pre-image and
+    drop the pages it allocated; the next {!alloc_page} hands their
+    numbers out again, as zeroed pages. *)
+
 val in_txn : t -> bool
 
 (** {2 Page access} *)

@@ -111,15 +111,3 @@ let timed p f =
   let r = f () in
   timed_end p t0;
   r
-
-
-(* Mirror buffer-pool activity into the (domain-local) counters, so pool
-   behaviour shows up next to every other probe. Installed once at link
-   time; the hook itself is host-only and the counts depend on pool
-   warmth, so determinism comparisons ignore "pool.*" keys. *)
-let () =
-  Msnap_util.Pool.set_observer (fun ev _size ->
-      match ev with
-      | Msnap_util.Pool.Hit -> incr Probe.pool_hit
-      | Msnap_util.Pool.Miss -> incr Probe.pool_miss
-      | Msnap_util.Pool.Recycle -> incr Probe.pool_recycle)

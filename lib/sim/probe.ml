@@ -122,13 +122,6 @@ let aurora_collapse = make Aurora "aurora.collapse"
 let aurora_checkpoint_app = make Aurora "aurora.checkpoint_app"
 let aurora_cow_fault = make Aurora "aurora.cow_fault"
 
-(* host-side buffer pool (Msnap_util.Pool). Hit/miss ratios depend on
-   pool warmth — host state — so these counters are excluded from
-   determinism comparisons; they exist for observability only. *)
-let pool_hit = make Host "pool.hit"
-let pool_miss = make Host "pool.miss"
-let pool_recycle = make Host "pool.recycle"
-
 module Bucket = struct
   (* Dense ids: the scheduler keeps per-bucket CPU counters in a flat
      int array indexed by these, so with_bucket enter/exit and the cpu

@@ -122,13 +122,6 @@ val aurora_collapse : t        (* "aurora.collapse" *)
 val aurora_checkpoint_app : t  (* "aurora.checkpoint_app" *)
 val aurora_cow_fault : t       (* "aurora.cow_fault" *)
 
-(* host-side buffer pool (mirrored from [Msnap_util.Pool] by [Metrics]).
-   Counts depend on pool warmth — host state, not simulated state — so
-   determinism comparisons must ignore "pool.*" counters. *)
-val pool_hit : t               (* "pool.hit" *)
-val pool_miss : t              (* "pool.miss" *)
-val pool_recycle : t           (* "pool.recycle" *)
-
 (** {2 CPU-accounting buckets}
 
     Typed keys for {!Sched.with_bucket}. Bucket names are what

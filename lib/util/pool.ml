@@ -51,11 +51,6 @@ let store_key : store Domain.DLS.key =
 
 let store () = Domain.DLS.get store_key
 
-type event = Hit | Miss | Recycle
-
-let observer : (event -> int -> unit) ref = ref (fun _ _ -> ())
-let set_observer f = observer := f
-
 let cls_for size =
   let s = store () in
   match Hashtbl.find_opt s.classes size with
@@ -105,13 +100,11 @@ let alloc n =
       c.c_hits <- c.c_hits + 1;
       c.c_outstanding <- c.c_outstanding + 1;
       if !debug_checks && c.c_poisoned.(c.c_len) then check_poison c b;
-      !observer Hit n;
       b
     end
     else begin
       c.c_misses <- c.c_misses + 1;
       c.c_outstanding <- c.c_outstanding + 1;
-      !observer Miss n;
       Bytes.create n
     end
   end
@@ -156,8 +149,7 @@ let recycle b =
       c.c_free.(c.c_len) <- b;
       c.c_poisoned.(c.c_len) <- !debug_checks;
       c.c_len <- c.c_len + 1
-    end;
-    !observer Recycle n
+    end
   end
 
 let stats () =

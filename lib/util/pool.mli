@@ -93,11 +93,3 @@ val totals : unit -> totals
 val clear : unit -> unit
 (** Drop every parked buffer (they fall back to the GC) and reset the
     counters. Test isolation helper. *)
-
-type event = Hit | Miss | Recycle
-
-val set_observer : (event -> int -> unit) -> unit
-(** [set_observer f] installs a process-wide hook called as [f ev size]
-    on every pooled alloc/recycle. The sim layer uses it to mirror pool
-    activity into [Probe]/[Metrics] counters; host-only. Install before
-    spawning domains. *)

@@ -243,13 +243,7 @@ let fig3_reduced () =
     sim_ns = List.rev !sim_ns;
     accounts = List.rev !accounts;
     table_digest = Digest.to_hex (Digest.string (Tbl.render t));
-    counters =
-      (* The pool.* counters are host state (hit/miss depends on what
-         earlier runs parked in the buffer pool), not simulated values:
-         a second in-process run legitimately sees more hits. *)
-      List.filter
-        (fun (name, _) -> not (String.starts_with ~prefix:"pool." name))
-        (Metrics.counters ());
+    counters = Metrics.counters ();
     crashes;
   }
 
@@ -358,11 +352,7 @@ let cell_run ~workers ~traced =
   in
   (* Force in submission order — the program order a serial run has. *)
   let forced = List.map (fun (n, p) -> (n, Cell.force p)) pend in
-  let counters =
-    List.filter
-      (fun (name, _) -> not (String.starts_with ~prefix:"pool." name))
-      (Metrics.counters ())
-  in
+  let counters = Metrics.counters () in
   let n_ev = if traced then Trace.event_count () else 0 in
   let td = if traced then trace_digest () else "" in
   if traced then Trace.disable ();

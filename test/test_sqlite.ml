@@ -37,9 +37,8 @@ let test_page_leaf_cells () =
   checkb "ins1" true (Page.leaf_insert_at b 0 ~key:"a" ~value:"1");
   checkb "ins2" true (Page.leaf_insert_at b 2 ~key:"c" ~value:"3");
   checki "ncells" 3 (Page.ncells b);
-  let k, v = Page.leaf_cell b 0 in
-  checks "k0" "a" k;
-  checks "v0" "1" v;
+  checks "k0" "a" (Page.leaf_key b 0);
+  checks "v0" "1" (Page.leaf_value b 0);
   checks "k1" "b" (Page.leaf_key b 1);
   checks "k2" "c" (Page.leaf_key b 2)
 
@@ -49,10 +48,10 @@ let test_page_search () =
   List.iteri
     (fun i k -> assert (Page.leaf_insert_at b i ~key:k ~value:"v"))
     [ "b"; "d"; "f" ];
-  checkb "found" true (Page.search b "d" = `Found 1);
-  checkb "before b" true (Page.search b "a" = `Insert_before 0);
-  checkb "between" true (Page.search b "e" = `Insert_before 2);
-  checkb "after" true (Page.search b "z" = `Insert_before 3)
+  checki "found" 1 (Page.search b "d");
+  checki "before b" (-1) (Page.search b "a");
+  checki "between" (-3) (Page.search b "e");
+  checki "after" (-4) (Page.search b "z")
 
 let test_page_delete_and_compact () =
   let b = Bytes.create Page.size in
@@ -80,10 +79,110 @@ let test_page_interior () =
   Page.init b Page.Interior;
   assert (Page.interior_insert_at b 0 ~child:10 ~key:"m");
   Page.set_right_child b 20;
-  let c, k = Page.interior_cell b 0 in
-  checki "child" 10 c;
-  checks "key" "m" k;
+  checki "child" 10 (Page.interior_child b 0);
+  checks "key" "m" (Page.interior_key b 0);
   checki "right" 20 (Page.right_child b)
+
+(* A cell deleted from the bottom of the content area grows the gap; it
+   must not also count as fragmentation. *)
+let test_page_free_space_after_tail_delete () =
+  let b = Bytes.create Page.size in
+  Page.init b Page.Leaf;
+  let value = String.make 100 'v' in
+  let key i = Printf.sprintf "k%07d" i in
+  (* 4 + 8 + 100 = 112-byte cells, appended: the last sits lowest. *)
+  let n = ref 0 in
+  while Page.leaf_insert_at b !n ~key:(key !n) ~value do
+    incr n
+  done;
+  Page.delete_at b (!n - 1);
+  checki "one 112-byte cell plus pointer free, and the slack" 207 (Page.free_space b);
+  checkb "one fits" true (Page.leaf_insert_at b (!n - 1) ~key:(key !n) ~value);
+  checkb "no second" false (Page.leaf_insert_at b !n ~key:(key (!n + 1)) ~value)
+
+(* [free_space] is exact: a leaf cell of that many bytes goes in, one
+   byte more does not. Checked on copies after every step of a random
+   insert/delete script, so tail deletes, fragmentation and compaction
+   all occur. *)
+let prop_page_free_space_exact =
+  QCheck.Test.make ~count:200 ~name:"free_space equals what inserts accept"
+    QCheck.(list_of_size Gen.(int_range 1 120)
+              (triple bool (int_bound 1000) (int_bound 200)))
+    (fun ops ->
+      let b = Bytes.create Page.size in
+      Page.init b Page.Leaf;
+      let fits len =
+        let c = Bytes.copy b in
+        len >= 4 && Page.leaf_insert_at c 0 ~key:"" ~value:(String.make (len - 4) 'x')
+      in
+      List.for_all
+        (fun (ins, pos, len) ->
+          let n = Page.ncells b in
+          if ins || n = 0 then
+            ignore
+              (Page.leaf_insert_at b (pos mod (n + 1)) ~key:(string_of_int pos)
+                 ~value:(String.make len 'v'))
+          else Page.delete_at b (pos mod n);
+          let f = Page.free_space b in
+          (f < 4 || fits f) && not (fits (f + 1)))
+        ops)
+
+(* Keys drawn from a tiny alphabet that straddles 0x80, so stored keys
+   share prefixes, are prefixes of one another, and order by unsigned
+   bytes. *)
+let gen_key max_len =
+  QCheck.Gen.(
+    string_size ~gen:(oneofl [ '\x00'; 'a'; 'b'; '\x7f'; '\x80'; '\xff' ])
+      (int_range 0 max_len))
+
+(* Reference: the index of the first key >= probe, among sorted keys. *)
+let ref_search keys probe =
+  let n = Array.length keys in
+  let rec lb i = if i < n && String.compare keys.(i) probe < 0 then lb (i + 1) else i in
+  let i = lb 0 in
+  if i < n && keys.(i) = probe then i else -(i + 1)
+
+let prop_page_search_reference =
+  QCheck.Test.make ~count:300 ~name:"search agrees with a String.compare search"
+    QCheck.(make Gen.(pair (list_size (int_range 0 200) (gen_key 10))
+                        (list_size (int_range 1 40) (gen_key 11))))
+    (fun (keys, probes) ->
+      let keys = Array.of_list (List.sort_uniq String.compare keys) in
+      let leaf = Bytes.create Page.size and inner = Bytes.create Page.size in
+      Page.init leaf Page.Leaf;
+      Page.init inner Page.Interior;
+      (* As many keys as fit, in order; then every third deleted, so the
+         page also holds fragmented space. *)
+      let n = ref 0 in
+      (* An interior cell is the larger, so it goes in first. *)
+      while
+        !n < Array.length keys
+        && Page.interior_insert_at inner !n ~child:!n ~key:keys.(!n)
+        && Page.leaf_insert_at leaf !n ~key:keys.(!n) ~value:"v"
+      do
+        incr n
+      done;
+      let kept = ref [] in
+      for i = !n - 1 downto 0 do
+        if i mod 3 = 1 then begin
+          Page.delete_at leaf i;
+          Page.delete_at inner i
+        end
+        else kept := keys.(i) :: !kept
+      done;
+      let stored = Array.of_list !kept in
+      let sign x = compare x 0 in
+      List.for_all
+        (fun probe ->
+          let want = ref_search stored probe in
+          Page.search leaf probe = want
+          && Page.search inner probe = want
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun i k ->
+                    sign (Page.compare_key leaf i probe) = sign (String.compare k probe))
+                  stored))
+        (Array.to_list stored @ probes))
 
 (* --- Btree over an in-memory backend --- *)
 
@@ -196,29 +295,104 @@ let test_btree_delete () =
          check_opt "odd survives" (Some "x") (Btree.find tree (Db.key_of_int 501));
          check_opt "even gone" None (Btree.find tree (Db.key_of_int 500))))
 
+let dump tree =
+  let acc = ref [] in
+  Btree.iter_range tree (fun k v -> acc := (k, v) :: !acc);
+  List.rev !acc
+
+(* Transactions of inserts, replacements and deletes, each committed or
+   rolled back, against a Map of the committed state. Keys mix 8-byte
+   big-endian integers with variable-length keys from [gen_key]; values
+   vary in length, so that leaves and interior nodes split, and in
+   content, so that same-length replacements show. At the end a
+   fresh pager over the same backend must read the committed state. *)
 let prop_btree_model =
+  let module M = Map.Make (String) in
+  let key = QCheck.Gen.(oneof [ map Db.key_of_int (int_bound 500); gen_key 12 ]) in
+  let op = QCheck.Gen.(pair key (option (pair (int_bound 120) (int_bound 25)))) in
+  let txn = QCheck.Gen.(pair bool (list_size (int_range 1 150) op)) in
   QCheck.Test.make ~count:60 ~name:"btree agrees with Map model"
-    QCheck.(list_of_size Gen.(int_range 1 400)
-              (pair (int_bound 500) (option (int_bound 10_000))))
-    (fun ops ->
-      with_tree (fun _ tree ->
-          let module M = Map.Make (String) in
-          let model = ref M.empty in
-          List.iter
-            (fun (k, v) ->
-              let key = Db.key_of_int k in
-              match v with
-              | Some v ->
-                Btree.insert tree ~key ~value:(string_of_int v);
-                model := M.add key (string_of_int v) !model
-              | None ->
-                let existed = Btree.delete tree key in
-                let model_had = M.mem key !model in
-                model := M.remove key !model;
-                if existed <> model_had then failwith "delete mismatch")
-            ops;
-          M.for_all (fun k v -> Btree.find tree k = Some v) !model
-          && Btree.count tree = M.cardinal !model))
+    QCheck.(make Gen.(list_size (int_range 1 6) txn))
+    (fun txns ->
+      Sched.run (fun () ->
+          let backend = mem_backend () in
+          let pager = Pager.create backend in
+          Pager.begin_write pager;
+          let tree = Btree.create pager in
+          Pager.commit pager;
+          let agrees tree model =
+            M.for_all (fun k v -> Btree.find tree k = Some v) model
+            && dump tree = M.bindings model
+          in
+          let committed = ref M.empty in
+          List.for_all
+            (fun (commit, ops) ->
+              Pager.begin_write pager;
+              let model = ref !committed in
+              List.iter
+                (fun (key, v) ->
+                  match v with
+                  | Some (len, c) ->
+                    let value = String.make len (Char.chr (97 + c)) in
+                    Btree.insert tree ~key ~value;
+                    model := M.add key value !model
+                  | None ->
+                    let existed = Btree.delete tree key in
+                    if existed <> M.mem key !model then failwith "delete mismatch";
+                    model := M.remove key !model)
+                ops;
+              let in_txn = agrees tree !model in
+              if commit then begin
+                Pager.commit pager;
+                committed := !model
+              end
+              else Pager.rollback pager;
+              in_txn && agrees tree !committed)
+            txns
+          && agrees
+               (Btree.open_tree (Pager.create backend) ~root:(Btree.root tree))
+               !committed))
+
+(* A rollback across a leaf split restores every pre-image, and the page
+   numbers the aborted transaction allocated are handed out again, as
+   zeroed pages. *)
+let test_pager_rollback_split () =
+  Sched.run (fun () ->
+      let pager = Pager.create (mem_backend ()) in
+      let value = String.make 100 'v' in
+      let insert tree i = Btree.insert tree ~key:(Db.key_of_int i) ~value in
+      Pager.begin_write pager;
+      let tree = Btree.create pager in
+      for i = 0 to 19 do
+        insert tree i
+      done;
+      Pager.commit pager;
+      checki "one leaf" 1 (Btree.depth tree);
+      let npages = Pager.npages pager and cached = Pager.cached_pages pager in
+      let before = List.init npages (fun i -> Bytes.copy (Pager.get_page pager (i + 1))) in
+      Pager.begin_write pager;
+      for i = 20 to 59 do
+        insert tree i
+      done;
+      checkb "split" true (Btree.depth tree > 1);
+      checkb "pages allocated" true (Pager.npages pager > npages);
+      checkb "pages dirty" true (Pager.dirty_pages pager > 0);
+      Pager.rollback pager;
+      checki "no dirty pages" 0 (Pager.dirty_pages pager);
+      checki "cache size restored" cached (Pager.cached_pages pager);
+      checki "page count restored" npages (Pager.npages pager);
+      List.iteri
+        (fun i pre ->
+          checkb "pre-image restored" true (Bytes.equal pre (Pager.get_page pager (i + 1))))
+        before;
+      checki "rows" 20 (Btree.count tree);
+      check_opt "aborted row" None (Btree.find tree (Db.key_of_int 25));
+      Pager.begin_write pager;
+      let pgno = Pager.alloc_page pager in
+      checki "aborted page number reused" (npages + 1) pgno;
+      checkb "reused page reads as zeros" true
+        (Bytes.equal (Bytes.make Page.size '\000') (Pager.get_page pager pgno));
+      Pager.commit pager)
 
 (* --- Db over both real backends --- *)
 
@@ -388,6 +562,9 @@ let () =
           tc "search" test_page_search;
           tc "delete/compact" test_page_delete_and_compact;
           tc "interior" test_page_interior;
+          tc "free space after tail delete" test_page_free_space_after_tail_delete;
+          QCheck_alcotest.to_alcotest prop_page_free_space_exact;
+          QCheck_alcotest.to_alcotest prop_page_search_reference;
         ] );
       ( "btree",
         [
@@ -399,6 +576,7 @@ let () =
           tc "range" test_btree_range;
           tc "delete" test_btree_delete;
           QCheck_alcotest.to_alcotest prop_btree_model;
+          tc "pager rollback across a split" test_pager_rollback_split;
         ] );
       ( "db",
         [
