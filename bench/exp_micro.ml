@@ -6,6 +6,7 @@
 open Env
 module Protect = Msnap_vm.Protect
 module Ptable = Msnap_vm.Ptable
+module Slice = Msnap_util.Slice
 
 let page = 4096
 
@@ -19,14 +20,14 @@ let direct_disk_latency kib =
       let dev = mk_dev () in
       let rng = Rng.create 1 in
       (* One shared payload for every iteration: contents are irrelevant
-         (charges depend only on length, nothing reads the device back)
-         and Device.write snapshots the bytes, so reuse is host-only. *)
-      let payload = Bytes.create (Size.kib kib) in
+         (charges depend only on length, nothing reads the device back),
+         and it is lent but never mutated, so reuse is host-only. *)
+      let payload = Slice.of_bytes (Bytes.create (Size.kib kib)) in
       time_mean ~iters:10 (fun () ->
           let off =
             Rng.int rng (Device.size dev / Size.kib kib) * Size.kib kib
           in
-          Device.write dev ~off payload))
+          Device.write_slice dev ~off payload))
 
 (* write + fsync of [kib] KiB, sequential append or random 4 KiB pages
    into a large cold file. *)

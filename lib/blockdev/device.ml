@@ -7,9 +7,7 @@ module type S = sig
   val size : t -> int
   val writev : t -> (int * Slice.t) list -> unit
   val write_slice : t -> off:int -> Slice.t -> unit
-  val write : t -> off:int -> Bytes.t -> unit
   val read_into : t -> off:int -> Slice.t -> unit
-  val read : t -> off:int -> len:int -> Bytes.t
   val flush : t -> unit
   val barrier : t -> unit
   val fail_power : t -> torn_seed:int -> unit
@@ -66,9 +64,13 @@ let name (Dev ((module D), d)) = D.name d
 let size (Dev ((module D), d)) = D.size d
 let writev (Dev ((module D), d)) segs = D.writev d segs
 let write_slice (Dev ((module D), d)) ~off s = D.write_slice d ~off s
-let write (Dev ((module D), d)) ~off b = D.write d ~off b
 let read_into (Dev ((module D), d)) ~off s = D.read_into d ~off s
-let read (Dev ((module D), d)) ~off ~len = D.read d ~off ~len
+
+let read dev ~off ~len =
+  let buf = Bytes.create len in
+  read_into dev ~off (Slice.of_bytes buf);
+  buf
+
 let flush (Dev ((module D), d)) = D.flush d
 let barrier (Dev ((module D), d)) = D.barrier d
 let fail_power (Dev ((module D), d)) ~torn_seed = D.fail_power d ~torn_seed

@@ -8,10 +8,12 @@
     single first-class value, so [Fs.mkfs], [Store.format], and the
     experiment builders take {e a device}, not a particular one.
 
-    The zero-copy contract is part of the signature: slices handed to
-    {!writev}/{!write_slice} obey the ownership rule (not mutated until
-    the call returns in virtual time), and {!read_into} lands in the
-    caller's buffer. See {!Disk} for the full statement. *)
+    Data IO has one contract, the zero-copy one: slices handed to
+    {!writev}/{!write_slice} are lent, not copied, and must not be
+    mutated until the call returns in virtual time (the ownership rule;
+    see {!Disk}), and {!read_into} lands in the caller's buffer. No
+    backend has a Bytes write; {!read} is built once here on
+    {!read_into}. *)
 
 module Slice = Msnap_util.Slice
 
@@ -28,10 +30,11 @@ module type S = sig
   val name : t -> string
   val size : t -> int
   val writev : t -> (int * Slice.t) list -> unit
+
   val write_slice : t -> off:int -> Slice.t -> unit
-  val write : t -> off:int -> Bytes.t -> unit
+  (** [writev] of one segment. *)
+
   val read_into : t -> off:int -> Slice.t -> unit
-  val read : t -> off:int -> len:int -> Bytes.t
   val flush : t -> unit
   val barrier : t -> unit
   val fail_power : t -> torn_seed:int -> unit
@@ -75,9 +78,11 @@ val name : t -> string
 val size : t -> int
 val writev : t -> (int * Slice.t) list -> unit
 val write_slice : t -> off:int -> Slice.t -> unit
-val write : t -> off:int -> Bytes.t -> unit
 val read_into : t -> off:int -> Slice.t -> unit
+
 val read : t -> off:int -> len:int -> Bytes.t
+(** A fresh buffer filled by {!read_into}. *)
+
 val flush : t -> unit
 val barrier : t -> unit
 val fail_power : t -> torn_seed:int -> unit

@@ -344,19 +344,6 @@ let writev t segs =
 
 let write_slice t ~off s = writev t [ (off, s) ]
 
-(* Legacy byte API: snapshots the buffer at issue (one copy) so callers
-   may reuse it immediately — the convenience contract the unit tests
-   pin. Hot paths use the slice API and the ownership rule instead. The
-   snapshot is pooled: by completion (or tear, which also commits its
-   prefix before the writer resumes) the device is done with it. *)
-let write t ~off data =
-  let len = Bytes.length data in
-  let snap = Pool.alloc len in
-  Bytes.blit data 0 snap 0 len;
-  Fun.protect
-    ~finally:(fun () -> Pool.recycle snap)
-    (fun () -> writev t [ (off, Slice.of_bytes snap) ])
-
 let read_into t ~off dst =
   let len = Slice.length dst in
   check_range t off len;
@@ -371,11 +358,6 @@ let read_into t ~off dst =
       t.s_reads <- t.s_reads + 1;
       t.s_bytes_read <- t.s_bytes_read + len;
       Medium.read_into t.medium ~off (Slice.buf dst) ~pos:(Slice.pos dst) ~len)
-
-let read t ~off ~len =
-  let buf = Bytes.create len in
-  read_into t ~off (Slice.of_bytes buf);
-  buf
 
 let flush t =
   (* Draining the queue = acquiring every channel once. *)

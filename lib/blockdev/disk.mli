@@ -12,10 +12,10 @@
 
     {2 Zero-copy write path and the ownership rule}
 
-    The slice API ({!writev}, {!write_slice}, {!read_into}) moves no
-    payload bytes at issue: the device keeps references to the caller's
-    slices while the command is in flight and copies into the medium
-    exactly once, at commit time. In exchange the caller promises the
+    Data IO is {!writev} (with {!write_slice}, its one-segment form)
+    and {!read_into}; neither moves payload bytes at issue: the device
+    keeps references to the caller's slices while the command is in
+    flight and copies into the medium exactly once, at commit time. In exchange the caller promises the
     {e ownership rule}: a slice handed to a write must not be mutated
     until the command completes in virtual time. Under that rule the
     commit-time copy — and a crash tear — see precisely the bytes as
@@ -23,9 +23,6 @@
     With [Slice.debug_checks] on, the device records a content checksum
     per segment at issue and verifies it at commit/tear, so violations
     fail loudly in tests.
-
-    The legacy byte API ({!write}) instead snapshots by copying at issue;
-    callers may reuse the buffer immediately.
 
     {2 The medium}
 
@@ -62,17 +59,11 @@ val writev : t -> (int * Slice.t) list -> unit
 val write_slice : t -> off:int -> Slice.t -> unit
 (** [writev] of one segment. *)
 
-val write : t -> off:int -> Bytes.t -> unit
-(** Legacy convenience: snapshots [data] at issue (one copy), so the
-    caller may mutate it while the IO is in flight. *)
-
 val read_into : t -> off:int -> Slice.t -> unit
 (** Read [Slice.length dst] bytes at [off] directly into the caller's
     buffer — no intermediate allocation. Raises [Powered_off] if power
     fails at any point of the transfer, even if it is back before the
     transfer would have ended. *)
-
-val read : t -> off:int -> len:int -> Bytes.t
 
 val flush : t -> unit
 (** Drain the device queue (used by fsync paths). *)

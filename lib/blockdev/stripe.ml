@@ -109,8 +109,6 @@ let writev t segs =
 
 let write_slice t ~off s = writev t [ (off, s) ]
 
-let write t ~off data = writev t [ (off, Slice.of_bytes data) ]
-
 let read_into t ~off dst =
   let len = Slice.length dst in
   check_range t off len;
@@ -126,11 +124,6 @@ let read_into t ~off dst =
     (fun disk pieces ->
       List.iter (fun (dev_off, piece) -> Disk.read_into disk ~off:dev_off piece) pieces)
     jobs
-
-let read t ~off ~len =
-  let out = Bytes.create len in
-  read_into t ~off (Slice.of_bytes out);
-  out
 
 let flush t = Array.iter Disk.flush t.disks
 

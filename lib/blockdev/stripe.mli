@@ -9,8 +9,7 @@
 
     Zero-copy: splitting produces {e sub-slices} of the caller's segments
     (no payload bytes move), so the ownership rule of {!Disk} extends to
-    every write through this module — including {!write}, whose [Bytes.t]
-    is wrapped, not copied. Reads through {!read_into} land directly in
+    every write through this module. Reads through {!read_into} land directly in
     the caller's buffer, one disjoint range per member device. *)
 
 module Slice = Msnap_util.Slice
@@ -27,13 +26,8 @@ val unit_size : t -> int
 val name : t -> string
 (** Member device names joined with ["+"], e.g. ["nvme0+nvme1"]. *)
 
-val write : t -> off:int -> Bytes.t -> unit
-(** Zero-copy wrapper over {!writev}: [data] is referenced, not
-    snapshotted — it must not be mutated until the call returns. *)
-
 val write_slice : t -> off:int -> Slice.t -> unit
-
-val read : t -> off:int -> len:int -> Bytes.t
+(** [writev] of one segment. *)
 
 val read_into : t -> off:int -> Slice.t -> unit
 (** Fill the caller's buffer directly from the member devices. *)

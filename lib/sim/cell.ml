@@ -1,14 +1,9 @@
 module Taskpool = Msnap_util.Taskpool
 
 (* What a finished cell hands back to the forcing experiment, besides
-   its value: everything the body recorded into per-domain stores, plus
-   how far it advanced its private trace timeline. *)
-type 'a outcome = {
-  o_value : 'a;
-  o_metrics : Metrics.snapshot;
-  o_trace : Trace.snapshot;
-  o_advance : int;
-}
+   its value: the per-domain store the body recorded into, plus how far
+   it advanced its private trace timeline. *)
+type 'a outcome = { o_value : 'a; o_store : Trace.snapshot; o_advance : int }
 
 type 'a t = {
   task : 'a outcome Taskpool.task;
@@ -24,25 +19,22 @@ let submit f =
   let body () =
     if Sched.running () then
       invalid_arg "Cell: task pool reached into a live simulation";
-    (* Full domain-local isolation: fresh Metrics and Trace stores, a
-       base-0 trace timeline. The swap — not just a reset — is what
+    (* Full domain-local isolation: a fresh recording store, a base-0
+       trace timeline. The swap — not just a reset — is what
        makes cells safe to run on a domain that is mid-experiment
-       (await-helping): the host's stores are untouched underneath. *)
+       (await-helping): the host's store is untouched underneath. *)
     let saved_base = Sched.trace_base () in
     Sched.set_trace_base 0;
-    let saved_m = Metrics.cell_begin () in
-    let saved_t = Trace.cell_begin ~enabled:traced ~verbose:tverbose ~limit:tlimit in
+    let saved = Trace.cell_begin ~enabled:traced ~verbose:tverbose ~limit:tlimit in
     match f () with
     | v ->
       let advance = Sched.trace_base () in
-      let tr = Trace.cell_end saved_t in
-      let mt = Metrics.cell_end saved_m in
+      let st = Trace.cell_end saved in
       Sched.set_trace_base saved_base;
-      { o_value = v; o_metrics = mt; o_trace = tr; o_advance = advance }
+      { o_value = v; o_store = st; o_advance = advance }
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      ignore (Trace.cell_end saved_t);
-      ignore (Metrics.cell_end saved_m);
+      ignore (Trace.cell_end saved);
       Sched.set_trace_base saved_base;
       Printexc.raise_with_backtrace e bt
   in
@@ -55,13 +47,12 @@ let force c =
     if Sched.running () then
       invalid_arg "Cell.force: called inside Sched.run";
     let o = Taskpool.await c.task in
-    (* Splice the cell's recordings into this domain's stores exactly
+    (* Splice the cell's recordings into this domain's store exactly
        where a serial run would have put them: the trace timeline
        resumes at the current base and advances by what the cell's own
        runs consumed, and metrics fold in submission (= force) order. *)
     let base = Sched.trace_base () in
-    Trace.cell_merge ~shift:base o.o_trace;
+    Trace.cell_merge ~shift:base o.o_store;
     Sched.set_trace_base (base + o.o_advance);
-    Metrics.cell_merge o.o_metrics;
     c.forced <- Some o.o_value;
     o.o_value

@@ -8,13 +8,14 @@
     runs it and {e when} are pure host decisions. The cell layer makes
     that safe by construction:
 
-    - the body runs with fresh domain-local [Metrics] and [Trace]
-      stores and a base-0 trace timeline, swapped in around the body
+    - the body runs with a fresh domain-local recording store (the
+      [Trace] buffer and summary and the [Metrics] columns, one record)
+      and a base-0 trace timeline, swapped in around the body
       and swapped back out after, so a worker (or an await-helping
       experiment domain) never leaks cell state into whatever else it
       was doing;
     - {!force} splices the cell's recordings back into the calling
-      domain's stores in force order, exactly where a serial run would
+      domain's store in force order, exactly where a serial run would
       have put them.
 
     With zero pool workers a cell runs inline at {!force} — serial

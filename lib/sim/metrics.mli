@@ -5,14 +5,19 @@
     ([Probe.db_fsync], [Probe.db_write], [Probe.db_memsnap], ...)
     through this registry; the benchmark harness reads the totals to
     regenerate the paper's syscall-count tables (Tables 7 and 9).
-    Storage is keyed by the probe's wire name, so reported output is
-    identical to the historical string-keyed registry.
+
+    This module owns no storage: it is a typed view over the metric
+    columns of the per-domain recording store that {!Trace} keeps,
+    indexed by {!Probe.id}. A parallel simulation cell ([Cell]) swaps
+    and merges that one store, trace summary and metrics together.
 
     State is domain-local — call {!reset} between experiments. Every
     entry point takes a typed {!Probe}; use {!Probe.make} for ad-hoc
     names (tests, one-off experiments). *)
 
 val reset : unit -> unit
+(** Clear every counter and histogram on this domain. The trace buffer
+    and its summary are left alone. *)
 
 val incr : ?by:int -> Probe.t -> unit
 (** Bump a counter. *)
@@ -32,28 +37,10 @@ val mean_ns : Probe.t -> float
 val samples : Probe.t -> int
 
 val counters : unit -> (string * int) list
-(** All counters, sorted by name. *)
-
-(** {2 Cell isolation}
-
-    Used by [Msnap_sim.Cell] to give each parallel simulation cell a
-    private registry, merged back into the submitting experiment's
-    registry at force time in submission order (counters add,
-    histograms fold sample-exactly). Bracket, don't interleave. *)
-
-type snapshot
-
-val cell_begin : unit -> snapshot
-(** Install a fresh empty store on this domain; returns the displaced
-    one. *)
-
-val cell_end : snapshot -> snapshot
-(** Restore the displaced store; returns the cell's store for a later
-    {!cell_merge}. *)
-
-val cell_merge : snapshot -> unit
-(** Fold a finished cell's counters and histograms into the current
-    store. The snapshot must not be used again. *)
+(** Every counter that was bumped, as (wire name, total), sorted by
+    name. A counter whose total is 0 is not listed: no caller bumps by
+    0 or by a negative amount. No two probes share a wire name, so each
+    name appears once. *)
 
 val timed : Probe.t -> (unit -> 'a) -> 'a
 (** Run the callback, recording its elapsed virtual time as a sample.

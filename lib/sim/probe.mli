@@ -46,8 +46,9 @@ val to_string : t -> string
 val subsystem : t -> subsystem
 
 val id : t -> int
-(** Dense id assigned at interning time, for flat per-probe tables
-    (Trace's emit-time stats). Stable within a process. *)
+(** Dense id assigned at interning time, indexing the flat per-probe
+    columns of the recording store (trace summary, metric counters and
+    histograms). Stable within a process. *)
 
 val count : unit -> int
 (** Number of distinct probes interned so far; ids are [0..count()-1]. *)

@@ -36,6 +36,13 @@ let unpack_flow packed =
     in
     Some (packed lsr 2, phase)
 
+module Histogram = Msnap_util.Histogram
+
+(* The one per-domain recording store: the trace buffer and its
+   per-probe summary, plus [Metrics]'s counter and histogram columns.
+   Every per-probe column is indexed by [Probe.id] and grown by
+   [ensure_stats]. [enable]/[dump] touch only the trace columns;
+   [clear_metrics] only the metric ones. *)
 type store = {
   mutable enabled : bool;
   mutable verbose : bool;
@@ -59,36 +66,43 @@ type store = {
   mutable next_flow : int;
   (* First-seen name per tid, registered when an event is stored. *)
   tnames : (int, string) Hashtbl.t;
-  (* Per-probe running totals indexed by [Probe.id], kept at emit time
-     so the summary stays exact even when the buffer hits its cap. An
-     int-indexed array load replaces the old hashed-tuple lookup. *)
+  (* Per-probe running totals, kept at emit time so the summary stays
+     exact even when the buffer hits its cap. *)
   mutable st_count : int array;
   mutable st_total : int array;
   mutable st_max : int array;
+  (* Metric columns: counters and latency histograms. *)
+  mutable m_count : int array;
+  mutable m_hist : Histogram.t option array;
 }
+
+let fresh ~enabled ~verbose ~limit =
+  {
+    enabled;
+    verbose;
+    limit;
+    b_probe = [||];
+    b_ts = [||];
+    b_dur = [||];
+    b_tid = [||];
+    b_args = [||];
+    b_ak = [||];
+    b_av = [||];
+    b_flow = [||];
+    len = 0;
+    dropped = 0;
+    next_flow = 0;
+    tnames = Hashtbl.create 32;
+    st_count = [||];
+    st_total = [||];
+    st_max = [||];
+    m_count = [||];
+    m_hist = [||];
+  }
 
 let store_key : store Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      {
-        enabled = false;
-        verbose = false;
-        limit = 1 lsl 20;
-        b_probe = [||];
-        b_ts = [||];
-        b_dur = [||];
-        b_tid = [||];
-        b_args = [||];
-        b_ak = [||];
-        b_av = [||];
-        b_flow = [||];
-        len = 0;
-        dropped = 0;
-        next_flow = 0;
-        tnames = Hashtbl.create 32;
-        st_count = [||];
-        st_total = [||];
-        st_max = [||];
-      })
+      fresh ~enabled:false ~verbose:false ~limit:(1 lsl 20))
 
 let store () = Domain.DLS.get store_key
 
@@ -106,26 +120,15 @@ let set_thread_source ~tid ~tname =
   thread_id_source := tid;
   thread_name_source := tname
 
+(* A fresh trace side; the metric columns carry over untouched. *)
 let enable ?(limit = 1 lsl 20) ?(verbose = false) () =
   let s = store () in
-  s.enabled <- true;
-  s.verbose <- verbose;
-  s.limit <- limit;
-  s.b_probe <- [||];
-  s.b_ts <- [||];
-  s.b_dur <- [||];
-  s.b_tid <- [||];
-  s.b_args <- [||];
-  s.b_ak <- [||];
-  s.b_av <- [||];
-  s.b_flow <- [||];
-  s.len <- 0;
-  s.dropped <- 0;
-  s.next_flow <- 0;
-  Hashtbl.reset s.tnames;
-  s.st_count <- [||];
-  s.st_total <- [||];
-  s.st_max <- [||]
+  Domain.DLS.set store_key
+    {
+      (fresh ~enabled:true ~verbose ~limit) with
+      m_count = s.m_count;
+      m_hist = s.m_hist;
+    }
 
 let disable () = (store ()).enabled <- false
 let is_on () = (store ()).enabled
@@ -140,16 +143,40 @@ let new_flow () =
   s.next_flow <- s.next_flow + 1;
   s.next_flow
 
+(* The one grow-on-demand path for every per-probe column: each is
+   extended to cover all probes interned so far, contents kept. *)
 let ensure_stats s =
   let n = Probe.count () in
-  let grow a =
-    let na = Array.make n 0 in
-    Array.blit a 0 na 0 (Array.length a);
-    na
+  let grow a zero =
+    if Array.length a >= n then a
+    else begin
+      let na = Array.make n zero in
+      Array.blit a 0 na 0 (Array.length a);
+      na
+    end
   in
-  s.st_count <- grow s.st_count;
-  s.st_total <- grow s.st_total;
-  s.st_max <- grow s.st_max
+  s.st_count <- grow s.st_count 0;
+  s.st_total <- grow s.st_total 0;
+  s.st_max <- grow s.st_max 0;
+  s.m_count <- grow s.m_count 0;
+  s.m_hist <- grow s.m_hist None
+
+(* --- metric columns (read and written by Metrics) --- *)
+
+let metric_counts () =
+  let s = store () in
+  if Array.length s.m_count < Probe.count () then ensure_stats s;
+  s.m_count
+
+let metric_hists () =
+  let s = store () in
+  if Array.length s.m_hist < Probe.count () then ensure_stats s;
+  s.m_hist
+
+let clear_metrics () =
+  let s = store () in
+  s.m_count <- [||];
+  s.m_hist <- [||]
 
 let grow_buf s =
   let cap = max 1024 (min s.limit (2 * Array.length s.b_probe)) in
@@ -241,27 +268,7 @@ let buffer_limit () = (store ()).limit
 
 let cell_begin ~enabled ~verbose ~limit =
   let saved = store () in
-  Domain.DLS.set store_key
-    {
-      enabled;
-      verbose;
-      limit;
-      b_probe = [||];
-      b_ts = [||];
-      b_dur = [||];
-      b_tid = [||];
-      b_args = [||];
-      b_ak = [||];
-      b_av = [||];
-      b_flow = [||];
-      len = 0;
-      dropped = 0;
-      next_flow = 0;
-      tnames = Hashtbl.create 32;
-      st_count = [||];
-      st_total = [||];
-      st_max = [||];
-    };
+  Domain.DLS.set store_key (fresh ~enabled ~verbose ~limit);
   saved
 
 let cell_end saved =
@@ -272,18 +279,23 @@ let cell_end saved =
 
 let cell_merge ~shift cell =
   let s = store () in
-  if Array.length cell.st_count > 0 then begin
-    if Array.length s.st_count < Array.length cell.st_count then
-      ensure_stats s;
-    Array.iteri
-      (fun i c ->
-        if c > 0 then begin
-          s.st_count.(i) <- s.st_count.(i) + c;
-          s.st_total.(i) <- s.st_total.(i) + cell.st_total.(i);
-          if cell.st_max.(i) > s.st_max.(i) then s.st_max.(i) <- cell.st_max.(i)
-        end)
-      cell.st_count
-  end;
+  ensure_stats s;
+  Array.iteri
+    (fun i c ->
+      if c > 0 then begin
+        s.st_count.(i) <- s.st_count.(i) + c;
+        s.st_total.(i) <- s.st_total.(i) + cell.st_total.(i);
+        if cell.st_max.(i) > s.st_max.(i) then s.st_max.(i) <- cell.st_max.(i)
+      end)
+    cell.st_count;
+  Array.iteri (fun i c -> s.m_count.(i) <- s.m_count.(i) + c) cell.m_count;
+  Array.iteri
+    (fun i h ->
+      match (h, s.m_hist.(i)) with
+      | None, _ -> ()
+      | Some h, Some cur -> Histogram.merge cur h
+      | Some _, None -> s.m_hist.(i) <- h)
+    cell.m_hist;
   s.dropped <- s.dropped + cell.dropped;
   (* Flow ids are only unique within a store; rebase the cell's ids
      past everything already issued here. *)

@@ -308,25 +308,20 @@ let shootdown t vpns =
     Trace.instant Probe.vm_shootdown ~argi:("pages", n);
   Tlb.shootdown ~n t.a_tlb vpns
 
-let pages_of_range t ~va ~len =
-  let vpn = Addr.vpn_of_va va in
-  let n = Addr.pages_spanned ~off:va ~len in
-  let acc = ref [] in
-  ignore
-    (Ptable.scan_range t.pt ~vpn ~n ~f:(fun v loc ->
-         let pte = Ptloc.get loc in
-         acc := (v, Phys.get t.a_phys (Pte.frame pte)) :: !acc));
-  List.rev !acc
-
 let unmap t m =
   ignore
-    (Ptable.scan_range t.pt ~vpn:m.start_vpn ~n:m.npages ~f:(fun vpn loc ->
-         let pte = Ptloc.get loc in
-         let page = Phys.get t.a_phys (Pte.frame pte) in
-         Phys.rmap_remove page loc;
-         Ptloc.set loc Pte.empty;
-         Tlb.invalidate_page t.a_tlb vpn;
-         if Phys.rmap_is_empty page then Phys.free t.a_phys page));
+    (Ptable.iter_leaves t.pt ~vpn:m.start_vpn ~n:m.npages
+       ~f:(fun slots base s0 s1 ->
+         for s = s0 to s1 do
+           let pte = slots.(s) in
+           if Pte.present pte then begin
+             let page = Phys.get t.a_phys (Pte.frame pte) in
+             Phys.rmap_remove page (Ptloc.make slots s);
+             slots.(s) <- Pte.empty;
+             Tlb.invalidate_page t.a_tlb (base + s);
+             if Phys.rmap_is_empty page then Phys.free t.a_phys page
+           end
+         done));
   (* Drop [m] with a single counted copy — no list round-trip. *)
   let ms = t.mappings in
   let kept = ref 0 in

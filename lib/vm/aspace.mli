@@ -95,6 +95,3 @@ val protect_page : t -> vpn:int -> unit
 
 val shootdown : t -> int list -> unit
 (** TLB shootdown for the given VPNs (cost charged inside). *)
-
-val pages_of_range : t -> va:int -> len:int -> (int * Phys.page) list
-(** Present pages in the range as [(vpn, page)]. No cost charged. *)

@@ -3,10 +3,13 @@ module Sched = Msnap_sim.Sched
 
 type dirty = (int * Ptloc.t) list
 
-let clear_writable loc =
-  let pte = Ptloc.get loc in
+(* Protect slot [s] of a leaf's PTE array if it is still present and
+   writable. Callers charge first, and [Sched.cpu] is a scheduling
+   point, so the PTE is read again here. *)
+let clear_writable slots s =
+  let pte = slots.(s) in
   if Pte.present pte && Pte.writable pte then begin
-    Ptloc.set loc (Pte.set_writable pte false);
+    slots.(s) <- Pte.set_writable pte false;
     true
   end
   else false
@@ -20,11 +23,14 @@ let scan_mapping t ~mapping_va ~mapping_len dirty =
   let n = Addr.pages_spanned ~off:mapping_va ~len:mapping_len in
   let protected_count = ref 0 in
   let visited =
-    Ptable.scan_range (Aspace.page_table t) ~vpn ~n ~f:(fun _ loc ->
-        if Pte.writable (Ptloc.get loc) then begin
-          Sched.cpu Costs.pte_update_bulk;
-          if clear_writable loc then incr protected_count
-        end)
+    Ptable.iter_leaves (Aspace.page_table t) ~vpn ~n ~f:(fun slots _ s0 s1 ->
+        for s = s0 to s1 do
+          let pte = slots.(s) in
+          if Pte.present pte && Pte.writable pte then begin
+            Sched.cpu Costs.pte_update_bulk;
+            if clear_writable slots s then incr protected_count
+          end
+        done)
   in
   Sched.cpu (visited * Costs.pte_visit);
   finish t dirty !protected_count
@@ -36,7 +42,8 @@ let per_page_walk t dirty =
     (fun (vpn, _) ->
       Sched.cpu (Costs.pt_walk_sw + Costs.pte_update);
       match Ptable.find_loc pt vpn with
-      | Some loc -> if clear_writable loc then incr protected_count
+      | Some loc ->
+        if clear_writable loc.Ptloc.slots loc.slot then incr protected_count
       | None -> ())
     dirty;
   finish t dirty !protected_count
@@ -46,6 +53,6 @@ let trace_buffer t dirty =
   List.iter
     (fun (_, loc) ->
       Sched.cpu Costs.pte_update;
-      if clear_writable loc then incr protected_count)
+      if clear_writable loc.Ptloc.slots loc.slot then incr protected_count)
     dirty;
   finish t dirty !protected_count

@@ -84,10 +84,4 @@ let iter_leaves t ~vpn ~n ~f =
   in
   if n <= 0 || last < 0 then 0 else go (Addr.levels - 1) t.root 0 0
 
-let scan_range t ~vpn ~n ~f =
-  iter_leaves t ~vpn ~n ~f:(fun slots base s0 s1 ->
-      for s = s0 to s1 do
-        if Pte.present slots.(s) then f (base + s) (Ptloc.make slots s)
-      done)
-
 let node_count t = t.nodes

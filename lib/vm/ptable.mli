@@ -5,8 +5,7 @@
     the table, because the paper's Figure 1 compares protection-reset
     strategies by how they traverse it:
 
-    - scanning a whole mapping's PTE slots ([scan_range], or leaf by leaf
-      with [iter_leaves]),
+    - scanning a whole mapping's PTE slots leaf by leaf ([iter_leaves]),
     - walking from the root once per page ([walk]),
     - or revisiting a recorded slot directly ({!Ptloc}).
 
@@ -35,17 +34,13 @@ val iter_leaves :
     existing leaf that overlaps [vpn, vpn+n), in vpn order: [slots] is the
     leaf's PTE array (read and written in place), [base] the vpn of slot
     0, and [s0..s1] (inclusive) the slots inside the window. Returns the
-    number of slots handed over, the same count as {!scan_range}. Nothing
-    is allocated per PTE, which is what whole-mapping passes
-    (Aurora's shadow and collapse) need. *)
-
-val scan_range : t -> vpn:int -> n:int -> f:(int -> Ptloc.t -> unit) -> int
-(** Visit every *present* PTE in [vpn, vpn+n), in vpn order; returns the
-    number of PTE slots inspected (present or not, in existing leaves),
-    which is the cost driver of the baseline "traverse the mapping's page
-    tables" strategy. Absent subtrees are skipped the way real scans skip
-    empty PML entries, but each existing leaf contributes every slot it
-    has inside the window. Built on {!iter_leaves}. *)
+    number of PTE slots handed over (present or not), which is the cost
+    driver of the baseline "traverse the mapping's page tables"
+    strategy: absent subtrees are skipped the way real scans skip empty
+    PML entries, but each existing leaf contributes every slot it has
+    inside the window. Nothing is allocated per PTE, which is what
+    whole-mapping passes (the scan strategy, unmapping, Aurora's shadow
+    and collapse) need. *)
 
 val node_count : t -> int
 (** Allocated nodes (all levels), for memory accounting. *)

@@ -19,12 +19,20 @@ let in_sim f () = Sched.run f
 
 let mk_disk ?(size = Size.mib 4) () = Disk.create ~size ()
 
+(* Byte-buffer IO on a bare backend, through the device interface's
+   [write_slice] and its one [read]. The write lends [b]: callers pass
+   a buffer they leave alone until the write returns. *)
+let write d ~off b = Device.write_slice (Device.of_disk d) ~off (Slice.of_bytes b)
+let read d ~off ~len = Device.read (Device.of_disk d) ~off ~len
+let stripe_write s ~off b = Device.write_slice (Device.of_stripe s) ~off (Slice.of_bytes b)
+let stripe_read s ~off ~len = Device.read (Device.of_stripe s) ~off ~len
+
 let test_write_read () =
   in_sim (fun () ->
       let d = mk_disk () in
       let data = Bytes.of_string "hello block device" in
-      Disk.write d ~off:8192 data;
-      let back = Disk.read d ~off:8192 ~len:(Bytes.length data) in
+      write d ~off:8192 data;
+      let back = read d ~off:8192 ~len:(Bytes.length data) in
       check_bytes "roundtrip" "hello block device" (Bytes.to_string back))
     ()
 
@@ -32,7 +40,7 @@ let test_latency_model () =
   in_sim (fun () ->
       let d = mk_disk () in
       let t0 = Sched.now () in
-      Disk.write d ~off:0 (Bytes.create 4096);
+      write d ~off:0 (Bytes.create 4096);
       let t = Sched.now () - t0 in
       (* 4 KiB: base + xfer = 15500 + 1843 *)
       checki "4k latency" (Costs.disk_base + Costs.disk_xfer 4096) t)
@@ -47,8 +55,8 @@ let test_vectored_single_command () =
           (65536, Disk.Slice.of_bytes (Bytes.create 4096)) ];
       let vectored = Sched.now () - t0 in
       let t1 = Sched.now () in
-      Disk.write d ~off:0 (Bytes.create 4096);
-      Disk.write d ~off:65536 (Bytes.create 4096);
+      write d ~off:0 (Bytes.create 4096);
+      write d ~off:65536 (Bytes.create 4096);
       let separate = Sched.now () - t1 in
       checkb "one base latency, not two" true (vectored < separate);
       checki "vectored = base + 2 xfers" (Costs.disk_base + Costs.disk_xfer 8192)
@@ -64,7 +72,7 @@ let test_channels_limit_concurrency () =
       let ts =
         List.init n (fun i ->
             Sched.spawn (fun () ->
-                Disk.write d ~off:(i * 4096) (Bytes.create 4096)))
+                write d ~off:(i * 4096) (Bytes.create 4096)))
       in
       List.iter Sched.join ts;
       let elapsed = Sched.now () - t0 in
@@ -77,7 +85,7 @@ let test_out_of_range () =
       let d = mk_disk ~size:8192 () in
       let raised =
         try
-          Disk.write d ~off:8000 (Bytes.create 4096);
+          write d ~off:8000 (Bytes.create 4096);
           false
         with Invalid_argument _ -> true
       in
@@ -87,8 +95,8 @@ let test_out_of_range () =
 let test_stats () =
   in_sim (fun () ->
       let d = mk_disk () in
-      Disk.write d ~off:0 (Bytes.create 4096);
-      ignore (Disk.read d ~off:0 ~len:512);
+      write d ~off:0 (Bytes.create 4096);
+      ignore (read d ~off:0 ~len:512);
       let s = Disk.stats d in
       checki "writes" 1 s.Disk.writes;
       checki "reads" 1 s.Disk.reads;
@@ -98,39 +106,24 @@ let test_stats () =
       checki "reset" 0 (Disk.stats d).Disk.writes)
     ()
 
-let test_write_buffer_snapshot () =
-  (* The device must capture the buffer at submission: later mutation of
-     the caller's bytes must not leak to the medium. *)
-  in_sim (fun () ->
-      let d = mk_disk () in
-      let b = Bytes.of_string "AAAA" in
-      let t = Sched.spawn (fun () -> Disk.write d ~off:0 b) in
-      (* Let the writer submit, then mutate while the IO is in flight. *)
-      Sched.delay 1;
-      Bytes.set b 0 'Z';
-      Sched.join t;
-      check_bytes "snapshot" "AAAA"
-        (Bytes.to_string (Disk.read d ~off:0 ~len:4)))
-    ()
-
 let test_power_failure_blocks_io () =
   in_sim (fun () ->
       let d = mk_disk () in
       Disk.fail_power d ~torn_seed:1;
-      let raised = try Disk.write d ~off:0 (Bytes.create 512); false with Disk.Powered_off -> true in
+      let raised = try write d ~off:0 (Bytes.create 512); false with Disk.Powered_off -> true in
       checkb "write rejected" true raised;
       Disk.restore_power d;
-      Disk.write d ~off:0 (Bytes.create 512))
+      write d ~off:0 (Bytes.create 512))
     ()
 
 let test_torn_write () =
   in_sim (fun () ->
       let d = mk_disk () in
       (* Fill with 'O', then crash mid-flight of an 8-sector overwrite. *)
-      Disk.write d ~off:0 (Bytes.make 4096 'O');
+      write d ~off:0 (Bytes.make 4096 'O');
       let writer =
         Sched.spawn (fun () ->
-            try Disk.write d ~off:0 (Bytes.make 4096 'N')
+            try write d ~off:0 (Bytes.make 4096 'N')
             with Disk.Powered_off -> ())
       in
       (* Let the write get half way. *)
@@ -138,7 +131,7 @@ let test_torn_write () =
       Disk.fail_power d ~torn_seed:7;
       Sched.join writer;
       Disk.restore_power d;
-      let back = Bytes.to_string (Disk.read d ~off:0 ~len:4096) in
+      let back = Bytes.to_string (read d ~off:0 ~len:4096) in
       (* Every sector is entirely old or entirely new. *)
       let sectors = 4096 / Costs.sector in
       let mixed = ref false and any_new = ref false and any_old = ref false in
@@ -168,14 +161,14 @@ let test_torn_write () =
 let test_power_failure_during_read () =
   in_sim (fun () ->
       let d = mk_disk () in
-      Disk.write d ~off:0 (Bytes.make 4096 'r');
+      write d ~off:0 (Bytes.make 4096 'r');
       let dur = Costs.disk_base + Costs.disk_xfer 4096 in
       let read_across_outage ~restore_before_end =
         let outcome = ref "" in
         let reader =
           Sched.spawn (fun () ->
               outcome :=
-                match Disk.read d ~off:0 ~len:4096 with
+                match read d ~off:0 ~len:4096 with
                 | _ -> "data"
                 | exception Disk.Powered_off -> "powered off")
         in
@@ -191,7 +184,7 @@ let test_power_failure_during_read () =
       check_bytes "outage, power back before the end" "powered off"
         (read_across_outage ~restore_before_end:true);
       check_bytes "a read after the outage succeeds" (String.make 4096 'r')
-        (Bytes.to_string (Disk.read d ~off:0 ~len:4096)))
+        (Bytes.to_string (read d ~off:0 ~len:4096)))
     ()
 
 (* --- the medium: sparse off-heap chunks, zeroed lazily per page --- *)
@@ -204,14 +197,14 @@ let chunk = Size.kib 256
 let test_chunk_reuse () =
   in_sim (fun () ->
       let d = mk_disk ~size:chunk () in
-      Disk.write d ~off:0 (Bytes.make chunk 'x');
+      write d ~off:0 (Bytes.make chunk 'x');
       Disk.dispose d;
       let d = mk_disk ~size:chunk () in
-      Disk.write d ~off:0 (Bytes.make 512 'y');
+      write d ~off:0 (Bytes.make 512 'y');
       let want = Bytes.make chunk '\000' in
       Bytes.fill want 0 512 'y';
       checkb "512 written bytes, then zeros" true
-        (Bytes.equal want (Disk.read d ~off:0 ~len:chunk));
+        (Bytes.equal want (read d ~off:0 ~len:chunk));
       (* A sub-sector write into the middle of a fresh page. *)
       Disk.poke d ~off:(chunk - 5000) ~data:(Bytes.make 3 'z');
       Bytes.fill want (chunk - 5000) 3 'z';
@@ -240,7 +233,7 @@ let test_medium_bounds () =
           ("poke negative off", fun () -> Disk.poke d ~off:(-8) ~data:(Bytes.make 16 'p'));
           ("poke at max_int",
             fun () -> Disk.poke d ~off:max_int ~data:(Bytes.make 16 'p'));
-          ("read past the end", fun () -> ignore (Disk.read d ~off:size ~len:1));
+          ("read past the end", fun () -> ignore (read d ~off:size ~len:1));
           ("writev past the end",
             fun () ->
               Disk.writev d
@@ -405,8 +398,8 @@ let test_stripe_roundtrip () =
       let rng = Msnap_util.Rng.create 5 in
       (* Spans several stripe units and a device boundary. *)
       let data = Msnap_util.Rng.bytes rng (Size.kib 200) in
-      Stripe.write s ~off:(Size.kib 30) data;
-      let back = Stripe.read s ~off:(Size.kib 30) ~len:(Size.kib 200) in
+      stripe_write s ~off:(Size.kib 30) data;
+      let back = stripe_read s ~off:(Size.kib 30) ~len:(Size.kib 200) in
       checkb "roundtrip" true (Bytes.equal data back))
     ()
 
@@ -422,7 +415,7 @@ let test_stripe_parallelism () =
       (* A 128 KiB aligned write spans both devices: latency ~ one 64 KiB
          command, not one 128 KiB command. *)
       let t0 = Sched.now () in
-      Stripe.write s ~off:0 (Bytes.create (Size.kib 128));
+      stripe_write s ~off:0 (Bytes.create (Size.kib 128));
       let t = Sched.now () - t0 in
       let one_dev = Costs.disk_base + Costs.disk_xfer (Size.kib 64) in
       checkb "parallel across devices" true (t <= one_dev + 2_000))
@@ -431,7 +424,7 @@ let test_stripe_parallelism () =
 let test_stripe_single_unit_one_device () =
   in_sim (fun () ->
       let s = mk_stripe () in
-      Stripe.write s ~off:0 (Bytes.create (Size.kib 64));
+      stripe_write s ~off:0 (Bytes.create (Size.kib 64));
       let st = Stripe.stats s in
       checki "one command" 1 st.Disk.writes)
     ()
@@ -439,13 +432,13 @@ let test_stripe_single_unit_one_device () =
 let test_stripe_crash () =
   in_sim (fun () ->
       let s = mk_stripe () in
-      Stripe.write s ~off:0 (Bytes.make 512 'A');
+      stripe_write s ~off:0 (Bytes.make 512 'A');
       Stripe.fail_power s ~torn_seed:3;
-      let raised = try Stripe.write s ~off:0 (Bytes.create 512); false with Disk.Powered_off -> true in
+      let raised = try stripe_write s ~off:0 (Bytes.create 512); false with Disk.Powered_off -> true in
       checkb "off" true raised;
       Stripe.restore_power s;
       check_bytes "data survives" (String.make 512 'A')
-        (Bytes.to_string (Stripe.read s ~off:0 ~len:512)))
+        (Bytes.to_string (stripe_read s ~off:0 ~len:512)))
     ()
 
 (* --- zero-copy crash equivalence --- *)
@@ -462,7 +455,7 @@ let test_stripe_crash () =
 let crash_replay ~copy_at_issue ~disk_size ~init ~segs ~backing ~delay ~seed =
   Sched.run (fun () ->
       let d = Disk.create ~size:disk_size () in
-      List.iter (fun (off, data) -> Disk.write d ~off data) init;
+      List.iter (fun (off, data) -> write d ~off data) init;
       let slices =
         List.map
           (fun (off, pos, len) ->
@@ -481,7 +474,7 @@ let crash_replay ~copy_at_issue ~disk_size ~init ~segs ~backing ~delay ~seed =
       Disk.fail_power d ~torn_seed:seed;
       Sched.join writer;
       Disk.restore_power d;
-      Disk.read d ~off:0 ~len:disk_size)
+      read d ~off:0 ~len:disk_size)
 
 let test_torn_prefix_sweep () =
   (* One 8-sector command over a sweep of crash points and seeds: every
@@ -612,7 +605,7 @@ let prop_coalesce_equivalence =
             let t0 = Sched.now () in
             Stripe.writev s segs;
             let dur = Sched.now () - t0 in
-            (dur, Stripe.read s ~off ~len))
+            (dur, stripe_read s ~off ~len))
       in
       let split = run (to_segs bounds) in
       let merged = run [ (off, Slice.make backing ~pos:0 ~len) ] in
@@ -626,15 +619,16 @@ let test_device_disk_parity () =
   let direct =
     Sched.run (fun () ->
         let d = mk_disk () in
-        Disk.write d ~off:4096 (Bytes.make 512 'q');
-        let b = Disk.read d ~off:4096 ~len:512 in
+        Disk.write_slice d ~off:4096 (Slice.of_bytes (Bytes.make 512 'q'));
+        let b = Bytes.create 512 in
+        Disk.read_into d ~off:4096 (Slice.of_bytes b);
         Disk.flush d;
         (Bytes.to_string b, Sched.now (), (Disk.stats d).Disk.writes))
   in
   let wrapped =
     Sched.run (fun () ->
         let dev = Device.of_disk (mk_disk ()) in
-        Device.write dev ~off:4096 (Bytes.make 512 'q');
+        Device.write_slice dev ~off:4096 (Slice.of_bytes (Bytes.make 512 'q'));
         let b = Device.read dev ~off:4096 ~len:512 in
         Device.flush dev;
         (Bytes.to_string b, Sched.now (), (Device.stats dev).Disk.writes))
@@ -649,15 +643,16 @@ let test_device_stripe_parity () =
   let direct =
     Sched.run (fun () ->
         let s = mk () in
-        Stripe.write s ~off:0 (Bytes.make (Size.kib 256) 'w');
-        let b = Stripe.read s ~off:(Size.kib 64) ~len:128 in
+        Stripe.write_slice s ~off:0 (Slice.of_bytes (Bytes.make (Size.kib 256) 'w'));
+        let b = Bytes.create 128 in
+        Stripe.read_into s ~off:(Size.kib 64) (Slice.of_bytes b);
         Stripe.flush s;
         (Bytes.to_string b, Sched.now (), Stripe.size s))
   in
   let wrapped =
     Sched.run (fun () ->
         let dev = Device.of_stripe (mk ()) in
-        Device.write dev ~off:0 (Bytes.make (Size.kib 256) 'w');
+        Device.write_slice dev ~off:0 (Slice.of_bytes (Bytes.make (Size.kib 256) 'w'));
         let b = Device.read dev ~off:(Size.kib 64) ~len:128 in
         Device.flush dev;
         (Bytes.to_string b, Sched.now (), Device.size dev))
@@ -667,10 +662,10 @@ let test_device_stripe_parity () =
 let test_device_power_failure () =
   Sched.run (fun () ->
       let dev = Device.of_disk (mk_disk ()) in
-      Device.write dev ~off:0 (Bytes.make 512 'x');
+      Device.write_slice dev ~off:0 (Slice.of_bytes (Bytes.make 512 'x'));
       Device.fail_power dev ~torn_seed:1;
       checkb "write raises when off" true
-        (match Device.write dev ~off:0 (Bytes.make 512 'y') with
+        (match Device.write_slice dev ~off:0 (Slice.of_bytes (Bytes.make 512 'y')) with
         | () -> false
         | exception Disk.Powered_off -> true);
       Device.restore_power dev;
@@ -684,12 +679,49 @@ let test_device_barrier_orders () =
       let dev = Device.of_stripe
           (Stripe.create [ Disk.create ~size:(Size.mib 4) () ])
       in
-      Device.write dev ~off:0 (Bytes.make 4096 'b');
+      Device.write_slice dev ~off:0 (Slice.of_bytes (Bytes.make 4096 'b'));
       Device.barrier dev;
       Device.fail_power dev ~torn_seed:3;
       Device.restore_power dev;
       check_bytes "barriered write durable" (String.make 8 'b')
         (Bytes.to_string (Device.read dev ~off:0 ~len:8)))
+
+let mentions msg sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Every backend has one write contract: the buffer is lent, not
+   copied. Under [debug_checks], mutating it while the write is in
+   flight is an ownership violation raised to the writer; once the
+   write has returned, the buffer is the caller's to reuse. *)
+let test_device_lent_buffer () =
+  let check name dev =
+    Sched.run (fun () ->
+        let dev = dev () in
+        let b = Bytes.of_string "AAAA" in
+        let violation = ref false in
+        let writer =
+          Sched.spawn (fun () ->
+              try Device.write_slice dev ~off:0 (Slice.of_bytes b)
+              with Invalid_argument msg ->
+                violation := mentions msg "ownership violation")
+        in
+        (* Let the writer submit, then mutate while the IO is in flight. *)
+        Sched.delay 1;
+        Bytes.set b 0 'Z';
+        Sched.join writer;
+        checkb (name ^ ": mutation in flight raises") true !violation;
+        Bytes.set b 0 'B';
+        Device.write_slice dev ~off:0 (Slice.of_bytes b);
+        Bytes.set b 0 'C';
+        check_bytes (name ^ ": reuse after the write returns") "BAAA"
+          (Bytes.to_string (Device.read dev ~off:0 ~len:4)))
+  in
+  check "disk" (fun () -> Device.of_disk (mk_disk ()));
+  check "stripe" (fun () -> Device.of_stripe (mk_stripe ()))
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -703,7 +735,6 @@ let () =
           tc "channel limit" test_channels_limit_concurrency;
           tc "out of range" test_out_of_range;
           tc "stats" test_stats;
-          tc "buffer snapshot" test_write_buffer_snapshot;
           tc "power failure" test_power_failure_blocks_io;
           tc "torn write" test_torn_write;
           tc "power failure during a read" test_power_failure_during_read;
@@ -731,5 +762,6 @@ let () =
           tc "stripe parity" test_device_stripe_parity;
           tc "power failure through wrapper" test_device_power_failure;
           tc "barrier makes prior IO durable" test_device_barrier_orders;
+          tc "lent buffer: one contract" test_device_lent_buffer;
         ] );
     ]

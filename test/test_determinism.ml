@@ -9,6 +9,8 @@
 module Sched = Msnap_sim.Sched
 module Metrics = Msnap_sim.Metrics
 module Trace = Msnap_sim.Trace
+module Probe = Msnap_sim.Probe
+module Histogram = Msnap_util.Histogram
 module Rng = Msnap_util.Rng
 module Tbl = Msnap_util.Tbl
 module Size = Msnap_util.Size
@@ -304,6 +306,7 @@ type cellrun = {
   c_vals : (string * int) list; (* cell label -> simulated ns *)
   c_accounts : (string * (string * int) list) list;
   c_counters : (string * int) list;
+  c_hists : string list;
   c_trace_events : int;
   c_trace_digest : string;
 }
@@ -328,31 +331,55 @@ let trace_digest () =
   Array.iter addi d.Trace.d_av;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let cell_run ~workers ~traced =
+(* Every probe with samples, with the figures its merged histogram
+   reports: a histogram merge bug moves these even when every counter
+   matches. *)
+let hist_figures () =
+  List.filter_map
+    (fun i ->
+      let p = Probe.of_id i in
+      match Metrics.hist p with
+      | Some h when Metrics.samples p > 0 ->
+        Some
+          (Printf.sprintf "%s samples=%d mean=%.17g p50=%d p99=%d max=%d"
+             (Probe.name p) (Metrics.samples p) (Metrics.mean_ns p)
+             (Histogram.percentile h 50.0) (Histogram.percentile h 99.0)
+             (Histogram.max_value h))
+      | _ -> None)
+    (List.init (Probe.count ()) Fun.id)
+
+(* [cells:false] runs the same bodies in order on this domain, with no
+   cell store to merge: the reference the merged recordings must equal. *)
+let cell_run ?(cells = true) ~workers ~traced () =
   Taskpool.shutdown ();
   Taskpool.ensure_workers workers;
   Metrics.reset ();
   Sched.set_trace_base 0;
   if traced then Trace.enable ~verbose:true ();
   let region_pages = 256 in
-  let pend =
+  let bodies =
     List.concat_map
       (fun dirty_pages ->
         [
           ( Printf.sprintf "memsnap/%d" dirty_pages,
-            Cell.submit (fun () ->
-                Sched.run (fun () -> ms_measure ~region_pages ~dirty_pages ()))
-          );
+            fun () ->
+              Sched.run (fun () -> ms_measure ~region_pages ~dirty_pages ()) );
           ( Printf.sprintf "aurora/%d" dirty_pages,
-            Cell.submit (fun () ->
-                Sched.run (fun () -> au_measure ~region_pages ~dirty_pages ()))
-          );
+            fun () ->
+              Sched.run (fun () -> au_measure ~region_pages ~dirty_pages ()) );
         ])
       [ 1; 4; 16 ]
   in
-  (* Force in submission order — the program order a serial run has. *)
-  let forced = List.map (fun (n, p) -> (n, Cell.force p)) pend in
+  let forced =
+    if not cells then List.map (fun (n, f) -> (n, f ())) bodies
+    else begin
+      let pend = List.map (fun (n, f) -> (n, Cell.submit f)) bodies in
+      (* Force in submission order — the program order a serial run has. *)
+      List.map (fun (n, p) -> (n, Cell.force p)) pend
+    end
+  in
   let counters = Metrics.counters () in
+  let hists = hist_figures () in
   let n_ev = if traced then Trace.event_count () else 0 in
   let td = if traced then trace_digest () else "" in
   if traced then Trace.disable ();
@@ -361,6 +388,7 @@ let cell_run ~workers ~traced =
     c_vals = List.map (fun (n, (v, _)) -> (n, v)) forced;
     c_accounts = List.map (fun (n, (_, r)) -> (n, r)) forced;
     c_counters = counters;
+    c_hists = hists;
     c_trace_events = n_ev;
     c_trace_digest = td;
   }
@@ -377,27 +405,36 @@ let check_cellrun name a b =
     a.c_accounts b.c_accounts;
   Alcotest.(check (list (pair string int)))
     (name ^ ": merged metrics") a.c_counters b.c_counters;
+  Alcotest.(check (list string))
+    (name ^ ": merged histograms") a.c_hists b.c_hists;
   Alcotest.(check int) (name ^ ": trace events") a.c_trace_events
     b.c_trace_events;
   Alcotest.(check string)
     (name ^ ": trace digest") a.c_trace_digest b.c_trace_digest
 
 let test_cells_parallel_identical () =
-  let serial = cell_run ~workers:0 ~traced:false in
-  check_cellrun "1 worker vs serial" serial (cell_run ~workers:1 ~traced:false);
-  check_cellrun "3 workers vs serial" serial (cell_run ~workers:3 ~traced:false)
+  let serial = cell_run ~workers:0 ~traced:false () in
+  Alcotest.(check bool) "histograms recorded" true (serial.c_hists <> []);
+  check_cellrun "serial vs no cells" (cell_run ~cells:false ~workers:0 ~traced:false ())
+    serial;
+  check_cellrun "1 worker vs serial" serial (cell_run ~workers:1 ~traced:false ());
+  check_cellrun "3 workers vs serial" serial (cell_run ~workers:3 ~traced:false ())
 
 let test_cells_traced_identical () =
-  let serial = cell_run ~workers:0 ~traced:true in
+  let serial = cell_run ~workers:0 ~traced:true () in
   Alcotest.(check bool)
     "trace actually recorded" true
     (serial.c_trace_events > 0);
   check_cellrun "3 workers vs serial (traced)" serial
-    (cell_run ~workers:3 ~traced:true);
+    (cell_run ~workers:3 ~traced:true ());
   (* Tracing itself must not move a simulated value. *)
-  let untraced = cell_run ~workers:0 ~traced:false in
+  let untraced = cell_run ~workers:0 ~traced:false () in
   Alcotest.(check (list (pair string int)))
-    "traced vs untraced: simulated values" untraced.c_vals serial.c_vals
+    "traced vs untraced: simulated values" untraced.c_vals serial.c_vals;
+  Alcotest.(check (list (pair string int)))
+    "traced vs untraced: metrics" untraced.c_counters serial.c_counters;
+  Alcotest.(check (list string))
+    "traced vs untraced: histograms" untraced.c_hists serial.c_hists
 
 let () =
   Alcotest.run "determinism"

@@ -8,6 +8,7 @@ module Size = Msnap_util.Size
 module Disk = Msnap_blockdev.Disk
 module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
+module Slice = Msnap_util.Slice
 module Record = Msnap_blockdev.Record
 module History = Msnap_faults.History
 module Image = Msnap_faults.Image
@@ -40,7 +41,7 @@ let script dev =
         let nsec = 1 + Rng.int rng 8 in
         let off = 512 * Rng.int rng (sectors - nsec) in
         let b = Bytes.make (512 * nsec) (Char.chr (Char.code 'a' + ((id + i) mod 26))) in
-        Device.write dev ~off b;
+        Device.write_slice dev ~off (Slice.of_bytes b);
         if i mod 9 = id then
           Msnap_sim.Sync.Mutex.with_lock flush_lock (fun () ->
               Device.flush dev)

@@ -3,6 +3,9 @@ module Sync = Msnap_sim.Sync
 module Metrics = Msnap_sim.Metrics
 module Probe = Msnap_sim.Probe
 module Trace = Msnap_sim.Trace
+module Cell = Msnap_sim.Cell
+module Taskpool = Msnap_util.Taskpool
+module Histogram = Msnap_util.Histogram
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -589,6 +592,84 @@ let test_account_report_only_charged_buckets () =
   checkb "silent absent" true (List.assoc_opt "page faults" report = None);
   checki "user" 5 (List.assoc "user" report)
 
+(* --- Cell: the merge contract ---
+
+   A cell records into a private store that [Cell.force] folds into the
+   forcing domain's counters, histograms and trace summary. Both
+   properties below must hold whether the body runs inline at force (0
+   pool workers) or on a worker domain. *)
+
+let cell_op = Probe.make Probe.Host "cell.op"
+
+exception Cell_boom
+
+(* Everything the forcing domain has recorded under [cell_op]. *)
+let recorded () =
+  let hist =
+    match Metrics.hist cell_op with
+    | Some h ->
+      Printf.sprintf "n=%d sum=%.0f max=%d" (Histogram.count h)
+        (Histogram.mean h *. float_of_int (Histogram.count h))
+        (Histogram.max_value h)
+    | None -> "none"
+  in
+  let summary =
+    List.filter_map
+      (fun (_, name, n, total, mx) ->
+        if name = Probe.name cell_op then
+          Some (Printf.sprintf "n=%d total=%d max=%d" n total mx)
+        else None)
+      (Trace.dump ()).Trace.d_summary
+  in
+  Printf.sprintf "count=%d hist=(%s) summary=[%s]" (Metrics.count cell_op)
+    hist (String.concat "; " summary)
+
+(* One timed 50 ns section: a counter bump, a histogram sample and a
+   trace span. *)
+let timed_op () =
+  Sched.run (fun () -> Metrics.timed cell_op (fun () -> Sched.delay 50))
+
+let at_workers f =
+  List.iter
+    (fun workers ->
+      Taskpool.shutdown ();
+      Taskpool.ensure_workers workers;
+      Metrics.reset ();
+      Trace.enable ();
+      Fun.protect
+        ~finally:(fun () ->
+          Trace.disable ();
+          Taskpool.shutdown ())
+        (fun () -> f (Printf.sprintf "%d workers" workers)))
+    [ 0; 2 ]
+
+let test_cell_force_twice_merges_once () =
+  at_workers (fun label ->
+      let c = Cell.submit (fun () -> timed_op (); 7) in
+      checki (label ^ ": value") 7 (Cell.force c);
+      let once = recorded () in
+      checks (label ^ ": merged once")
+        "count=1 hist=(n=1 sum=50 max=50) summary=[n=1 total=50 max=50]" once;
+      checki (label ^ ": value again") 7 (Cell.force c);
+      checks (label ^ ": second force merges nothing") once (recorded ()))
+
+let test_cell_raise_leaves_forcer_untouched () =
+  at_workers (fun label ->
+      timed_op ();
+      let before = recorded () in
+      let c =
+        Cell.submit (fun () ->
+            timed_op ();
+            Metrics.incr cell_op;
+            raise Cell_boom)
+      in
+      for i = 1 to 2 do
+        let what = Printf.sprintf "%s, force %d" label i in
+        checkb (what ^ ": re-raises") true
+          (match Cell.force c with () -> false | exception Cell_boom -> true);
+        checks (what ^ ": forcer untouched") before (recorded ())
+      done)
+
 let test_determinism_end_to_end () =
   (* The same program must produce the identical trace twice. *)
   let program () =
@@ -669,5 +750,11 @@ let () =
           tc "summary reconciles buckets" test_trace_summary_reconciles_with_buckets;
           tc "export json shape" test_trace_export_json;
           tc "summary exact past cap" test_trace_buffer_cap_keeps_summary_exact;
+        ] );
+      ( "cell",
+        [
+          tc "force twice merges once" test_cell_force_twice_merges_once;
+          tc "raising body leaves the forcer untouched"
+            test_cell_raise_leaves_forcer_untouched;
         ] );
     ]

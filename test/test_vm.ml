@@ -73,27 +73,36 @@ let test_ptable_loc_stable () =
   checkb "same slot" true (Ptloc.same loc1 loc2);
   checki "readable through old loc" 1 (Pte.frame (Ptloc.get loc1))
 
-let test_ptable_scan_range () =
+(* Present vpns [iter_leaves] hands over in [vpn, vpn+n), and the slot
+   count it returns. *)
+let present_in pt ~vpn ~n =
+  let seen = ref [] in
+  let visited =
+    Ptable.iter_leaves pt ~vpn ~n ~f:(fun slots base s0 s1 ->
+        for s = s0 to s1 do
+          if Pte.present slots.(s) then seen := (base + s) :: !seen
+        done)
+  in
+  (List.rev !seen, visited)
+
+let test_ptable_iter_leaves_window () =
   let pt = Ptable.create () in
   List.iter (fun vpn -> Ptable.set pt vpn (Pte.make ~frame:vpn ~writable:true))
     [ 10; 20; 600; 200_000 ];
-  let seen = ref [] in
-  let visited = Ptable.scan_range pt ~vpn:0 ~n:300_000 ~f:(fun vpn _ -> seen := vpn :: !seen) in
-  Alcotest.(check (list int)) "all present found" [ 10; 20; 600; 200_000 ] (List.rev !seen);
+  let seen, visited = present_in pt ~vpn:0 ~n:300_000 in
+  Alcotest.(check (list int)) "all present found" [ 10; 20; 600; 200_000 ] seen;
   (* Visited counts whole leaves that exist: 3 leaves x 512 slots (10 and
      20 share a leaf; 600 and 200000 in separate leaves). *)
   checki "slots inspected" (3 * 512) visited;
-  (* A clipped scan only sees its window. *)
-  let seen = ref [] in
-  ignore (Ptable.scan_range pt ~vpn:15 ~n:590 ~f:(fun vpn _ -> seen := vpn :: !seen));
-  Alcotest.(check (list int)) "clipped" [ 20; 600 ] (List.rev !seen)
+  (* A clipped walk only sees its window. *)
+  Alcotest.(check (list int)) "clipped" [ 20; 600 ]
+    (fst (present_in pt ~vpn:15 ~n:590))
 
-(* [iter_leaves] and [scan_range] against a per-vpn model: a vpn is
-   visited iff its leaf exists ([find_loc]) and reported iff its PTE is
-   present ([lookup]). Table entries and window ends cluster around the
+(* [iter_leaves] against a per-vpn model: a vpn is visited iff its leaf
+   exists ([find_loc]) and its PTE is seen present iff [lookup] says so. Table entries and window ends cluster around the
    512 (leaf) and 262,144 (level-2 node) boundaries, so windows start
    and end mid-leaf and cross node edges. Some entries are written
-   non-present: their leaf exists but the scans must skip them. *)
+   non-present: their leaf exists but the walk must not report them. *)
 let prop_ptable_scans_model =
   let near_boundary =
     QCheck.Gen.(
@@ -115,7 +124,7 @@ let prop_ptable_scans_model =
         (list_size (int_range 0 40) (pair near_boundary bool))
         (list_size (int_range 1 4) window))
   in
-  QCheck.Test.make ~count:150 ~name:"iter_leaves/scan_range agree with per-vpn model"
+  QCheck.Test.make ~count:150 ~name:"iter_leaves agrees with per-vpn model"
     (QCheck.make gen) (fun (entries, windows) ->
       let pt = Ptable.create () in
       List.iter
@@ -132,12 +141,6 @@ let prop_ptable_scans_model =
             if Pte.present (Ptable.lookup pt v) then m_present := v :: !m_present
           done;
           let m_present = List.rev !m_present in
-          let s_present = ref [] in
-          let s_visited =
-            Ptable.scan_range pt ~vpn ~n ~f:(fun v loc ->
-                assert (Ptloc.get loc = Ptable.lookup pt v);
-                s_present := v :: !s_present)
-          in
           let l_present = ref [] and l_sum = ref 0 and last_base = ref (-1) in
           let l_visited =
             Ptable.iter_leaves pt ~vpn ~n ~f:(fun slots base s0 s1 ->
@@ -150,8 +153,7 @@ let prop_ptable_scans_model =
                   if Pte.present slots.(s) then l_present := (base + s) :: !l_present
                 done)
           in
-          s_visited = !m_visited && l_visited = !m_visited && !l_sum = l_visited
-          && List.rev !s_present = m_present
+          l_visited = !m_visited && !l_sum = l_visited
           && List.rev !l_present = m_present)
         windows)
 
@@ -530,16 +532,6 @@ let test_aspace_unmap_frees () =
       ignore (Aspace.map a ~name:"m2" ~va:0x10000 ~len:4096 ()))
     ()
 
-let test_pages_of_range () =
-  in_sim (fun () ->
-      let _, a = mk_aspace () in
-      ignore (Aspace.map a ~name:"m" ~va:0x10000 ~len:(Size.kib 64) ());
-      Aspace.write a ~va:0x10000 (Bytes.make 1 'a');
-      Aspace.write a ~va:0x14000 (Bytes.make 1 'b');
-      let pages = Aspace.pages_of_range a ~va:0x10000 ~len:(Size.kib 64) in
-      checki "two resident" 2 (List.length pages))
-    ()
-
 (* --- Protect strategies (Fig. 1 mechanics) --- *)
 
 let setup_dirty_mapping ~mapping_pages ~dirty_pages =
@@ -610,7 +602,7 @@ let () =
         [
           tc "walk/set/lookup" test_ptable_walk_set_lookup;
           tc "loc stable" test_ptable_loc_stable;
-          tc "scan_range" test_ptable_scan_range;
+          tc "iter_leaves window" test_ptable_iter_leaves_window;
           QCheck_alcotest.to_alcotest prop_ptable_scans_model;
           QCheck_alcotest.to_alcotest prop_ptable_model;
         ] );
@@ -639,7 +631,6 @@ let () =
           tc "fault once per page" test_aspace_fault_handler_called_once_per_page;
           tc "shared frame" test_aspace_shared_frame;
           tc "unmap frees" test_aspace_unmap_frees;
-          tc "pages_of_range" test_pages_of_range;
         ] );
       ( "protect",
         [
