@@ -186,62 +186,50 @@ type hostm = {
   h_hits : int;
   h_misses : int;
   h_sched_ev : int; (* scheduler run-queue events executed *)
-  h_ctx_sw : int; (* pops that handed the CPU to a different thread *)
-}
-
-type frame = {
-  fr_t0 : float;
-  fr_minor0 : float;
-  fr_major0 : float;
-  fr_hits0 : int;
-  fr_misses0 : int;
-  fr_ev0 : int;
-  fr_ctx0 : int;
-  (* raw totals of directly-nested frames, to subtract *)
-  mutable fr_n_wall : float;
-  mutable fr_n_minor : float;
-  mutable fr_n_major : float;
-  mutable fr_n_hits : int;
-  mutable fr_n_misses : int;
-  mutable fr_n_ev : int;
-  mutable fr_n_ctx : int;
-  mutable fr_cells : hostm list; (* forced under this frame, reversed *)
 }
 
 module Pool = Msnap_util.Pool
+
+let zero =
+  { h_wall_s = 0.0; h_minor = 0.0; h_major = 0.0; h_hits = 0; h_misses = 0;
+    h_sched_ev = 0 }
+
+(* Absolute counters now. [Gc.counters] (unlike [Gc.quick_stat]'s word
+   counts, which are process-wide in OCaml 5) is domain-local, so frames
+   measure only this domain's allocation no matter what other domains do
+   concurrently. *)
+let sample () =
+  let minor, _, major = Gc.counters () in
+  let p = Pool.totals () in
+  let ev, _, _ = Sched.host_counters () in
+  { h_wall_s = Unix.gettimeofday (); h_minor = minor; h_major = major;
+    h_hits = p.Pool.t_hits; h_misses = p.Pool.t_misses; h_sched_ev = ev }
+
+(* [diff a b] is [b - a], field by field. *)
+let diff a b =
+  { h_wall_s = b.h_wall_s -. a.h_wall_s; h_minor = b.h_minor -. a.h_minor;
+    h_major = b.h_major -. a.h_major; h_hits = b.h_hits - a.h_hits;
+    h_misses = b.h_misses - a.h_misses;
+    h_sched_ev = b.h_sched_ev - a.h_sched_ev }
+
+let add a b =
+  { h_wall_s = a.h_wall_s +. b.h_wall_s; h_minor = a.h_minor +. b.h_minor;
+    h_major = a.h_major +. b.h_major; h_hits = a.h_hits + b.h_hits;
+    h_misses = a.h_misses + b.h_misses;
+    h_sched_ev = a.h_sched_ev + b.h_sched_ev }
+
+type frame = {
+  fr_start : hostm;
+  mutable fr_nested : hostm; (* raw totals of directly-nested frames *)
+  mutable fr_cells : hostm list; (* forced under this frame, reversed *)
+}
 
 let frames_key : frame list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let frame_begin () =
-  (* [Gc.counters] (unlike [Gc.quick_stat]'s word counts, which are
-     process-wide in OCaml 5) is domain-local, so frames measure only
-     this domain's allocation no matter what other domains do
-     concurrently. *)
-  let minor, _, major = Gc.counters () in
-  let p = Pool.totals () in
-  let ev0, ctx0, _, _ = Sched.host_counters () in
-  let fr =
-    {
-      fr_t0 = Unix.gettimeofday ();
-      fr_minor0 = minor;
-      fr_major0 = major;
-      fr_hits0 = p.Pool.t_hits;
-      fr_misses0 = p.Pool.t_misses;
-      fr_ev0 = ev0;
-      fr_ctx0 = ctx0;
-      fr_n_wall = 0.0;
-      fr_n_minor = 0.0;
-      fr_n_major = 0.0;
-      fr_n_hits = 0;
-      fr_n_misses = 0;
-      fr_n_ev = 0;
-      fr_n_ctx = 0;
-      fr_cells = [];
-    }
-  in
   let slot = Domain.DLS.get frames_key in
-  slot := fr :: !slot
+  slot := { fr_start = sample (); fr_nested = zero; fr_cells = [] } :: !slot
 
 (* Returns (exclusive host deltas, cells forced under the frame in
    force order). *)
@@ -251,36 +239,11 @@ let frame_end () =
   | [] -> invalid_arg "Env.frame_end: no open frame"
   | fr :: rest ->
     slot := rest;
-    let minor1, _, major1 = Gc.counters () in
-    let p = Pool.totals () in
-    let ev1, ctx1, _, _ = Sched.host_counters () in
-    let wall = Unix.gettimeofday () -. fr.fr_t0 in
-    let minor = minor1 -. fr.fr_minor0 in
-    let major = major1 -. fr.fr_major0 in
-    let hits = p.Pool.t_hits - fr.fr_hits0 in
-    let misses = p.Pool.t_misses - fr.fr_misses0 in
-    let ev = ev1 - fr.fr_ev0 in
-    let ctx = ctx1 - fr.fr_ctx0 in
+    let raw = diff fr.fr_start (sample ()) in
     (match rest with
-    | parent :: _ ->
-      parent.fr_n_wall <- parent.fr_n_wall +. wall;
-      parent.fr_n_minor <- parent.fr_n_minor +. minor;
-      parent.fr_n_major <- parent.fr_n_major +. major;
-      parent.fr_n_hits <- parent.fr_n_hits + hits;
-      parent.fr_n_misses <- parent.fr_n_misses + misses;
-      parent.fr_n_ev <- parent.fr_n_ev + ev;
-      parent.fr_n_ctx <- parent.fr_n_ctx + ctx
+    | parent :: _ -> parent.fr_nested <- add parent.fr_nested raw
     | [] -> ());
-    ( {
-        h_wall_s = wall -. fr.fr_n_wall;
-        h_minor = minor -. fr.fr_n_minor;
-        h_major = major -. fr.fr_n_major;
-        h_hits = hits - fr.fr_n_hits;
-        h_misses = misses - fr.fr_n_misses;
-        h_sched_ev = ev - fr.fr_n_ev;
-        h_ctx_sw = ctx - fr.fr_n_ctx;
-      },
-      List.rev fr.fr_cells )
+    (diff fr.fr_nested raw, List.rev fr.fr_cells)
 
 (* --- simulation cells ---
 

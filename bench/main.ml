@@ -56,21 +56,16 @@ let select names =
 type timing = {
   t_name : string;
   t_wall_s : float;
-  t_minor_words : float; (* minor-heap allocation during the experiment *)
-  t_major_words : float; (* words allocated directly on the major heap *)
-  t_pool_hits : int; (* buffer-pool hits during the experiment *)
-  t_pool_misses : int; (* buffer-pool misses (fresh major-heap buffers) *)
-  t_sched_events : int; (* scheduler run-queue events executed *)
-  t_ctx_switches : int; (* events that handed the CPU to another thread *)
+  t_host : Env.hostm; (* the frame's exclusive deltas plus its cells' *)
   t_trace_events : int; (* events exported; 0 when tracing is off *)
   t_trace_dropped : int; (* events past the buffer cap, counted not kept *)
   t_trace_s : float; (* host seconds spent dumping + exporting the trace *)
   t_cell_wall_s : float list; (* per-cell host wall, in force order *)
 }
 
-let pool_hit_rate t =
-  let total = t.t_pool_hits + t.t_pool_misses in
-  if total = 0 then 0.0 else float_of_int t.t_pool_hits /. float_of_int total
+let pool_hit_rate (h : Env.hostm) =
+  let total = h.h_hits + h.h_misses in
+  if total = 0 then 0.0 else float_of_int h.h_hits /. float_of_int total
 
 (* One trace file per experiment: with a single -e the file is exactly
    PATH; otherwise the experiment name is spliced in before ".json". *)
@@ -123,17 +118,10 @@ let timed ?trace_path name f =
           name d.Trace.d_dropped;
       (n, d.Trace.d_dropped, Unix.gettimeofday () -. e0)
   in
-  let sumf sel = List.fold_left (fun a c -> a +. sel c) 0.0 cells in
-  let sumi sel = List.fold_left (fun a c -> a + sel c) 0 cells in
   {
     t_name = name;
     t_wall_s = wall;
-    t_minor_words = host.Env.h_minor +. sumf (fun c -> c.Env.h_minor);
-    t_major_words = host.Env.h_major +. sumf (fun c -> c.Env.h_major);
-    t_pool_hits = host.Env.h_hits + sumi (fun c -> c.Env.h_hits);
-    t_pool_misses = host.Env.h_misses + sumi (fun c -> c.Env.h_misses);
-    t_sched_events = host.Env.h_sched_ev + sumi (fun c -> c.Env.h_sched_ev);
-    t_ctx_switches = host.Env.h_ctx_sw + sumi (fun c -> c.Env.h_ctx_sw);
+    t_host = List.fold_left Env.add host cells;
     t_trace_events = trace_events;
     t_trace_dropped = trace_dropped;
     t_trace_s = trace_s;
@@ -160,20 +148,14 @@ let run_parallel ~trace jobs selected =
   let n = Array.length arr in
   let multi = n > 1 in
   let outputs = Array.make n "" in
-  let times =
-    Array.make n
-      { t_name = ""; t_wall_s = 0.0; t_minor_words = 0.0; t_major_words = 0.0;
-        t_pool_hits = 0; t_pool_misses = 0;
-        t_sched_events = 0; t_ctx_switches = 0;
-        t_trace_events = 0; t_trace_dropped = 0; t_trace_s = 0.0;
-        t_cell_wall_s = [] }
-  in
+  let times = Array.make n None in
   let run_one i =
     let name, (_, f) = arr.(i) in
     let buf = Buffer.create 4096 in
     times.(i) <-
-      timed ?trace_path:(trace_path_for ~trace ~multi name) name (fun () ->
-          Env.captured buf f);
+      Some
+        (timed ?trace_path:(trace_path_for ~trace ~multi name) name (fun () ->
+             Env.captured buf f));
     outputs.(i) <- Buffer.contents buf
   in
   Taskpool.on_worker_init Env.warm;
@@ -191,13 +173,13 @@ let run_parallel ~trace jobs selected =
   Taskpool.shutdown ();
   Array.iteri (fun i (name, _) -> if serial_only name then run_one i) arr;
   Array.iter print_string outputs;
-  Array.to_list times
+  List.map Option.get (Array.to_list times)
 
 let write_timings ~path ~jobs ~total timings =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"schema\": \"memsnap-bench-sim/7\",\n";
+  p "  \"schema\": \"memsnap-bench-sim/8\",\n";
   p "  \"jobs\": %d,\n" jobs;
   (* Cells share the experiment pool, so the budgets coincide; the field
      is separate so readers need not infer it from "jobs". *)
@@ -210,11 +192,11 @@ let write_timings ~path ~jobs ~total timings =
         "    { \"name\": %S, \"wall_s\": %.3f, \"minor_words\": %.0f, \
          \"major_words\": %.0f, \"pool_hits\": %d, \"pool_misses\": %d, \
          \"pool_hit_rate\": %.3f, \"sched_events\": %d, \
-         \"ctx_switches\": %d, \"trace_events\": %d, \
-         \"trace_dropped\": %d, \"trace_overhead_s\": %.3f, \
+         \"trace_events\": %d, \"trace_dropped\": %d, \
+         \"trace_overhead_s\": %.3f, \
          \"cells\": %d, \"cell_wall_s\": [%s] }%s\n"
-        t.t_name t.t_wall_s t.t_minor_words t.t_major_words t.t_pool_hits
-        t.t_pool_misses (pool_hit_rate t) t.t_sched_events t.t_ctx_switches
+        t.t_name t.t_wall_s t.t_host.h_minor t.t_host.h_major t.t_host.h_hits
+        t.t_host.h_misses (pool_hit_rate t.t_host) t.t_host.h_sched_ev
         t.t_trace_events t.t_trace_dropped t.t_trace_s
         (List.length t.t_cell_wall_s)
         (String.concat ", "

@@ -6,7 +6,6 @@ type t = {
   bitmap : Bytes.t; (* 1 bit per block; 1 = allocated *)
   mutable cursor : int;
   mutable nfree : int;
-  mutable deferred : int list;
 }
 
 let get_bit t i =
@@ -27,7 +26,6 @@ let create ~total_blocks ~reserved =
       bitmap = Bytes.make ((total_blocks + 7) / 8) '\000';
       cursor = reserved;
       nfree = total_blocks - reserved;
-      deferred = [];
     }
   in
   for i = 0 to reserved - 1 do
@@ -116,9 +114,3 @@ let free_now t blocks =
         t.nfree <- t.nfree + 1
       end)
     blocks
-
-let free_deferred t blocks = t.deferred <- List.rev_append blocks t.deferred
-
-let apply_deferred t =
-  free_now t t.deferred;
-  t.deferred <- []

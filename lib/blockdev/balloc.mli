@@ -1,10 +1,11 @@
 (** Generic block allocator shared by the object store and the file
     systems.
 
-    A bitmap with a rotating cursor that prefers contiguous runs (so
-    sequential allocations land sequentially on disk), plus deferred frees
-    for COW users: blocks superseded by a copy-on-write update must stay
-    allocated until the commit that dereferenced them is durable. *)
+    A bitmap with a rotating cursor that prefers contiguous runs, so
+    sequential allocations land sequentially on disk: this is what lets
+    the object store turn random page updates into sequential IO (§3).
+    The bitmap is volatile; its users rebuild it at mount with
+    {!mark_allocated}. *)
 
 type t
 
@@ -15,16 +16,15 @@ val create : total_blocks:int -> reserved:int -> t
     areas, ...). *)
 
 val alloc_run : t -> int -> int list
-(** Allocate [n] blocks, contiguous if possible, ascending order. *)
+(** Allocate [n] blocks, contiguous if possible, ascending order.
+    Raises [Out_of_space] if fewer than [n] are free. *)
 
 val free_now : t -> int list -> unit
-(** Immediately free blocks (in-place file systems). *)
+(** Free blocks at once. A copy-on-write user frees a superseded block
+    only after the commit that dereferenced it is durable. *)
 
 val mark_allocated : t -> int -> unit
 (** Idempotent; used while rebuilding state at mount. *)
-
-val free_deferred : t -> int list -> unit
-val apply_deferred : t -> unit
 
 val is_allocated : t -> int -> bool
 val free_blocks : t -> int

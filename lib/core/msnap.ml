@@ -10,7 +10,6 @@ module Phys = Msnap_vm.Phys
 module Pte = Msnap_vm.Pte
 module Ptloc = Msnap_vm.Ptloc
 module Tlb = Msnap_vm.Tlb
-module Slice = Msnap_util.Slice
 module Itab = Msnap_util.Itab
 module Store = Msnap_objstore.Store
 
@@ -310,43 +309,35 @@ let length r = r.r_len
 let name r = r.r_name
 let durable_epoch r = Store.epoch r.r_obj
 
-let write t r ~off data =
-  if off < 0 || off + Bytes.length data > r.r_len then
-    invalid_arg "Msnap.write: out of range";
-  ignore t;
+(* The first address space mapping [r], once [off, off + len) is checked
+   against the region; [fn] names the caller in the error. *)
+let mapped_aspace r ~off ~len fn =
+  if off < 0 || off + len > r.r_len then invalid_arg (fn ^ ": out of range");
   match r.r_aspaces with
-  | a :: _ -> Aspace.write a ~va:(r.r_va + off) data
-  | [] -> invalid_arg "Msnap.write: region not mapped"
+  | a :: _ -> a
+  | [] -> invalid_arg (fn ^ ": region not mapped")
 
-let write_slice t r ~off s =
-  let len = Slice.length s in
-  if off < 0 || off + len > r.r_len then
-    invalid_arg "Msnap.write_slice: out of range";
+let write t r ~off data =
   ignore t;
-  match r.r_aspaces with
-  | a :: _ ->
-    Aspace.write_sub a ~va:(r.r_va + off) (Slice.buf s) ~pos:(Slice.pos s) ~len
-  | [] -> invalid_arg "Msnap.write_slice: region not mapped"
+  let a = mapped_aspace r ~off ~len:(Bytes.length data) "Msnap.write" in
+  Aspace.write a ~va:(r.r_va + off) data
 
 (* Zero-copy: the string's bytes feed Aspace's per-page copy directly —
-   no intermediate [Bytes.of_string]. *)
-let write_string t r ~off s = write_slice t r ~off (Slice.of_string s)
+   no intermediate [Bytes.of_string]; Aspace only reads them. *)
+let write_string t r ~off s =
+  ignore t;
+  let a = mapped_aspace r ~off ~len:(String.length s) "Msnap.write_string" in
+  Aspace.write a ~va:(r.r_va + off) (Bytes.unsafe_of_string s)
 
 let read t r ~off ~len =
-  if off < 0 || off + len > r.r_len then invalid_arg "Msnap.read: out of range";
   ignore t;
-  match r.r_aspaces with
-  | a :: _ -> Aspace.read a ~va:(r.r_va + off) ~len
-  | [] -> invalid_arg "Msnap.read: region not mapped"
+  Aspace.read (mapped_aspace r ~off ~len "Msnap.read") ~va:(r.r_va + off) ~len
 
 (* Same charges as [read], into a caller-owned buffer. *)
 let read_into t r ~off buf ~pos ~len =
-  if off < 0 || off + len > r.r_len then
-    invalid_arg "Msnap.read_into: out of range";
   ignore t;
-  match r.r_aspaces with
-  | a :: _ -> Aspace.read_into a ~va:(r.r_va + off) buf ~pos ~len
-  | [] -> invalid_arg "Msnap.read_into: region not mapped"
+  let a = mapped_aspace r ~off ~len "Msnap.read_into" in
+  Aspace.read_into a ~va:(r.r_va + off) buf ~pos ~len
 
 (* --- persist --- *)
 
@@ -638,9 +629,6 @@ let dirty_count_of_region t r =
       done;
       acc + !n)
     t.dirty 0
-
-let tracked_threads t =
-  Hashtbl.fold (fun _ d acc -> if d.d_len > 0 then acc + 1 else acc) t.dirty 0
 
 let region_by_name t name = Hashtbl.find_opt t.regions name
 

@@ -85,13 +85,9 @@ val read : t -> md -> off:int -> len:int -> Bytes.t
 val read_into : t -> md -> off:int -> Bytes.t -> pos:int -> len:int -> unit
 (** [read] into a caller-owned buffer — same charges, no allocation. *)
 
-val write_slice : t -> md -> off:int -> Msnap_util.Slice.t -> unit
-(** Store through the region mapping without staging: the slice's bytes
-    feed the per-page copies directly (same charges as {!write} of that
-    length). *)
-
 val write_string : t -> md -> off:int -> string -> unit
-(** Zero-copy over {!write_slice} — no [Bytes.of_string] staging. *)
+(** {!write} of the string's bytes without staging: they feed the
+    per-page copies directly (same charges, no [Bytes.of_string]). *)
 
 val map_into : t -> md -> Msnap_vm.Aspace.t -> unit
 (** Map an existing region into another attached process at the same fixed
@@ -103,8 +99,6 @@ val dirty_count : t -> int
 (** Pages currently in the calling thread's dirty set. *)
 
 val dirty_count_of_region : t -> md -> int
-
-val tracked_threads : t -> int
 
 exception Property_violation of string
 (** Raised (when [strict] checking is on) if two threads dirty the same

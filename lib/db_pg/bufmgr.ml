@@ -5,7 +5,6 @@ module Fvec = Msnap_util.Fvec
 let block_size = 8192
 
 type smgr = {
-  s_label : string;
   s_read : rel:string -> blockno:int -> Bytes.t;
   s_write : rel:string -> blockno:int -> Bytes.t -> unit;
   s_flush : rel:string -> unit;
@@ -34,8 +33,6 @@ type t = {
 let create ?(nbuffers = 2048) smgr =
   { smgr; buffers = Hashtbl.create nbuffers; capacity = nbuffers;
     clock = Fvec.create () }
-
-let smgr_label t = t.smgr.s_label
 
 let evict_one t =
   (* Clock sweep: decrement usage along the ring; evict the first zero.

@@ -8,7 +8,6 @@
 val block_size : int (* 8192 *)
 
 type smgr = {
-  s_label : string;
   s_read : rel:string -> blockno:int -> Bytes.t;
       (** Fetch an 8 KiB block (zero block if never written). *)
   s_write : rel:string -> blockno:int -> Bytes.t -> unit;
@@ -34,4 +33,3 @@ val flush_all : t -> unit
 
 val dirty_count : t -> int
 val resident : t -> int
-val smgr_label : t -> string

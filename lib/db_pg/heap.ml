@@ -128,12 +128,12 @@ let fetch t tid =
     let xmin = read_u32 t ~blockno ~off in
     let xmax = read_u32 t ~blockno ~off:(off + 4) in
     let len = read_u16 t ~blockno ~off:(off + 8) in
-    let data =
-      (* The read result is a fresh unaliased buffer; claim it as the
-         string instead of copying. *)
-      Bytes.unsafe_to_string
-        (Storage.read t.st ~rel:t.rel ~blockno ~off:(off + tuple_header) ~len)
-    in
+    let data = Bytes.create len in
+    Storage.read_into t.st ~rel:t.rel ~blockno ~off:(off + tuple_header) data
+      ~pos:0 ~len;
+    (* [data] is fresh and unaliased; claim it as the string instead of
+       copying. *)
+    let data = Bytes.unsafe_to_string data in
     Some (xmin, xmax, data)
 
 let set_xmax t tid xmax =

@@ -17,7 +17,6 @@ type t = {
   row_locks : (string * string, row_lock) Hashtbl.t;
   clog : (int, bool) Hashtbl.t; (* xid -> committed *)
   mutable next_xid : int;
-  mutable n_committed : int;
 }
 
 type txn = {
@@ -34,12 +33,10 @@ let open_db st =
     row_locks = Hashtbl.create 256;
     clog = Hashtbl.create 1024;
     next_xid = 1;
-    n_committed = 0;
   }
 
 let storage t = t.st
 let xid txn = txn.t_xid
-let committed_txns t = t.n_committed
 
 let tables t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.heaps [] |> List.sort compare
@@ -90,7 +87,6 @@ let commit_txn t txn =
      becomes visible and the row locks drop. *)
   Storage.commit t.st;
   Hashtbl.replace t.clog txn.t_xid true;
-  t.n_committed <- t.n_committed + 1;
   release_locks txn;
   Storage.checkpoint_tick t.st
 

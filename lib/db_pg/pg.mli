@@ -36,5 +36,4 @@ val update : t -> txn -> table:string -> key:string -> string -> bool
 val update_with : t -> txn -> table:string -> key:string -> (string -> string) -> bool
 (** Read-modify-write under the row lock. *)
 
-val committed_txns : t -> int
 val tables : t -> string list

@@ -106,7 +106,7 @@ let wal_append w ~rel ~blockno ~off ~data ~block =
   w.w_off <- w.w_off + rec_len
 
 let wal_commit w =
-  Metrics.timed Probe.db_fsync (fun () -> Fs.fdatasync w.w_fs w.w_file)
+  Metrics.timed Probe.db_fsync (fun () -> Fs.fsync w.w_fs w.w_file)
 
 let wal_reset_after_checkpoint w =
   Hashtbl.reset w.fpw;
@@ -153,8 +153,7 @@ let file_smgr fs =
       f
   in
   {
-    Bufmgr.s_label = "file";
-    s_read =
+    Bufmgr.s_read =
       (fun ~rel ~blockno ->
         let f = file_of rel in
         if (blockno + 1) * bs <= Fs.size fs f then
@@ -236,22 +235,8 @@ let check_block blockno =
   if blockno < 0 || blockno >= rel_block_limit then
     invalid_arg "Storage: block out of range"
 
-let read t ~rel ~blockno ~off ~len =
-  check_block blockno;
-  match t.v with
-  | Buffered { buf; _ } ->
-    let b = Bufmgr.read_buffer buf ~rel ~blockno in
-    Sched.cpu (Costs.memcpy len);
-    Bytes.sub b off len
-  | Mapped m ->
-    let va = rel_va m ~rel in
-    Aspace.read m.m_aspace ~va:(va + (blockno * bs) + off) ~len
-  | Region rs ->
-    let md = region_of rs ~rel in
-    Msnap.read rs.k md ~off:((blockno * bs) + off) ~len
-
-(* [read] into a caller-owned buffer: identical charges, no allocation.
-   Lets the heap's 2/4-byte header reads reuse a per-thread scratch. *)
+(* Reads into a caller-owned buffer: the heap's 2/4-byte header reads
+   reuse a per-thread scratch. *)
 let read_into t ~rel ~blockno ~off buf ~pos ~len =
   check_block blockno;
   match t.v with

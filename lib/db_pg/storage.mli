@@ -1,6 +1,6 @@
 (** The four storage/persistence designs of Fig. 6, behind one interface.
 
-    Every heap access flows through {!read}/{!write} at (relation, block,
+    Every heap access flows through {!read_into}/{!write} at (relation, block,
     offset) granularity; {!commit} is the transaction durability point and
     {!checkpoint_tick} drives background flushing. The variants:
 
@@ -32,10 +32,8 @@ val ffs_mmap_bufdirect :
 
 val memsnap : Msnap_core.Msnap.t -> t
 
-val read : t -> rel:string -> blockno:int -> off:int -> len:int -> Bytes.t
-
-(** [read] into a caller-owned buffer — identical charges, no
-    allocation. *)
+(** Copy [len] bytes at offset [off] of block [blockno] of [rel] into
+    the buffer at [pos]. *)
 val read_into :
   t -> rel:string -> blockno:int -> off:int -> Bytes.t -> pos:int -> len:int ->
   unit

@@ -97,6 +97,3 @@ let collect_from t key ~n =
 
 let l0_runs t = List.length t.l0
 let compactions t = t.n_compactions
-
-let total_bytes t =
-  List.fold_left (fun a r -> a + Sstable.bytes r) 0 (t.l0 @ Option.to_list t.l1)

@@ -23,4 +23,3 @@ val collect_from : t -> string -> n:int -> (string * string) list
 
 val l0_runs : t -> int
 val compactions : t -> int
-val total_bytes : t -> int

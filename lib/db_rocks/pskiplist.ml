@@ -243,7 +243,6 @@ let iter_from t key f =
   visit update.(0).nexts.(0)
 
 let count t = t.count
-let node_pages t = t.next_id
 
 (* Rebuild the volatile index by walking the persisted linked list — the
    §7.2 recovery path ("traverses the linked list nodes to recompute skip

@@ -48,7 +48,5 @@ val delete : t -> string -> bool
 
 val iter_from : t -> string -> (string -> string -> bool) -> unit
 val count : t -> int
-val node_pages : t -> int
-(** Pages consumed (monotonic bump allocation). *)
 
 val max_pair_size : int

@@ -141,7 +141,7 @@ let wal_append b pairs =
       b.wal_size <- b.wal_size + len)
     pairs;
   Msnap_sim.Sched.with_bucket Probe.Bucket.fsync (fun () ->
-      Metrics.timed Probe.db_fsync (fun () -> Fs.fdatasync b.fs b.wal))
+      Metrics.timed Probe.db_fsync (fun () -> Fs.fsync b.fs b.wal))
 
 let maybe_flush b =
   if Skiplist.approximate_bytes b.memtable >= b.flush_bytes then begin
@@ -156,7 +156,7 @@ let maybe_flush b =
     Lsm.add_run b.lsm (List.rev !pairs);
     Skiplist.clear b.memtable;
     Fs.truncate b.fs b.wal 0;
-    Metrics.timed Probe.db_fsync (fun () -> Fs.fdatasync b.fs b.wal);
+    Metrics.timed Probe.db_fsync (fun () -> Fs.fsync b.fs b.wal);
     b.wal_size <- 0
   end
 

@@ -11,7 +11,6 @@ type t = {
   file : Fs.file;
   sst_name : string;
   sst_count : int;
-  sst_bytes : int;
   sst_min : string;
   sst_max : string;
   (* Sparse index: (first key of segment, offset, byte length). *)
@@ -60,7 +59,6 @@ let build fs ~name pairs =
     file;
     sst_name = name;
     sst_count = List.length pairs;
-    sst_bytes = Bytes.length data;
     sst_min = min_key;
     sst_max = max_key;
     index = Array.of_list (List.rev !segments);
@@ -68,7 +66,6 @@ let build fs ~name pairs =
 
 let name t = t.sst_name
 let count t = t.sst_count
-let bytes t = t.sst_bytes
 let min_key t = t.sst_min
 let max_key t = t.sst_max
 

@@ -15,7 +15,6 @@ val build :
 
 val name : t -> string
 val count : t -> int
-val bytes : t -> int
 val min_key : t -> string
 val max_key : t -> string
 

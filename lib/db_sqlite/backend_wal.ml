@@ -141,7 +141,6 @@ let backend t =
   }
 
 let checkpoints_done t = t.ckpts
-let wal_bytes t = t.wal_size
 
 (* Crash recovery: rebuild the WAL index from the recovered log file.
    Frames are applied in log order while the checksum chain holds, but

@@ -22,7 +22,6 @@ val recover : Msnap_fs.Fs.t -> db_name:string -> ?checkpoint_threshold:int -> un
 val backend : t -> Pager.backend
 
 val checkpoints_done : t -> int
-val wal_bytes : t -> int
 
 val dispose : t -> unit
 (** Return un-checkpointed WAL frame buffers to [Msnap_util.Pool].

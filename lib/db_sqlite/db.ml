@@ -86,9 +86,6 @@ let create_table t name =
 
 let table t name = Hashtbl.find_opt t.tables name
 
-let table_names t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.tables [] |> List.sort compare
-
 let put tbl ~key ~value = Btree.insert tbl.tree ~key ~value
 let get tbl key = Btree.find tbl.tree key
 let delete tbl key = Btree.delete tbl.tree key

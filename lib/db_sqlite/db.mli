@@ -24,7 +24,6 @@ val create_table : t -> string -> table
     none is active. *)
 
 val table : t -> string -> table option
-val table_names : t -> string list
 
 (** {2 Row operations — call inside [with_write_txn] for writes} *)
 

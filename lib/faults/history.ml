@@ -10,7 +10,7 @@ type t = {
   mutable h_steps : step list; (* newest first *)
   mutable h_nsteps : int;
   mutable h_ready : int; (* boundary count once setup finished; -1 = never *)
-  mutable h_boundary : int; (* crash boundary under check; set by the checker *)
+  h_boundary : int; (* crash boundary under check; see [with_boundary] *)
 }
 
 let create () = { h_steps = []; h_nsteps = 0; h_ready = -1; h_boundary = -1 }
@@ -28,7 +28,6 @@ let steps t = Array.of_list (List.rev t.h_steps)
 let nsteps t = t.h_nsteps
 let ready t = t.h_ready
 
-let set_boundary t b = t.h_boundary <- b
 let boundary t = t.h_boundary
 
 (* Shallow copy with its own boundary: check tasks running in parallel

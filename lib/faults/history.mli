@@ -37,11 +37,9 @@ val steps : t -> step array
 val nsteps : t -> int
 val ready : t -> int
 
-val set_boundary : t -> int -> unit
-(** Set by the checker before calling an engine's [check]: the boundary
-    index the media image was crashed at. *)
-
 val boundary : t -> int
+(** The boundary index the media image was crashed at, as given to
+    {!with_boundary}; -1 on the recorded history itself. *)
 
 val with_boundary : t -> int -> t
 (** A shallow copy carrying its own boundary — what the checker hands to

@@ -140,7 +140,6 @@ let remove t name =
 
 let size _t f = f.f_size
 let resident_blocks _t f = Hashtbl.length f.f_cache
-let cache_capacity_blocks t = t.capacity
 let set_cache_capacity t n = t.capacity <- n
 
 let bytes_written_to_disk t = t.s_disk_bytes
@@ -630,8 +629,7 @@ let fsync_zfs t f dirty =
   dev_writev t (List.map (fun b -> (b * dev_bs, zero_slice t dev_bs)) ind);
   dev_write t ~off:(dev_bs / 2) (zero_slice t 512)
 
-let do_fsync t f ~meta =
-  ignore meta;
+let fsync t f =
   let trace_t0 = if Trace.is_on () then Sched.now () else 0 in
   Sched.cpu (Costs.syscall + Costs.vfs_call);
   charge_resident_scan t f;
@@ -655,9 +653,6 @@ let do_fsync t f ~meta =
   if Trace.is_on () then
     Trace.complete Probe.fs_fsync ~dur:(Sched.now () - trace_t0)
       ~args:[ ("file", Trace.S f.f_name); ("dirty_blocks", Trace.I !nblocks) ]
-
-let fsync t f = do_fsync t f ~meta:true
-let fdatasync t f = do_fsync t f ~meta:false
 
 (* --- mmap --- *)
 
@@ -727,7 +722,7 @@ let msync t f =
         (List.map (fun rel -> Addr.vpn_of_va (mm.mm_va + (rel * Addr.page_size))) rels);
       Hashtbl.reset mm.mm_dirty)
     f.f_mmaps;
-  do_fsync t f ~meta:true;
+  fsync t f;
   if Trace.is_on () then
     Trace.complete Probe.fs_msync ~dur:(Sched.now () - trace_t0)
       ~args:[ ("file", Trace.S f.f_name) ]
@@ -1051,9 +1046,6 @@ let dispose t =
   t.scratch_journal <- Bytes.empty
 
 let debug_blocks _t f = Hashtbl.fold (fun idx first acc -> (idx, first) :: acc) f.f_blocks []
-
-let debug_resident _t f =
-  Hashtbl.fold (fun idx cb acc -> Printf.sprintf "%d(lru%d,%b) %s" idx cb.cb_lru cb.cb_dirty acc) f.f_cache ""
 
 (* --- crash recovery contract --- *)
 

@@ -82,8 +82,6 @@ val read_into : t -> file -> off:int -> Bytes.t -> pos:int -> len:int -> unit
     untouched. *)
 
 val fsync : t -> file -> unit
-val fdatasync : t -> file -> unit
-(** Like [fsync] minus the metadata update IO. *)
 
 val truncate : t -> file -> int -> unit
 val size : t -> file -> int
@@ -91,7 +89,6 @@ val size : t -> file -> int
 val resident_blocks : t -> file -> int
 (** Cache-resident fs-blocks of this file. *)
 
-val cache_capacity_blocks : t -> int
 val set_cache_capacity : t -> int -> unit
 
 (** {2 Memory mapping} *)
@@ -118,9 +115,6 @@ val rmw_reads : t -> int
 (** Read-modify-write block reads triggered by sub-block writes. *)
 
 (**/**)
-
-val debug_resident : t -> file -> string
-(** Resident block indexes, for tests. *)
 
 val meta_text_length : t -> int
 (** The IO size {!sync_meta} charges for before its cap: the length of

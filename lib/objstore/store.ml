@@ -1,4 +1,5 @@
 module Device = Msnap_blockdev.Device
+module Balloc = Msnap_blockdev.Balloc
 module Slice = Msnap_util.Slice
 module Pool = Msnap_util.Pool
 module Itab = Msnap_util.Itab
@@ -35,7 +36,8 @@ type obj = {
 
 type t = {
   dev : Device.t;
-  alloc : Alloc.t;
+  alloc : Balloc.t;
+      (* volatile: rebuilt at mount by walking every object's tree *)
   cache : Radix.node Itab.t; (* block -> owned image; Bytes.empty = miss *)
   mutable sb : Layout.superblock;
   objects : (string, obj) Hashtbl.t;
@@ -126,7 +128,9 @@ let mount dev =
   let t =
     {
       dev;
-      alloc = Alloc.create ~total_blocks:sb.Layout.total_blocks;
+      alloc =
+        Balloc.create ~total_blocks:sb.Layout.total_blocks
+          ~reserved:Layout.first_data_block;
       cache = Itab.create ~initial:1024 ~absent:Bytes.empty ();
       sb;
       objects = Hashtbl.create 16;
@@ -135,13 +139,13 @@ let mount dev =
     }
   in
   if sb.Layout.directory_block <> 0 then begin
-    Alloc.mark_allocated t.alloc sb.Layout.directory_block;
+    Balloc.mark_allocated t.alloc sb.Layout.directory_block;
     let entries =
       Layout.directory_of_bytes (read_block_raw dev sb.Layout.directory_block)
     in
     List.iter
       (fun (name, hblock) ->
-        Alloc.mark_allocated t.alloc hblock;
+        Balloc.mark_allocated t.alloc hblock;
         match Layout.header_of_bytes (read_commit_sector dev hblock) with
         | None ->
           raise (Corrupt (Printf.sprintf "object %s: bad header" name))
@@ -149,10 +153,10 @@ let mount dev =
           if hdr.Layout.obj_id >= t.next_obj_id then
             t.next_obj_id <- hdr.Layout.obj_id + 1;
           Radix.iter_nodes ~read_node:(read_node t) ~root:hdr.Layout.root_block
-            ~height:hdr.Layout.height ~f:(Alloc.mark_allocated t.alloc);
+            ~height:hdr.Layout.height ~f:(Balloc.mark_allocated t.alloc);
           Radix.iter ~read_node:(read_node t) ~root:hdr.Layout.root_block
             ~height:hdr.Layout.height ~f:(fun ~index:_ ~block ->
-              Alloc.mark_allocated t.alloc block);
+              Balloc.mark_allocated t.alloc block);
           Hashtbl.replace t.objects name
             { header_block = hblock; hdr; next_epoch = hdr.Layout.epoch + 1;
               queue = []; committing = false; deleted = false })
@@ -178,15 +182,14 @@ let persist_directory t =
     write_superblock t
   end
   else begin
-    let nb = List.hd (Alloc.alloc_run t.alloc 1) in
+    let nb = List.hd (Balloc.alloc_run t.alloc 1) in
     write_block t.dev nb (Layout.directory_to_bytes entries);
     t.sb <- { t.sb with Layout.directory_block = nb };
     write_superblock t
   end;
-  if old <> 0 then begin
-    Alloc.free_deferred t.alloc [ old ];
-    Alloc.apply_deferred t.alloc
-  end
+  (* The superblock write above has completed, so no durable state
+     references the old directory block any more. *)
+  if old <> 0 then Balloc.free_now t.alloc [ old ]
 
 let create t ~name ?(meta = 0) () =
   Sync.Mutex.with_lock t.meta_lock (fun () ->
@@ -196,7 +199,7 @@ let create t ~name ?(meta = 0) () =
       | _ -> ());
       if List.length (directory_entries t) >= Layout.max_directory_entries then
         invalid_arg "Store.create: directory full";
-      let hblock = List.hd (Alloc.alloc_run t.alloc 1) in
+      let hblock = List.hd (Balloc.alloc_run t.alloc 1) in
       let hdr =
         { Layout.obj_id = t.next_obj_id; obj_name = name; epoch = 0;
           root_block = 0; height = 0; size_bytes = 0; meta }
@@ -229,8 +232,9 @@ let delete t o =
       Radix.iter ~read_node:(read_node t) ~root:o.hdr.Layout.root_block
         ~height:o.hdr.Layout.height ~f:(fun ~index:_ ~block ->
           freed := block :: !freed);
-      Alloc.free_deferred t.alloc !freed;
-      Alloc.apply_deferred t.alloc;
+      (* [persist_directory] has completed the superblock write that
+         drops the object, so its blocks are unreachable on disk. *)
+      Balloc.free_now t.alloc !freed;
       evict t !freed)
 
 let list_objects t = List.map fst (directory_entries t)
@@ -281,7 +285,7 @@ and drain_batch t o batch =
     in
     let result =
       Radix.update_batch ~read_node:(read_node t)
-        ~alloc:(Alloc.alloc_run t.alloc) ~root:o.hdr.Layout.root_block
+        ~alloc:(Balloc.alloc_run t.alloc) ~root:o.hdr.Layout.root_block
         ~height:o.hdr.Layout.height updates
     in
     Sched.cpu (result.Radix.nodes_visited * Costs.cow_node_cpu);
@@ -306,7 +310,7 @@ and drain_batch t o batch =
        segment targets a freshly COW-allocated block, so offsets are
        distinct and the sort is a pure reordering within one command —
        same total bytes, same single latency charge — but it turns
-       [Alloc.alloc_run]'s contiguous runs into sector-adjacent runs the
+       [Balloc.alloc_run]'s contiguous runs into sector-adjacent runs the
        device and stripe layers merge into fused commits. A torn command
        leaves the previous epoch intact either way: nothing in this
        command is reachable until the header flip after it. *)
@@ -340,8 +344,9 @@ and drain_batch t o batch =
             ("nodes", Trace.I (List.length node_segs));
             ("epoch", Trace.I epoch) ]
     end;
-    Alloc.free_deferred t.alloc result.Radix.freed;
-    Alloc.apply_deferred t.alloc;
+    (* The header write above has completed: the superseded blocks are
+       unreachable from the durable epoch, so they may be reused. *)
+    Balloc.free_now t.alloc result.Radix.freed;
     evict t result.Radix.freed;
     List.iter (fun p -> Sync.Ivar.fill p.p_ivar (Ok ())) batch
 
@@ -366,7 +371,7 @@ let commit_async ?(flow = 0) t o pages =
     Sched.cpu (npages * Costs.io_initiate);
     let worker () =
       try
-        let data_blocks = Alloc.alloc_run t.alloc npages in
+        let data_blocks = Balloc.alloc_run t.alloc npages in
         (* One pass over the dirty pages builds the index->block updates
            and the device segments together and folds the size — the
            lists are identical to the old two [map2]s over the pair. *)
@@ -431,7 +436,7 @@ let dispose t =
   Itab.iter (fun _ n -> Pool.recycle n) t.cache;
   Itab.clear t.cache
 
-let free_blocks t = Alloc.free_blocks t.alloc
+let free_blocks t = Balloc.free_blocks t.alloc
 
 (* --- crash recovery contract --- *)
 

@@ -65,9 +65,7 @@ and engine = {
   parked : waker;
   mutable free_wakers : waker; (* free list, [nil_waker]-terminated *)
   (* Host-only statistics, flushed to the domain totals at finalize. *)
-  mutable last_tid : int;
   mutable ev : int; (* run-queue pops *)
-  mutable ctx : int; (* pops that handed the CPU to a different thread *)
   mutable walloc : int; (* wakers freshly allocated *)
   mutable wreuse : int; (* wakers reused from the free list *)
 }
@@ -96,8 +94,8 @@ let rec nil_thread =
 and nil_engine =
   { clock = 0; runq = nil_runq; live = 0; cur = nil_thread;
     t_none = nil_thread; next_tid = 0; failure = None; buckets = [||];
-    parked = nil_waker; free_wakers = nil_waker; last_tid = 0; ev = 0;
-    ctx = 0; walloc = 0; wreuse = 0 }
+    parked = nil_waker; free_wakers = nil_waker; ev = 0; walloc = 0;
+    wreuse = 0 }
 
 and nil_waker =
   { w_thread = nil_thread; w_state = 5 (* st_nil *); w_k = dummy_k;
@@ -118,23 +116,22 @@ let engine_slot () = Domain.DLS.get engine_key
 let trace_base_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
 (* Cumulative host-side scheduler statistics per domain (events
-   executed, context switches, waker allocation/reuse). Pure host
-   observability for BENCH_sim.json — deliberately not Metrics
-   counters, so they can never leak into determinism digests. *)
+   executed, waker allocation/reuse). Pure host observability for
+   BENCH_sim.json — deliberately not Metrics counters, so they can never
+   leak into determinism digests. *)
 type host_stats = {
   mutable hs_events : int;
-  mutable hs_ctx : int;
   mutable hs_walloc : int;
   mutable hs_wreuse : int;
 }
 
 let host_stats_key : host_stats Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { hs_events = 0; hs_ctx = 0; hs_walloc = 0; hs_wreuse = 0 })
+      { hs_events = 0; hs_walloc = 0; hs_wreuse = 0 })
 
 let host_counters () =
   let s = Domain.DLS.get host_stats_key in
-  (s.hs_events, s.hs_ctx, s.hs_walloc, s.hs_wreuse)
+  (s.hs_events, s.hs_walloc, s.hs_wreuse)
 
 let () =
   Trace.set_time_source (fun () ->
@@ -191,13 +188,6 @@ let release_waker e w =
     e.free_wakers <- w
   end
 
-let resume_thread e t =
-  if t.id <> e.last_tid then begin
-    e.ctx <- e.ctx + 1;
-    e.last_tid <- t.id
-  end;
-  e.cur <- t
-
 (* Body of every waker's preallocated [w_resume] closure: recycle the
    waker first (the resumed thread may re-park through it immediately),
    then hand the CPU to the parked thread. *)
@@ -206,7 +196,7 @@ let run_waker w =
   let t = w.w_thread in
   let k = w.w_k in
   release_waker e w;
-  resume_thread e t;
+  e.cur <- t;
   Effect.Deep.continue k ()
 
 let fresh_waker e t =
@@ -375,7 +365,7 @@ let spawn ?(name = "thread") body =
     Trace.instant Probe.sched_spawn
       ~args:[ ("tid", Trace.I t.id); ("thread", Trace.S name) ];
   schedule e ~at:e.clock (fun () ->
-      resume_thread e t;
+      e.cur <- t;
       start_thread e t body);
   t
 
@@ -432,7 +422,7 @@ let run main =
   let rec e =
     { clock = 0; runq; live = 0; cur = t_none; t_none; next_tid = 0;
       failure = None; buckets; parked = psent; free_wakers = nil_waker;
-      last_tid = min_int; ev = 0; ctx = 0; walloc = 0; wreuse = 0 }
+      ev = 0; walloc = 0; wreuse = 0 }
   and psent =
     { w_thread = t_none; w_state = st_nil; w_k = dummy_k; w_engine = e;
       w_resume = ignore; w_prev = psent; w_next = psent;
@@ -448,7 +438,6 @@ let run main =
     base := !base + e.clock + 1_000;
     let s = Domain.DLS.get host_stats_key in
     s.hs_events <- s.hs_events + e.ev;
-    s.hs_ctx <- s.hs_ctx + e.ctx;
     s.hs_walloc <- s.hs_walloc + e.walloc;
     s.hs_wreuse <- s.hs_wreuse + e.wreuse;
     slot := None

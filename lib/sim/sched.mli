@@ -122,10 +122,9 @@ val account_total : unit -> int
 
 (** {2 Host-side statistics} *)
 
-val host_counters : unit -> int * int * int * int
-(** [(events, ctx_switches, waker_allocs, waker_reuses)] — cumulative
-    totals for this domain over all completed runs: run-queue events
-    executed, pops that handed the CPU to a different thread, wakers
+val host_counters : unit -> int * int * int
+(** [(events, waker_allocs, waker_reuses)] — cumulative totals for this
+    domain over all completed runs: run-queue events executed, wakers
     freshly allocated, and wakers recycled from the free list. Host
     observability only (BENCH_sim.json); deliberately not Metrics
     counters, so they can never appear in determinism digests. *)

@@ -1,6 +1,5 @@
 let kib n = n * 1024
 let mib n = n * 1024 * 1024
-let gib n = n * 1024 * 1024 * 1024
 
 let pp n =
   if n >= 1 lsl 30 && n mod (1 lsl 30) = 0 then Printf.sprintf "%d GiB" (n lsr 30)

@@ -2,7 +2,6 @@
 
 val kib : int -> int
 val mib : int -> int
-val gib : int -> int
 
 val pp : int -> string
 (** ["4 KiB"], ["1 MiB"], ["512 B"]. Exact multiples only get a unit. *)

@@ -3,7 +3,6 @@ let page_shift = 12
 let levels = 4
 let index_bits = 9
 let fanout = 1 lsl index_bits
-let va_bits = 48
 
 (* 0x7000_0000_0000: near the top of the 47-bit user half. *)
 let msnap_base = 0x7000 lsl 32

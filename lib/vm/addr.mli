@@ -11,8 +11,6 @@ val levels : int (* 4 *)
 val index_bits : int (* 9 *)
 val fanout : int (* 512 *)
 
-val va_bits : int (* 48 *)
-
 val msnap_base : int
 (** Base virtual address of the MemSnap region arena (high canonical half
     as far as a 48-bit sim allows). *)

@@ -78,8 +78,6 @@ let map t ~name ~va ~len ?(writable = true) ?(new_pages_writable = true) ?pager
 
 let set_write_fault_handler m h = m.on_write_fault <- h
 
-let mapping_name m = m.m_name
-let mapping_base m = Addr.va_of_vpn m.start_vpn
 let mapping_len m = m.npages * Addr.page_size
 let mapping_of_fault_rel_page f = f.f_vpn - f.f_mapping.start_vpn
 

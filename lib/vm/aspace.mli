@@ -63,8 +63,6 @@ val unmap : t -> mapping -> unit
 
 val set_write_fault_handler : mapping -> (fault -> unit) option -> unit
 
-val mapping_name : mapping -> string
-val mapping_base : mapping -> int
 val mapping_len : mapping -> int
 val mapping_of_fault_rel_page : fault -> int
 (** Page index of the fault within its mapping. *)

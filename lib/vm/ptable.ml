@@ -2,9 +2,9 @@ type node =
   | Leaf of int array
   | Inner of node option array
 
-type t = { root : node option array; mutable nodes : int }
+type t = { root : node option array }
 
-let create () = { root = Array.make Addr.fanout None; nodes = 1 }
+let create () = { root = Array.make Addr.fanout None }
 
 let lookup t vpn =
   let rec go level children =
@@ -27,7 +27,6 @@ let walk t vpn =
         | None ->
           let slots = Array.make Addr.fanout Pte.empty in
           children.(i) <- Some (Leaf slots);
-          t.nodes <- t.nodes + 1;
           slots
       in
       Ptloc.make slots (Addr.index ~level:0 vpn)
@@ -40,7 +39,6 @@ let walk t vpn =
         | None ->
           let ch = Array.make Addr.fanout None in
           children.(i) <- Some (Inner ch);
-          t.nodes <- t.nodes + 1;
           ch
       in
       go (level - 1) ch
@@ -83,5 +81,3 @@ let iter_leaves t ~vpn ~n ~f =
     !visited
   in
   if n <= 0 || last < 0 then 0 else go (Addr.levels - 1) t.root 0 0
-
-let node_count t = t.nodes

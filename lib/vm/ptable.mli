@@ -41,6 +41,3 @@ val iter_leaves :
     inside the window. Nothing is allocated per PTE, which is what
     whole-mapping passes (the scan strategy, unmapping, Aurora's shadow
     and collapse) need. *)
-
-val node_count : t -> int
-(** Allocated nodes (all levels), for memory accounting. *)

@@ -22,7 +22,6 @@ let set_bit t bit v = if v then t lor bit else t land lnot bit
 
 let set_writable t v = set_bit t bit_writable v
 let set_cow t v = set_bit t bit_cow v
-let set_accessed t v = set_bit t bit_accessed v
 
 let set_frame t f =
   (f lsl Addr.page_shift) lor (t land (Addr.page_size - 1))

@@ -21,7 +21,6 @@ val frame : t -> int
 
 val set_writable : t -> bool -> t
 val set_cow : t -> bool -> t
-val set_accessed : t -> bool -> t
 val set_frame : t -> int -> t
 
 val pp : t -> string

@@ -4,6 +4,7 @@ module Size = Msnap_util.Size
 module Disk = Msnap_blockdev.Disk
 module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
+module Balloc = Msnap_blockdev.Balloc
 module Slice = Msnap_util.Slice
 
 (* Run the whole suite with the data plane's ownership-rule checks on:
@@ -723,6 +724,40 @@ let test_device_lent_buffer () =
   check "disk" (fun () -> Device.of_disk (mk_disk ()));
   check "stripe" (fun () -> Device.of_stripe (mk_stripe ()))
 
+(* --- Balloc --- *)
+
+(* Two reserved blocks, as the object store's two superblock slots. *)
+let mk_alloc total_blocks = Balloc.create ~total_blocks ~reserved:2
+
+let test_alloc_contiguous () =
+  let a = mk_alloc 100 in
+  let run = Balloc.alloc_run a 5 in
+  checki "len" 5 (List.length run);
+  let sorted = List.sort compare run in
+  Alcotest.(check (list int)) "ascending contiguous" sorted run;
+  (match run with
+  | first :: _ ->
+    checkb "contiguous" true
+      (List.for_all2 (fun b i -> b = first + i) run (List.init 5 Fun.id))
+  | [] -> Alcotest.fail "empty");
+  List.iter (fun b -> checkb "allocated" true (Balloc.is_allocated a b)) run
+
+let test_alloc_exhaustion () =
+  let a = mk_alloc 10 in
+  let avail = Balloc.free_blocks a in
+  ignore (Balloc.alloc_run a avail);
+  checkb "out of space" true
+    (try ignore (Balloc.alloc_run a 1); false with Balloc.Out_of_space -> true)
+
+let test_alloc_fragmented_fallback () =
+  let a = mk_alloc 32 in
+  let run = Balloc.alloc_run a 20 in
+  (* Free every other block, then ask for a run bigger than any hole. *)
+  let evens = List.filteri (fun i _ -> i mod 2 = 0) run in
+  Balloc.free_now a evens;
+  let got = Balloc.alloc_run a 8 in
+  checki "still serves scattered" 8 (List.length got)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "blockdev"
@@ -763,5 +798,11 @@ let () =
           tc "power failure through wrapper" test_device_power_failure;
           tc "barrier makes prior IO durable" test_device_barrier_orders;
           tc "lent buffer: one contract" test_device_lent_buffer;
+        ] );
+      ( "alloc",
+        [
+          tc "contiguous runs" test_alloc_contiguous;
+          tc "exhaustion" test_alloc_exhaustion;
+          tc "fragmented fallback" test_alloc_fragmented_fallback;
         ] );
     ]

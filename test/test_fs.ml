@@ -336,21 +336,6 @@ let test_mount_recycles_scan_buffers () =
       checki "file recovered" 5000 (Fs.size fs2 (Fs.open_file fs2 "kept")))
     ()
 
-let test_fdatasync_cheaper_than_fsync () =
-  in_sim (fun () ->
-      let fs = mk_fs () in
-      let f = Fs.open_file fs "f" in
-      let time_one sync =
-        Fs.write fs f ~off:0 (Bytes.make 4096 'x');
-        let t0 = Sched.now () in
-        sync ();
-        Sched.now () - t0
-      in
-      let full = time_one (fun () -> Fs.fsync fs f) in
-      let data_only = time_one (fun () -> Fs.fdatasync fs f) in
-      checkb "fdatasync not slower" true (data_only <= full))
-    ()
-
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "fs"
@@ -369,7 +354,6 @@ let () =
           tc "sync_meta" test_sync_meta_writes;
           QCheck_alcotest.to_alcotest prop_meta_length;
           tc "mount recycles scan buffers" test_mount_recycles_scan_buffers;
-          tc "fdatasync" test_fdatasync_cheaper_than_fsync;
         ] );
       ( "zfs",
         [

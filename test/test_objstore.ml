@@ -6,7 +6,6 @@ module Disk = Msnap_blockdev.Disk
 module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
 module Layout = Msnap_objstore.Layout
-module Alloc = Msnap_objstore.Alloc
 module Radix = Msnap_objstore.Radix
 module Store = Msnap_objstore.Store
 
@@ -69,47 +68,6 @@ let test_layout_directory () =
   let entries = [ ("a", 10); ("much-longer-name", 20); ("z", 30) ] in
   let back = Layout.directory_of_bytes (Layout.directory_to_bytes entries) in
   Alcotest.(check (list (pair string int))) "roundtrip" entries back
-
-(* --- Alloc --- *)
-
-let test_alloc_contiguous () =
-  let a = Alloc.create ~total_blocks:100 in
-  let run = Alloc.alloc_run a 5 in
-  checki "len" 5 (List.length run);
-  let sorted = List.sort compare run in
-  Alcotest.(check (list int)) "ascending contiguous" sorted run;
-  (match run with
-  | first :: _ ->
-    checkb "contiguous" true
-      (List.for_all2 (fun b i -> b = first + i) run (List.init 5 Fun.id))
-  | [] -> Alcotest.fail "empty");
-  List.iter (fun b -> checkb "allocated" true (Alloc.is_allocated a b)) run
-
-let test_alloc_exhaustion () =
-  let a = Alloc.create ~total_blocks:10 in
-  let avail = Alloc.free_blocks a in
-  ignore (Alloc.alloc_run a avail);
-  checkb "out of space" true
-    (try ignore (Alloc.alloc_run a 1); false with Alloc.Out_of_space -> true)
-
-let test_alloc_deferred_free () =
-  let a = Alloc.create ~total_blocks:16 in
-  let run = Alloc.alloc_run a 4 in
-  let before = Alloc.free_blocks a in
-  Alloc.free_deferred a run;
-  checki "not yet freed" before (Alloc.free_blocks a);
-  Alloc.apply_deferred a;
-  checki "freed" (before + 4) (Alloc.free_blocks a)
-
-let test_alloc_fragmented_fallback () =
-  let a = Alloc.create ~total_blocks:32 in
-  let run = Alloc.alloc_run a 20 in
-  (* Free every other block, then ask for a run bigger than any hole. *)
-  let evens = List.filteri (fun i _ -> i mod 2 = 0) run in
-  Alloc.free_deferred a evens;
-  Alloc.apply_deferred a;
-  let got = Alloc.alloc_run a 8 in
-  checki "still serves scattered" 8 (List.length got)
 
 (* --- Radix --- *)
 
@@ -602,6 +560,50 @@ let test_reads_during_flight_see_committed_epoch () =
       | None -> Alcotest.fail "missing")
     ()
 
+(* A superseded block stays allocated until the header write that drops
+   it has completed: a second thread sampling the free count at every
+   instant of an overwrite commit sees the new blocks taken first and
+   the old ones returned only once the new epoch is durable. *)
+let test_superseded_blocks_freed_after_header () =
+  in_sim (fun () ->
+      let _, s = mk_store () in
+      let o = Store.create s ~name:"o" () in
+      (* Index 600 makes the tree height 2: a root over two leaves. *)
+      ignore (Store.commit s o [ (3, page 'a'); (600, page 'b') ]);
+      let free0 = Store.free_blocks s in
+      let e, ticket = Store.commit_async s o [ (3, page 'A'); (600, page 'B') ] in
+      let finished = ref false in
+      let samples = ref [] (* (header written, free blocks), newest first *) in
+      let sampler =
+        Sched.spawn ~name:"sampler" (fun () ->
+            while not !finished do
+              samples := (Store.epoch o >= e, Store.free_blocks s) :: !samples;
+              Sched.delay 1
+            done)
+      in
+      Store.wait ticket;
+      finished := true;
+      Sched.join sampler;
+      let in_flight =
+        List.filter_map (fun (durable, n) -> if durable then None else Some n)
+          (List.rev !samples)
+      in
+      (* Two data blocks and the three nodes of their paths. *)
+      checki "new blocks taken in flight" (free0 - 5)
+        (List.fold_left min free0 in_flight);
+      ignore
+        (List.fold_left
+           (fun prev n ->
+             if n > prev then
+               Alcotest.failf "%d blocks freed before the header write" (n - prev);
+             n)
+           free0 in_flight);
+      List.iter
+        (fun (durable, n) -> if durable then checki "old blocks freed" free0 n)
+        !samples;
+      checki "after the commit" free0 (Store.free_blocks s))
+    ()
+
 let major_words () =
   let _, _, major = Gc.counters () in
   major
@@ -671,13 +673,6 @@ let () =
           tc "header roundtrip" test_layout_header;
           tc "directory roundtrip" test_layout_directory;
         ] );
-      ( "alloc",
-        [
-          tc "contiguous runs" test_alloc_contiguous;
-          tc "exhaustion" test_alloc_exhaustion;
-          tc "deferred free" test_alloc_deferred_free;
-          tc "fragmented fallback" test_alloc_fragmented_fallback;
-        ] );
       ( "radix",
         [
           tc "lookup empty" test_radix_lookup_empty;
@@ -713,6 +708,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_cold_remount_differential;
           tc "reads in flight see the committed epoch"
             test_reads_during_flight_see_committed_epoch;
+          tc "superseded blocks freed after the header"
+            test_superseded_blocks_freed_after_header;
           tc "steady-state commit allocation" test_commit_allocation;
           tc "freed images recycled" test_freed_images_recycled;
         ] );

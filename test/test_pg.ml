@@ -63,8 +63,7 @@ let test_bufmgr_caching () =
       let reads = ref 0 and writes = ref 0 in
       let smgr =
         {
-          Bufmgr.s_label = "counting";
-          s_read = (fun ~rel:_ ~blockno:_ -> incr reads; Bytes.make Bufmgr.block_size '\000');
+          Bufmgr.s_read = (fun ~rel:_ ~blockno:_ -> incr reads; Bytes.make Bufmgr.block_size '\000');
           s_write = (fun ~rel:_ ~blockno:_ _ -> incr writes);
           s_flush = (fun ~rel:_ -> ());
         }

@@ -500,13 +500,35 @@ let test_delay_fast_path_ordering () =
   in
   checks "order" "a,b" (String.concat "," order)
 
+let test_cpu_fast_path_pops_no_events () =
+  (* A lone thread's cpu charges find nothing queued at or before their
+     target, so the fast path advances the clock inline: the run pops
+     only the thread's spawn. A yield always goes through the queue. *)
+  let events f =
+    let e0, _, _ = Sched.host_counters () in
+    Sched.run f;
+    let e1, _, _ = Sched.host_counters () in
+    e1 - e0
+  in
+  checki "cpu charges absorbed" 1
+    (events (fun () ->
+         for _ = 1 to 50 do
+           Sched.cpu 10
+         done));
+  checkb "yields popped as events" true
+    (events (fun () ->
+         for _ = 1 to 50 do
+           Sched.yield ()
+         done)
+    >= 50)
+
 (* --- waker pooling --- *)
 
 let test_waker_pool_reuse () =
   (* A channel ping-pong parks thousands of times, but only a handful of
      threads are ever parked at once: nearly every park must be served
      from the per-engine waker free list, not a fresh allocation. *)
-  let _, _, al0, re0 = Sched.host_counters () in
+  let _, al0, re0 = Sched.host_counters () in
   Sched.run (fun () ->
       let ch = Sync.Channel.create ~capacity:1 in
       let a =
@@ -523,21 +545,9 @@ let test_waker_pool_reuse () =
       in
       Sched.join a;
       Sched.join b);
-  let _, _, al1, re1 = Sched.host_counters () in
+  let _, al1, re1 = Sched.host_counters () in
   checkb "few fresh wakers" true (al1 - al0 <= 8);
   checkb "parks served from the free list" true (re1 - re0 > 1_000)
-
-let test_host_counters_ev_vs_ctx () =
-  (* A lone thread yielding to itself pops run-queue events that hand the
-     CPU straight back: events tick, context switches must not. *)
-  let e0, c0, _, _ = Sched.host_counters () in
-  Sched.run (fun () ->
-      for _ = 1 to 50 do
-        Sched.yield ()
-      done);
-  let e1, c1, _, _ = Sched.host_counters () in
-  checkb "yields popped as events" true (e1 - e0 >= 50);
-  checkb "self-resumes are not switches" true (c1 - c0 <= 2)
 
 let test_waker_stale_wake_detected () =
   (* Wakers are recycled when their thread resumes; waking one after that
@@ -709,6 +719,7 @@ let () =
           tc "child exception" test_child_exception_propagates;
           tc "reusable after failure" test_run_not_nested_state;
           tc "delay fast path ordering" test_delay_fast_path_ordering;
+          tc "cpu fast path pops no events" test_cpu_fast_path_pops_no_events;
           tc "shared bucket cells" test_cpu_charges_across_threads_same_bucket;
           tc "lazy bucket creation" test_account_report_only_charged_buckets;
           tc "typed bucket nesting" test_bucket_nesting_typed;
@@ -723,7 +734,6 @@ let () =
         [
           tc "pool reuse" test_waker_pool_reuse;
           tc "stale wake detected" test_waker_stale_wake_detected;
-          tc "events vs context switches" test_host_counters_ev_vs_ctx;
         ] );
       ( "sync",
         [
