@@ -11,7 +11,11 @@
    experiment (see Msnap_sim.Trace). Tracing is host-side observability:
    it cannot perturb any simulated value, so traced and untraced runs
    print identical tables. The per-experiment summary and event counts go
-   to stderr / BENCH_sim.json, never stdout. *)
+   to stderr / BENCH_sim.json, never stdout.
+
+   `--sample-profile` (serial runs only) samples the host call stack on
+   a process-CPU-time timer and prints the hottest source lines to
+   stderr at the end; see Sample_profile for what its samples mean. *)
 
 module Trace = Msnap_sim.Trace
 
@@ -206,8 +210,14 @@ let write_timings ~path ~jobs ~total timings =
   p "  ]\n}\n";
   close_out oc
 
-let run names jobs timings_path trace partial =
+let run names jobs timings_path trace partial sample_profile =
   let selected = select names in
+  if sample_profile && jobs > 1 then begin
+    prerr_endline
+      "[bench] --sample-profile needs a serial run: samples from a -j pool \
+       cannot be attributed; drop -j.";
+    exit 2
+  end;
   (* A subset run would silently replace full-suite results with a file
      missing most experiments; require an explicit opt-in. *)
   if
@@ -228,17 +238,20 @@ let run names jobs timings_path trace partial =
      (workers do the same via Taskpool.on_worker_init). *)
   Env.warm ();
   let t0 = Unix.gettimeofday () in
+  if sample_profile then Sample_profile.start ();
   let timings =
     if jobs <= 1 then run_serial ~trace selected
     else run_parallel ~trace jobs selected
   in
+  if sample_profile then Sample_profile.stop ();
   let total = Unix.gettimeofday () -. t0 in
   write_timings ~path:timings_path ~jobs:(max 1 jobs) ~total timings;
   print_endline "\ndone.";
   Printf.eprintf "[bench] %.1fs wall (%d job%s); timings -> %s\n%!" total
     (max 1 jobs)
     (if jobs > 1 then "s" else "")
-    timings_path
+    timings_path;
+  if sample_profile then Sample_profile.report ()
 
 open Cmdliner
 
@@ -271,10 +284,19 @@ let trace =
                name spliced in. Host-side only: simulated values are \
                byte-identical with tracing on or off." ~docv:"PATH")
 
+let sample_profile =
+  Arg.(value & flag & info [ "sample-profile" ]
+         ~doc:"Sample the host call stack every millisecond of process CPU \
+               time and print the hottest source lines (self and \
+               inclusive) to stderr. Samples land at OCaml poll points, so \
+               time in C stubs and in loops without polls is charged to \
+               the calling line. Serial runs only; stdout is unchanged.")
+
 let cmd =
   Cmd.v
     (Cmd.info "memsnap-bench"
        ~doc:"Reproduce the MemSnap paper's evaluation tables and figures")
-    Term.(const run $ names $ jobs $ timings_path $ trace $ partial)
+    Term.(const run $ names $ jobs $ timings_path $ trace $ partial
+          $ sample_profile)
 
 let () = exit (Cmd.eval cmd)

@@ -24,11 +24,14 @@ let dev_bs = 4096
 type cached_block = {
   cb_data : Bytes.t; (* pooled: recycled when the block leaves the cache *)
   mutable cb_dirty : bool;
-  mutable cb_lru : int;
   mutable cb_pin : int;
       (* holders of [cb_data] across a scheduling point: in-flight
          writeback commands and writers inside a charge+blit window *)
   mutable cb_gone : bool; (* evicted while pinned; last unpin recycles *)
+  cb_idx : int; (* fs-block index within its file *)
+  cb_owner : (int, cached_block) Hashtbl.t; (* the file's [f_cache] *)
+  mutable cb_prev : cached_block; (* LRU neighbours; self when unlinked *)
+  mutable cb_next : cached_block;
 }
 
 let pin cb = cb.cb_pin <- cb.cb_pin + 1
@@ -44,6 +47,30 @@ let unpin cb =
    simulated value); they only defer the host-side recycle. *)
 let discard_block cb =
   if cb.cb_pin = 0 then Pool.recycle cb.cb_data else cb.cb_gone <- true
+
+(* The LRU list: circular, doubly linked through the blocks, around a
+   sentinel that holds no data; [lru.cb_next] is the least recently
+   touched block. *)
+let lru_sentinel () =
+  let rec s =
+    { cb_data = Bytes.empty; cb_dirty = false; cb_pin = 0; cb_gone = false;
+      cb_idx = -1; cb_owner = Hashtbl.create 1; cb_prev = s; cb_next = s }
+  in
+  s
+
+let linked cb = cb.cb_next != cb
+
+let unlink cb =
+  cb.cb_prev.cb_next <- cb.cb_next;
+  cb.cb_next.cb_prev <- cb.cb_prev;
+  cb.cb_prev <- cb;
+  cb.cb_next <- cb
+
+let link_newest lru cb =
+  cb.cb_prev <- lru.cb_prev;
+  cb.cb_next <- lru;
+  lru.cb_prev.cb_next <- cb;
+  lru.cb_prev <- cb
 
 type mm = {
   mm_aspace : Aspace.t;
@@ -70,7 +97,7 @@ type t = {
   mutable journal_cursor : int; (* device block within the journal area *)
   mutable txn_seq : int; (* FFS: last journal transaction sequence *)
   mutable meta_slot : int; (* FFS: next snapshot slot (0 or 1) *)
-  mutable lru_clock : int;
+  lru : cached_block; (* sentinel of the LRU list over every file's cache *)
   mutable capacity : int; (* cache capacity in fs blocks, across files *)
   mutable cached_count : int;
   fsync_lock : Sync.Mutex.t;
@@ -100,7 +127,7 @@ let mkfs dev ~kind =
     journal_cursor = meta_blocks;
     txn_seq = 0;
     meta_slot = 0;
-    lru_clock = 0;
+    lru = lru_sentinel ();
     capacity = 2048;
     cached_count = 0;
     fsync_lock = Sync.Mutex.create ();
@@ -135,7 +162,7 @@ let remove t name =
       f.f_blocks;
     Balloc.free_now t.alloc f.f_ind_blocks;
     t.cached_count <- t.cached_count - Hashtbl.length f.f_cache;
-    Hashtbl.iter (fun _ cb -> discard_block cb) f.f_cache;
+    Hashtbl.iter (fun _ cb -> unlink cb; discard_block cb) f.f_cache;
     Hashtbl.remove t.files name
 
 let size _t f = f.f_size
@@ -279,67 +306,38 @@ let journal_commit t ~seq f dirty =
 
 (* --- buffer cache --- *)
 
+(* Drop the least-recently-used *clean* blocks across all files, never
+   the block a caller is actively using ([keep]). Dirty blocks are pinned
+   until writeback, so the cache can transiently exceed its capacity, as
+   a real buffer cache under writeback pressure. The victims feed later
+   RMW reads, a simulated value, so the order is the policy: every
+   lookup moves its block to the newest end, and a miss links the new
+   block there, so list order is touch order and no two blocks tie. The
+   walk starts at the oldest end and stops after [excess] victims; it
+   passes only the dirty blocks and [keep] on its way. *)
 let evict_if_needed ?keep t =
-  if t.cached_count > t.capacity then begin
-    (* Drop the least-recently-used *clean* blocks across all files,
-       never the block a caller is actively using ([keep]). Dirty blocks
-       are pinned until writeback, so the cache can transiently exceed
-       its capacity, as a real buffer cache under writeback pressure. *)
-    (* Repeated min-scan instead of building and sorting a candidate
-       list per miss: each round evicts the smallest
-       [(cb_lru, f_name, idx)] — exactly the block the old
-       [List.sort compare] put first — and evicting a clean block never
-       changes the rest of the candidate set, so the evicted set is
-       identical. [excess] is almost always 1, and the scan allocates
-       nothing per block. *)
-    let keep_cb = keep in
-    let excess = t.cached_count - t.capacity in
-    let continue = ref true in
-    for _ = 1 to excess do
-      if !continue then begin
-        let best_lru = ref max_int in
-        let best_f = ref None in
-        let best_idx = ref 0 in
-        let best_cb = ref None in
-        Hashtbl.iter
-          (fun _ f ->
-            Hashtbl.iter
-              (fun idx cb ->
-                let kept =
-                  match keep_cb with Some k -> k == cb | None -> false
-                in
-                if (not cb.cb_dirty) && not kept then
-                  let better =
-                    cb.cb_lru < !best_lru
-                    || cb.cb_lru = !best_lru
-                       &&
-                       match !best_f with
-                       | None -> true
-                       | Some bf ->
-                         let c = compare f.f_name bf.f_name in
-                         c < 0 || (c = 0 && idx < !best_idx)
-                  in
-                  if better then begin
-                    best_lru := cb.cb_lru;
-                    best_f := Some f;
-                    best_idx := idx;
-                    best_cb := Some cb
-                  end)
-              f.f_cache)
-          t.files;
-        match !best_f with
-        | None -> continue := false
-        | Some f ->
-          Hashtbl.remove f.f_cache !best_idx;
-          t.cached_count <- t.cached_count - 1;
-          Option.iter discard_block !best_cb
-      end
-    done
-  end
+  let excess = ref (t.cached_count - t.capacity) in
+  let cb = ref t.lru.cb_next in
+  while !excess > 0 && !cb != t.lru do
+    let victim = !cb in
+    cb := victim.cb_next;
+    let kept = match keep with Some k -> k == victim | None -> false in
+    if (not victim.cb_dirty) && not kept then begin
+      unlink victim;
+      Hashtbl.remove victim.cb_owner victim.cb_idx;
+      t.cached_count <- t.cached_count - 1;
+      discard_block victim;
+      decr excess
+    end
+  done
 
+(* A lookup that raced with an eviction, truncate or remove across its
+   charge finds its block unlinked and leaves it so. *)
 let touch t cb =
-  t.lru_clock <- t.lru_clock + 1;
-  cb.cb_lru <- t.lru_clock
+  if linked cb then begin
+    unlink cb;
+    link_newest t.lru cb
+  end
 
 (* Get the cached block, reading it from disk when a read-modify-write
    requires the old contents ([need_old]). *)
@@ -362,11 +360,14 @@ let get_block t f idx ~need_old =
         data
       | Some _ | None -> Pool.alloc_zeroed t.bs
     in
-    let cb =
-      { cb_data = data; cb_dirty = false; cb_lru = 0; cb_pin = 0;
-        cb_gone = false }
+    let rec cb =
+      { cb_data = data; cb_dirty = false; cb_pin = 0; cb_gone = false;
+        cb_idx = idx; cb_owner = f.f_cache; cb_prev = cb; cb_next = cb }
     in
-    touch t cb;
+    (* A block another thread cached during the read above is replaced,
+       but stays counted, as it always has. *)
+    Option.iter unlink (Hashtbl.find_opt f.f_cache idx);
+    link_newest t.lru cb;
     Hashtbl.replace f.f_cache idx cb;
     t.cached_count <- t.cached_count + 1;
     evict_if_needed ~keep:cb t;
@@ -495,6 +496,16 @@ let read t f ~off ~len =
 let truncate t f newsize =
   Sched.cpu (Costs.syscall + Costs.vfs_call);
   if newsize < f.f_size then begin
+    (* Like ftruncate(2), zero the kept tail block past the new EOF, so
+       a later extending write exposes zeros there, not the old bytes.
+       Fetching it is the only scheduling point; the rest is atomic. *)
+    let within = newsize mod t.bs and tail = newsize / t.bs in
+    if within <> 0 && (Hashtbl.mem f.f_cache tail || Hashtbl.mem f.f_blocks tail)
+    then begin
+      let cb = get_block t f tail ~need_old:true in
+      Bytes.fill cb.cb_data within (t.bs - within) '\000';
+      cb.cb_dirty <- true
+    end;
     let keep_blocks = (newsize + t.bs - 1) / t.bs in
     let dropped = ref [] in
     Hashtbl.iter
@@ -513,6 +524,7 @@ let truncate t f newsize =
       (fun (idx, cb) ->
         Hashtbl.remove f.f_cache idx;
         t.cached_count <- t.cached_count - 1;
+        unlink cb;
         discard_block cb)
       !drop_cache
   end;
@@ -1039,6 +1051,8 @@ let dispose t =
     (fun _ f -> Hashtbl.iter (fun _ cb -> discard_block cb) f.f_cache)
     t.files;
   Hashtbl.reset t.files;
+  t.lru.cb_prev <- t.lru;
+  t.lru.cb_next <- t.lru;
   t.cached_count <- 0;
   Pool.recycle t.scratch_zeros;
   t.scratch_zeros <- Bytes.empty;

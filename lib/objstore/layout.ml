@@ -7,17 +7,6 @@ let name_max = 200
 
 let sector = 512
 
-let fnv_offset = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
-
-let checksum b ~pos ~len =
-  let h = ref fnv_offset in
-  for i = pos to pos + len - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.get b i)));
-    h := Int64.mul !h fnv_prime
-  done;
-  !h
-
 let sb_magic = 0x4D534E41505342L (* "MSNAPSB" *)
 let hdr_magic = 0x4D534E41504F42L (* "MSNAPOB" *)
 
@@ -27,17 +16,20 @@ type superblock = {
   total_blocks : int;
 }
 
-(* Sector layout: magic, generation, directory, total, checksum-of-first-
-   (sector-8) bytes stored in the last 8 bytes. *)
+(* Sector layout: magic, generation, directory, total, and in the last
+   8 bytes the {!Msnap_util.Wire.checksum} of the first (sector-8), the
+   same checksum as every other on-media record. *)
+let seal_checksum b = Msnap_util.Wire.checksum b ~pos:0 ~len:(sector - 8)
+
 let seal sector_bytes =
-  let c = checksum sector_bytes ~pos:0 ~len:(sector - 8) in
-  Bytes.set_int64_le sector_bytes (sector - 8) c;
+  Msnap_util.Wire.set_u64 sector_bytes (sector - 8) (seal_checksum sector_bytes);
   sector_bytes
 
 let sealed_ok sector_bytes =
   Bytes.length sector_bytes >= sector
-  && Bytes.get_int64_le sector_bytes (sector - 8)
-     = checksum sector_bytes ~pos:0 ~len:(sector - 8)
+  && Int64.equal
+       (Bytes.get_int64_le sector_bytes (sector - 8))
+       (Int64.of_int (seal_checksum sector_bytes))
 
 let superblock_to_bytes sb =
   let b = Bytes.make sector '\000' in

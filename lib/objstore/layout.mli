@@ -5,7 +5,8 @@
     - everything above {!first_data_block} is allocatable.
 
     Commit records (superblocks and object headers) fit in one 512-byte
-    sector and carry a checksum, so writing one is atomic under the disk's
+    sector and carry a {!Msnap_util.Wire.checksum} of the rest of the
+    sector in their last 8 bytes, so writing one is atomic under the disk's
     sector-atomicity guarantee — this is the entire crash-consistency story
     of the store: data and COW tree nodes land in free space first, then a
     single sector flips the object to its new epoch. *)
@@ -16,9 +17,6 @@ val first_data_block : int
 val ptr_size : int (* 8 *)
 val radix_fanout : int (* 512 *)
 val name_max : int (* 200 *)
-
-val checksum : Bytes.t -> pos:int -> len:int -> int64
-(** FNV-1a over a byte range. *)
 
 type superblock = {
   generation : int;

@@ -61,11 +61,6 @@ let fill t c =
   check_mutable t "fill";
   Bytes.fill t.s_buf t.s_pos t.s_len c
 
-(* FNV-1a. Only run under [debug_checks]; host-only, never feeds
-   simulated state, so it need not be fast or collision-hardened. *)
-let checksum t =
-  let h = ref 0x3bf29ce484222325 (* FNV basis truncated to 63-bit int *) in
-  for i = t.s_pos to t.s_pos + t.s_len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get t.s_buf i)) * 0x100000001b3
-  done;
-  !h
+(* Only run under [debug_checks]; host-only, never feeds simulated
+   state. *)
+let checksum t = Wire.checksum t.s_buf ~pos:t.s_pos ~len:t.s_len

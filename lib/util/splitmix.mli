@@ -30,7 +30,10 @@ val next53 : state -> int
 (** The high 53 bits of the next draw. *)
 
 val fold : init:int -> Bytes.t -> pos:int -> len:int -> int
-(** [fold ~init b ~pos ~len] mixes [init], each little-endian 64-bit
-    word of [b[pos..pos+len)], the trailing bytes and [len], and keeps
-    the low 62 bits. No bounds check: the caller must ensure
-    [0 <= pos], [0 <= len] and [pos + len <= Bytes.length b]. *)
+(** [fold ~init b ~pos ~len] hashes [b[pos..pos+len)] into the low 62
+    bits of a splitmix64 state. Four independent lanes each absorb one
+    little-endian 64-bit word of every 32-byte stride, so their
+    multiplies overlap; the lanes then fold into one hash, followed by
+    the leftover words, the trailing bytes and [len]. Allocates nothing.
+    No bounds check: the caller must ensure [0 <= pos], [0 <= len] and
+    [pos + len <= Bytes.length b]. *)

@@ -12,5 +12,7 @@ val set_u64 : Bytes.t -> int -> int -> unit
 (** 62-bit non-negative payloads (sizes, sequence numbers). *)
 
 val checksum : ?init:int -> Bytes.t -> pos:int -> len:int -> int
-(** Deterministic splitmix64 fold over [b[pos..pos+len)], returned as a
-    non-negative int. [init] chains checksums across records. *)
+(** Deterministic four-lane splitmix64 fold over [b[pos..pos+len)]
+    ({!Splitmix.fold}), returned as a non-negative int. [init] chains
+    checksums across records. The one checksum of every on-media
+    format. *)

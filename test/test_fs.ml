@@ -148,6 +148,34 @@ let test_truncate () =
       checks "kept prefix" "zTTTTTTTTT" (Bytes.to_string back))
     ()
 
+(* After ftruncate(2), an extending write exposes zeros between the new
+   EOF and itself, not the bytes the truncate cut off. [cached = false]
+   evicts the tail block first, so the truncate must fetch it. *)
+let test_truncate_zeroes_tail ~cached () =
+  in_sim (fun () ->
+      let dev =
+        Device.of_stripe
+          (Stripe.create [ Disk.create ~name:"d0" ~size:(Size.mib 64) ();
+              Disk.create ~name:"d1" ~size:(Size.mib 64) () ])
+      in
+      let fs = Fs.mkfs dev ~kind:Fs.Ffs in
+      let f = Fs.open_file fs "t" in
+      Fs.write fs f ~off:0 (Bytes.make 100 'A');
+      if not cached then Fs.set_cache_capacity fs 0;
+      Fs.fsync fs f;
+      checki "resident" (if cached then 1 else 0) (Fs.resident_blocks fs f);
+      Fs.truncate fs f 10;
+      Fs.write fs f ~off:50 (Bytes.of_string "Z");
+      let want = String.make 10 'A' ^ String.make 40 '\000' ^ "Z" in
+      checks "cached" want (Bytes.to_string (Fs.read fs f ~off:0 ~len:51));
+      Fs.fsync fs f;
+      checks "after fsync" want (Bytes.to_string (Fs.read fs f ~off:0 ~len:51));
+      let fs2 = Fs.mount dev ~kind:Fs.Ffs in
+      let f2 = Fs.open_file fs2 "t" in
+      checki "mounted size" 51 (Fs.size fs2 f2);
+      checks "after mount" want (Bytes.to_string (Fs.read fs2 f2 ~off:0 ~len:51)))
+    ()
+
 let test_remove () =
   in_sim (fun () ->
       let fs = mk_fs () in
@@ -311,6 +339,194 @@ let prop_meta_length =
           in
           Fs.meta_text_length fs = legacy_meta_length fs opened))
 
+(* --- buffer-cache eviction order against a pure LRU model --- *)
+
+(* Ops on file [f] of 2-3; truncates keep whole blocks, so no tail block
+   is touched and the model needs no truncate-time read. *)
+type cache_op =
+  | Cwrite of int * int * int (* file, off, len *)
+  | Cread of int * int * int
+  | Cfsync of int
+  | Ctruncate of int * int (* file, kept blocks *)
+  | Cremove of int
+
+let cache_op_to_string = function
+  | Cwrite (f, off, len) -> Printf.sprintf "write f%d %d+%d" f off len
+  | Cread (f, off, len) -> Printf.sprintf "read f%d %d+%d" f off len
+  | Cfsync f -> Printf.sprintf "fsync f%d" f
+  | Ctruncate (f, n) -> Printf.sprintf "truncate f%d %d blocks" f n
+  | Cremove f -> Printf.sprintf "remove f%d" f
+
+(* The policy as a specification: one global recency order, touched on
+   every lookup; a miss inserts the block as most recent, then evicts the
+   least recently touched clean blocks until the cache fits, never the
+   block just inserted. A miss that must merge into an on-disk block
+   counts one read-modify-write read. *)
+module Lru_model = struct
+  type t = {
+    cap : int;
+    bs : int;
+    mutable order : (int * int) list; (* (file, idx), least recent first *)
+    dirty : (int * int, unit) Hashtbl.t;
+    on_disk : (int * int, unit) Hashtbl.t;
+    mutable rmw : int;
+    mutable scanned_pages : int; (* resident pages fsync has scanned *)
+  }
+
+  let create ~cap ~bs =
+    { cap; bs; order = []; dirty = Hashtbl.create 16;
+      on_disk = Hashtbl.create 16; rmw = 0; scanned_pages = 0 }
+
+  let resident m f = List.length (List.filter (fun (g, _) -> g = f) m.order)
+
+  let evict ?keep m =
+    let excess = ref (List.length m.order - m.cap) in
+    m.order <-
+      List.filter
+        (fun k ->
+          if !excess > 0 && (not (Hashtbl.mem m.dirty k)) && Some k <> keep
+          then (decr excess; false)
+          else true)
+        m.order
+
+  let get m k ~need_old =
+    if List.mem k m.order then m.order <- List.filter (( <> ) k) m.order @ [ k ]
+    else begin
+      if need_old && Hashtbl.mem m.on_disk k then m.rmw <- m.rmw + 1;
+      m.order <- m.order @ [ k ];
+      evict ~keep:k m
+    end
+
+  let chunks m ~off ~len fn =
+    let rec go off rem =
+      if rem > 0 then begin
+        let idx = off / m.bs and within = off mod m.bs in
+        let n = min rem (m.bs - within) in
+        fn idx (within = 0 && n = m.bs);
+        go (off + n) (rem - n)
+      end
+    in
+    go off len
+
+  let drop m keep_k =
+    m.order <- List.filter keep_k m.order;
+    let filter tbl =
+      Hashtbl.filter_map_inplace (fun k () -> if keep_k k then Some () else None) tbl
+    in
+    filter m.dirty;
+    filter m.on_disk
+
+  let step m = function
+    | Cwrite (f, off, len) ->
+      chunks m ~off ~len (fun idx whole ->
+          get m (f, idx) ~need_old:(not whole);
+          Hashtbl.replace m.dirty (f, idx) ())
+    | Cread (f, off, len) ->
+      chunks m ~off ~len (fun idx _ ->
+          let k = (f, idx) in
+          if List.mem k m.order || Hashtbl.mem m.on_disk k then get m k ~need_old:true)
+    | Cfsync f ->
+      m.scanned_pages <- m.scanned_pages + (resident m f * (m.bs / 4096));
+      List.iter
+        (fun ((g, _) as k) ->
+          if g = f && Hashtbl.mem m.dirty k then begin
+            Hashtbl.remove m.dirty k;
+            Hashtbl.replace m.on_disk k ()
+          end)
+        m.order;
+      evict m
+    | Ctruncate (f, n) -> drop m (fun (g, idx) -> g <> f || idx < n)
+    | Cremove f -> drop m (fun (g, _) -> g <> f)
+end
+
+(* One run of [ops] on a fresh single-disk file system: after each step,
+   the per-file resident counts, the RMW-read total and the clock. *)
+let run_cache_ops ~kind ~cap ~nfiles ops =
+  Sched.run (fun () ->
+      let fs = Fs.mkfs (Device.of_disk (Disk.create ~size:(Size.mib 16) ())) ~kind in
+      Fs.set_cache_capacity fs cap;
+      let name f = Printf.sprintf "f%d" f in
+      let payload = Bytes.make (2 * Fs.fs_block_size fs) 'p' in
+      List.map
+        (fun op ->
+          (match op with
+          | Cwrite (f, off, len) ->
+            Fs.write fs (Fs.open_file fs (name f)) ~off (Bytes.sub payload 0 len)
+          | Cread (f, off, len) -> ignore (Fs.read fs (Fs.open_file fs (name f)) ~off ~len)
+          | Cfsync f -> Fs.fsync fs (Fs.open_file fs (name f))
+          | Ctruncate (f, n) ->
+            Fs.truncate fs (Fs.open_file fs (name f)) (n * Fs.fs_block_size fs)
+          | Cremove f -> Fs.remove fs (name f));
+          ( List.init nfiles (fun f -> Fs.resident_blocks fs (Fs.open_file fs (name f))),
+            Fs.rmw_reads fs,
+            Sched.now () ))
+        ops)
+
+let fs_block_of = function Fs.Ffs -> 32 * 1024 | Fs.Zfs -> 128 * 1024
+
+let prop_eviction_order =
+  let open QCheck.Gen in
+  let gen =
+    oneofl [ Fs.Ffs; Fs.Zfs ] >>= fun kind ->
+    let bs = fs_block_of kind in
+    int_range 2 3 >>= fun nfiles ->
+    int_range 2 4 >>= fun cap ->
+    let file = int_range 0 (nfiles - 1) in
+    let range =
+      frequency
+        [ (2, map (fun i -> (i * bs, bs)) (int_range 0 5));
+          (3, pair (int_range 0 (6 * bs)) (int_range 1 (2 * bs))) ]
+    in
+    let op =
+      frequency
+        [ (5, map2 (fun f (off, len) -> Cwrite (f, off, len)) file range);
+          (4, map2 (fun f (off, len) -> Cread (f, off, len)) file range);
+          (3, map (fun f -> Cfsync f) file);
+          (1, map2 (fun f n -> Ctruncate (f, n)) file (int_range 0 4));
+          (1, map (fun f -> Cremove f) file) ]
+    in
+    list_size (int_range 1 40) op >|= fun ops -> (kind, nfiles, cap, ops)
+  in
+  let print (kind, nfiles, cap, ops) =
+    Printf.sprintf "%s, %d files, capacity %d:\n  %s"
+      (match kind with Fs.Ffs -> "ffs" | Fs.Zfs -> "zfs")
+      nfiles cap
+      (String.concat "\n  " (List.map cache_op_to_string ops))
+  in
+  QCheck.Test.make ~count:150 ~name:"eviction order matches LRU model"
+    (QCheck.make ~print gen)
+    (fun (kind, nfiles, cap, ops) ->
+      let bs = fs_block_of kind in
+      (* The clock is checked against an uncapped run of the same ops: the
+         cache policy adds only RMW device reads and fsync's resident-page
+         scan, both of which the model counts. *)
+      let small = run_cache_ops ~kind ~cap ~nfiles ops in
+      let big = run_cache_ops ~kind ~cap:max_int ~nfiles ops in
+      let m = Lru_model.create ~cap ~bs and mb = Lru_model.create ~cap:max_int ~bs in
+      let read_ns = Msnap_sim.Costs.(disk_base + disk_xfer bs) in
+      List.for_all2
+        (fun op ((res, rmw, now), (_, rmw_big, now_big)) ->
+          Lru_model.step m op;
+          Lru_model.step mb op;
+          let want_res = List.init nfiles (Lru_model.resident m) in
+          let want_now =
+            now_big
+            + ((m.rmw - mb.rmw) * read_ns)
+            + ((m.scanned_pages - mb.scanned_pages)
+               * Msnap_sim.Costs.fsync_resident_scan_per_page)
+          in
+          if res <> want_res || rmw <> m.rmw || rmw_big <> mb.rmw || now <> want_now
+          then
+            QCheck.Test.fail_reportf
+              "after %s: resident [%s] (model [%s]), rmw %d (model %d), \
+               uncapped rmw %d (model %d), now %d (model %d)"
+              (cache_op_to_string op)
+              (String.concat ";" (List.map string_of_int res))
+              (String.concat ";" (List.map string_of_int want_res))
+              rmw m.rmw rmw_big mb.rmw now want_now
+          else true)
+        ops (List.combine small big))
+
 (* Mount scans both snapshot slots and the whole journal ring; the scan
    buffers come from the pool and all go back to it. *)
 let test_mount_recycles_scan_buffers () =
@@ -349,12 +565,15 @@ let () =
           tc "rmw" test_rmw_on_uncached_partial_write;
           tc "random slower" (test_random_slower_than_seq Fs.Ffs);
           tc "truncate" test_truncate;
+          tc "truncate zeroes tail" (test_truncate_zeroes_tail ~cached:true);
+          tc "truncate zeroes evicted tail" (test_truncate_zeroes_tail ~cached:false);
           tc "remove" test_remove;
           tc "resident scan" test_resident_scan_cost_grows;
           tc "sync_meta" test_sync_meta_writes;
           QCheck_alcotest.to_alcotest prop_meta_length;
           tc "mount recycles scan buffers" test_mount_recycles_scan_buffers;
         ] );
+      ("lru", [ QCheck_alcotest.to_alcotest prop_eviction_order ]);
       ( "zfs",
         [
           tc "roundtrip" (test_write_read_roundtrip Fs.Zfs);

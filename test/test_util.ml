@@ -96,17 +96,35 @@ module Ref64 = struct
 
   let bool t = Int64.logand (bits64 t) 1L = 1L
 
+  (* Wire's four-lane fold: lane [k] starts at the mixed [init] plus [k]
+     golden gammas and absorbs word [4s + k] of each 32-byte stride [s];
+     the lanes then fold into the hash in order, followed by the leftover
+     words, the tail bytes (first byte most significant) and [len]. *)
   let checksum ?(init = 0x5DEECE66D) b ~pos ~len =
-    let h = ref (mix (Int64.of_int init)) in
-    let word = ref 0 in
-    let full = len / 8 in
-    for i = 0 to full - 1 do
-      h := mix (Int64.add !h (Bytes.get_int64_le b (pos + (i * 8))))
+    let seed = mix (Int64.of_int init) in
+    let word i = Bytes.get_int64_le b (pos + (8 * i)) in
+    let stripes = len / 32 in
+    let h = ref seed in
+    if stripes > 0 then begin
+      let lanes =
+        Array.init 4 (fun k ->
+            Int64.add seed (Int64.mul (Int64.of_int k) 0x9E3779B97F4A7C15L))
+      in
+      for s = 0 to stripes - 1 do
+        for k = 0 to 3 do
+          lanes.(k) <- mix (Int64.add lanes.(k) (word ((4 * s) + k)))
+        done
+      done;
+      Array.iter (fun l -> h := mix (Int64.add !h l)) lanes
+    end;
+    for i = 4 * stripes to (len / 8) - 1 do
+      h := mix (Int64.add !h (word i))
     done;
-    for i = pos + (full * 8) to pos + len - 1 do
-      word := (!word lsl 8) lor Char.code (Bytes.get b i)
+    let tail = ref 0 in
+    for i = pos + (len / 8 * 8) to pos + len - 1 do
+      tail := (!tail lsl 8) lor Char.code (Bytes.get b i)
     done;
-    if len mod 8 <> 0 then h := mix (Int64.add !h (Int64.of_int !word));
+    if len mod 8 <> 0 then h := mix (Int64.add !h (Int64.of_int !tail));
     Int64.to_int (mix (Int64.add !h (Int64.of_int len))) land max_int
 end
 
@@ -165,8 +183,45 @@ let test_checksum_long () =
         checkb (Printf.sprintf "chained checksum pos %d len %d" pos len) true
           (a = r);
         prev := a)
-      [ 4096; 4097; 8192; 12288; 16381 ]
+      (List.init 72 Fun.id @ [ 4095; 4096; 4097; 4104; 4127; 8192; 12288; 16381 ])
   done
+
+(* The media format as numbers: a later edit to the kernel that the
+   reference follows by mistake still fails here. One input is a page,
+   the other a stripe, two leftover words and five tail bytes. *)
+let test_checksum_golden () =
+  let page = Bytes.init 4096 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  checki "4 KiB page" 1857327366096402549
+    (Msnap_util.Wire.checksum page ~pos:0 ~len:4096);
+  let odd = Bytes.init 53 (fun i -> Char.chr (((i * 31) + 5) land 0xff)) in
+  checki "53 bytes, init 42" 3962097054352714255
+    (Msnap_util.Wire.checksum ~init:42 odd ~pos:0 ~len:53)
+
+(* A torn 4 KiB write leaves a sector prefix of the new page over the
+   old one. Pages that differ in every 512-byte sector must give every
+   1-7 sector tear a checksum of its own, or recovery could accept it. *)
+let prop_checksum_torn =
+  QCheck.Test.make ~count:100 ~name:"checksum tells torn pages apart"
+    QCheck.(pair small_int small_int)
+    (fun (seed, salt) ->
+      let rng = Rng.create ((seed * 65537) + salt) in
+      let old_page = Rng.bytes rng 4096 in
+      let new_page = Bytes.copy old_page in
+      for sector = 0 to 7 do
+        let i = (sector * 512) + Rng.int rng 512 in
+        let flip = 1 + Rng.int rng 255 in
+        Bytes.set new_page i (Char.chr (Char.code (Bytes.get old_page i) lxor flip))
+      done;
+      let ck b = Msnap_util.Wire.checksum b ~pos:0 ~len:4096 in
+      let c_old = ck old_page and c_new = ck new_page in
+      c_old <> c_new
+      && List.for_all
+           (fun k ->
+             let torn = Bytes.copy old_page in
+             Bytes.blit new_page 0 torn 0 (k * 512);
+             let c = ck torn in
+             c <> c_old && c <> c_new)
+           [ 1; 2; 3; 4; 5; 6; 7 ])
 
 (* [words f] is the minor words allocated by 1000 calls of [f], after
    one warm-up call. *)
@@ -1083,7 +1138,9 @@ let () =
         [
           tc "checksum long/chained" test_checksum_long;
           tc "checksum allocation-free" test_checksum_alloc_free;
+          tc "checksum golden values" test_checksum_golden;
           QCheck_alcotest.to_alcotest prop_checksum_differential;
+          QCheck_alcotest.to_alcotest prop_checksum_torn;
         ] );
       ( "keyfmt",
         [
