@@ -121,11 +121,6 @@ let time_mean ~iters f =
   done;
   !total / iters
 
-let sim_seconds () = float_of_int (Sched.now ()) /. 1e9
-
-let throughput_kops ~ops =
-  float_of_int ops /. 1e3 /. sim_seconds ()
-
 (* Report CPU buckets as percentages of total charged CPU. *)
 let cpu_percent report =
   let total = List.fold_left (fun a (_, v) -> a + v) 0 report in

@@ -34,14 +34,7 @@ let experiments =
     ("table9", ("RocksDB MixGraph comparison", Exp_rocks.table9));
     ("table10", ("MemSnap vs Aurora persist cost", Exp_micro.table10));
     ("fig6", ("PostgreSQL TPC-C variants", Exp_pg.fig6));
-    ("bechamel", ("wall-clock micro-suite", Bechamel_suite.run));
   ]
-
-(* Experiments that measure host wall-clock must run alone: concurrent
-   domains both skew their numbers and break Bechamel's GC-stabilization
-   loop ("Unable to stabilize the number of live words"). The -j pool
-   runs them serially after it drains. *)
-let serial_only name = name = "bechamel"
 
 let select names =
   match names with
@@ -165,17 +158,11 @@ let run_parallel ~trace jobs selected =
   Taskpool.on_worker_init Env.warm;
   Taskpool.ensure_workers (jobs - 1);
   let tasks =
-    Array.mapi
-      (fun i (name, _) ->
-        if serial_only name then None
-        else Some (Taskpool.submit ~cls:Taskpool.Heavy (fun () -> run_one i)))
-      arr
+    Array.init n (fun i ->
+        Taskpool.submit ~cls:Taskpool.Heavy (fun () -> run_one i))
   in
-  Array.iter (function Some t -> Taskpool.await t | None -> ()) tasks;
-  (* Wall-clock-sensitive experiments run alone, after the pool drains
-     and its domains are joined. *)
+  Array.iter Taskpool.await tasks;
   Taskpool.shutdown ();
-  Array.iteri (fun i (name, _) -> if serial_only name then run_one i) arr;
   Array.iter print_string outputs;
   List.map Option.get (Array.to_list times)
 
@@ -257,7 +244,7 @@ open Cmdliner
 
 let names =
   Arg.(value & opt_all string [] & info [ "e"; "experiment" ]
-         ~doc:"Experiment id (table1..table10, fig1..fig6, bechamel). \
+         ~doc:"Experiment id (table1..table10, fig1..fig6). \
                Repeatable; default runs all.")
 
 let jobs =

@@ -154,8 +154,7 @@ let fs_run dev record =
   for s = 1 to fs_steps do
     let _, f, contents = List.nth files (s mod 2) in
     let data = Printf.sprintf "rec-%03d;" s in
-    Fs.write_sub fs f ~off:(Buffer.length contents)
-      (Bytes.of_string data) ~pos:0 ~len:(String.length data);
+    Fs.write fs f ~off:(Buffer.length contents) (Bytes.of_string data);
     Fs.fsync fs f;
     Buffer.add_string contents data;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())

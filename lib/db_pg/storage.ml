@@ -8,6 +8,7 @@ module Probe = Msnap_sim.Probe
 module Size = Msnap_util.Size
 
 module Wire = Msnap_util.Wire
+module Slice = Msnap_util.Slice
 
 let rel_block_limit = 4096 (* 32 MiB per relation *)
 let bs = Bufmgr.block_size
@@ -101,7 +102,7 @@ let wal_append w ~rel ~blockno ~off ~data ~block =
   Wire.set_u64 buf 56 ck;
   w.w_cksum <- ck;
   let t0 = Metrics.timed_begin () in
-  Fs.write_sub w.w_fs w.w_file ~off:w.w_off buf ~pos:0 ~len:rec_len;
+  Fs.writev w.w_fs w.w_file ~off:w.w_off [ Slice.make buf ~pos:0 ~len:rec_len ];
   Metrics.timed_end Probe.db_write t0;
   w.w_off <- w.w_off + rec_len
 

@@ -8,6 +8,7 @@ module Store = Msnap_objstore.Store
 module Phys = Msnap_vm.Phys
 module Aspace = Msnap_vm.Aspace
 module Recoverable = Msnap_faults.Recoverable
+module Slice = Msnap_util.Slice
 
 type backend =
   | Baseline of Msnap_fs.Fs.t
@@ -50,14 +51,9 @@ type baseline_state = {
   mutable wg_leader_active : bool;
 }
 
-type region_state = {
-  ps : Pskiplist.t;
-  plabel : string;
-}
-
 type state =
   | B of baseline_state
-  | R of region_state
+  | R of Pskiplist.t
 
 type t = { st : state; db_name : string }
 
@@ -107,7 +103,7 @@ let open_state ~recovering ?(config = default_config) backend ~name =
     in
     let ops = region_ops_of_msnap k md in
     let ps = if recovering then Pskiplist.recover ops else Pskiplist.create ops in
-    R { ps; plabel = "memsnap" }
+    R ps
   | Aurora k ->
     let r =
       Aurora.Region.create k ~name:("rocks/" ^ name) ~va:aurora_region_base
@@ -115,7 +111,7 @@ let open_state ~recovering ?(config = default_config) backend ~name =
     in
     let ops = region_ops_of_aurora r in
     let ps = if recovering then Pskiplist.recover ops else Pskiplist.create ops in
-    R { ps; plabel = "aurora" }
+    R ps
 
 let open_db ?config backend ~name =
   { st = open_state ~recovering:false ?config backend ~name; db_name = name }
@@ -137,7 +133,8 @@ let wal_append b pairs =
       if Bytes.length b.wal_zeros < len then b.wal_zeros <- Bytes.make len '\000';
       Sched.with_bucket Probe.Bucket.write (fun () ->
           Metrics.timed Probe.db_write (fun () ->
-              Fs.write_sub b.fs b.wal ~off:b.wal_size b.wal_zeros ~pos:0 ~len));
+              Fs.writev b.fs b.wal ~off:b.wal_size
+                [ Slice.make b.wal_zeros ~pos:0 ~len ]));
       b.wal_size <- b.wal_size + len)
     pairs;
   Msnap_sim.Sched.with_bucket Probe.Bucket.fsync (fun () ->
@@ -226,30 +223,30 @@ let baseline_seek b key ~n =
 let put t ~key ~value =
   match t.st with
   | B b -> baseline_put_batch b [ (key, value) ]
-  | R r -> Pskiplist.insert r.ps ~key ~value
+  | R ps -> Pskiplist.insert ps ~key ~value
 
 let put_batch t pairs =
   match t.st with
   | B b -> baseline_put_batch b pairs
-  | R r -> Pskiplist.insert_batch r.ps pairs
+  | R ps -> Pskiplist.insert_batch ps pairs
 
 let get t key =
   match t.st with
   | B b -> baseline_get b key
-  | R r -> Pskiplist.find r.ps key
+  | R ps -> Pskiplist.find ps key
 
 let delete t key =
   match t.st with
   | B b -> baseline_delete b key
-  | R r -> ignore (Pskiplist.delete r.ps key)
+  | R ps -> ignore (Pskiplist.delete ps key)
 
 let seek t key ~n =
   match t.st with
   | B b -> baseline_seek b key ~n
-  | R r ->
+  | R ps ->
     let acc = ref [] in
     let taken = ref 0 in
-    Pskiplist.iter_from r.ps key (fun k v ->
+    Pskiplist.iter_from ps key (fun k v ->
         if !taken < n then begin
           acc := (k, v) :: !acc;
           incr taken;
@@ -271,10 +268,7 @@ let count t =
     Skiplist.iter b.memtable (fun k tagged ->
         Hashtbl.replace tbl k (if tagged = enc_tombstone then None else dec tagged));
     Hashtbl.fold (fun _ v acc -> if v = None then acc else acc + 1) tbl 0
-  | R r -> Pskiplist.count r.ps
-
-let backend_label t =
-  match t.st with B _ -> "wal+lsm" | R r -> r.plabel
+  | R ps -> Pskiplist.count ps
 
 let flushes t = match t.st with B b -> b.n_flushes | R _ -> 0
 let compactions t = match t.st with B b -> Lsm.compactions b.lsm | R _ -> 0

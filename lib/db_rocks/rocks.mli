@@ -52,6 +52,5 @@ val delete : t -> string -> unit
 val seek : t -> string -> n:int -> (string * string) list
 
 val count : t -> int
-val backend_label : t -> string
 val flushes : t -> int
 val compactions : t -> int

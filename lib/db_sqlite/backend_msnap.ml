@@ -30,6 +30,6 @@ let commit t pages =
       ignore (Msnap.persist t.k ~region:t.md ()))
 
 let backend t =
-  { Pager.b_label = "memsnap"; b_read_page = read_page t; b_commit = commit t }
+  { Pager.b_read_page = read_page t; b_commit = commit t }
 
 let region t = t.md

@@ -134,11 +134,7 @@ let commit t pages =
   if t.wal_size >= t.threshold then checkpoint t
 
 let backend t =
-  {
-    Pager.b_label = "wal+checkpoint";
-    b_read_page = read_page t;
-    b_commit = commit t;
-  }
+  { Pager.b_read_page = read_page t; b_commit = commit t }
 
 let checkpoints_done t = t.ckpts
 

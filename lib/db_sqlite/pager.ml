@@ -3,7 +3,6 @@ module Sync = Msnap_sim.Sync
 module Pool = Msnap_util.Pool
 
 type backend = {
-  b_label : string;
   b_read_page : int -> Bytes.t option;
   b_commit : (int * Bytes.t) list -> unit;
 }
@@ -64,8 +63,6 @@ let create backend =
   | Some b -> install t 1 b
   | None -> install t 1 (Pool.alloc_zeroed Page.size));
   t
-
-let backend_label t = t.backend.b_label
 
 let begin_write t =
   Sync.Mutex.lock t.write_lock;

@@ -15,7 +15,6 @@
 type t
 
 type backend = {
-  b_label : string;
   b_read_page : int -> Bytes.t option;
       (** Fetch a page image from durable storage ([None] = never
           written). *)
@@ -24,8 +23,6 @@ type backend = {
 }
 
 val create : backend -> t
-
-val backend_label : t -> string
 
 (** {2 Transactions} *)
 

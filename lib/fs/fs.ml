@@ -184,28 +184,37 @@ let dev_writev t segs =
 
 let dev_read_into t ~off dst = Device.read_into t.dev ~off dst
 
+(* A scratch backing of at least [n] bytes: [b] itself, or a zeroed
+   replacement. Growth is rare and happens only between commands (every
+   user of the scratch writes synchronously under [fsync_lock]), so the
+   old backing can be recycled immediately. *)
+let grow_scratch b n =
+  if Bytes.length b >= n then b
+  else begin
+    Pool.recycle b;
+    Pool.alloc_zeroed n
+  end
+
 let zero_slice t n =
-  if Bytes.length t.scratch_zeros < n then begin
-    (* Growth is rare and happens only between commands (every user of
-       the scratch writes synchronously under [fsync_lock]), so the old
-       backing can be recycled immediately. *)
-    Pool.recycle t.scratch_zeros;
-    t.scratch_zeros <- Pool.alloc_zeroed n
-  end;
+  t.scratch_zeros <- grow_scratch t.scratch_zeros n;
   Slice.make t.scratch_zeros ~pos:0 ~len:n
 
-(* Claim [blocks] ring blocks for a record of [nbytes] logical bytes,
-   wrapping when the tail doesn't fit. Returns the device byte offset;
-   every record therefore starts on a device-block boundary. *)
-let journal_place t nbytes =
-  if Trace.is_on () then
-    Trace.instant Probe.fs_journal ~argi:("bytes", nbytes);
-  let blocks = max 1 ((nbytes + dev_bs - 1) / dev_bs) in
+(* Claim the next [blocks] ring blocks, wrapping when the tail doesn't
+   fit. Returns the device byte offset; every record therefore starts on
+   a device-block boundary. *)
+let journal_claim t blocks =
   if t.journal_cursor + blocks > meta_blocks + journal_blocks then
     t.journal_cursor <- meta_blocks;
   let off = t.journal_cursor * dev_bs in
   t.journal_cursor <- t.journal_cursor + blocks;
-  (off, blocks)
+  off
+
+(* Claim ring blocks for a record of [nbytes] logical bytes. *)
+let journal_place t nbytes =
+  if Trace.is_on () then
+    Trace.instant Probe.fs_journal ~argi:("bytes", nbytes);
+  let blocks = max 1 ((nbytes + dev_bs - 1) / dev_bs) in
+  (journal_claim t blocks, blocks)
 
 (* ZFS intent log: content-free, as before. *)
 let journal_write t nbytes =
@@ -213,10 +222,7 @@ let journal_write t nbytes =
   dev_write t ~off (zero_slice t (blocks * dev_bs))
 
 let journal_scratch t n =
-  if Bytes.length t.scratch_journal < n then begin
-    Pool.recycle t.scratch_journal;
-    t.scratch_journal <- Pool.alloc_zeroed n
-  end;
+  t.scratch_journal <- grow_scratch t.scratch_journal n;
   Bytes.fill t.scratch_journal 0 n '\000';
   t.scratch_journal
 
@@ -276,10 +282,7 @@ let journal_entries t ~seq dirty =
    recovery refuses to mount past it rather than replay half a
    transaction. *)
 let journal_commit t ~seq f dirty =
-  if t.journal_cursor >= meta_blocks + journal_blocks then
-    t.journal_cursor <- meta_blocks;
-  let off = t.journal_cursor * dev_bs in
-  t.journal_cursor <- t.journal_cursor + 1;
+  let off = journal_claim t 1 in
   let buf = journal_scratch t 512 in
   let nmaps = List.length dirty in
   Wire.set_u32 buf 0 commit_magic;
@@ -360,105 +363,80 @@ let get_block t f idx ~need_old =
         data
       | Some _ | None -> Pool.alloc_zeroed t.bs
     in
-    let rec cb =
-      { cb_data = data; cb_dirty = false; cb_pin = 0; cb_gone = false;
-        cb_idx = idx; cb_owner = f.f_cache; cb_prev = cb; cb_next = cb }
-    in
-    (* A block another thread cached during the read above is replaced,
-       but stays counted, as it always has. *)
-    Option.iter unlink (Hashtbl.find_opt f.f_cache idx);
-    link_newest t.lru cb;
-    Hashtbl.replace f.f_cache idx cb;
-    t.cached_count <- t.cached_count + 1;
-    evict_if_needed ~keep:cb t;
-    cb
+    (* Another thread may have missed the same block and cached it while
+       this one was charged or reading: its copy may already carry writes,
+       so it wins and the fresh buffer goes back to the pool. *)
+    match Hashtbl.find_opt f.f_cache idx with
+    | Some cb ->
+      Pool.recycle data;
+      touch t cb;
+      cb
+    | None ->
+      let rec cb =
+        { cb_data = data; cb_dirty = false; cb_pin = 0; cb_gone = false;
+          cb_idx = idx; cb_owner = f.f_cache; cb_prev = cb; cb_next = cb }
+      in
+      link_newest t.lru cb;
+      Hashtbl.replace f.f_cache idx cb;
+      t.cached_count <- t.cached_count + 1;
+      evict_if_needed ~keep:cb t;
+      cb
 
 (* --- read / write --- *)
 
 (* One buffered write of the concatenation of [slices] at [off]. The
    syscall/rangelock charge and the per-fs-block-chunk memcpy charges are
    those of a single write of the combined length, so callers can gather
-   a header and a payload without materializing the frame first. *)
+   a header and a payload without materializing the frame first. The
+   loops keep their cursors in local refs, not closures, so a write
+   allocates nothing beyond what [get_block] does. *)
 let writev t f ~off slices =
   let trace_t0 = if Trace.is_on () then Sched.now () else 0 in
   Sched.cpu (Costs.syscall + Costs.vfs_call + Costs.rangelock);
   let len = List.fold_left (fun a s -> a + Slice.length s) 0 slices in
-  (* Cursor over the scatter list: [copy_into] drains the next [n]
-     payload bytes into the cache block. *)
-  let rem = ref slices and rem_off = ref 0 in
-  let rec copy_into dst dst_pos n =
-    if n > 0 then
+  (* Scatter cursor: the payload's next byte is [src_pos] into the head
+     of [rem]. *)
+  let rem = ref slices and src_pos = ref 0 in
+  let pos = ref off and remaining = ref len in
+  while !remaining > 0 do
+    let idx = !pos / t.bs in
+    let within = !pos mod t.bs in
+    let n = min !remaining (t.bs - within) in
+    (* Sub-block writes to on-disk blocks must read the old contents. *)
+    let covers_whole = within = 0 && n = t.bs in
+    let cb = get_block t f idx ~need_old:(not covers_whole) in
+    (* The memcpy charge can yield; pin so that an eviction during the
+       yield defers the buffer's recycle past our blit. (The write into
+       an evicted block is lost either way, as before pooling.) *)
+    pin cb;
+    Sched.cpu (Costs.memcpy n);
+    let dst_pos = ref within and todo = ref n in
+    while !todo > 0 do
       match !rem with
       | [] -> assert false
       | s :: tl ->
-        let avail = Slice.length s - !rem_off in
-        if avail = 0 then begin
+        let k = min (Slice.length s - !src_pos) !todo in
+        Slice.blit_to_bytes s ~src_pos:!src_pos cb.cb_data ~dst_pos:!dst_pos
+          ~len:k;
+        dst_pos := !dst_pos + k;
+        todo := !todo - k;
+        if !src_pos + k = Slice.length s then begin
           rem := tl;
-          rem_off := 0;
-          copy_into dst dst_pos n
+          src_pos := 0
         end
-        else begin
-          let k = min avail n in
-          Slice.blit_to_bytes s ~src_pos:!rem_off dst ~dst_pos ~len:k;
-          rem_off := !rem_off + k;
-          copy_into dst (dst_pos + k) (n - k)
-        end
-  in
-  let rec go off remaining =
-    if remaining > 0 then begin
-      let idx = off / t.bs in
-      let within = off mod t.bs in
-      let n = min remaining (t.bs - within) in
-      (* Sub-block writes to on-disk blocks must read the old contents. *)
-      let covers_whole = within = 0 && n = t.bs in
-      let cb = get_block t f idx ~need_old:(not covers_whole) in
-      (* The memcpy charge can yield; pin so that an eviction during the
-         yield defers the buffer's recycle past our blit. (The write into
-         an evicted block is lost either way, as before pooling.) *)
-      pin cb;
-      Sched.cpu (Costs.memcpy n);
-      copy_into cb.cb_data within n;
-      cb.cb_dirty <- true;
-      unpin cb;
-      go (off + n) (remaining - n)
-    end
-  in
-  go off len;
+        else src_pos := !src_pos + k
+    done;
+    cb.cb_dirty <- true;
+    unpin cb;
+    pos := !pos + n;
+    remaining := !remaining - n
+  done;
   if off + len > f.f_size then f.f_size <- off + len;
   if Trace.is_on () then
     Trace.complete Probe.fs_write ~dur:(Sched.now () - trace_t0)
       ~argi:("bytes", len)
 
 let write t f ~off data = writev t f ~off [ Slice.of_bytes data ]
-
-(* Single-buffer write with the exact charges of [writev] of one slice
-   of the same length, but no slice/list allocation — for hot fixed-size
-   writers (the WAL append path) that reuse one backing buffer. *)
-let write_sub t f ~off data ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length data then
-    invalid_arg "Fs.write_sub: bad slice";
-  let trace_t0 = if Trace.is_on () then Sched.now () else 0 in
-  Sched.cpu (Costs.syscall + Costs.vfs_call + Costs.rangelock);
-  let rec go off pos remaining =
-    if remaining > 0 then begin
-      let idx = off / t.bs in
-      let within = off mod t.bs in
-      let n = min remaining (t.bs - within) in
-      let covers_whole = within = 0 && n = t.bs in
-      let cb = get_block t f idx ~need_old:(not covers_whole) in
-      pin cb;
-      Sched.cpu (Costs.memcpy n);
-      Bytes.blit data pos cb.cb_data within n;
-      cb.cb_dirty <- true;
-      unpin cb;
-      go (off + n) (pos + n) (remaining - n)
-    end
-  in
-  go off pos len;
-  if off + len > f.f_size then f.f_size <- off + len;
-  if Trace.is_on () then
-    Trace.complete Probe.fs_write ~dur:(Sched.now () - trace_t0)
-      ~argi:("bytes", len)
 
 (* Read into a caller-owned buffer — the exact charges of [read], which
    is this plus the output allocation. Every chunk is either blitted from

@@ -58,20 +58,17 @@ val open_file : t -> string -> file
 val exists : t -> string -> bool
 val remove : t -> string -> unit
 
-val write : t -> file -> off:int -> Bytes.t -> unit
-
-(** [write] of [data[pos..pos+len)] — the exact charges of {!writev} of
-    one slice of that length, with no slice/list allocation. For hot
-    fixed-size writers that reuse one backing buffer. *)
-val write_sub : t -> file -> off:int -> Bytes.t -> pos:int -> len:int -> unit
-(** Buffered write (syscall + cache copy; RMW read if needed). *)
-
 val writev : t -> file -> off:int -> Msnap_util.Slice.t list -> unit
-(** Gathered buffered write of the slices' concatenation at [off]: one
-    syscall charge and one cache copy of the combined payload, exactly as
-    a {!write} of the same total length. The slices are consumed before
-    the call returns (the page cache owns the bytes afterwards), so no
-    ownership obligation outlives the call. *)
+(** The buffered write path (syscall + cache copy; RMW read if needed):
+    writes the slices' concatenation at [off] with one syscall charge and
+    one cache copy of the combined payload, whatever the split. Every
+    buffered write goes through it; a part of a buffer is written as
+    [writev t f ~off [ Slice.make buf ~pos ~len ]]. The slices are
+    consumed before the call returns (the page cache owns the bytes
+    afterwards), so no ownership obligation outlives the call. *)
+
+val write : t -> file -> off:int -> Bytes.t -> unit
+(** [writev] of one slice over all of [data]. *)
 
 val read : t -> file -> off:int -> len:int -> Bytes.t
 (** Zero-fills holes, like read(2) past sparse regions. *)

@@ -34,7 +34,6 @@ let journal_entry = 1_200
 let fsync_resident_scan_per_page = 12
 let cow_indirect_update = 450
 
-let ctx_switch = 1_500
 let thread_stop_signal = 2_000
 
 let io_initiate = 400

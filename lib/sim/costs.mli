@@ -104,7 +104,6 @@ val cow_indirect_update : int
 
 (** {2 Scheduling} *)
 
-val ctx_switch : int
 val thread_stop_signal : int
 (** Cost to interrupt one running thread at a safe point (Aurora's
     stop-all-threads barrier charges this per thread). *)

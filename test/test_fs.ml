@@ -527,6 +527,109 @@ let prop_eviction_order =
           else true)
         ops (List.combine small big))
 
+(* Two threads miss the same uncached block at once. A's sub-block write
+   issues its read-modify-write read first; B's read of the block misses
+   while A's read is in flight, so B's device read completes after A has
+   cached the block and written into it. B must use A's block, not
+   replace it with the older device copy. *)
+let test_double_miss_keeps_first_block () =
+  in_sim (fun () ->
+      let dev = Device.of_disk (Disk.create ~size:(Size.mib 16) ()) in
+      let fs = Fs.mkfs dev ~kind:Fs.Ffs in
+      Fs.sync_meta fs;
+      Fs.set_cache_capacity fs 1;
+      let bs = Fs.fs_block_size fs in
+      let f = Fs.open_file fs "raced" in
+      Fs.write fs f ~off:0 (Bytes.make bs 'o');
+      Fs.fsync fs f;
+      Fs.write fs f ~off:bs (Bytes.make bs 'o');
+      Fs.fsync fs f;
+      Fs.set_cache_capacity fs 16;
+      checki "block 0 evicted" 1 (Fs.resident_blocks fs f);
+      let rmw0 = Fs.rmw_reads fs in
+      let a =
+        Sched.spawn (fun () -> Fs.write fs f ~off:100 (Bytes.of_string "AAAA"))
+      in
+      let b =
+        Sched.spawn (fun () ->
+            (* Past A's charges up to its device read, then miss too. *)
+            Sched.delay
+              Msnap_sim.Costs.(
+                syscall + vfs_call + rangelock + buffer_cache_lookup);
+            ignore (Fs.read fs f ~off:0 ~len:bs))
+      in
+      Sched.join a;
+      Sched.join b;
+      checki "both missed" (rmw0 + 2) (Fs.rmw_reads fs);
+      let around fs f = Bytes.to_string (Fs.read fs f ~off:99 ~len:6) in
+      checks "cached" "oAAAAo" (around fs f);
+      Fs.fsync fs f;
+      checks "after fsync" "oAAAAo" (around fs f);
+      let fs2 = Fs.mount dev ~kind:Fs.Ffs in
+      checks "after mount" "oAAAAo" (around fs2 (Fs.open_file fs2 "raced")))
+    ()
+
+(* writev of a payload cut into slices must be indistinguishable from a
+   write of the concatenation: contents, size, RMW reads, clock and the
+   bytes fsync moves. Each slice views the middle of a larger buffer, and
+   equal cut points make zero-length slices. *)
+let prop_writev_split =
+  let open QCheck.Gen in
+  let gen =
+    oneofl [ Fs.Ffs; Fs.Zfs ] >>= fun kind ->
+    let bs = fs_block_of kind in
+    oneofl [ 2; max_int ] >>= fun cap ->
+    int_range 0 (4 * bs) >>= fun base ->
+    int_range 0 (2 * bs) >>= fun off ->
+    int_range 0 (3 * bs) >>= fun len ->
+    int_range 0 3 >>= fun ncuts ->
+    list_repeat ncuts (int_range 0 len) >>= fun cuts ->
+    int >|= fun seed ->
+    (kind, cap, base, off, len, List.sort compare cuts, seed)
+  in
+  let print (kind, cap, base, off, len, cuts, seed) =
+    Printf.sprintf "%s cap %d, base %d, write %d at %d, cuts [%s], seed %d"
+      (match kind with Fs.Ffs -> "ffs" | Fs.Zfs -> "zfs")
+      cap base len off
+      (String.concat ";" (List.map string_of_int cuts))
+      seed
+  in
+  QCheck.Test.make ~count:100
+    ~name:"writev of any split = write of the concatenation"
+    (QCheck.make ~print gen)
+    (fun (kind, cap, base, off, len, cuts, seed) ->
+      let payload = Rng.bytes (Rng.create seed) len in
+      let run write =
+        Sched.run (fun () ->
+            let dev = Device.of_disk (Disk.create ~size:(Size.mib 16) ()) in
+            let fs = Fs.mkfs dev ~kind in
+            let f = Fs.open_file fs "v" in
+            Fs.write fs f ~off:0 (Bytes.make base 'b');
+            Fs.fsync fs f;
+            Fs.set_cache_capacity fs cap;
+            write fs f;
+            let after_write = (Fs.size fs f, Fs.rmw_reads fs, Sched.now ()) in
+            let disk0 = Fs.bytes_written_to_disk fs in
+            Fs.fsync fs f;
+            ( Bytes.to_string (Fs.read fs f ~off:0 ~len:(Fs.size fs f)),
+              after_write,
+              Fs.bytes_written_to_disk fs - disk0,
+              Sched.now () ))
+      in
+      let slice_of lo hi =
+        (* [payload[lo..hi)] in the middle of a padded buffer. *)
+        let pad = 1 + (lo mod 7) in
+        let buf = Bytes.make (hi - lo + (2 * pad)) 'x' in
+        Bytes.blit payload lo buf pad (hi - lo);
+        Msnap_util.Slice.make buf ~pos:pad ~len:(hi - lo)
+      in
+      let rec slices lo = function
+        | [] -> []
+        | hi :: rest -> slice_of lo hi :: slices hi rest
+      in
+      run (fun fs f -> Fs.writev fs f ~off (slices 0 (cuts @ [ len ])))
+      = run (fun fs f -> Fs.write fs f ~off payload))
+
 (* Mount scans both snapshot slots and the whole journal ring; the scan
    buffers come from the pool and all go back to it. *)
 let test_mount_recycles_scan_buffers () =
@@ -572,8 +675,10 @@ let () =
           tc "sync_meta" test_sync_meta_writes;
           QCheck_alcotest.to_alcotest prop_meta_length;
           tc "mount recycles scan buffers" test_mount_recycles_scan_buffers;
+          tc "double miss keeps first block" test_double_miss_keeps_first_block;
         ] );
       ("lru", [ QCheck_alcotest.to_alcotest prop_eviction_order ]);
+      ("writev", [ QCheck_alcotest.to_alcotest prop_writev_split ]);
       ( "zfs",
         [
           tc "roundtrip" (test_write_read_roundtrip Fs.Zfs);

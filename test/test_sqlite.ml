@@ -189,8 +189,7 @@ let prop_page_search_reference =
 let mem_backend () =
   let store = Hashtbl.create 64 in
   {
-    Pager.b_label = "mem";
-    b_read_page = (fun pgno -> Option.map Bytes.copy (Hashtbl.find_opt store pgno));
+    Pager.b_read_page = (fun pgno -> Option.map Bytes.copy (Hashtbl.find_opt store pgno));
     b_commit =
       (fun pages ->
         List.iter (fun (pgno, b) -> Hashtbl.replace store pgno (Bytes.copy b)) pages);
