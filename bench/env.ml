@@ -189,12 +189,16 @@ let zero =
   { h_wall_s = 0.0; h_minor = 0.0; h_major = 0.0; h_hits = 0; h_misses = 0;
     h_sched_ev = 0 }
 
-(* Absolute counters now. [Gc.counters] (unlike [Gc.quick_stat]'s word
-   counts, which are process-wide in OCaml 5) is domain-local, so frames
-   measure only this domain's allocation no matter what other domains do
-   concurrently. *)
+(* Absolute counters now, both for this domain only, so frames measure
+   only this domain's allocation no matter what other domains do
+   concurrently. Minor words come from [Gc.minor_words], which adds the
+   words allocated in the current minor heap: [Gc.counters]' minor count
+   (OCaml 5.1) lags by up to a minor heap and picks up other domains'
+   allocation, so it moved with GC timing. [Gc.counters]' major count is
+   exact and domain-local for direct major allocations. *)
 let sample () =
-  let minor, _, major = Gc.counters () in
+  let minor = Gc.minor_words () in
+  let _, _, major = Gc.counters () in
   let p = Pool.totals () in
   let ev, _, _ = Sched.host_counters () in
   { h_wall_s = Unix.gettimeofday (); h_minor = minor; h_major = major;

@@ -44,6 +44,9 @@ module Kernel = struct
            referenced by the checkpoint's IO, so all are freed at
            collapse, after the commit returns. *)
     mutable breakdown : (int * int * int * int) option;
+    dirty_slots : int array;
+        (* [Pte.shadow_leaf]'s scratch, one leaf long. Per region, not
+           global: bench cells checkpoint on several domains at once. *)
   }
 
   let create ~aspace ~store ?(other_mapped_pages = 65536) () =
@@ -151,7 +154,8 @@ module Region = struct
     in
     let r =
       { k; r_name = name; r_va = va; r_len = len; mapping; obj; waiters = [];
-        ckpt_running = false; cow_copies = []; breakdown = None }
+        ckpt_running = false; cow_copies = []; breakdown = None;
+        dirty_slots = Array.make Addr.fanout 0 }
     in
     Aspace.set_write_fault_handler mapping (Some (on_write_fault r));
     k.regions <- r :: k.regions;
@@ -178,29 +182,28 @@ module Region = struct
     Aspace.read_into r.k.aspace ~va:(r.r_va + off) buf ~pos ~len
 
   (* Shadow one region: collect the dirty set and COW-protect every
-     present page. Returns the dirty (rel, frame) list. Runs with the
-     world stopped. The pass rewrites PTE words in place leaf by leaf and
-     resolves a frame only for the dirty (writable) ones. *)
+     present page. Returns the dirty (rel, frame) list in ascending page
+     order. Runs with the world stopped. [Pte.shadow_leaf] rewrites each
+     leaf window's PTE words in place and lists its dirty (writable)
+     slots; a frame is resolved only for those. *)
   let shadow_region r =
     let aspace = r.k.aspace in
     let pt = Aspace.page_table aspace in
     let phys = Aspace.phys aspace in
     let start_vpn = Addr.vpn_of_va r.r_va in
     let npages = Addr.pages_spanned ~off:r.r_va ~len:r.r_len in
+    let scratch = r.dirty_slots in
     let dirty = ref [] in
     let present = ref 0 in
     let visited =
       Ptable.iter_leaves pt ~vpn:start_vpn ~n:npages ~f:(fun slots base s0 s1 ->
-          for s = s0 to s1 do
-            let pte = slots.(s) in
-            if Pte.present pte then begin
-              incr present;
-              if Pte.writable pte then
-                dirty :=
-                  (base + s - start_vpn, Phys.get phys (Pte.frame pte))
-                  :: !dirty;
-              slots.(s) <- Pte.set_cow (Pte.set_writable pte false) true
-            end
+          let res = Pte.shadow_leaf slots ~s0 ~s1 ~dirty:scratch in
+          present := !present + Pte.leaf_present res;
+          for i = 0 to Pte.leaf_dirty res - 1 do
+            let s = scratch.(i) in
+            dirty :=
+              (base + s - start_vpn, Phys.get phys (Pte.frame slots.(s)))
+              :: !dirty
           done)
     in
     Sched.cpu ((visited * Costs.pte_visit) + (!present * Costs.pte_update_bulk));
@@ -209,8 +212,9 @@ module Region = struct
     List.rev !dirty
 
   (* Collapse the shadow object back into the base: another pass over the
-     whole mapping merging page lists, plus freeing the frames COW faults
-     orphaned during the flight. *)
+     whole mapping merging page lists ([Pte.collapse_leaf] clears every
+     present PTE's COW bit), plus freeing the frames COW faults orphaned
+     during the flight. *)
   let collapse_region r =
     let aspace = r.k.aspace in
     let pt = Aspace.page_table aspace in
@@ -220,13 +224,7 @@ module Region = struct
     let present = ref 0 in
     let visited =
       Ptable.iter_leaves pt ~vpn:start_vpn ~n:npages ~f:(fun slots _ s0 s1 ->
-          for s = s0 to s1 do
-            let pte = slots.(s) in
-            if Pte.present pte then begin
-              incr present;
-              slots.(s) <- Pte.set_cow pte false
-            end
-          done)
+          present := !present + Pte.collapse_leaf slots ~s0 ~s1)
     in
     (* Merging the shadow's page list into the base costs a visit per
        page plus the list manipulation. *)

@@ -114,18 +114,27 @@ let set t k v =
 
 (* A removed slot followed by a never-used one can itself become
    never-used: no probe for a live key crosses it, since that probe
-   would have to cross the empty successor too. Tables that hold a few
-   short-lived entries (busy locks) then never accumulate tombstones. *)
+   would have to cross the empty successor too. The same holds for each
+   tombstone directly before it in turn, so the whole run is reclaimed
+   and no tombstone is ever followed by a never-used slot. Removing
+   every live key therefore leaves the table as [clear] does, with no
+   tombstone left to force a rehash, and tables that hold a few
+   short-lived entries (busy locks) never accumulate tombstones. *)
+let rec reclaim_run t keys mask i =
+  Array.unsafe_set keys i k_empty;
+  t.used <- t.used - 1;
+  let prev = (i - 1) land mask in
+  if Array.unsafe_get keys prev = k_tomb then reclaim_run t keys mask prev
+
 let remove t k =
   if k >= 0 then begin
     let s = find_slot t k in
     if s >= 0 then begin
-      let next = (s + 1) land (Array.length t.keys - 1) in
-      if Array.unsafe_get t.keys next = k_empty then begin
-        Array.unsafe_set t.keys s k_empty;
-        t.used <- t.used - 1
-      end
-      else Array.unsafe_set t.keys s k_tomb;
+      let keys = t.keys in
+      let mask = Array.length keys - 1 in
+      if Array.unsafe_get keys ((s + 1) land mask) = k_empty then
+        reclaim_run t keys mask s
+      else Array.unsafe_set keys s k_tomb;
       Array.unsafe_set t.vals s t.absent;
       t.len <- t.len - 1
     end

@@ -33,3 +33,32 @@ let pp t =
       (if writable t then " W" else " RO")
       (if cow t then " COW" else "")
       (if accessed t then " A" else "")
+
+(* Aurora's whole-mapping passes, one leaf window per call, in
+   pte_stubs.c. The stubs check nothing, so the window and the scratch
+   are checked here, before each call, unconditionally. *)
+
+external stub_shadow_leaf : int array -> int -> int -> int array -> int
+  = "msnap_pte_shadow_leaf"
+[@@noalloc]
+
+external stub_collapse_leaf : int array -> int -> int -> int
+  = "msnap_pte_collapse_leaf"
+[@@noalloc]
+
+let check_window fn slots s0 s1 =
+  if s0 < 0 || s0 > s1 || s1 >= Array.length slots then
+    invalid_arg ("Pte." ^ fn ^ ": window out of bounds")
+
+let shadow_leaf slots ~s0 ~s1 ~dirty =
+  check_window "shadow_leaf" slots s0 s1;
+  if Array.length dirty <= s1 - s0 then
+    invalid_arg "Pte.shadow_leaf: dirty scratch shorter than the window";
+  stub_shadow_leaf slots s0 s1 dirty
+
+let collapse_leaf slots ~s0 ~s1 =
+  check_window "collapse_leaf" slots s0 s1;
+  stub_collapse_leaf slots s0 s1
+
+let leaf_present r = r land 0xFFFF_FFFF
+let leaf_dirty r = r lsr 32

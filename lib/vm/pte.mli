@@ -24,3 +24,27 @@ val set_cow : t -> bool -> t
 val set_frame : t -> int -> t
 
 val pp : t -> string
+
+(** {2 Whole-leaf passes}
+
+    Aurora's checkpoint passes over one window [s0..s1] (inclusive) of a
+    page-table leaf, as {!Ptable.iter_leaves} hands it over. They run in
+    C and touch only the flag bits below; frames and the bits of slots
+    that are not present are left as they are. Both raise
+    [Invalid_argument] on a window outside the leaf (or a [dirty]
+    scratch shorter than the window) before anything is written. *)
+
+val shadow_leaf : int array -> s0:int -> s1:int -> dirty:int array -> int
+(** Shadow: every present slot loses [writable] and gains [cow]. The
+    slot indices (within the leaf) of the slots that were present and
+    writable, the dirty set, are written to [dirty.(0 .. nd-1)] in
+    ascending order; the rest of [dirty] up to the window's length is
+    scratch. Returns the present count and [nd], read back with
+    {!leaf_present} and {!leaf_dirty}. Allocation-free. *)
+
+val collapse_leaf : int array -> s0:int -> s1:int -> int
+(** Collapse: every present slot loses [cow]. Returns the present count.
+    Allocation-free. *)
+
+val leaf_present : int -> int
+val leaf_dirty : int -> int

@@ -298,6 +298,52 @@ let test_flat_combining () =
       checki "all callers complete" 8 !done_count)
     ()
 
+(* One seeded run: checkpoint rounds of random dirty pages over a
+   2,048-page region, then a reboot that reads the first byte of every
+   page back. Returns the final simulated time and what was recovered. *)
+let checkpoint_rounds seed =
+  let result = ref (0, "") in
+  Sched.run (fun () ->
+      let dev = mk_dev () in
+      let k, _ = mk_kernel dev in
+      let len = Size.mib 8 in
+      let pages = len / 4096 in
+      let r = Aurora.Region.create k ~name:"r" ~va:0x5000_0000 ~len in
+      let rng = Random.State.make [| seed |] in
+      for round = 1 to 60 do
+        for _ = 1 to 24 do
+          let p = Random.State.int rng pages in
+          Aurora.Region.write r ~off:(p * 4096)
+            (Bytes.make 1 (Char.chr (round land 0xff)))
+        done;
+        Aurora.Region.checkpoint r
+      done;
+      let t = Sched.now () in
+      let k2, _ = mk_kernel ~format:false dev in
+      let r2 = Aurora.Region.create k2 ~name:"r" ~va:0x5000_0000 ~len in
+      let seen = Buffer.create pages in
+      for p = 0 to pages - 1 do
+        Buffer.add_bytes seen (Aurora.Region.read r2 ~off:(p * 4096) ~len:1)
+      done;
+      result := (t, Buffer.contents seen));
+  !result
+
+(* Bench cells checkpoint on several domains at once, so each region
+   owns the scratch its shadow pass lists dirty slots into. Runs on two
+   domains at once must match the same runs done one after the other. *)
+let test_regions_on_two_domains () =
+  let seeds = [ 11; 12 ] in
+  let serial = List.map checkpoint_rounds seeds in
+  for _ = 1 to 3 do
+    let ds = List.map (fun s -> Domain.spawn (fun () -> checkpoint_rounds s)) seeds in
+    List.iter2
+      (fun want d ->
+        let t, seen = Domain.join d in
+        checki "same simulated time" (fst want) t;
+        checkb "same recovered pages" true (String.equal (snd want) seen))
+      serial ds
+  done
+
 let test_app_checkpoint_slower_than_region () =
   in_sim (fun () ->
       let k, _ = mk_kernel ~other_mapped_pages:65536 (mk_dev ()) in
@@ -338,6 +384,7 @@ let () =
             test_checkpoint_alloc_independent_of_mapping;
           tc "stop-the-world stalls writers" test_writes_stall_during_stop_the_world;
           tc "flat combining" test_flat_combining;
+          tc "regions on two domains" test_regions_on_two_domains;
         ] );
       ("app", [ tc "app ckpt slower" test_app_checkpoint_slower_than_region ]);
     ]

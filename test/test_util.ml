@@ -584,6 +584,40 @@ let test_itab_growth_and_tombstones () =
   Itab.iter (fun k v -> incr seen; checki "iter pair" (k + 1) v) t;
   checki "iter visits all" 1000 !seen
 
+(* Removing every key reclaims every tombstone, so a table that is
+   filled and emptied by removes again and again (a TLB flushed by
+   popping its FIFO) never rehashes: nothing is allocated. Without the
+   reclaim, the tombstones of out-of-order removes pile up until a
+   rehash. *)
+let test_itab_emptied_by_removes () =
+  let t = Itab.create ~initial:64 ~absent:(-1) () in
+  let rng = Random.State.make [| 23 |] in
+  let rounds = 2000 and per_round = 24 in
+  let keys = Array.init (rounds * per_round) (fun _ -> Random.State.int rng 1_000_000) in
+  let order =
+    Array.init rounds (fun _ ->
+        let a = Array.init per_round Fun.id in
+        for i = per_round - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let x = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- x
+        done;
+        a)
+  in
+  let b0 = Gc.minor_words () in
+  for r = 0 to rounds - 1 do
+    for i = 0 to per_round - 1 do
+      Itab.set t keys.((r * per_round) + i) i
+    done;
+    for i = 0 to per_round - 1 do
+      Itab.remove t keys.((r * per_round) + order.(r).(i))
+    done
+  done;
+  let words = Gc.minor_words () -. b0 in
+  checki "emptied" 0 (Itab.length t);
+  checkb "no rehash allocated" true (words = 0.0)
+
 let prop_itab_model =
   (* Differential: random set/remove/clear sequences against
      (int, int) Hashtbl — contents and length must always agree. *)
@@ -1184,6 +1218,7 @@ let () =
           tc "itab basics" test_itab_basics;
           tc "itab slots" test_itab_slots;
           tc "itab growth/tombstones" test_itab_growth_and_tombstones;
+          tc "itab emptied by removes" test_itab_emptied_by_removes;
           QCheck_alcotest.to_alcotest prop_itab_model;
           tc "iring fifo" test_iring_fifo;
           QCheck_alcotest.to_alcotest prop_iring_model;
