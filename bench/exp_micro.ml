@@ -221,8 +221,10 @@ let table5 () =
 
 (* --- Table 2 / Table 10 --- *)
 
-(* A populated Aurora region checkpointing a 64 KiB dirty set. *)
-let aurora_breakdown () =
+(* A populated Aurora region checkpointing a 64 KiB dirty set: one run,
+   shared by Table 2 and Table 10. *)
+let aurora_breakdown =
+  shared @@ fun () ->
   Sched.run (fun () ->
       let _, k, _ = mk_aurora () in
       (* The paper measures during RocksDB's 12-thread dbbench: the stall
@@ -252,7 +254,7 @@ let aurora_breakdown () =
 
 let table2 () =
   section "Table 2: Aurora region checkpoint breakdown (64 KiB dirty)";
-  let b = aurora_breakdown () in
+  let b = force (aurora_breakdown ()) in
   let t = Tbl.create ~title:"latency by phase" ~headers:[ "Phase"; "us"; "paper (us)" ] in
   Tbl.row t [ "Waiting for calls (stall)"; Tbl.us b.Aurora.Region.stall; "26.7" ];
   Tbl.row t [ "Applying COW (shadowing)"; Tbl.us b.Aurora.Region.shadow; "79.8" ];
@@ -266,6 +268,7 @@ let table2 () =
 
 let table10 () =
   section "Table 10: MemSnap vs Aurora persistence cost";
+  let aurora = aurora_breakdown () in
   Metrics.reset ();
   let ms_reset, ms_io, ms_total =
     Sched.run (fun () ->
@@ -281,7 +284,7 @@ let table10 () =
           Metrics.mean_ns Probe.msnap_persist_wait,
           Metrics.mean_ns Probe.msnap_persist_total ))
   in
-  let b = aurora_breakdown () in
+  let b = force aurora in
   let t =
     Tbl.create ~title:"64 KiB persist, per phase (us)"
       ~headers:[ "Operation"; "MemSnap"; "Aurora" ]

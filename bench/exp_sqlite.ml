@@ -22,9 +22,6 @@ let key_of_int i =
   if i >= 0 && i < max_key then Array.unsafe_get key_table i
   else Db.key_of_int i
 
-let backend_name = function Wal -> "memsnap" | Ms -> "" (* unused *)
-let _ = backend_name
-
 (* Both paths register end-of-run disposal for the pager's page cache
    (one pooled 4 KiB buffer per page ever touched — the dominant pooled
    working set of the SQLite experiments) so the next run on this
@@ -90,6 +87,13 @@ let run_dbbench ~backend ~pattern ~txn_bytes ~total_writes () =
 
 let total_writes = 30_000
 
+(* Every dbbench run of Table 7, Table 8 and Fig. 4, keyed by (backend,
+   pattern, txn KiB): Table 8's runs are all in Table 7, and Table 7's
+   in Fig. 4. *)
+let dbbench =
+  shared (fun (backend, pattern, kib) ->
+      run_dbbench ~backend ~pattern ~txn_bytes:(Size.kib kib) ~total_writes ())
+
 let table7 () =
   section "Table 7: persistence-related calls, dbbench (SQLite)";
   let t =
@@ -99,26 +103,15 @@ let table7 () =
         [ "Txn size"; "memsnap us"; "ops"; "fsync us"; "ops"; "write us";
           "ops"; "read us"; "ops" ]
   in
-  (* One cell per dbbench run, declared grid-first so the pool overlaps
-     them; forced in the same order the serial loop ran. *)
-  let mk_cells pattern =
+  (* Every run is requested grid-first so the pool overlaps them; forced
+     in the same order the serial loop ran. *)
+  let runs pattern =
     List.map
-      (fun txn_kib ->
-        let ms =
-          cell (fun () ->
-              run_dbbench ~backend:Ms ~pattern ~txn_bytes:(Size.kib txn_kib)
-                ~total_writes ())
-        in
-        let wal =
-          cell (fun () ->
-              run_dbbench ~backend:Wal ~pattern ~txn_bytes:(Size.kib txn_kib)
-                ~total_writes ())
-        in
-        (txn_kib, ms, wal))
+      (fun kib -> (kib, dbbench (Ms, pattern, kib), dbbench (Wal, pattern, kib)))
       [ 4; 64; 1024 ]
   in
-  let random = mk_cells `Random in
-  let seq = mk_cells `Seq in
+  let random = runs `Random in
+  let seq = runs `Seq in
   let emit cells label =
     Tbl.rule t;
     Tbl.row t [ label ];
@@ -156,21 +149,9 @@ let table8 () =
     Tbl.create ~title:"CPU breakdown (4 KiB transactions)"
       ~headers:[ "Bucket"; "baseline %"; "memsnap %" ]
   in
-  let mk_cells pattern =
-    let wal =
-      cell (fun () ->
-          run_dbbench ~backend:Wal ~pattern ~txn_bytes:(Size.kib 4)
-            ~total_writes ())
-    in
-    let ms =
-      cell (fun () ->
-          run_dbbench ~backend:Ms ~pattern ~txn_bytes:(Size.kib 4)
-            ~total_writes ())
-    in
-    (wal, ms)
-  in
-  let random = mk_cells `Random in
-  let seq = mk_cells `Seq in
+  let runs pattern = (dbbench (Wal, pattern, 4), dbbench (Ms, pattern, 4)) in
+  let random = runs `Random in
+  let seq = runs `Seq in
   let emit (wal, ms) label =
     let wal = force wal in
     let ms = force ms in
@@ -209,17 +190,9 @@ let fig4 () =
       (fun pattern ->
         List.map
           (fun txn_kib ->
-            let wal =
-              cell (fun () ->
-                  run_dbbench ~backend:Wal ~pattern
-                    ~txn_bytes:(Size.kib txn_kib) ~total_writes ())
-            in
-            let ms =
-              cell (fun () ->
-                  run_dbbench ~backend:Ms ~pattern
-                    ~txn_bytes:(Size.kib txn_kib) ~total_writes ())
-            in
-            (pattern, txn_kib, wal, ms))
+            ( pattern, txn_kib,
+              dbbench (Wal, pattern, txn_kib),
+              dbbench (Ms, pattern, txn_kib) ))
           [ 4; 16; 64; 256; 1024 ])
       [ `Random; `Seq ]
   in

@@ -40,6 +40,10 @@ let submit f =
   in
   { task = Taskpool.submit ~cls:Taskpool.Light body; forced = None }
 
+(* [Taskpool.await] serves any number of awaiters and [Trace.cell_merge]
+   only reads the cell's store, so handles can share one task. *)
+let share c = { task = c.task; forced = None }
+
 let force c =
   match c.forced with
   | Some v -> v

@@ -33,6 +33,12 @@ val submit : (unit -> 'a) -> 'a t
     verbosity, buffer cap) is inherited from the submitting domain at
     submit time. *)
 
+val share : 'a t -> 'a t
+(** Another handle on the same body, which runs once however many
+    handles there are. Each handle merges the recordings once, into the
+    store of the domain that forces it, so every reader of a shared
+    measurement records what running the body itself would have. *)
+
 val force : 'a t -> 'a
 (** Wait for the body (running it inline if no domain picked it up),
     merge its metrics/trace recordings into this domain, and return

@@ -1,4 +1,4 @@
-type arg = I of int | S of string | F of float
+type arg = I of int | S of string
 type args = (string * arg) list
 type flow_phase = Flow_start | Flow_step | Flow_end
 
@@ -8,7 +8,7 @@ type flow_phase = Flow_start | Flow_step | Flow_end
 type event = {
   ev_probe : Probe.t;
   ev_ts : int;
-  ev_dur : int; (* -1 instant, -2 counter *)
+  ev_dur : int; (* -1 instant *)
   ev_tid : int;
   ev_tname : string;
   ev_args : args;
@@ -248,12 +248,6 @@ let with_span ?args ?argi ?flow probe f =
       raise exn
   end
 
-let counter probe v =
-  let s = store () in
-  if s.enabled then
-    emit s ~args:[ (Probe.name probe, I v) ] probe ~ts:(!time_source ())
-      ~dur:(-2)
-
 (* --- cell isolation (see Msnap_sim.Cell) ---
 
    A simulation cell records into a private store over a private base-0
@@ -294,7 +288,11 @@ let cell_merge ~shift cell =
       match (h, s.m_hist.(i)) with
       | None, _ -> ()
       | Some h, Some cur -> Histogram.merge cur h
-      | Some _, None -> s.m_hist.(i) <- h)
+      | Some h, None ->
+        (* Copied: the snapshot may be merged into further stores. *)
+        let cur = Histogram.create () in
+        Histogram.merge cur h;
+        s.m_hist.(i) <- Some cur)
     cell.m_hist;
   s.dropped <- s.dropped + cell.dropped;
   (* Flow ids are only unique within a store; rebase the cell's ids
@@ -341,7 +339,6 @@ type dump = {
 }
 
 let event_count () = (store ()).len
-let dropped () = (store ()).dropped
 
 let dump () =
   let s = store () in
@@ -459,7 +456,6 @@ let add_args b args =
       Buffer.add_char b ':';
       match v with
       | I n -> add_int b n
-      | F f -> Buffer.add_string b (Printf.sprintf "%g" f)
       | S s -> add_str b s)
     args;
   Buffer.add_string b "}"
@@ -544,10 +540,6 @@ let export_json oc d =
       add_us b ts;
       finish_common ();
       Buffer.add_string b ",\"s\":\"t\""
-    | -2 ->
-      Buffer.add_string b (prefix_of pid 2 "C");
-      add_us b ts;
-      finish_common ()
     | dur ->
       Buffer.add_string b (prefix_of pid 0 "X");
       add_us b ts;

@@ -25,7 +25,7 @@
     summary keeps accumulating past the cap, so {!summary} totals remain
     exact even for runs that overflow the buffer. *)
 
-type arg = I of int | S of string | F of float
+type arg = I of int | S of string
 type args = (string * arg) list
 type flow_phase = Flow_start | Flow_step | Flow_end
 
@@ -105,9 +105,6 @@ val with_span :
     callback raises (the exception is re-raised). When disabled this is
     exactly [f ()]. *)
 
-val counter : Probe.t -> int -> unit
-(** A counter track sample (rendered as a stacked chart). *)
-
 (** {2 Metric columns}
 
     The per-domain store that holds the trace buffer and its per-probe
@@ -153,8 +150,9 @@ val cell_merge : shift:int -> snapshot -> unit
     timestamps shifted by [shift] ns and flow ids rebased past the
     current store's; per-probe summary stats and counters added exactly
     (even past the buffer cap — events that don't fit count as
-    dropped); histograms folded sample-exactly. The snapshot must not
-    be used again. *)
+    dropped); histograms folded sample-exactly. The snapshot is only
+    read, never aliased into the current store, so it may be merged
+    into several stores (one per [Cell.share] handle). *)
 
 (** {2 Collecting}
 
@@ -166,7 +164,7 @@ val cell_merge : shift:int -> snapshot -> unit
 type event = {
   ev_probe : Probe.t;
   ev_ts : int;           (** start, ns on the trace timeline *)
-  ev_dur : int;          (** span duration; [-1] for instants, [-2] for counters *)
+  ev_dur : int;          (** span duration; [-1] for instants *)
   ev_tid : int;
   ev_tname : string;
   ev_args : args;
@@ -191,7 +189,6 @@ type dump = {
 }
 
 val event_count : unit -> int
-val dropped : unit -> int
 
 val dump : unit -> dump
 (** Take the calling domain's buffer: the columns move into the dump
@@ -204,9 +201,9 @@ val events : dump -> event array
 
 val export_json : out_channel -> dump -> unit
 (** Write Chrome [trace_event] JSON: complete ("X") and instant ("i")
-    events, counter ("C") tracks, flow ("s"/"t"/"f") links, and
-    thread-name metadata. Timestamps are microseconds with ns precision
-    kept in the fraction. *)
+    events, flow ("s"/"t"/"f") links, and thread-name metadata.
+    Timestamps are microseconds with ns precision kept in the
+    fraction. *)
 
 val render_summary : dump -> string
 (** Human-readable per-subsystem table: span counts, total and max

@@ -663,6 +663,59 @@ let test_cell_force_twice_merges_once () =
       checki (label ^ ": value again") 7 (Cell.force c);
       checks (label ^ ": second force merges nothing") once (recorded ()))
 
+(* Run [f] against a fresh recording store, swapped in the way a cell
+   body's store is, and return its result with the original store
+   restored. *)
+let in_fresh_store f =
+  let saved =
+    Trace.cell_begin ~enabled:true ~verbose:false
+      ~limit:(Trace.buffer_limit ())
+  in
+  Fun.protect ~finally:(fun () -> ignore (Trace.cell_end saved)) f
+
+let one_op = "count=1 hist=(n=1 sum=50 max=50) summary=[n=1 total=50 max=50]"
+
+let test_cell_shared_handles_merge_once_each () =
+  at_workers (fun label ->
+      let runs = Atomic.make 0 in
+      let c =
+        Cell.submit (fun () ->
+            Atomic.incr runs;
+            timed_op ();
+            7)
+      in
+      let c' = Cell.share c in
+      checki (label ^ ": value") 7 (Cell.force c);
+      checks (label ^ ": first store merged once") one_op (recorded ());
+      let v, second =
+        in_fresh_store (fun () ->
+            let v = Cell.force c' in
+            ignore (Cell.force c');
+            (v, recorded ()))
+      in
+      checki (label ^ ": shared value") 7 v;
+      checks (label ^ ": second store merged once") one_op second;
+      checki (label ^ ": value again") 7 (Cell.force c);
+      checks (label ^ ": first store untouched") one_op (recorded ());
+      checki (label ^ ": body ran once") 1 (Atomic.get runs))
+
+(* Merging a cell's store must not hand its histograms to the forcing
+   store: a sample added there afterwards would show up in every later
+   merge of the same snapshot. *)
+let test_cell_merge_leaves_snapshot_intact () =
+  at_workers (fun label ->
+      let c = Cell.submit timed_op in
+      Cell.force c;
+      Metrics.add_sample cell_op 20;
+      let samples =
+        in_fresh_store (fun () ->
+            Cell.force (Cell.share c);
+            match Metrics.hist cell_op with
+            | Some h -> Histogram.count h
+            | None -> 0)
+      in
+      checki (label ^ ": fresh store holds the one sample") 1 samples)
+
 let test_cell_raise_leaves_forcer_untouched () =
   at_workers (fun label ->
       timed_op ();
@@ -766,5 +819,9 @@ let () =
           tc "force twice merges once" test_cell_force_twice_merges_once;
           tc "raising body leaves the forcer untouched"
             test_cell_raise_leaves_forcer_untouched;
+          tc "shared handles merge once each"
+            test_cell_shared_handles_merge_once_each;
+          tc "merging a snapshot leaves it intact"
+            test_cell_merge_leaves_snapshot_intact;
         ] );
     ]
