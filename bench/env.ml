@@ -194,14 +194,17 @@ let zero =
    concurrently. Minor words come from [Gc.minor_words], which adds the
    words allocated in the current minor heap: [Gc.counters]' minor count
    (OCaml 5.1) lags by up to a minor heap and picks up other domains'
-   allocation, so it moved with GC timing. [Gc.counters]' major count is
-   exact and domain-local for direct major allocations. *)
+   allocation, so it moved with GC timing. Major words are direct major
+   allocations only: [Gc.counters]' major count also includes the words
+   minor GCs promoted, which move with the minor-heap size and GC
+   timing, so the promoted count is subtracted. *)
 let sample () =
   let minor = Gc.minor_words () in
-  let _, _, major = Gc.counters () in
+  let _, promoted, major = Gc.counters () in
   let p = Pool.totals () in
   let ev, _, _ = Sched.host_counters () in
-  { h_wall_s = Unix.gettimeofday (); h_minor = minor; h_major = major;
+  { h_wall_s = Unix.gettimeofday (); h_minor = minor;
+    h_major = major -. promoted;
     h_hits = p.Pool.t_hits; h_misses = p.Pool.t_misses; h_sched_ev = ev }
 
 (* [diff a b] is [b - a], field by field. *)

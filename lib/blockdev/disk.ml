@@ -17,9 +17,16 @@ exception Powered_off
    yield zeros, so contents equal a flat zero-initialized buffer.
    Purely host-side: simulated costs do not depend on any of it.
 
-   Payload moves through two memcpy stubs that check nothing, so every
+   Payload moves through two copy stubs that check nothing, so every
    offset and length is checked here, before each call, unconditionally
-   (not only under [debug_checks]). *)
+   (not only under [debug_checks]). A copy into a chunk stands for the
+   device's DMA and streams around the CPU caches (non-temporal stores,
+   [medium_stubs.c]); chunks start on a 64-byte line so a page is whole
+   lines. Streaming stores are weakly ordered, hence the rule: no medium
+   write returns to its command's caller with streaming stores still in
+   flight. Each operation that writes the medium calls [fence] once, at
+   its end: [writev] after its commit, [fail_power] after its tears, and
+   [poke]. *)
 module Medium = struct
   let chunk_bits = 18 (* 256 KiB *)
   let chunk_size = 1 lsl chunk_bits
@@ -35,6 +42,9 @@ module Medium = struct
   external stub_blit_out : buf -> int -> Bytes.t -> int -> int -> unit
     = "msnap_medium_blit_out"
   [@@noalloc]
+
+  external fence : unit -> unit = "msnap_medium_fence" [@@noalloc]
+  external chunk_create : int -> buf = "msnap_medium_chunk_create"
 
   (* Page-validity bits: pages 0-31 in [lo], 32-63 in [hi] (an OCaml int
      holds 63 bits, not 64). *)
@@ -86,8 +96,7 @@ module Medium = struct
   let take_chunk () =
     let f = Domain.DLS.get free_key in
     if f.depth = 0 then
-      { data = Bigarray.Array1.create Bigarray.char Bigarray.c_layout chunk_size;
-        lo = 0; hi = 0 }
+      { data = chunk_create chunk_size; lo = 0; hi = 0 }
     else begin
       f.depth <- f.depth - 1;
       let c = f.stack.(f.depth) in
@@ -335,6 +344,7 @@ let writev t segs =
       if fl.torn then raise Powered_off;
       verify_checksums t fl;
       commit_segs t.medium segs;
+      Medium.fence ();
       List.iter (fun (_, s) -> Slice.release s) segs;
       t.s_writes <- t.s_writes + 1;
       t.s_bytes_written <- t.s_bytes_written + total;
@@ -429,6 +439,7 @@ let fail_power t ~torn_seed =
       fl.segs
   in
   List.iter tear t.inflight;
+  Medium.fence ();
   t.inflight <- []
 
 let restore_power t = t.powered <- true
@@ -472,4 +483,5 @@ let peek t ~off ~len =
   out
 
 let poke t ~off ~data =
-  Medium.write t.medium ~off data ~pos:0 ~len:(Bytes.length data)
+  Medium.write t.medium ~off data ~pos:0 ~len:(Bytes.length data);
+  Medium.fence ()

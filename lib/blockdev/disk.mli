@@ -30,10 +30,14 @@
     [Bigarray]s) allocated on a chunk's first write. Each chunk records
     which of its 4 KiB pages were ever written: the first write to a
     page zeroes only the part the write leaves uncovered, and reads of
-    unwritten pages return zeros without touching the chunk. Host-only:
-    no simulated cost depends on the layout. Every offset and length is
-    checked before a byte moves, so out-of-range arguments raise
-    [Invalid_argument] from every entry point, [peek]/[poke] included. *)
+    unwritten pages return zeros without touching the chunk. Like the
+    device's DMA, writes into the medium bypass the CPU caches
+    (streaming stores into 64-byte-aligned chunks), and every operation
+    that writes the medium ends with one store fence. Host-only: no
+    simulated cost depends on the layout or on how bytes move. Every
+    offset and length is checked before a byte moves, so out-of-range
+    arguments raise [Invalid_argument] from every entry point,
+    [peek]/[poke] included. *)
 
 module Slice = Msnap_util.Slice
 

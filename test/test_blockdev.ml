@@ -250,7 +250,12 @@ let test_medium_bounds () =
    over random vectored writes (sector-adjacent runs that cross chunk
    and page boundaries take the fused path), sub-page and 512-byte first
    writes, reads, peek/poke and torn power failures. The disk under test
-   draws recycled, poisoned chunks, so a stale page reads back as 0xA5. *)
+   draws recycled, poisoned chunks, so a stale page reads back as 0xA5.
+   Copies into a chunk stream whole cache lines and copy the partial
+   lines at either end: lengths cluster at whole pages give or take a
+   few bytes or a partial line, and some sources are views 1-63 bytes
+   into a padded buffer, so the head, the streamed body and the tail
+   each meet unaligned sources and destinations. *)
 type medium_op =
   | Writev of (int * int) list (* (off, len) per segment *)
   | Read of int * int
@@ -283,7 +288,9 @@ let gen_medium_ops =
   let len =
     frequency
       [ (3, int_range 1 600); (2, return 512); (2, return 4096);
-        (2, int_range 1 20_000); (1, int_range 1 (chunk + 9000)) ]
+        (2, int_range 1 20_000); (1, int_range 1 (chunk + 9000));
+        (3, map2 (fun k d -> max 1 ((k * 4096) + d)) (int_range 1 70)
+              (oneofl [ 0; 1; -1; 15; -15; 48; -48; 63; -63 ])) ]
   in
   let clip (o, l) = (o, min l (medium_size - o)) in
   (* A run of exactly adjacent segments, then maybe an unrelated one. *)
@@ -326,7 +333,17 @@ let prop_medium_differential =
           let model = Bytes.make medium_size '\000' in
           let rng = Msnap_util.Rng.create (List.length ops) in
           let slices segs =
-            List.map (fun (o, l) -> (o, Slice.of_bytes (Msnap_util.Rng.bytes rng l))) segs
+            List.map
+              (fun (o, l) ->
+                let data = Msnap_util.Rng.bytes rng l in
+                match Msnap_util.Rng.int rng 128 with
+                | pad when pad >= 1 && pad <= 63 ->
+                  (* A view [pad] bytes into a buffer padded on both sides. *)
+                  let buf = Bytes.make (pad + l + 64) '#' in
+                  Bytes.blit data 0 buf pad l;
+                  (o, Slice.make buf ~pos:pad ~len:l)
+                | _ -> (o, Slice.of_bytes data))
+              segs
           in
           let apply ?(upto = max_int) segs =
             (* Segments commit in order; [upto] bounds the sectors. *)
