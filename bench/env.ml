@@ -9,9 +9,11 @@
    (page frames, file-system cache blocks, radix node images) to
    [Msnap_util.Pool] when the simulation finishes, so the next experiment
    on this domain reuses them instead of allocating fresh. Device
-   teardown parks the media's off-heap chunks for the next device the
-   same way, outside the pool ([Disk.dispose]). Host-only: disposal runs
-   after the simulated clock has stopped. *)
+   teardown parks the media's chunks for the next device the same way
+   ([Disk.dispose]). Pooled memory lives in slabs outside the OCaml heap
+   that nothing frees, so whatever a builder does not register here is
+   lost until exit. Host-only: disposal runs after the simulated clock
+   has stopped. *)
 
 let disposals_key : (unit -> unit) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
@@ -26,7 +28,7 @@ module Sched = struct
   (* Run a simulation, then tear down what the machine builders
      registered. On an abnormal exit (e.g. a simulated power failure
      propagating out) the hooks are discarded without running: buffer
-     ownership may be mid-transfer, and leaking to the GC is always
+     ownership may be mid-transfer, and losing the buffers is always
      safe. *)
   let run f =
     let slot = Domain.DLS.get disposals_key in

@@ -10,7 +10,8 @@ module Pool = Msnap_util.Pool
 exception Powered_off
 
 (* The persistent medium, stored sparsely off the OCaml heap. A 256 KiB
-   chunk is a char Bigarray allocated on its first write; each chunk
+   chunk is a char Bigarray view of pool slab memory
+   ([Pool.alloc_chunk]), taken on the chunk's first write; each chunk
    records which of its 64 4 KiB pages were ever written. The first
    write to a page zeroes only the part of it that the write does not
    cover, and reads of never-written pages (or never-allocated chunks)
@@ -33,7 +34,7 @@ module Medium = struct
   let page_bits = 12 (* 4 KiB: 64 pages per chunk *)
   let page_size = 1 lsl page_bits
 
-  type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+  type buf = Pool.chunk
 
   external stub_blit_in : Bytes.t -> int -> buf -> int -> int -> unit
     = "msnap_medium_blit_in"
@@ -44,7 +45,6 @@ module Medium = struct
   [@@noalloc]
 
   external fence : unit -> unit = "msnap_medium_fence" [@@noalloc]
-  external chunk_create : int -> buf = "msnap_medium_chunk_create"
 
   (* Page-validity bits: pages 0-31 in [lo], 32-63 in [hi] (an OCaml int
      holds 63 bits, not 64). *)
@@ -85,10 +85,8 @@ module Medium = struct
     if p1 >= 32 then c.hi <- c.hi lor bits (max p0 32 - 32) (p1 - 32)
 
   (* Chunks of disposed media, per domain, for the next medium's first
-     writes; capped like a [Pool] size class, the excess goes to the GC. *)
+     writes. Every one is kept: a chunk dropped here is lost until exit. *)
   type free = { mutable stack : chunk array; mutable depth : int }
-
-  let max_free = Pool.max_retained_bytes_per_class / chunk_size
 
   let free_key : free Domain.DLS.key =
     Domain.DLS.new_key (fun () -> { stack = [||]; depth = 0 })
@@ -96,7 +94,7 @@ module Medium = struct
   let take_chunk () =
     let f = Domain.DLS.get free_key in
     if f.depth = 0 then
-      { data = chunk_create chunk_size; lo = 0; hi = 0 }
+      { data = Pool.alloc_chunk chunk_size; lo = 0; hi = 0 }
     else begin
       f.depth <- f.depth - 1;
       let c = f.stack.(f.depth) in
@@ -108,13 +106,15 @@ module Medium = struct
 
   let park_chunk c =
     let f = Domain.DLS.get free_key in
-    if f.depth < max_free then begin
-      if Array.length f.stack = 0 then f.stack <- Array.make max_free absent;
-      (* A page-validity bug then reads back as poison, not as zeros. *)
-      if !Slice.debug_checks then Bigarray.Array1.fill c.data '\xa5';
-      f.stack.(f.depth) <- c;
-      f.depth <- f.depth + 1
-    end
+    if f.depth = Array.length f.stack then begin
+      let stack = Array.make (max 8 (2 * f.depth)) absent in
+      Array.blit f.stack 0 stack 0 f.depth;
+      f.stack <- stack
+    end;
+    (* A page-validity bug then reads back as poison, not as zeros. *)
+    if !Slice.debug_checks then Bigarray.Array1.fill c.data '\xa5';
+    f.stack.(f.depth) <- c;
+    f.depth <- f.depth + 1
 
   let create size =
     { m_size = size;

@@ -27,7 +27,8 @@
     {2 The medium}
 
     Contents live off the OCaml heap, in 256 KiB chunks (char
-    [Bigarray]s) allocated on a chunk's first write. Each chunk records
+    [Bigarray] views of {!Msnap_util.Pool} slab memory) taken on a
+    chunk's first write. Each chunk records
     which of its 4 KiB pages were ever written: the first write to a
     page zeroes only the part the write leaves uncovered, and reads of
     unwritten pages return zeros without touching the chunk. Like the
@@ -117,8 +118,9 @@ val stats : t -> stats
 val reset_stats : t -> unit
 
 val dispose : t -> unit
-(** Park the medium's chunks on this domain's free stack, where the next
-    disk created on the domain takes them for its first writes. The
-    stack keeps at most [Msnap_util.Pool.max_retained_bytes_per_class]
-    bytes; the rest go to the GC. Only valid once the device is idle and
-    will never be read again — i.e. at the end of a simulation run. *)
+(** Park every chunk of the medium on this domain's free stack, where
+    the next disk created on the domain takes them for its first writes.
+    Chunks are slab memory ({!Msnap_util.Pool.alloc_chunk}) that nothing
+    frees: the chunks of a disk that is never disposed are lost until
+    the process exits. Only valid once the device is idle and will
+    never be read again — i.e. at the end of a simulation run. *)

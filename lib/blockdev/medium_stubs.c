@@ -1,5 +1,6 @@
-/* The device medium's host side: chunk allocation and payload copies
-   between OCaml bytes and an off-heap medium chunk (a char Bigarray).
+/* The device medium's host side: payload copies between OCaml bytes and
+   an off-heap medium chunk (a char Bigarray view of Msnap_util.Pool slab
+   memory, which starts on a 64-byte line).
    The copies and the fence are [@@noalloc]: they never allocate, raise
    or release the runtime lock. They do no bounds checks: Disk.Medium
    checks every offset and length before each call.
@@ -12,32 +13,14 @@
    every command that wrote the medium, never per copy. */
 
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
-#include <caml/custom.h>
-#include <caml/fail.h>
-#include <caml/memory.h>
 
 #define LINE 64
-
-/* An uninitialized chunk of [len] bytes (a multiple of LINE) whose
-   data starts on a cache line, so a streamed page covers whole lines.
-   The GC frees it ([free] releases [aligned_alloc] memory) and paces
-   itself by its size, as for [Bigarray.Array1.create]. */
-value msnap_medium_chunk_create(value len)
-{
-  intnat n = Long_val(len);
-  void *data = aligned_alloc(LINE, n);
-  if (data == NULL) caml_raise_out_of_memory();
-  caml_adjust_gc_speed(n, caml_custom_get_max_major());
-  return caml_ba_alloc_dims(CAML_BA_CHAR | CAML_BA_C_LAYOUT | CAML_BA_MANAGED,
-                            1, data, n);
-}
 
 /* bytes[spos, spos+len) -> chunk[dpos, dpos+len) */
 value msnap_medium_blit_in(value src, value spos, value dst, value dpos,

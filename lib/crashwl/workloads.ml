@@ -37,13 +37,16 @@ let mk_dev () =
        [ Disk.create ~name:"d0" ~size:(Size.mib 128) ();
          Disk.create ~name:"d1" ~size:(Size.mib 128) () ])
 
+(* A MemSnap machine over [dev] and its host-side teardown, which hands
+   the store's and the frames' pooled buffers back. *)
 let mk_machine dev =
   let phys = Phys.create () in
   let aspace = Aspace.create phys in
   Store.format dev;
-  let k = Msnap.init ~store:(Store.mount dev) in
+  let store = Store.mount dev in
+  let k = Msnap.init ~store in
   Msnap.attach k aspace;
-  (phys, k)
+  (k, fun () -> Store.dispose store; Phys.dispose phys)
 
 (* --- msnap: value cells in one region, one μCheckpoint per update --- *)
 
@@ -56,7 +59,7 @@ let msnap_steps = 30
 
 let msnap_run dev record =
   let hist = History.create () in
-  let phys, k = mk_machine dev in
+  let k, dispose = mk_machine dev in
   let md = Msnap.open_region k ~name:msnap_region ~len:msnap_region_len () in
   let values = Array.make (List.length msnap_cells) "" in
   let state () = List.mapi (fun i (l, _) -> (l, values.(i))) msnap_cells in
@@ -71,7 +74,7 @@ let msnap_run dev record =
     values.(i) <- v;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())
   done;
-  Phys.dispose phys;
+  dispose ();
   hist
 
 let msnap_workload =
@@ -122,6 +125,7 @@ let objstore_run dev record =
     Hashtbl.replace tags (n, idx) tag;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())
   done;
+  Store.dispose st;
   hist
 
 let objstore_workload =
@@ -201,6 +205,7 @@ let sqlite_run dev record =
     Hashtbl.replace model key v;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())
   done;
+  Msnap_sqlite.Pager.dispose (Db.pager db);
   Backend_wal.dispose bw;
   Fs.dispose fs;
   hist
@@ -264,7 +269,7 @@ let rocks_steps = 28
 
 let rocks_run dev record =
   let hist = History.create () in
-  let phys, k = mk_machine dev in
+  let k, dispose = mk_machine dev in
   let db = Rocks.open_db ~config:rocks_config (Rocks.Memsnap k) ~name:rocks_name in
   (* The first put persists the skip list's header page; only from here
      on is the region guaranteed recoverable. *)
@@ -284,7 +289,7 @@ let rocks_run dev record =
     Hashtbl.replace model key v;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())
   done;
-  Phys.dispose phys;
+  dispose ();
   hist
 
 let rocks_workload =

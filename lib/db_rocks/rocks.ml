@@ -307,7 +307,7 @@ let recoverable ?(config = default_config) ~name () =
         { st = open_state ~recovering:true ~config (Memsnap k) ~name;
           db_name = name }
       in
-      { db; teardown = (fun () -> Phys.dispose phys) }
+      { db; teardown = (fun () -> Store.dispose store; Phys.dispose phys) }
 
     let check r history =
       Recoverable.check_state ~label history (dump r.db)

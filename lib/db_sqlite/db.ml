@@ -142,6 +142,7 @@ let recoverable ~db_name ~table:tbl_name ?checkpoint_threshold () =
       Msnap_faults.Recoverable.check_state ~label history state
 
     let dispose r =
+      Pager.dispose r.rec_db.pgr;
       Backend_wal.dispose r.rec_backend;
       Msnap_fs.Fs.dispose r.rec_fs
   end : Msnap_faults.Recoverable.S with type t = recovered)

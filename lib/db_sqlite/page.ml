@@ -75,12 +75,23 @@ let rec compare_from b boff key i n =
     if c <> 0 then c else compare_from b boff key (i + 1) n
 
 (* [String.compare] of the [klen] bytes at [b.[koff]] against [key], up
-   to sign. *)
+   to sign. When both keys have 8 bytes, the first 8 compare as one
+   big-endian word: its unsigned order is their byte order (adding
+   [min_int] maps unsigned order onto signed). *)
 let compare_stored b koff klen key =
   if koff < 0 || koff + klen > Bytes.length b then
     invalid_arg "Page: cell key out of bounds";
   let n = String.length key in
-  let c = compare_from b koff key 0 (if klen < n then klen else n) in
+  let m = if klen < n then klen else n in
+  let c =
+    if m < 8 then compare_from b koff key 0 m
+    else
+      let x : int64 = Bytes.get_int64_be b koff
+      and y : int64 = String.get_int64_be key 0 in
+      if x = y then compare_from b koff key 8 m
+      else if Int64.add x Int64.min_int < Int64.add y Int64.min_int then -1
+      else 1
+  in
   if c <> 0 then c else klen - n
 
 let compare_cell leaf b i key =

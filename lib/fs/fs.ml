@@ -916,7 +916,7 @@ let parse_commit buf ~pos ~block =
 (* [read_pooled dev ~off ~len f] reads [len] bytes at [off] into a pooled
    buffer and parses it with [f], which must copy out what it keeps. The
    buffer goes back to the pool afterwards; if the read raises, it is
-   left to the GC. *)
+   lost to the pool (a leak, never a corruption). *)
 let read_pooled dev ~off ~len f =
   let buf = Pool.alloc len in
   Device.read_into dev ~off (Slice.of_bytes buf);

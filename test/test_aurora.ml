@@ -265,6 +265,38 @@ let test_checkpoint_alloc_independent_of_mapping () =
           big small)
     ()
 
+(* Pooled buffers live outside the OCaml heap and nothing reclaims a
+   dropped one: a machine that checkpoints (shadow copies in flight
+   included), remounts and is disposed must hand every buffer back. *)
+let test_disposed_machine_returns_buffers () =
+  let outstanding () = (Msnap_util.Pool.totals ()).Msnap_util.Pool.t_outstanding in
+  let before = outstanding () in
+  in_sim (fun () ->
+      let dev = mk_dev () in
+      let boot ~format =
+        let phys = Phys.create () in
+        let aspace = Aspace.create phys in
+        if format then Store.format dev;
+        let store = Store.mount dev in
+        let k = Aurora.Kernel.create ~aspace ~store () in
+        let r = Aurora.Region.create k ~name:"r" ~va:0x5000_0000 ~len:(Size.kib 256) in
+        (r, fun () -> Store.dispose store; Phys.dispose phys)
+      in
+      let r, dispose = boot ~format:true in
+      for i = 0 to 63 do
+        Aurora.Region.write r ~off:(i * 4096) (Bytes.make 8 'x')
+      done;
+      Aurora.Region.checkpoint r;
+      Aurora.Region.write r ~off:0 (Bytes.make 8 'y');
+      Aurora.Region.checkpoint r;
+      dispose ();
+      let r2, dispose2 = boot ~format:false in
+      checks "recovered" "yyyy" (Bytes.to_string (Aurora.Region.read r2 ~off:0 ~len:4));
+      dispose2 ();
+      Device.dispose dev)
+    ();
+  checki "outstanding pooled buffers" before (outstanding ())
+
 let test_writes_stall_during_stop_the_world () =
   in_sim (fun () ->
       let k, _ = mk_kernel (mk_dev ()) in
@@ -385,6 +417,7 @@ let () =
           tc "stop-the-world stalls writers" test_writes_stall_during_stop_the_world;
           tc "flat combining" test_flat_combining;
           tc "regions on two domains" test_regions_on_two_domains;
+          tc "disposed machine returns buffers" test_disposed_machine_returns_buffers;
         ] );
       ("app", [ tc "app ckpt slower" test_app_checkpoint_slower_than_region ]);
     ]

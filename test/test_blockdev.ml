@@ -213,6 +213,32 @@ let test_chunk_reuse () =
         (Bytes.equal want (Disk.peek d ~off:0 ~len:chunk)))
     ()
 
+(* Chunks tile 2 MiB slabs, eight to a slab. A disposed medium parks
+   every chunk (none are dropped), so a second medium twice as large
+   takes all of the first one's, poisoned under debug checks, and
+   carves the rest from fresh slabs: each chunk reads back exactly what
+   was written to it, and every unwritten page reads zeros. *)
+let test_chunks_across_slabs () =
+  in_sim (fun () ->
+      let n = 20 in
+      let d = mk_disk ~size:(n * chunk) () in
+      for i = 0 to n - 1 do
+        write d ~off:(i * chunk) (Bytes.make chunk (Char.chr (65 + i)))
+      done;
+      Disk.dispose d;
+      let d = mk_disk ~size:(2 * n * chunk) () in
+      for i = 0 to (2 * n) - 1 do
+        write d ~off:((i * chunk) + 4096) (Bytes.make 4096 (Char.chr (97 + (i mod 26))))
+      done;
+      for i = 0 to (2 * n) - 1 do
+        let want = Bytes.make chunk '\000' in
+        Bytes.fill want 4096 4096 (Char.chr (97 + (i mod 26)));
+        checkb (Printf.sprintf "chunk %d" i) true
+          (Bytes.equal want (read d ~off:(i * chunk) ~len:chunk))
+      done;
+      Disk.dispose d)
+    ()
+
 let raises_invalid f =
   match f () with
   | _ -> false
@@ -796,6 +822,7 @@ let () =
       ( "medium",
         [
           tc "chunk reuse reads zeros" test_chunk_reuse;
+          tc "chunks across slabs" test_chunks_across_slabs;
           tc "out-of-range arguments" test_medium_bounds;
           QCheck_alcotest.to_alcotest prop_medium_differential;
         ] );

@@ -207,6 +207,22 @@ let test_checker_end_to_end () =
   checkb "serial = parallel report" true
     (Checker.pp_report serial = Checker.pp_report parallel)
 
+(* Pooled buffers live outside the OCaml heap and nothing reclaims a
+   dropped one: every crash workload's recording run and every recovery
+   must dispose what it mounted, so a checker run hands back every
+   buffer it took. *)
+let test_workloads_return_buffers () =
+  let outstanding () = (Msnap_util.Pool.totals ()).Msnap_util.Pool.t_outstanding in
+  let opts = { Checker.default_opts with max_points = 12 } in
+  List.iter
+    (fun w ->
+      let before = outstanding () in
+      let r = Checker.run ~opts w in
+      checkb (w.Checker.w_name ^ " passes") true (r.Checker.r_failures = []);
+      checki (w.Checker.w_name ^ " outstanding pooled buffers") before
+        (outstanding ()))
+    Msnap_crashwl.Workloads.all
+
 let () =
   Alcotest.run "faults"
     [
@@ -232,5 +248,7 @@ let () =
       ( "checker",
         [
           Alcotest.test_case "end to end" `Quick test_checker_end_to_end;
+          Alcotest.test_case "workloads return pooled buffers" `Quick
+            test_workloads_return_buffers;
         ] );
     ]

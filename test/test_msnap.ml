@@ -250,6 +250,41 @@ let test_no_frame_leak_after_cow () =
       checkb "frames bounded" true (Phys.live_frames phys <= baseline + 2))
     ()
 
+(* Pooled buffers live outside the OCaml heap and nothing reclaims a
+   dropped one, so a machine that is built, run and disposed (device,
+   store, frames) must hand every buffer back, and so must a recovery
+   through the library's own contract. *)
+let test_disposed_machine_returns_buffers () =
+  let outstanding () = (Msnap_util.Pool.totals ()).Msnap_util.Pool.t_outstanding in
+  let before = outstanding () in
+  in_sim (fun () ->
+      let dev = mk_dev () in
+      let phys = Phys.create () in
+      let aspace = Aspace.create ~name:"proc0" phys in
+      Store.format dev;
+      let store = Store.mount dev in
+      let k = Msnap.init ~store in
+      Msnap.attach k aspace;
+      let md = Msnap.open_region k ~name:"db" ~len:(Size.kib 256) () in
+      for i = 0 to 63 do
+        Msnap.write_string k md ~off:(i * 4096) (Printf.sprintf "p%d" i)
+      done;
+      ignore (Msnap.persist k ~region:md ());
+      (* An async persist leaves its pages copy-on-write in flight. *)
+      ignore (Msnap.persist k ~region:md ~mode:`Async ());
+      Msnap.write_string k md ~off:0 "cow";
+      ignore (Msnap.persist k ~region:md ());
+      Store.dispose store;
+      Phys.dispose phys;
+      let module R =
+        (val Msnap.recoverable ~region:"db" ~len:(Size.kib 256)
+               ~cells:[ ("c0", 0) ])
+      in
+      R.dispose (R.recover dev);
+      Device.dispose dev)
+    ();
+  checki "outstanding pooled buffers" before (outstanding ())
+
 let test_property_violation_cross_process () =
   in_sim (fun () ->
       let dev = mk_dev () in
@@ -547,6 +582,7 @@ let () =
           tc "in-flight cow" test_cow_in_flight;
           tc "cow then persist" test_cow_then_second_persist;
           tc "no frame leak" test_no_frame_leak_after_cow;
+          tc "disposed machine returns buffers" test_disposed_machine_returns_buffers;
           tc "shared-region cow" test_shared_region_cow_redirects_all_processes;
         ] );
       ( "recovery",

@@ -184,6 +184,48 @@ let prop_page_search_reference =
                   stored))
         (Array.to_list stored @ probes))
 
+(* [compare_key] reads the first 8 bytes of both keys as one word; keys
+   that share a prefix of 0-12 bytes check it around that boundary. *)
+let prop_page_compare_shared_prefix =
+  QCheck.Test.make ~count:500
+    ~name:"compare_key agrees with String.compare on shared prefixes"
+    QCheck.(make Gen.(triple (gen_key 12) (gen_key 4) (gen_key 4)))
+    (fun (prefix, a, b) ->
+      let stored = prefix ^ a and probe = prefix ^ b in
+      let leaf = Bytes.create Page.size and inner = Bytes.create Page.size in
+      Page.init leaf Page.Leaf;
+      Page.init inner Page.Interior;
+      assert (Page.leaf_insert_at leaf 0 ~key:stored ~value:"v");
+      assert (Page.interior_insert_at inner 0 ~child:1 ~key:stored);
+      let sign x = compare x 0 in
+      let want = sign (String.compare stored probe) in
+      sign (Page.compare_key leaf 0 probe) = want
+      && sign (Page.compare_key inner 0 probe) = want)
+
+(* The B-tree descent compares keys in place: a comparison, through the
+   word path or the byte loop, allocates nothing (dev and release
+   profiles alike). *)
+let test_page_compare_alloc_free () =
+  let b = Bytes.create Page.size in
+  Page.init b Page.Leaf;
+  List.iteri
+    (fun i k -> assert (Page.leaf_insert_at b i ~key:k ~value:"v"))
+    [ "abc"; "subscriber-00001"; "subscriber-00002" ];
+  let probes = [| "abd"; "subscriber-00002"; "subscriber-00001x"; "zzzzzzzzz" |] in
+  let sink = ref 0 in
+  let run () =
+    for i = 0 to Array.length probes - 1 do
+      sink := !sink + Page.search b probes.(i) + Page.compare_key b 1 probes.(i)
+    done
+  in
+  run ();
+  let m0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    run ()
+  done;
+  let words = Gc.minor_words () -. m0 in
+  checkb "search and compare_key allocate nothing" true (words = 0.0)
+
 (* --- Btree over an in-memory backend --- *)
 
 let mem_backend () =
@@ -506,6 +548,63 @@ let test_db_crash_uncommitted_lost_msnap () =
         check_opt "uncommitted gone" None (Db.get tbl2 "doomed"))
     ()
 
+(* Pooled buffers live outside the OCaml heap and nothing reclaims a
+   dropped one: a SQLite machine over MemSnap, and one over WAL+FFS
+   recovered through the library's contract, must each hand every
+   buffer back once disposed. *)
+let test_disposed_machines_return_buffers () =
+  let outstanding () = (Msnap_util.Pool.totals ()).Msnap_util.Pool.t_outstanding in
+  let before = outstanding () in
+  let fill db n =
+    let tbl = Db.create_table db "t" in
+    for i = 0 to n - 1 do
+      Db.with_write_txn db (fun () ->
+          Db.put tbl ~key:(Db.key_of_int i) ~value:(String.make 100 'v'))
+    done
+  in
+  in_sim (fun () ->
+      let dev =
+        Device.of_stripe
+          (Stripe.create
+             [ Disk.create ~size:(Size.mib 64) (); Disk.create ~size:(Size.mib 64) () ])
+      in
+      let phys = Phys.create () in
+      let aspace = Aspace.create phys in
+      Store.format dev;
+      let store = Store.mount dev in
+      let k = Msnap.init ~store in
+      Msnap.attach k aspace;
+      let db = Db.open_db (Backend_msnap.backend (Backend_msnap.create k ~db_name:"m.db" ~max_pages:4096)) in
+      fill db 300;
+      Pager.dispose (Db.pager db);
+      Store.dispose store;
+      Phys.dispose phys;
+      Device.dispose dev)
+    ();
+  checki "msnap: outstanding pooled buffers" before (outstanding ());
+  in_sim (fun () ->
+      let dev =
+        Device.of_stripe
+          (Stripe.create
+             [ Disk.create ~size:(Size.mib 64) (); Disk.create ~size:(Size.mib 64) () ])
+      in
+      let fs = Fs.mkfs dev ~kind:Fs.Ffs in
+      (* The base snapshot recovery replays the journal over. *)
+      Fs.sync_meta fs;
+      let be = Backend_wal.create fs ~db_name:"w.db" ~checkpoint_threshold:(Size.kib 64) () in
+      let db = Db.open_db (Backend_wal.backend be) in
+      (* Few enough fsyncs that the FFS journal ring does not wrap. *)
+      fill db 40;
+      checkb "checkpoints ran" true (Backend_wal.checkpoints_done be > 0);
+      Pager.dispose (Db.pager db);
+      Backend_wal.dispose be;
+      Fs.dispose fs;
+      let module R = (val Db.recoverable ~db_name:"w.db" ~table:"t" ()) in
+      R.dispose (R.recover dev);
+      Device.dispose dev)
+    ();
+  checki "wal: outstanding pooled buffers" before (outstanding ())
+
 let test_wal_checkpoint_triggers () =
   in_sim (fun () ->
       let fs = mk_fs_env () in
@@ -564,6 +663,8 @@ let () =
           tc "free space after tail delete" test_page_free_space_after_tail_delete;
           QCheck_alcotest.to_alcotest prop_page_free_space_exact;
           QCheck_alcotest.to_alcotest prop_page_search_reference;
+          QCheck_alcotest.to_alcotest prop_page_compare_shared_prefix;
+          tc "compare allocates nothing" test_page_compare_alloc_free;
         ] );
       ( "btree",
         [
@@ -586,5 +687,6 @@ let () =
           tc "crash loses uncommitted" test_db_crash_uncommitted_lost_msnap;
           tc "wal checkpoints" test_wal_checkpoint_triggers;
           tc "call counts" test_msnap_fewer_calls_than_wal;
+          tc "disposed machines return buffers" test_disposed_machines_return_buffers;
         ] );
     ]

@@ -956,6 +956,160 @@ let prop_pool_differential =
           List.iter (fun (b, _) -> Pool.recycle b) !live;
           !ok && (Pool.totals ()).Pool.t_outstanding = 0))
 
+(* Pooled buffers are carved from slabs outside the OCaml heap, with a
+   header and padding byte written the way [Bytes.create] writes them:
+   the length is exact whether the size is word-aligned or not, and a
+   buffer larger than a slab gets a mapping of its own. *)
+let test_pool_slab_lengths () =
+  with_pool (fun () ->
+      List.iter
+        (fun n ->
+          let b = Pool.alloc n in
+          checki (Printf.sprintf "length %d" n) n (Bytes.length b);
+          for i = 0 to n - 1 do
+            Bytes.unsafe_set b i (Char.chr ((i * 7 + n) land 0xff))
+          done;
+          let model = Bytes.init n (fun i -> Char.chr ((i * 7 + n) land 0xff)) in
+          checkb (Printf.sprintf "contents %d" n) true (Bytes.equal b model);
+          checkb (Printf.sprintf "copy %d" n) true
+            (Bytes.to_string b = Bytes.to_string model);
+          checkb (Printf.sprintf "last byte %d" n) true
+            (Bytes.get b (n - 1) = Bytes.get model (n - 1));
+          checkb "get past the end raises" true
+            (match Bytes.get b n with
+            | _ -> false
+            | exception Invalid_argument _ -> true);
+          Pool.recycle b;
+          let z = Pool.alloc_zeroed n in
+          checkb (Printf.sprintf "hit %d" n) true (z == b);
+          checki (Printf.sprintf "length after reuse %d" n) n (Bytes.length z);
+          checkb (Printf.sprintf "zeroed %d" n) true
+            (Bytes.for_all (fun c -> c = '\000') z);
+          Pool.recycle z)
+        [ 4096; 4097; 8191; (3 * 4096) + 5; (2 * 1024 * 1024) + 1 ])
+
+(* The GC never marks, sweeps or moves slab buffers, yet the heap holds
+   references to them (free lists, callers): full collections and a
+   compaction between operations leave every buffer, live or parked,
+   intact. *)
+let test_pool_survives_gc () =
+  with_pool ~debug:true (fun () ->
+      let sizes = [| 4096; 8192; 4097 |] in
+      let live =
+        Array.init 48 (fun i ->
+            let n = sizes.(i mod 3) in
+            let b = Pool.alloc n in
+            Bytes.fill b 0 n (Char.chr (i land 0xff));
+            b)
+      in
+      let intact () =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i b ->
+               Bytes.length b = sizes.(i mod 3)
+               && Bytes.for_all (fun c -> c = Char.chr (i land 0xff)) b)
+             live)
+      in
+      Gc.full_major ();
+      checkb "live buffers survive a full major" true (intact ());
+      (* Park every other buffer, collect, then take them back. *)
+      Array.iteri (fun i b -> if i mod 2 = 0 then Pool.recycle b) live;
+      Gc.compact ();
+      Gc.full_major ();
+      let again =
+        Array.init 24 (fun j -> Pool.alloc sizes.((2 * j) mod 3))
+      in
+      Array.iter (fun b -> checkb "parked poison intact" true
+                     (Bytes.for_all (fun c -> c = '\xa5') b)) again;
+      checkb "every parked buffer came back" true
+        (List.for_all
+           (fun b -> Array.exists (fun a -> a == b) again)
+           (List.filteri (fun i _ -> i mod 2 = 0) (Array.to_list live)));
+      Gc.compact ();
+      checkb "odd buffers still intact" true
+        (Array.for_all Fun.id
+           (Array.mapi
+              (fun i b ->
+                i mod 2 = 0
+                || Bytes.for_all (fun c -> c = Char.chr (i land 0xff)) b)
+              live));
+      Array.iteri (fun i b -> if i mod 2 = 1 then Pool.recycle b) live;
+      Array.iter Pool.recycle again;
+      checki "none outstanding" 0 (Pool.totals ()).Pool.t_outstanding)
+
+(* Each domain carves from its own slabs with its own cursors: two
+   domains allocating and recycling at once never hand out overlapping
+   memory. Both first carve well over a slab of buffers and a slab and a
+   half of chunks at the same time, then alloc and recycle at random;
+   every live buffer and chunk carries its owner's stamp, re-verified as
+   they go and at the end. *)
+let pool_two_domains debug () =
+  let saved = !Pool.debug_checks in
+  Pool.debug_checks := debug;
+  Fun.protect
+    ~finally:(fun () -> Pool.debug_checks := saved)
+    (fun () ->
+      let work d () =
+        let rng = Random.State.make [| d |] in
+        let sizes = [| 4096; 4097; 8192; (3 * 4096) + 5 |] in
+        let mark k = Char.chr ((d * 64) + (k land 63)) in
+        let ok = ref true in
+        let fresh k =
+          let b = Pool.alloc sizes.(Random.State.int rng 4) in
+          Bytes.fill b 0 (Bytes.length b) (mark k);
+          (b, k)
+        in
+        let verify live =
+          List.iter
+            (fun (b, k) -> ok := !ok && Bytes.for_all (fun c -> c = mark k) b)
+            live
+        in
+        let chunks =
+          Array.init 12 (fun k ->
+              let c = Pool.alloc_chunk (256 * 1024) in
+              Bigarray.Array1.fill c (mark k);
+              c)
+        in
+        let live = ref (List.init 600 fresh) in
+        verify !live;
+        for step = 0 to 999 do
+          (if Random.State.bool rng then live := fresh step :: !live
+           else
+             match !live with
+             | (b, _) :: rest ->
+               Pool.recycle b;
+               live := rest
+             | [] -> ());
+          if step mod 100 = 0 then verify !live
+        done;
+        verify !live;
+        Array.iteri
+          (fun k c ->
+            for i = 0 to Bigarray.Array1.dim c - 1 do
+              if Bigarray.Array1.unsafe_get c i <> mark k then ok := false
+            done)
+          chunks;
+        List.iter (fun (b, _) -> Pool.recycle b) !live;
+        !ok && (Pool.totals ()).Pool.t_outstanding = 0
+      in
+      let ds = List.map (fun d -> Domain.spawn (work d)) [ 1; 2 ] in
+      List.iter
+        (fun d -> checkb "no aliasing across domains" true (Domain.join d))
+        ds)
+
+let test_pool_alloc_chunk_sizes () =
+  let c = Pool.alloc_chunk 64 in
+  checki "smallest chunk" 64 (Bigarray.Array1.dim c);
+  let c = Pool.alloc_chunk (2 * 1024 * 1024) in
+  checki "whole-slab chunk" (2 * 1024 * 1024) (Bigarray.Array1.dim c);
+  List.iter
+    (fun n ->
+      checkb (Printf.sprintf "alloc_chunk %d rejected" n) true
+        (match Pool.alloc_chunk n with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ 0; -64; 100; (2 * 1024 * 1024) + 64; max_int ]
+
 (* --- Taskpool --- *)
 
 module Taskpool = Msnap_util.Taskpool
@@ -1243,6 +1397,11 @@ let () =
           tc "double recycle detected" test_pool_double_recycle_detected;
           tc "use-after-recycle detected" test_pool_use_after_recycle_detected;
           QCheck_alcotest.to_alcotest prop_pool_differential;
+          tc "slab buffer lengths" test_pool_slab_lengths;
+          tc "slab buffers survive GC" test_pool_survives_gc;
+          tc "two domains (debug off)" (pool_two_domains false);
+          tc "two domains (debug on)" (pool_two_domains true);
+          tc "alloc_chunk sizes" test_pool_alloc_chunk_sizes;
         ] );
       ( "taskpool",
         [
