@@ -42,8 +42,6 @@ module Sched = struct
       raise e
 end
 
-module Sync = Msnap_sim.Sync
-module Costs = Msnap_sim.Costs
 module Metrics = Msnap_sim.Metrics
 module Probe = Msnap_sim.Probe
 module Rng = Msnap_util.Rng
@@ -53,9 +51,7 @@ module Size = Msnap_util.Size
 module Tbl = Msnap_util.Tbl
 module Histogram = Msnap_util.Histogram
 module Disk = Msnap_blockdev.Disk
-module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
-module Store = Msnap_objstore.Store
 module Phys = Msnap_vm.Phys
 module Aspace = Msnap_vm.Aspace
 module Addr = Msnap_vm.Addr
@@ -63,45 +59,29 @@ module Fs = Msnap_fs.Fs
 module Msnap = Msnap_core.Msnap
 module Aurora = Msnap_aurora.Aurora
 
-let dev_mib = 512
-
-let mk_dev ?(mib = dev_mib) () =
-  let dev =
-    Device.of_stripe
-      (Stripe.create [ Disk.create ~name:"nvme0" ~size:(Size.mib mib) ();
-        Disk.create ~name:"nvme1" ~size:(Size.mib mib) () ])
-  in
+let mk_dev () =
+  let dev = Device.testbed ~mib:512 in
   on_dispose (fun () -> Device.dispose dev);
   dev
 
-let mk_fs ?mib kind =
-  let dev = mk_dev ?mib () in
+let mk_fs kind =
+  let dev = mk_dev () in
   let fs = Fs.mkfs dev ~kind in
   on_dispose (fun () -> Fs.dispose fs);
   (dev, fs)
 
-(* A machine with a MemSnap kernel: (device, kernel, aspace, phys). *)
-let mk_msnap ?mib () =
-  let dev = mk_dev ?mib () in
-  let phys = Phys.create () in
-  on_dispose (fun () -> Phys.dispose phys);
-  let aspace = Aspace.create phys in
-  Store.format dev;
-  let store = Store.mount dev in
-  on_dispose (fun () -> Store.dispose store);
-  let k = Msnap.init ~store in
-  Msnap.attach k aspace;
-  (dev, k, aspace, phys)
+(* A machine with a MemSnap kernel: (device, kernel). *)
+let mk_msnap () =
+  let dev = mk_dev () in
+  let k = Msnap.boot ~format:true dev in
+  on_dispose (fun () -> Msnap.dispose k);
+  (dev, k)
 
-let mk_aurora ?mib ?other_mapped_pages () =
-  let dev = mk_dev ?mib () in
-  let phys = Phys.create () in
-  on_dispose (fun () -> Phys.dispose phys);
-  let aspace = Aspace.create phys in
-  Store.format dev;
-  let store = Store.mount dev in
-  on_dispose (fun () -> Store.dispose store);
-  (dev, Aurora.Kernel.create ~aspace ~store ?other_mapped_pages (), aspace)
+(* A machine with an Aurora kernel. *)
+let mk_aurora () =
+  let k = Aurora.Kernel.boot ~format:true (mk_dev ()) in
+  on_dispose (fun () -> Aurora.Kernel.dispose k);
+  k
 
 (* Dirty [pages] distinct random 4 KiB pages of a MemSnap region. *)
 let dirty_random_pages k md rng ~region_pages ~pages =
@@ -137,10 +117,10 @@ let metric_row p =
 (* --- output routing ---
 
    Experiments never print to stdout directly: everything goes through
-   [emit], which either writes straight to stdout (serial runs) or into a
-   per-domain capture buffer (parallel runs, see main.ml). The parallel
-   runner prints the buffers in experiment order afterwards, so `-j N`
-   produces byte-identical stdout to a serial run. *)
+   [emit] into the capture buffer of the experiment or cell running on
+   this domain (see main.ml). The runner prints each experiment's buffer
+   in experiment order, so `-j N` produces byte-identical stdout to a
+   serial run. *)
 
 let out_key : Buffer.t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -148,9 +128,7 @@ let out_key : Buffer.t option ref Domain.DLS.key =
 let emit s =
   match !(Domain.DLS.get out_key) with
   | Some b -> Buffer.add_string b s
-  | None ->
-    print_string s;
-    flush stdout
+  | None -> invalid_arg "Env.emit: output outside an experiment"
 
 let printf fmt = Printf.ksprintf emit fmt
 
@@ -261,7 +239,6 @@ let frame_end () =
    inline at [force]: `-j 1` is exactly the old serial execution. *)
 
 module Cell = Msnap_sim.Cell
-module Taskpool = Msnap_util.Taskpool
 
 type 'a cell_outcome = { co_v : 'a; co_out : string; co_host : hostm }
 type 'a pending = 'a cell_outcome Cell.t
@@ -339,7 +316,7 @@ let warm () =
          Fs.fsync fs f));
   ignore
     (Sched.run (fun () ->
-         let _, k, _, _ = mk_msnap () in
+         let _, k = mk_msnap () in
          let md = Msnap.open_region k ~name:"warm" ~len:(Size.mib 1) () in
          let b = Bytes.make 64 'w' in
          for i = 0 to 255 do

@@ -68,7 +68,7 @@ let fsync_latency kind ~pattern kib =
 
 let memsnap_latency ~mode kib =
   Sched.run (fun () ->
-      let _, k, _, _ = mk_msnap () in
+      let _, k = mk_msnap () in
       let region_pages = 65536 in
       let md = Msnap.open_region k ~name:"bench" ~len:(region_pages * page) () in
       let rng = Rng.create 3 in
@@ -201,7 +201,7 @@ let table5 () =
   section "Table 5: breakdown of msnap_persist (64 KiB dirty)";
   Sched.run (fun () ->
       Metrics.reset ();
-      let _, k, _, _ = mk_msnap () in
+      let _, k = mk_msnap () in
       let region_pages = 65536 in
       let md = Msnap.open_region k ~name:"bench" ~len:(region_pages * page) () in
       let rng = Rng.create 4 in
@@ -226,7 +226,7 @@ let table5 () =
 let aurora_breakdown =
   shared @@ fun () ->
   Sched.run (fun () ->
-      let _, k, _ = mk_aurora () in
+      let k = mk_aurora () in
       (* The paper measures during RocksDB's 12-thread dbbench: the stall
          pays one safe-point round-trip per application thread. *)
       for _ = 1 to 12 do
@@ -273,7 +273,7 @@ let table10 () =
   let ms_reset, ms_io, ms_total =
     Sched.run (fun () ->
         Metrics.reset ();
-        let _, k, _, _ = mk_msnap () in
+        let _, k = mk_msnap () in
         let md = Msnap.open_region k ~name:"bench" ~len:(65536 * page) () in
         let rng = Rng.create 6 in
         for _ = 1 to 20 do
@@ -311,7 +311,7 @@ let fig3 () =
   let region_pages = 8192 (* 32 MiB populated *) in
   let memsnap_t dirty_pages =
     Sched.run (fun () ->
-        let _, k, _, _ = mk_msnap () in
+        let _, k = mk_msnap () in
         let md = Msnap.open_region k ~name:"bench" ~len:(region_pages * page) () in
         (* populate *)
         for i = 0 to region_pages - 1 do
@@ -325,7 +325,7 @@ let fig3 () =
   in
   let aurora_t ~app dirty_pages =
     Sched.run (fun () ->
-        let _, k, _ = mk_aurora () in
+        let k = mk_aurora () in
         Aurora.Kernel.register_thread k;
         let r =
           Aurora.Region.create k ~name:"bench" ~va:0x5000_0000_0000

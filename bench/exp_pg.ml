@@ -229,7 +229,7 @@ let fig6 () =
           (dev, Storage.ffs_mmap_bufdirect fs (Aspace.create phys) ()) );
       ( "memsnap",
         fun () ->
-          let dev, k, _, _ = mk_msnap () in
+          let dev, k = mk_msnap () in
           (dev, Storage.memsnap k) );
     ]
   in

@@ -31,10 +31,10 @@ let mk_db backend =
     let _, fs = mk_fs Fs.Ffs in
     Rocks.open_db ~config (Rocks.Baseline fs) ~name:"mix"
   | `Memsnap ->
-    let _, k, _, _ = mk_msnap () in
+    let _, k = mk_msnap () in
     Rocks.open_db ~config (Rocks.Memsnap k) ~name:"mix"
   | `Aurora ->
-    let _, k, _ = mk_aurora () in
+    let k = mk_aurora () in
     Aurora.Kernel.register_thread k;
     Rocks.open_db ~config (Rocks.Aurora k) ~name:"mix"
 

@@ -40,7 +40,7 @@ let open_db backend =
         Backend_wal.dispose w);
     db
   | Ms ->
-    let _, k, _, _ = mk_msnap () in
+    let _, k = mk_msnap () in
     let db =
       Db.open_db
         (Backend_msnap.backend

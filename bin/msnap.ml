@@ -14,24 +14,8 @@ module Rng = Msnap_util.Rng
 module Size = Msnap_util.Size
 module Tbl = Msnap_util.Tbl
 module Disk = Msnap_blockdev.Disk
-module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
-module Store = Msnap_objstore.Store
-module Phys = Msnap_vm.Phys
-module Aspace = Msnap_vm.Aspace
 module Msnap = Msnap_core.Msnap
-
-let mk_machine ?(format = true) dev =
-  let phys = Phys.create () in
-  let aspace = Aspace.create phys in
-  if format then Store.format dev;
-  let k = Msnap.init ~store:(Store.mount dev) in
-  Msnap.attach k aspace;
-  k
-
-let mk_dev () =
-  Device.of_stripe
-    (Stripe.create [ Disk.create ~size:(Size.mib 256) (); Disk.create ~size:(Size.mib 256) () ])
 
 let costs () =
   let t = Tbl.create ~title:"calibrated cost model" ~headers:[ "Primitive"; "ns" ] in
@@ -80,8 +64,10 @@ let persist_sweep trace =
   List.iter
     (fun kib ->
       let run mode =
-        Sched.run (fun () ->
-            let k = mk_machine (mk_dev ()) in
+        let dev = Device.testbed ~mib:256 in
+        let k, mean =
+          Sched.run (fun () ->
+            let k = Msnap.boot ~format:true dev in
             let md = Msnap.open_region k ~name:"r" ~len:(Size.mib 64) () in
             let rng = Rng.create 1 in
             let total = ref 0 in
@@ -99,7 +85,11 @@ let persist_sweep trace =
               total := !total + (Sched.now () - t0);
               Sched.delay 5_000_000
             done;
-            !total / 8)
+            (k, !total / 8))
+        in
+        Msnap.dispose k;
+        Device.dispose dev;
+        mean
       in
       Tbl.row t
         [ Size.pp (Size.kib kib); Tbl.us (run `Sync); Tbl.us (run `Async) ])
@@ -110,16 +100,14 @@ let torture trace record_mode =
   with_trace trace @@ fun () ->
   let survived = ref 0 in
   for round = 1 to 10 do
-    let ok =
+    let dev = Device.testbed ~mib:256 in
+    (* --record attaches an (unarmed) crash-schedule recorder: host-only
+       observability, so every simulated value printed below must be
+       identical with or without it — CI cmps the two stdouts. *)
+    if record_mode then Device.attach_record dev (Msnap_blockdev.Record.create ());
+    let ok, k2 =
       Sched.run (fun () ->
-          let dev = mk_dev () in
-          (* --record attaches an (unarmed) crash-schedule recorder:
-             host-only observability, so every simulated value printed
-             below must be identical with or without it — CI cmps the
-             two stdouts. *)
-          if record_mode then
-            Device.attach_record dev (Msnap_blockdev.Record.create ());
-          let k = mk_machine dev in
+          let k = Msnap.boot ~format:true dev in
           let md = Msnap.open_region k ~name:"t" ~len:(Size.mib 1) () in
           let committed = ref 0 in
           let w =
@@ -138,7 +126,7 @@ let torture trace record_mode =
           Device.fail_power dev ~torn_seed:round;
           Sched.join w;
           Device.restore_power dev;
-          let k2 = mk_machine ~format:false dev in
+          let k2 = Msnap.boot ~format:false dev in
           let md2 = Msnap.open_region k2 ~name:"t" ~len:(Size.mib 1) () in
           (* The recovered page for the last committed write must hold it. *)
           let i = !committed in
@@ -146,8 +134,12 @@ let torture trace record_mode =
             Int64.to_int
               (Bytes.get_int64_le (Msnap.read k2 md2 ~off:((i mod 256) * 4096) ~len:8) 0)
           in
-          v = i || v = i + 1)
+          (v = i || v = i + 1, k2))
     in
+    (* The crashed kernel is not disposed: buffer ownership may be
+       mid-transfer. *)
+    Msnap.dispose k2;
+    Device.dispose dev;
     Printf.printf "round %2d: %s\n%!" round (if ok then "consistent" else "CORRUPT");
     if ok then incr survived
   done;

@@ -13,13 +13,7 @@
 module Sched = Msnap_sim.Sched
 module Sync = Msnap_sim.Sync
 module Rng = Msnap_util.Rng
-module Size = Msnap_util.Size
-module Disk = Msnap_blockdev.Disk
-module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
-module Store = Msnap_objstore.Store
-module Phys = Msnap_vm.Phys
-module Aspace = Msnap_vm.Aspace
 module Msnap = Msnap_core.Msnap
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
@@ -27,14 +21,6 @@ let say fmt = Printf.printf (fmt ^^ "\n%!")
 let accounts = 32
 let initial_balance = 1_000
 let page = 4096
-
-let boot ?(format = false) dev =
-  let phys = Phys.create () in
-  let aspace = Aspace.create phys in
-  if format then Store.format dev;
-  let kernel = Msnap.init ~store:(Store.mount dev) in
-  Msnap.attach kernel aspace;
-  kernel
 
 let read_balance k md acct =
   Int64.to_int (Bytes.get_int64_le (Msnap.read k md ~off:(acct * page) ~len:8) 0)
@@ -53,11 +39,8 @@ let total k md =
 
 let () =
   Sched.run @@ fun () ->
-  let dev =
-    Device.of_stripe
-    (Stripe.create [ Disk.create ~size:(Size.mib 64) (); Disk.create ~size:(Size.mib 64) () ])
-  in
-  let k = boot ~format:true dev in
+  let dev = Device.testbed ~mib:64 in
+  let k = Msnap.boot ~format:true dev in
   let md = Msnap.open_region k ~name:"ledger" ~len:(accounts * page) () in
 
   (* Fund the accounts and persist the opening state. *)
@@ -108,11 +91,15 @@ let () =
   List.iter Sched.join tellers;
   Device.restore_power dev;
 
-  let k2 = boot dev in
+  let k2 = Msnap.boot ~format:false dev in
   let md2 = Msnap.open_region k2 ~name:"ledger" ~len:(accounts * page) () in
   let recovered = total k2 md2 in
   say "recovered total: %d (expected %d) -> %s" recovered
     (accounts * initial_balance)
     (if recovered = accounts * initial_balance then "conserved: no torn transfer"
      else "MONEY LEAKED - atomicity violated!");
-  assert (recovered = accounts * initial_balance)
+  assert (recovered = accounts * initial_balance);
+  (* [k] lost power mid-run and is not disposed: buffer ownership may
+     be mid-transfer. *)
+  Msnap.dispose k2;
+  Device.dispose dev

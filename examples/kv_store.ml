@@ -9,36 +9,18 @@
    Run with: dune exec examples/kv_store.exe *)
 
 module Sched = Msnap_sim.Sched
-module Rng = Msnap_util.Rng
-module Size = Msnap_util.Size
-module Disk = Msnap_blockdev.Disk
-module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
-module Store = Msnap_objstore.Store
-module Phys = Msnap_vm.Phys
-module Aspace = Msnap_vm.Aspace
 module Msnap = Msnap_core.Msnap
 module Rocks = Msnap_rocks.Rocks
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
-let boot dev =
-  let phys = Phys.create () in
-  let aspace = Aspace.create phys in
-  Store.format dev;
-  let kernel = Msnap.init ~store:(Store.mount dev) in
-  Msnap.attach kernel aspace;
-  kernel
-
 let config = { Rocks.default_config with region_pages = 8192 }
 
 let () =
   Sched.run @@ fun () ->
-  let dev =
-    Device.of_stripe
-    (Stripe.create [ Disk.create ~size:(Size.mib 128) (); Disk.create ~size:(Size.mib 128) () ])
-  in
-  let k = boot dev in
+  let dev = Device.testbed ~mib:128 in
+  let k = Msnap.boot ~format:true dev in
   let db = Rocks.open_db ~config (Rocks.Memsnap k) ~name:"kv" in
 
   say "== loading 1000 keys (each put is one durable μCheckpoint) ==";
@@ -77,4 +59,7 @@ let () =
     (float_of_int (Sched.now () - t0) /. 1e6);
   say "user:0001 = %s" (Option.get (Rocks.get db2 "user:0001"));
   say "audit:last = %s" (Option.get (Rocks.get db2 "audit:last"));
-  assert (Rocks.count db2 = 1001)
+  assert (Rocks.count db2 = 1001);
+  Msnap.dispose k;
+  RR.dispose r;
+  Device.dispose dev

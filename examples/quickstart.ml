@@ -8,35 +8,19 @@
 
 module Sched = Msnap_sim.Sched
 module Size = Msnap_util.Size
-module Disk = Msnap_blockdev.Disk
-module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
-module Store = Msnap_objstore.Store
-module Phys = Msnap_vm.Phys
-module Aspace = Msnap_vm.Aspace
 module Msnap = Msnap_core.Msnap
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
-(* One "machine": two striped NVMe devices, physical memory, a process. *)
-let boot ?(format = false) dev =
-  let phys = Phys.create () in
-  let aspace = Aspace.create phys in
-  if format then Store.format dev;
-  let kernel = Msnap.init ~store:(Store.mount dev) in
-  Msnap.attach kernel aspace;
-  kernel
-
 let () =
   Sched.run @@ fun () ->
-  let dev =
-    Device.of_stripe
-    (Stripe.create [ Disk.create ~name:"nvme0" ~size:(Size.mib 64) ();
-        Disk.create ~name:"nvme1" ~size:(Size.mib 64) () ])
-  in
+  (* One "machine": two striped NVMe devices; booting adds physical
+     memory and a process. *)
+  let dev = Device.testbed ~mib:64 in
 
   say "== first boot ==";
-  let k = boot ~format:true dev in
+  let k = Msnap.boot ~format:true dev in
 
   (* msnap_open: create a persistent region. It gets a fixed virtual
      address, so pointers into it stay valid across reboots. *)
@@ -66,10 +50,13 @@ let () =
   Device.restore_power dev;
 
   say "== reboot and recover ==";
-  let k2 = boot dev in
+  let k2 = Msnap.boot ~format:false dev in
   let md2 = Msnap.open_region k2 ~name:"my-data" ~len:(Size.kib 256) () in
   say "region recovered at 0x%x (same address: %b)" (Msnap.addr md2)
     (Msnap.addr md2 = Msnap.addr md);
   say "page 0: %S" (Bytes.to_string (Msnap.read k2 md2 ~off:0 ~len:11));
   say "page 1: %S" (Bytes.to_string (Msnap.read k2 md2 ~off:4096 ~len:21));
-  say "the persisted epoch survived; the tamper did not."
+  say "the persisted epoch survived; the tamper did not.";
+  Msnap.dispose k;
+  Msnap.dispose k2;
+  Device.dispose dev

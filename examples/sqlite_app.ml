@@ -12,13 +12,7 @@
 module Sched = Msnap_sim.Sched
 module Metrics = Msnap_sim.Metrics
 module Probe = Msnap_sim.Probe
-module Size = Msnap_util.Size
-module Disk = Msnap_blockdev.Disk
-module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
-module Store = Msnap_objstore.Store
-module Phys = Msnap_vm.Phys
-module Aspace = Msnap_vm.Aspace
 module Fs = Msnap_fs.Fs
 module Msnap = Msnap_core.Msnap
 module Db = Msnap_sqlite.Db
@@ -26,10 +20,6 @@ module Backend_wal = Msnap_sqlite.Backend_wal
 module Backend_msnap = Msnap_sqlite.Backend_msnap
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
-
-let mk_dev () =
-  Device.of_stripe
-    (Stripe.create [ Disk.create ~size:(Size.mib 128) (); Disk.create ~size:(Size.mib 128) () ])
 
 let app_workload db =
   let orders = Db.create_table db "orders" in
@@ -48,8 +38,10 @@ let () =
   Sched.run @@ fun () ->
   (* Baseline: WAL file + checkpoints over the file API. *)
   Metrics.reset ();
-  let fs = Fs.mkfs (mk_dev ()) ~kind:Fs.Ffs in
-  let wal_db = Db.open_db (Backend_wal.backend (Backend_wal.create fs ~db_name:"app.db" ())) in
+  let wal_dev = Device.testbed ~mib:128 in
+  let fs = Fs.mkfs wal_dev ~kind:Fs.Ffs in
+  let bw = Backend_wal.create fs ~db_name:"app.db" () in
+  let wal_db = Db.open_db (Backend_wal.backend bw) in
   app_workload wal_db;
   say "baseline (WAL+checkpoint): %4d fsync, %5d write, mean fsync %.0f us"
     (Metrics.count Probe.db_fsync) (Metrics.count Probe.db_write)
@@ -57,12 +49,8 @@ let () =
 
   (* MemSnap plugin: same storage engine, no files. *)
   Metrics.reset ();
-  let dev = mk_dev () in
-  let phys = Phys.create () in
-  let aspace = Aspace.create phys in
-  Store.format dev;
-  let k = Msnap.init ~store:(Store.mount dev) in
-  Msnap.attach k aspace;
+  let dev = Device.testbed ~mib:128 in
+  let k = Msnap.boot ~format:true dev in
   let be = Backend_msnap.create k ~db_name:"app.db" ~max_pages:16384 in
   let ms_db = Db.open_db (Backend_msnap.backend be) in
   app_workload ms_db;
@@ -73,13 +61,17 @@ let () =
   say "== crash and recover the memsnap database ==";
   Device.fail_power dev ~torn_seed:99;
   Device.restore_power dev;
-  let phys2 = Phys.create () in
-  let aspace2 = Aspace.create phys2 in
-  let k2 = Msnap.init ~store:(Store.mount dev) in
-  Msnap.attach k2 aspace2;
+  let k2 = Msnap.boot ~format:false dev in
   let be2 = Backend_msnap.create k2 ~db_name:"app.db" ~max_pages:16384 in
   let db2 = Db.open_db (Backend_msnap.backend be2) in
   let orders = Option.get (Db.table db2 "orders") in
   say "orders recovered: %d rows; order 123 = %S" (Db.count orders)
     (Option.get (Db.get orders (Db.key_of_int 123)));
-  assert (Db.count orders = 500)
+  assert (Db.count orders = 500);
+  List.iter (fun db -> Msnap_sqlite.Pager.dispose (Db.pager db)) [ wal_db; ms_db; db2 ];
+  Backend_wal.dispose bw;
+  Fs.dispose fs;
+  Msnap.dispose k;
+  Msnap.dispose k2;
+  Device.dispose wal_dev;
+  Device.dispose dev

@@ -60,6 +60,10 @@ end
 let of_disk d = Dev ((module Disk_backend), d)
 let of_stripe s = Dev ((module Stripe_backend), s)
 
+let testbed ~mib =
+  let disk name = Disk.create ~name ~size:(Msnap_util.Size.mib mib) () in
+  of_stripe (Stripe.create [ disk "nvme0"; disk "nvme1" ])
+
 let name (Dev ((module D), d)) = D.name d
 let size (Dev ((module D), d)) = D.size d
 let writev (Dev ((module D), d)) segs = D.writev d segs

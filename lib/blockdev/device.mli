@@ -72,6 +72,10 @@ type t = Dev : (module S with type t = 'a) * 'a -> t
 val of_disk : Disk.t -> t
 val of_stripe : Stripe.t -> t
 
+val testbed : mib:int -> t
+(** The paper's testbed layout: two [mib]-MiB disks, [nvme0] and
+    [nvme1], striped in 64 KiB units. *)
+
 (** {2 Forwarders} *)
 
 val name : t -> string

@@ -145,10 +145,22 @@ let attach t aspace =
       invalid_arg "Msnap.attach: address spaces must share physical memory");
   t.aspaces <- t.aspaces @ [ aspace ]
 
+let boot ~format dev =
+  if format then Store.format dev;
+  let k = init ~store:(Store.mount dev) in
+  attach k (Aspace.create (Phys.create ()));
+  k
+
+let dispose t =
+  Store.dispose t.store;
+  Option.iter Phys.dispose t.phys
+
 let default_aspace t =
   match t.aspaces with
   | a :: _ -> a
   | [] -> invalid_arg "Msnap: no process attached"
+
+let aspace = default_aspace
 
 (* --- dirty set tracking --- *)
 
@@ -654,11 +666,7 @@ let cell_read t md ~off =
   let n = Bytes.get_uint16_le b 0 in
   if n > cell_max then None else Some (Bytes.sub_string b 2 n)
 
-type recovered = {
-  rec_kernel : t;
-  rec_md : md;
-  rec_phys : Phys.t;
-}
+type recovered = { rec_kernel : t; rec_md : md }
 
 let recoverable ~region ~len ~cells =
   (module struct
@@ -666,23 +674,16 @@ let recoverable ~region ~len ~cells =
 
     let label = "msnap"
 
-    (* Boot a whole fresh machine over the post-crash device: mount the
-       object store (no valid superblock -> unmountable), init a kernel,
-       remap the region at its fixed address. Pages fault back in from
-       the last committed μCheckpoint on access. *)
+    (* Boot a whole fresh machine over the post-crash device (no valid
+       superblock -> unmountable) and remap the region at its fixed
+       address. Pages fault back in from the last committed μCheckpoint
+       on access. *)
     let recover dev =
-      let phys = Phys.create () in
-      let aspace = Aspace.create phys in
-      let store =
-        try Store.mount dev
-        with Store.Corrupt msg ->
-          Phys.dispose phys;
-          raise (Msnap_faults.Recoverable.Unmountable msg)
+      let k =
+        try boot ~format:false dev
+        with Store.Corrupt msg -> raise (Msnap_faults.Recoverable.Unmountable msg)
       in
-      let k = init ~store in
-      attach k aspace;
-      let md = open_region k ~name:region ~len () in
-      { rec_kernel = k; rec_md = md; rec_phys = phys }
+      { rec_kernel = k; rec_md = open_region k ~name:region ~len () }
 
     let check r history =
       let state =
@@ -698,7 +699,5 @@ let recoverable ~region ~len ~cells =
       in
       Msnap_faults.Recoverable.check_state ~label history state
 
-    let dispose r =
-      Store.dispose r.rec_kernel.store;
-      Phys.dispose r.rec_phys
+    let dispose r = dispose r.rec_kernel
   end : Msnap_faults.Recoverable.S with type t = recovered)

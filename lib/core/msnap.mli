@@ -45,6 +45,22 @@ val attach : t -> Msnap_vm.Aspace.t -> unit
 (** Let a (simulated) process use MemSnap regions. The first attached
     aspace is the default for [open_region]. *)
 
+val boot : format:bool -> Msnap_blockdev.Device.t -> t
+(** A whole machine over [dev]: format the object store when [format]
+    (else mount what the device holds), then create physical memory and
+    one process, attached as the default address space. Raises
+    [Store.Corrupt] before allocating anything when [dev] holds no
+    valid superblock. *)
+
+val aspace : t -> Msnap_vm.Aspace.t
+(** The default (first attached) address space. *)
+
+val dispose : t -> unit
+(** End-of-run teardown of a booted kernel: return its store's and its
+    frames' pooled buffers. The kernel must be idle and never used
+    again. The device is not touched: it outlives its kernels across
+    crash and recovery, and is disposed on its own. *)
+
 (** {2 The API of Table 4} *)
 
 val open_region : t -> ?aspace:Msnap_vm.Aspace.t -> name:string -> len:int -> unit -> md
@@ -126,13 +142,8 @@ val cell_read : t -> md -> off:int -> string option
 (** [None] when the slot's length prefix is out of range (torn or
     unwritten media that slipped past recovery). *)
 
-type recovered = {
-  rec_kernel : t;
-  rec_md : md;
-  rec_phys : Msnap_vm.Phys.t;
-}
-(** A kernel+region rebuilt from a post-crash device, with the physical
-    memory [recover] allocated for it. *)
+type recovered = { rec_kernel : t; rec_md : md }
+(** A kernel and region rebuilt from a post-crash device by {!boot}. *)
 
 val recoverable :
   region:string -> len:int -> cells:(string * int) list ->

@@ -11,13 +11,8 @@
    sets, fixed-size value cells where the engine offers them, no
    randomness, no time. *)
 
-module Size = Msnap_util.Size
-module Disk = Msnap_blockdev.Disk
-module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
 module Store = Msnap_objstore.Store
-module Phys = Msnap_vm.Phys
-module Aspace = Msnap_vm.Aspace
 module Fs = Msnap_fs.Fs
 module Msnap = Msnap_core.Msnap
 module Db = Msnap_sqlite.Db
@@ -29,24 +24,9 @@ module Rocks = Msnap_rocks.Rocks
 module History = Msnap_faults.History
 module Checker = Msnap_faults.Checker
 
-(* Every workload runs on the same geometry: a two-disk stripe, so torn
-   tails exercise the per-member seed derivation. *)
-let mk_dev () =
-  Device.of_stripe
-    (Stripe.create
-       [ Disk.create ~name:"d0" ~size:(Size.mib 128) ();
-         Disk.create ~name:"d1" ~size:(Size.mib 128) () ])
-
-(* A MemSnap machine over [dev] and its host-side teardown, which hands
-   the store's and the frames' pooled buffers back. *)
-let mk_machine dev =
-  let phys = Phys.create () in
-  let aspace = Aspace.create phys in
-  Store.format dev;
-  let store = Store.mount dev in
-  let k = Msnap.init ~store in
-  Msnap.attach k aspace;
-  (k, fun () -> Store.dispose store; Phys.dispose phys)
+(* Every workload runs on the same geometry: the two-disk testbed
+   stripe, so torn tails exercise the per-member seed derivation. *)
+let mk_dev () = Device.testbed ~mib:128
 
 (* --- msnap: value cells in one region, one μCheckpoint per update --- *)
 
@@ -59,7 +39,7 @@ let msnap_steps = 30
 
 let msnap_run dev record =
   let hist = History.create () in
-  let k, dispose = mk_machine dev in
+  let k = Msnap.boot ~format:true dev in
   let md = Msnap.open_region k ~name:msnap_region ~len:msnap_region_len () in
   let values = Array.make (List.length msnap_cells) "" in
   let state () = List.mapi (fun i (l, _) -> (l, values.(i))) msnap_cells in
@@ -74,7 +54,7 @@ let msnap_run dev record =
     values.(i) <- v;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())
   done;
-  dispose ();
+  Msnap.dispose k;
   hist
 
 let msnap_workload =
@@ -269,7 +249,7 @@ let rocks_steps = 28
 
 let rocks_run dev record =
   let hist = History.create () in
-  let k, dispose = mk_machine dev in
+  let k = Msnap.boot ~format:true dev in
   let db = Rocks.open_db ~config:rocks_config (Rocks.Memsnap k) ~name:rocks_name in
   (* The first put persists the skip list's header page; only from here
      on is the region guaranteed recoverable. *)
@@ -289,7 +269,7 @@ let rocks_run dev record =
     Hashtbl.replace model key v;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())
   done;
-  dispose ();
+  Msnap.dispose k;
   hist
 
 let rocks_workload =

@@ -5,8 +5,6 @@ module Sync = Msnap_sim.Sync
 module Metrics = Msnap_sim.Metrics
 module Probe = Msnap_sim.Probe
 module Store = Msnap_objstore.Store
-module Phys = Msnap_vm.Phys
-module Aspace = Msnap_vm.Aspace
 module Recoverable = Msnap_faults.Recoverable
 module Slice = Msnap_util.Slice
 
@@ -275,7 +273,7 @@ let compactions t = match t.st with B b -> Lsm.compactions b.lsm | R _ -> 0
 
 (* --- crash recovery --- *)
 
-type recovered = { db : t; teardown : unit -> unit }
+type recovered = { db : t; kernel : Msnap.t }
 
 (* The full recovered state, sorted by key — what a history step records. *)
 let dump db = seek db "" ~n:max_int
@@ -293,24 +291,18 @@ let recoverable ?(config = default_config) ~name () =
        the region-backed design, which is what the paper's crash
        experiments exercise. *)
     let recover dev =
-      let phys = Phys.create () in
-      let aspace = Aspace.create phys in
-      let store =
-        try Store.mount dev
-        with Store.Corrupt msg ->
-          Phys.dispose phys;
-          raise (Recoverable.Unmountable msg)
+      let k =
+        try Msnap.boot ~format:false dev
+        with Store.Corrupt msg -> raise (Recoverable.Unmountable msg)
       in
-      let k = Msnap.init ~store in
-      Msnap.attach k aspace;
       let db =
         { st = open_state ~recovering:true ~config (Memsnap k) ~name;
           db_name = name }
       in
-      { db; teardown = (fun () -> Store.dispose store; Phys.dispose phys) }
+      { db; kernel = k }
 
     let check r history =
       Recoverable.check_state ~label history (dump r.db)
 
-    let dispose r = r.teardown ()
+    let dispose r = Msnap.dispose r.kernel
   end : Msnap_faults.Recoverable.S with type t = recovered)

@@ -29,9 +29,9 @@ val default_config : config
 
 val open_db : ?config:config -> backend -> name:string -> t
 
-type recovered = { db : t; teardown : unit -> unit }
-(** A database rebuilt from a post-crash device, with the host-side
-    teardown for the machine [recover] booted around it. *)
+type recovered = { db : t; kernel : Msnap_core.Msnap.t }
+(** A database rebuilt from a post-crash device, with the kernel
+    [recover] booted around it. *)
 
 val recoverable :
   ?config:config -> name:string -> unit ->

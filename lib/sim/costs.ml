@@ -1,5 +1,4 @@
 let syscall = 400
-let memcpy_per_byte = 1 (* used via [memcpy] below: ~12 GiB/s *)
 
 let memcpy n = (n + 11) / 12
 

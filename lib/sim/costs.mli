@@ -19,10 +19,6 @@
 val syscall : int
 (** Kernel entry/exit. *)
 
-val memcpy_per_byte : int
-(** Userspace copy bandwidth, in ns per 16 bytes charged per byte via
-    {!memcpy}. *)
-
 val memcpy : int -> int
 (** [memcpy n] is the time to copy [n] bytes (~12 GiB/s). *)
 

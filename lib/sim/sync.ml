@@ -1,7 +1,7 @@
 (* All primitives park through Sched.Waitq: an intrusive FIFO whose
    links live inside the (pooled) wakers, so blocking allocates nothing
    beyond the suspend closure. Wake orders are exactly the seed's:
-   Mutex/Condition/Semaphore/Ivar/Channel all FIFO. *)
+   Mutex/Condition/Semaphore/Ivar all FIFO. *)
 
 module Waitq = Sched.Waitq
 
@@ -20,18 +20,9 @@ module Mutex = struct
     if Waitq.is_empty t.waiters then t.locked <- false
     else Sched.wake (Waitq.take t.waiters)
 
-  let try_lock t =
-    if t.locked then false
-    else begin
-      t.locked <- true;
-      true
-    end
-
   let with_lock t f =
     lock t;
     Fun.protect ~finally:(fun () -> unlock t) f
-
-  let is_locked t = t.locked
 end
 
 module Condition = struct
@@ -72,13 +63,6 @@ module Semaphore = struct
     if Waitq.is_empty t.waiters then t.count <- t.count + 1
     else Sched.wake (Waitq.take t.waiters)
 
-  let try_acquire t =
-    if t.count > 0 then begin
-      t.count <- t.count - 1;
-      true
-    end
-    else false
-
   let value t = t.count
 end
 
@@ -100,51 +84,4 @@ module Ivar = struct
       (match t.value with
       | Some v -> v
       | None -> assert false)
-
-  let is_filled t = t.value <> None
-  let peek t = t.value
-end
-
-module Channel = struct
-  type 'a t = {
-    items : 'a Queue.t;
-    capacity : int;
-    senders : Waitq.t;
-    receivers : Waitq.t;
-  }
-
-  let create ~capacity =
-    assert (capacity > 0);
-    { items = Queue.create (); capacity;
-      senders = Waitq.create (); receivers = Waitq.create () }
-
-  let wake_one q = if not (Waitq.is_empty q) then Sched.wake (Waitq.take q)
-
-  let rec send t v =
-    if Queue.length t.items < t.capacity then begin
-      Queue.add v t.items;
-      wake_one t.receivers
-    end
-    else begin
-      Sched.suspend (fun w -> Waitq.add t.senders w);
-      send t v
-    end
-
-  let rec recv t =
-    match Queue.take_opt t.items with
-    | Some v ->
-      wake_one t.senders;
-      v
-    | None ->
-      Sched.suspend (fun w -> Waitq.add t.receivers w);
-      recv t
-
-  let try_recv t =
-    match Queue.take_opt t.items with
-    | Some v ->
-      wake_one t.senders;
-      Some v
-    | None -> None
-
-  let length t = Queue.length t.items
 end

@@ -11,9 +11,7 @@ module Mutex : sig
   val unlock : t -> unit
   (** Raises [Invalid_argument] if the mutex is not held. *)
 
-  val try_lock : t -> bool
   val with_lock : t -> (unit -> 'a) -> 'a
-  val is_locked : t -> bool
 end
 
 module Condition : sig
@@ -34,7 +32,6 @@ module Semaphore : sig
   val create : int -> t
   val acquire : t -> unit
   val release : t -> unit
-  val try_acquire : t -> bool
   val value : t -> int
 end
 
@@ -50,18 +47,4 @@ module Ivar : sig
 
   val read : 'a t -> 'a
   (** Block until filled; immediate if already filled. *)
-
-  val is_filled : 'a t -> bool
-  val peek : 'a t -> 'a option
-end
-
-(** Bounded FIFO channel between threads. *)
-module Channel : sig
-  type 'a t
-
-  val create : capacity:int -> 'a t
-  val send : 'a t -> 'a -> unit
-  val recv : 'a t -> 'a
-  val try_recv : 'a t -> 'a option
-  val length : 'a t -> int
 end

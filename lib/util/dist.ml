@@ -1,66 +1,18 @@
-type kind =
-  | Uniform
-  | Zipf of { theta : float; zetan : float; alpha : float; eta : float }
-  | Pareto of { shape : float; scale : float }
-  | Latest of { theta : float; zetan : float; alpha : float; eta : float }
-
+type kind = Uniform | Pareto of { shape : float; scale : float }
 type t = { n : int; kind : kind }
-
-let zeta n theta =
-  let acc = ref 0.0 in
-  for i = 1 to n do
-    acc := !acc +. (1.0 /. Float.pow (float_of_int i) theta)
-  done;
-  !acc
-
-let zipf_params n theta =
-  let zetan = zeta n theta in
-  let zeta2 = zeta 2 theta in
-  let alpha = 1.0 /. (1.0 -. theta) in
-  let eta =
-    (1.0 -. Float.pow (2.0 /. float_of_int n) (1.0 -. theta))
-    /. (1.0 -. (zeta2 /. zetan))
-  in
-  (zetan, alpha, eta)
 
 let uniform n =
   assert (n > 0);
   { n; kind = Uniform }
-
-let zipf ?(theta = 0.99) n =
-  assert (n > 0);
-  let zetan, alpha, eta = zipf_params n theta in
-  { n; kind = Zipf { theta; zetan; alpha; eta } }
 
 let pareto ?(shape = 0.2) ?scale n =
   assert (n > 0);
   let scale = match scale with Some s -> s | None -> float_of_int n /. 10.0 in
   { n; kind = Pareto { shape; scale } }
 
-let latest n =
-  assert (n > 0);
-  let theta = 0.99 in
-  let zetan, alpha, eta = zipf_params n theta in
-  { n; kind = Latest { theta; zetan; alpha; eta } }
-
-let sample_zipf n theta zetan alpha eta rng =
-  let u = Rng.float rng in
-  let uz = u *. zetan in
-  if uz < 1.0 then 0
-  else if uz < 1.0 +. Float.pow 0.5 theta then 1
-  else
-    let v =
-      float_of_int n *. Float.pow ((eta *. u) -. eta +. 1.0) alpha
-    in
-    let k = int_of_float v in
-    if k < 0 then 0 else if k >= n then n - 1 else k
-
 let sample t rng =
   match t.kind with
   | Uniform -> Rng.int rng t.n
-  | Zipf { theta; zetan; alpha; eta } -> sample_zipf t.n theta zetan alpha eta rng
-  | Latest { theta; zetan; alpha; eta } ->
-    t.n - 1 - sample_zipf t.n theta zetan alpha eta rng
   | Pareto { shape; scale } ->
     let u = Rng.float rng in
     (* Inverse CDF of the generalized Pareto distribution. *)
@@ -70,5 +22,3 @@ let sample t rng =
     in
     let k = int_of_float x in
     if k < 0 then 0 else if k >= t.n then t.n - 1 else k
-
-let domain t = t.n

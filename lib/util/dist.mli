@@ -1,8 +1,8 @@
 (** Random variate distributions used by the workload generators.
 
-    MixGraph draws write keys from a generalized Pareto distribution and
-    read keys from a power model; TATP and dbbench use uniform and Zipfian
-    access. All samplers draw from a caller-supplied {!Rng.t}. *)
+    MixGraph draws keys from a uniform or a generalized Pareto
+    distribution; TATP and dbbench draw uniform keys. All samplers draw
+    from a caller-supplied {!Rng.t}. *)
 
 type t
 (** A sampler over the integer domain [\[0, n)]. *)
@@ -10,21 +10,10 @@ type t
 val uniform : int -> t
 (** Every key equally likely. *)
 
-val zipf : ?theta:float -> int -> t
-(** Zipfian over [n] items with skew [theta] (default [0.99], the YCSB
-    convention). Uses the Gray et al. rejection-free method with
-    precomputed zeta constants. *)
-
 val pareto : ?shape:float -> ?scale:float -> int -> t
 (** Generalized Pareto over [\[0, n)], matching the key-distance model used
     by Facebook's MixGraph characterization. Samples are clamped to the
     domain. Default [shape = 0.2], [scale = n/10]. *)
 
-val latest : int -> t
-(** Skewed towards the highest keys ("read latest" pattern): [n - 1 - zipf]. *)
-
 val sample : t -> Rng.t -> int
 (** Draw one key. *)
-
-val domain : t -> int
-(** The [n] the sampler was built with. *)

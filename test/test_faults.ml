@@ -6,11 +6,9 @@ module Sched = Msnap_sim.Sched
 module Rng = Msnap_util.Rng
 module Size = Msnap_util.Size
 module Disk = Msnap_blockdev.Disk
-module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
 module Slice = Msnap_util.Slice
 module Record = Msnap_blockdev.Record
-module History = Msnap_faults.History
 module Image = Msnap_faults.Image
 module Checker = Msnap_faults.Checker
 
@@ -19,10 +17,7 @@ let checkb = Alcotest.(check bool)
 
 let mk_disk () = Device.of_disk (Disk.create ~size:(Size.mib 4) ())
 
-let mk_stripe () =
-  Device.of_stripe
-    (Stripe.create
-       [ Disk.create ~size:(Size.mib 2) (); Disk.create ~size:(Size.mib 2) () ])
+let mk_stripe () = Device.testbed ~mib:2
 
 (* A deterministic raw-device script with genuine concurrency: three
    writers with interleaved in-flight commands, so a crash at any

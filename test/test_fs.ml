@@ -2,7 +2,6 @@ module Sched = Msnap_sim.Sched
 module Size = Msnap_util.Size
 module Rng = Msnap_util.Rng
 module Disk = Msnap_blockdev.Disk
-module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
 module Phys = Msnap_vm.Phys
 module Aspace = Msnap_vm.Aspace
@@ -19,12 +18,7 @@ let checks = Alcotest.(check string)
 let in_sim f () = Sched.run f
 
 let mk_fs ?(kind = Fs.Ffs) ?(mib = 64) () =
-  let dev =
-    Device.of_stripe
-    (Stripe.create [ Disk.create ~name:"d0" ~size:(Size.mib mib) ();
-        Disk.create ~name:"d1" ~size:(Size.mib mib) () ])
-  in
-  Fs.mkfs dev ~kind
+  Fs.mkfs (Device.testbed ~mib) ~kind
 
 let test_write_read_roundtrip kind () =
   in_sim (fun () ->
@@ -153,11 +147,7 @@ let test_truncate () =
    evicts the tail block first, so the truncate must fetch it. *)
 let test_truncate_zeroes_tail ~cached () =
   in_sim (fun () ->
-      let dev =
-        Device.of_stripe
-          (Stripe.create [ Disk.create ~name:"d0" ~size:(Size.mib 64) ();
-              Disk.create ~name:"d1" ~size:(Size.mib 64) () ])
-      in
+      let dev = Device.testbed ~mib:64 in
       let fs = Fs.mkfs dev ~kind:Fs.Ffs in
       let f = Fs.open_file fs "t" in
       Fs.write fs f ~off:0 (Bytes.make 100 'A');
@@ -634,11 +624,7 @@ let prop_writev_split =
    buffers come from the pool and all go back to it. *)
 let test_mount_recycles_scan_buffers () =
   in_sim (fun () ->
-      let dev =
-        Device.of_stripe
-          (Stripe.create [ Disk.create ~name:"d0" ~size:(Size.mib 64) ();
-              Disk.create ~name:"d1" ~size:(Size.mib 64) () ])
-      in
+      let dev = Device.testbed ~mib:64 in
       let fs = Fs.mkfs dev ~kind:Fs.Ffs in
       let f = Fs.open_file fs "kept" in
       Fs.write fs f ~off:0 (Bytes.make 5000 'k');

@@ -1,9 +1,7 @@
 module Sched = Msnap_sim.Sched
-module Sync = Msnap_sim.Sync
 module Size = Msnap_util.Size
 module Rng = Msnap_util.Rng
 module Disk = Msnap_blockdev.Disk
-module Stripe = Msnap_blockdev.Stripe
 module Device = Msnap_blockdev.Device
 module Layout = Msnap_objstore.Layout
 module Radix = Msnap_objstore.Radix
@@ -20,10 +18,7 @@ let checks = Alcotest.(check string)
 
 let in_sim f () = Sched.run f
 
-let mk_dev ?(mib = 16) () =
-  Device.of_stripe
-    (Stripe.create [ Disk.create ~name:"d0" ~size:(Size.mib mib) ();
-      Disk.create ~name:"d1" ~size:(Size.mib mib) () ])
+let mk_dev ?(mib = 16) () = Device.testbed ~mib
 
 let mk_store ?mib () =
   let dev = mk_dev ?mib () in

@@ -166,14 +166,6 @@ let test_mutex_unlock_unlocked () =
       let raised = try Sync.Mutex.unlock m; false with Invalid_argument _ -> true in
       checkb "raises" true raised)
 
-let test_try_lock () =
-  Sched.run (fun () ->
-      let m = Sync.Mutex.create () in
-      checkb "first" true (Sync.Mutex.try_lock m);
-      checkb "second" false (Sync.Mutex.try_lock m);
-      Sync.Mutex.unlock m;
-      checkb "after unlock" true (Sync.Mutex.try_lock m))
-
 let test_condition_broadcast () =
   Sched.run (fun () ->
       let m = Sync.Mutex.create () in
@@ -215,7 +207,6 @@ let test_semaphore_bounds () =
 let test_ivar () =
   Sched.run (fun () ->
       let iv = Sync.Ivar.create () in
-      checkb "not filled" false (Sync.Ivar.is_filled iv);
       let _ =
         Sched.spawn (fun () ->
             Sched.delay 50;
@@ -226,24 +217,6 @@ let test_ivar () =
       checki "second read immediate" 9 (Sync.Ivar.read iv);
       let raised = try Sync.Ivar.fill iv 1; false with Invalid_argument _ -> true in
       checkb "double fill" true raised)
-
-let test_channel () =
-  Sched.run (fun () ->
-      let ch = Sync.Channel.create ~capacity:2 in
-      let consumed = ref [] in
-      let c =
-        Sched.spawn (fun () ->
-            for _ = 1 to 5 do
-              consumed := Sync.Channel.recv ch :: !consumed;
-              Sched.delay 10
-            done)
-      in
-      for i = 1 to 5 do
-        Sync.Channel.send ch i
-      done;
-      Sched.join c;
-      checks "fifo order" "1,2,3,4,5"
-        (String.concat "," (List.rev_map string_of_int !consumed)))
 
 let test_metrics () =
   Metrics.reset ();
@@ -525,22 +498,24 @@ let test_cpu_fast_path_pops_no_events () =
 (* --- waker pooling --- *)
 
 let test_waker_pool_reuse () =
-  (* A channel ping-pong parks thousands of times, but only a handful of
-     threads are ever parked at once: nearly every park must be served
+  (* A semaphore ping-pong parks thousands of times, but only a handful
+     of threads are ever parked at once: nearly every park must be served
      from the per-engine waker free list, not a fresh allocation. *)
   let _, al0, re0 = Sched.host_counters () in
   Sched.run (fun () ->
-      let ch = Sync.Channel.create ~capacity:1 in
+      let ping = Sync.Semaphore.create 0 and pong = Sync.Semaphore.create 0 in
       let a =
-        Sched.spawn ~name:"send" (fun () ->
-            for i = 1 to 2_000 do
-              Sync.Channel.send ch i
+        Sched.spawn ~name:"ping" (fun () ->
+            for _ = 1 to 2_000 do
+              Sync.Semaphore.release ping;
+              Sync.Semaphore.acquire pong
             done)
       in
       let b =
-        Sched.spawn ~name:"recv" (fun () ->
+        Sched.spawn ~name:"pong" (fun () ->
             for _ = 1 to 2_000 do
-              ignore (Sync.Channel.recv ch)
+              Sync.Semaphore.acquire ping;
+              Sync.Semaphore.release pong
             done)
       in
       Sched.join a;
@@ -792,11 +767,9 @@ let () =
         [
           tc "mutex exclusion" test_mutex_mutual_exclusion;
           tc "unlock unlocked" test_mutex_unlock_unlocked;
-          tc "try_lock" test_try_lock;
           tc "cond broadcast" test_condition_broadcast;
           tc "semaphore" test_semaphore_bounds;
           tc "ivar" test_ivar;
-          tc "channel" test_channel;
         ] );
       ( "metrics",
         [

@@ -351,20 +351,9 @@ let test_dist_domains () =
     (fun d ->
       for _ = 1 to 5_000 do
         let v = Dist.sample d rng in
-        checkb "in domain" true (v >= 0 && v < Dist.domain d)
+        checkb "in domain" true (v >= 0 && v < 1000)
       done)
-    [ Dist.uniform 1000; Dist.zipf 1000; Dist.pareto 1000; Dist.latest 1000 ]
-
-let test_zipf_skew () =
-  (* Under theta=0.99, the hottest key should dominate a uniform one. *)
-  let rng = Rng.create 33 in
-  let d = Dist.zipf 10_000 in
-  let zero = ref 0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    if Dist.sample d rng = 0 then incr zero
-  done;
-  checkb "head heavily hit" true (!zero > n / 100)
+    [ Dist.uniform 1000; Dist.pareto 1000 ]
 
 let test_pareto_skew () =
   let rng = Rng.create 34 in
@@ -375,15 +364,6 @@ let test_pareto_skew () =
     if Dist.sample d rng < 2_000 then incr low
   done;
   checkb "mass concentrated low" true (!low > n / 2)
-
-let test_latest_skew () =
-  let rng = Rng.create 35 in
-  let d = Dist.latest 10_000 in
-  let high = ref 0 in
-  for _ = 1 to 20_000 do
-    if Dist.sample d rng > 8_000 then incr high
-  done;
-  checkb "mass concentrated high" true (!high > 10_000)
 
 (* --- Histogram --- *)
 
@@ -1344,9 +1324,7 @@ let () =
       ( "dist",
         [
           tc "domains" test_dist_domains;
-          tc "zipf skew" test_zipf_skew;
           tc "pareto skew" test_pareto_skew;
-          tc "latest skew" test_latest_skew;
         ] );
       ( "histogram",
         [
