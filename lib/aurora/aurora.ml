@@ -16,7 +16,6 @@ module Kernel = struct
   type t = {
     aspace : Aspace.t;
     store : Store.t;
-    other_mapped_pages : int;
     mutable threads : int;
     mutable stopped : bool;
     world_mutex : Sync.Mutex.t;
@@ -49,11 +48,10 @@ module Kernel = struct
            global: bench cells checkpoint on several domains at once. *)
   }
 
-  let create ~aspace ~store ?(other_mapped_pages = 65536) () =
+  let create ~aspace ~store () =
     {
       aspace;
       store;
-      other_mapped_pages;
       threads = 0;
       stopped = false;
       world_mutex = Sync.Mutex.create ();
@@ -311,6 +309,11 @@ end
    as a fixed CPU cost plus scanning the non-region address space. *)
 let os_state_cost = 350_000
 
+(* The rest of the process address space (heap, code, stacks) that an
+   application checkpoint shadows and collapses although no region
+   covers it: 64 Ki pages = 256 MiB. *)
+let other_mapped_pages = 65_536
+
 let checkpoint_app (k : Kernel.t) =
   let trace_t0 = if Trace.is_on () then Sched.now () else 0 in
   Kernel.stop_world k;
@@ -318,13 +321,13 @@ let checkpoint_app (k : Kernel.t) =
     List.map (fun r -> (r, Region.shadow_region r)) k.Kernel.regions
   in
   (* Shadow the rest of the address space (heap, stacks, code). *)
-  Sched.cpu (k.Kernel.other_mapped_pages * Costs.pte_visit);
+  Sched.cpu (other_mapped_pages * Costs.pte_visit);
   Sched.cpu os_state_cost;
   Kernel.resume_world k;
   List.iter (fun (r, dirty) -> Region.flush_dirty r dirty) dirty_by_region;
   List.iter (fun (r, _) -> Region.collapse_region r) dirty_by_region;
   (* Collapse pass over the non-region address space as well. *)
-  Sched.cpu (k.Kernel.other_mapped_pages * Costs.pte_visit);
+  Sched.cpu (other_mapped_pages * Costs.pte_visit);
   if Trace.is_on () then
     Trace.complete Probe.aurora_checkpoint_app
       ~dur:(Sched.now () - trace_t0)

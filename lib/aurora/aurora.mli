@@ -25,19 +25,14 @@ module Kernel : sig
   val create :
     aspace:Msnap_vm.Aspace.t ->
     store:Msnap_objstore.Store.t ->
-    ?other_mapped_pages:int ->
     unit ->
     t
-  (** [other_mapped_pages] models the rest of the process address space
-      (heap, code, stacks) that an *application* checkpoint must scan and
-      collapse even though no region covers it (default 64 Ki pages =
-      256 MiB). *)
+  (** A kernel that checkpoints [aspace]'s regions into [store]. *)
 
   val boot : format:bool -> Msnap_blockdev.Device.t -> t
   (** A whole machine over the device: format the object store when
       [format] (else mount it), then create physical memory and the one
-      process whose address space the kernel checkpoints (with the
-      default [other_mapped_pages]). *)
+      process whose address space the kernel checkpoints. *)
 
   val dispose : t -> unit
   (** End-of-run teardown of a booted kernel: return its store's and its

@@ -47,8 +47,11 @@ and region = {
          materialize the frame *)
   mutable r_aspaces : Aspace.t list;
   tickets : (int, Store.ticket) Hashtbl.t; (* epoch -> in-flight commit *)
+  mutable r_taken : int list;
+      (* [group_taken]'s scratch: this region's slots in the arena being
+         grouped, highest first. Empty outside that function. *)
   mutable r_flow : int;
-      (* Trace flow id of the pending (not yet persisted) Î¼Checkpoint:
+      (* Trace flow id of the pending (not yet persisted) μCheckpoint:
          allocated at the first tracked fault while tracing, consumed by
          the persist that takes the dirty set. Host-only; 0 = none. *)
 }
@@ -184,7 +187,7 @@ let track t r ~vpn ~rel page =
   page.Phys.owner <- tid;
   dset_push (dirty_set t tid) ~vpn ~rel page r;
   if Trace.is_on () && r.r_flow = 0 then begin
-    (* First tracked fault of this Î¼Checkpoint: open its causality flow.
+    (* First tracked fault of this μCheckpoint: open its causality flow.
        Every later stage (PTE reset, device commit, durable epoch) links
        to this id. *)
     r.r_flow <- Trace.new_flow ();
@@ -273,6 +276,9 @@ let region_pager t r =
   }
 
 let map_region_into t r aspace =
+  (* [reset_tracking] shoots down the attached address spaces only. *)
+  if not (List.memq aspace t.aspaces) then
+    invalid_arg "Msnap: address space not attached";
   let m =
     Aspace.map aspace ~name:("msnap:" ^ r.r_name) ~va:r.r_va ~len:r.r_len
       ~writable:true ~new_pages_writable:false ~pager:(region_pager t r)
@@ -308,7 +314,7 @@ let open_region t ?aspace ~name ~len () =
     { r_name = name; r_va = va; r_len; r_obj = obj; r_kernel = t;
       frames = Array.make ((npages + leaf_mask) lsr leaf_bits) empty_leaf;
       populating = Itab.create ~initial:8 ~absent:no_page_in ();
-      r_aspaces = []; tickets = Hashtbl.create 8; r_flow = 0 }
+      r_aspaces = []; tickets = Hashtbl.create 8; r_taken = []; r_flow = 0 }
   in
   Hashtbl.replace t.regions name r;
   map_region_into t r aspace;
@@ -353,12 +359,30 @@ let read_into t r ~off buf ~pos ~len =
 
 (* --- persist --- *)
 
+(* The one grouping of a persist: the taken arena's regions, told apart by
+   identity, in order of first appearance (the commit order), each with
+   its slots highest first (the page order [Store.commit_async] places
+   blocks in). Nothing here charges time, so no other thread sees the
+   [r_taken] scratch half-built. *)
+let group_taken taken =
+  let firsts = ref [] in
+  for i = 0 to taken.d_len - 1 do
+    let r = taken.d_reg.(i) in
+    if r.r_taken = [] then firsts := r :: !firsts;
+    r.r_taken <- i :: r.r_taken
+  done;
+  List.rev_map
+    (fun r ->
+      let idxs = r.r_taken in
+      r.r_taken <- [];
+      (r, idxs))
+    !firsts
+
 (* Reset tracking for the taken entries: flag pages in-progress and flip
    every PTE mapping them back to read-only, straight from the recorded
-   locations (trace buffer), then one shootdown per address space. *)
-let reset_tracking t taken =
-  ignore t;
-  let by_aspace = Hashtbl.create 4 in
+   locations (trace buffer), in slot order (each flip charges time, a
+   scheduling point), then one shootdown round. *)
+let reset_tracking t taken groups =
   for i = 0 to taken.d_len - 1 do
     let page = taken.d_page.(i) in
     page.Phys.ckpt_in_progress <- true;
@@ -367,56 +391,36 @@ let reset_tracking t taken =
       (fun loc ->
         Sched.cpu Costs.pte_update;
         Ptloc.set loc (Pte.set_writable (Ptloc.get loc) false))
-      page;
-    List.iter
-      (fun a ->
-        let l =
-          match Hashtbl.find_opt by_aspace (Aspace.name a) with
-          | Some l -> l
-          | None ->
-            let l = ref (a, []) in
-            Hashtbl.add by_aspace (Aspace.name a) l;
-            l
-        in
-        let a', vpns = !l in
-        l := (a', taken.d_vpn.(i) :: vpns))
-      taken.d_reg.(i).r_aspaces
+      page
   done;
-  if Trace.is_on () then begin
-    (* One flow step per region whose PTEs were just reset. *)
-    let per_region = Hashtbl.create 4 in
-    for i = 0 to taken.d_len - 1 do
-      let r = taken.d_reg.(i) in
-      let c =
-        match Hashtbl.find_opt per_region r.r_name with
-        | Some c -> c
-        | None ->
-          let c = ref (r, 0) in
-          Hashtbl.add per_region r.r_name c;
-          c
-      in
-      let r', n = !c in
-      c := (r', n + 1)
-    done;
-    Hashtbl.iter
-      (fun _ c ->
-        let r, n = !c in
+  if Trace.is_on () then
+    List.iter
+      (fun (r, idxs) ->
         if r.r_flow <> 0 then
           Trace.instant Probe.msnap_pte_reset ~flow:(r.r_flow, Trace.Flow_step)
-            ~args:[ ("region", Trace.S r.r_name); ("pages", Trace.I n) ])
-      per_region
-  end;
-  (* One shootdown round covers all CPUs; invalidate each TLB. *)
+            ~args:
+              [ ("region", Trace.S r.r_name); ("pages", Trace.I (List.length idxs)) ])
+      groups;
+  (* One shootdown round covers all CPUs: the first attached address space
+     that maps a taken page pays for it, every other one invalidates its
+     own TLB. Address spaces are told apart by identity, not name. *)
   let charged = ref false in
-  Hashtbl.iter
-    (fun _ l ->
-      let a, vpns = !l in
-      if not !charged then begin
-        charged := true;
-        Aspace.shootdown a vpns
-      end
-      else List.iter (Tlb.invalidate_page (Aspace.tlb a)) vpns)
-    by_aspace
+  List.iter
+    (fun a ->
+      let vpns =
+        List.concat_map
+          (fun (r, idxs) ->
+            if List.memq a r.r_aspaces then List.map (Array.get taken.d_vpn) idxs
+            else [])
+          groups
+      in
+      if vpns <> [] then
+        if !charged then List.iter (Tlb.invalidate_page (Aspace.tlb a)) vpns
+        else begin
+          charged := true;
+          Aspace.shootdown a vpns
+        end)
+    t.aspaces
 
 (* Completion: once the μCheckpoint is durable, clear the in-progress
    flags and free frames that a concurrent COW orphaned. [idxs] selects
@@ -497,60 +501,39 @@ let persist t ?region ?(mode = `Sync) ?(scope = `Thread) () =
   Sched.with_bucket Probe.Bucket.memsnap (fun () ->
       Sched.cpu Costs.syscall;
       Metrics.incr Probe.msnap_persist;
-      let t0 = Sched.now () in
+      let t0 = Metrics.timed_begin () in
       let taken = take_entries t ~scope ~region in
-      if Trace.is_on () then begin
-        let seen = Hashtbl.create 4 in
-        for i = 0 to taken.d_len - 1 do
-          let r = taken.d_reg.(i) in
-          if (not (Hashtbl.mem seen r.r_name)) && r.r_flow <> 0 then begin
-            Hashtbl.add seen r.r_name ();
-            Trace.instant Probe.msnap_take_dirty
-              ~flow:(r.r_flow, Trace.Flow_step)
-              ~args:[ ("region", Trace.S r.r_name) ]
-          end
-        done
-      end;
-      reset_tracking t taken;
-      let d_reset = Sched.now () - t0 in
-      Metrics.add_sample Probe.msnap_persist_reset d_reset;
-      Trace.complete Probe.msnap_persist_reset ~dur:d_reset;
-      (* Group by region and commit each group as one μCheckpoint. The
-         per-region slot lists are consed during the forward scan, so
-         they come out scan-reversed — exactly the order the old
-         entry-list version fed to [Store.commit_async]. *)
-      let by_region = Hashtbl.create 4 in
-      let regions_in_order = ref [] in
-      for i = 0 to taken.d_len - 1 do
-        let r = taken.d_reg.(i) in
-        match Hashtbl.find_opt by_region r.r_name with
-        | Some l -> l := i :: !l
-        | None ->
-          Hashtbl.add by_region r.r_name (ref [ i ]);
-          regions_in_order := r :: !regions_in_order
-      done;
-      let t1 = Sched.now () in
+      let groups = group_taken taken in
+      if Trace.is_on () then
+        List.iter
+          (fun (r, _) ->
+            if r.r_flow <> 0 then
+              Trace.instant Probe.msnap_take_dirty
+                ~flow:(r.r_flow, Trace.Flow_step)
+                ~args:[ ("region", Trace.S r.r_name) ])
+          groups;
+      reset_tracking t taken groups;
+      Metrics.timed_end Probe.msnap_persist_reset t0;
+      (* Commit each region's group as one μCheckpoint. *)
+      let t1 = Metrics.timed_begin () in
       let commits =
         List.map
-          (fun r ->
-            let idxs = !(Hashtbl.find by_region r.r_name) in
+          (fun (r, idxs) ->
             let pages =
               List.map
                 (fun i -> (taken.d_rel.(i), taken.d_page.(i).Phys.data))
                 idxs
             in
             (* Consume the region's pending flow: faults arriving from
-               here on belong to the next Î¼Checkpoint. *)
+               here on belong to the next μCheckpoint. *)
             let flow = r.r_flow in
             r.r_flow <- 0;
             let ep, ticket = Store.commit_async ~flow t.store r.r_obj pages in
             Hashtbl.replace r.tickets ep ticket;
             (r, ep, ticket, idxs, flow))
-          (List.rev !regions_in_order)
+          groups
       in
-      let d_init = Sched.now () - t1 in
-      Metrics.add_sample Probe.msnap_persist_initiate d_init;
-      Trace.complete Probe.msnap_persist_initiate ~dur:d_init;
+      Metrics.timed_end Probe.msnap_persist_initiate t1;
       let result_epoch =
         match region with
         | Some r -> (
@@ -580,20 +563,16 @@ let persist t ?region ?(mode = `Sync) ?(scope = `Thread) () =
       in
       (match mode with
       | `Sync ->
-        let t2 = Sched.now () in
+        let t2 = Metrics.timed_begin () in
         finish ();
-        let d_wait = Sched.now () - t2 in
-        Metrics.add_sample Probe.msnap_persist_wait d_wait;
-        Trace.complete Probe.msnap_persist_wait ~dur:d_wait
+        Metrics.timed_end Probe.msnap_persist_wait t2
       | `Async ->
         if commits = [] then release_taken t taken
         else
           ignore
             (Sched.spawn ~name:"msnap-complete" (fun () ->
                  try finish () with _ -> ())));
-      let d_total = Sched.now () - t0 in
-      Metrics.add_sample Probe.msnap_persist_total d_total;
-      Trace.complete Probe.msnap_persist_total ~dur:d_total;
+      Metrics.timed_end Probe.msnap_persist_total t0;
       result_epoch)
 
 let wait t r epoch =

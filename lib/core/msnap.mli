@@ -67,7 +67,8 @@ val open_region : t -> ?aspace:Msnap_vm.Aspace.t -> name:string -> len:int -> un
 (** [msnap_open]: create or open the region. An existing region is mapped
     back at its original fixed address and its pages lazily fault in from
     the last committed μCheckpoint; a new region is placed in the MemSnap
-    arena at the high end of the address space. *)
+    arena at the high end of the address space. [?aspace] (default: the
+    first attached) must be attached, or [Invalid_argument] is raised. *)
 
 val persist :
   t ->
@@ -107,7 +108,9 @@ val write_string : t -> md -> off:int -> string -> unit
 
 val map_into : t -> md -> Msnap_vm.Aspace.t -> unit
 (** Map an existing region into another attached process at the same fixed
-    address (PostgreSQL's shared-buffer arrangement). *)
+    address (PostgreSQL's shared-buffer arrangement). Raises
+    [Invalid_argument] if the process is not attached: a persist shoots
+    down the TLBs of attached processes only. *)
 
 (** {2 Introspection (tests, benches)} *)
 

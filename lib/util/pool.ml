@@ -34,6 +34,7 @@ external slab_map : int -> int = "msnap_slab_map"
 external slab_bytes : int -> int -> int -> Bytes.t = "msnap_slab_bytes"
 [@@noalloc]
 external slab_view : int -> int -> int -> chunk = "msnap_slab_view"
+external slab_owns : Bytes.t -> bool = "msnap_slab_owns" [@@noalloc]
 
 let slab_size = 2 * 1024 * 1024
 let line = 64
@@ -188,6 +189,8 @@ let recycle b =
   if n >= min_pooled then begin
     let c = cls_for n in
     if !debug_checks then begin
+      if not (slab_owns b) then
+        raise (Violation (Printf.sprintf "Pool.recycle: %d-byte heap buffer" n));
       for i = 0 to c.c_len - 1 do
         if c.c_free.(i) == b then
           raise

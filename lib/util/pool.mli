@@ -52,7 +52,8 @@
     pool poisons every recycled buffer and re-verifies the poison when
     the buffer is next handed out, so a stale writer that mutates a
     buffer after recycling it is caught at the next [alloc]; recycling
-    the same buffer twice raises immediately. Both raise {!Violation}. *)
+    the same buffer twice, or a buffer the pool did not carve from a
+    slab (a heap [Bytes]), raises immediately. All raise {!Violation}. *)
 
 type class_stats = {
   cs_size : int;  (** class buffer size in bytes (classes are exact-size) *)
@@ -72,8 +73,9 @@ type totals = {
 }
 
 exception Violation of string
-(** Raised under {!debug_checks} on a double recycle or on a mutation of
-    a buffer after it was recycled (use-after-recycle). *)
+(** Raised under {!debug_checks} on a double recycle, on recycling a
+    buffer not carved from a slab, or on a mutation of a buffer after it
+    was recycled (use-after-recycle). *)
 
 val min_pooled : int
 (** Smallest buffer size the pool manages (4096 bytes). *)

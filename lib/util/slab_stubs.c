@@ -64,3 +64,11 @@ value msnap_slab_view(value base, value off, value len)
                             1, (void *)(Long_val(base) + Long_val(off)),
                             Long_val(len));
 }
+
+/* Whether [b]'s header carries the out-of-heap colour that
+   [msnap_slab_bytes] writes: true exactly for blocks carved from a
+   slab, since no block the GC allocates is ever given that colour. */
+value msnap_slab_owns(value b)
+{
+  return Val_bool(Color_hd(Hd_val(b)) == Color_hd(Caml_out_of_heap_header(0, 0)));
+}

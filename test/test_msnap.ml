@@ -5,6 +5,7 @@ module Disk = Msnap_blockdev.Disk
 module Device = Msnap_blockdev.Device
 module Phys = Msnap_vm.Phys
 module Aspace = Msnap_vm.Aspace
+module Tlb = Msnap_vm.Tlb
 module Msnap = Msnap_core.Msnap
 open Testkit
 
@@ -516,6 +517,128 @@ let test_leaf_boundaries () =
       expect k3 md3 "NEW")
     ()
 
+(* --- the persist pass --- *)
+
+(* Two processes under one name (Aspace.create's default) share a region:
+   a persist must re-protect the page in both and invalidate both TLBs,
+   so address spaces are told apart by identity, never by name. *)
+let test_persist_reprotects_every_process () =
+  in_dev ~mib:32 (fun dev ->
+      let& k = (Msnap.boot ~format:true dev, Msnap.dispose) in
+      let a1 = Msnap.aspace k in
+      let a2 = Aspace.create (Aspace.phys a1) in
+      checks "one name" (Aspace.name a1) (Aspace.name a2);
+      Msnap.attach k a2;
+      let md = Msnap.open_region k ~name:"shm" ~len:(Size.kib 16) () in
+      Msnap.map_into k md a2;
+      let va = Msnap.addr md in
+      let misses a = Tlb.misses (Aspace.tlb a) in
+      let read a = ignore (Aspace.read a ~va ~len:1) in
+      (* Both TLBs cache the page; a1's store dirties it. *)
+      Aspace.write a1 ~va (Bytes.of_string "A");
+      read a2;
+      ignore (Msnap.persist k ());
+      List.iter
+        (fun (label, a) ->
+          let m = misses a in
+          read a;
+          checki (label ^ " re-walks after persist") (m + 1) (misses a))
+        [ ("p1", a1); ("p2", a2) ];
+      List.iter
+        (fun (label, a) ->
+          Aspace.write a ~va (Bytes.of_string label);
+          checki (label ^ " store takes a tracking fault") 1 (Msnap.dirty_count k);
+          ignore (Msnap.persist k ()))
+        [ ("p2", a2); ("p1", a1) ])
+    ()
+
+(* Only attached processes are shot down, so only they may map a region. *)
+let test_map_into_needs_attach () =
+  in_dev ~mib:32 (fun dev ->
+      let& k = (Msnap.boot ~format:true dev, Msnap.dispose) in
+      let md = Msnap.open_region k ~name:"shm" ~len:(Size.kib 16) () in
+      let stranger = Aspace.create ~name:"p2" (Aspace.phys (Msnap.aspace k)) in
+      checkb "unattached refused" true
+        (match Msnap.map_into k md stranger with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    ()
+
+(* Golden values of the persist path: epochs, device traffic and virtual
+   time of a one-thread persist over two interleaved regions, then of a
+   [`Global] persist over two threads, and the device block each page
+   landed in. Region order and page order within a region are simulated
+   state (commit order, block placement), so a regrouping that moves
+   either shows here. *)
+let test_persist_golden () =
+  in_dev ~mib:32 (fun dev ->
+      let& k = (Msnap.boot ~format:true dev, Msnap.dispose) in
+      let r1 = Msnap.open_region k ~name:"r1" ~len:(Size.kib 64) () in
+      let r2 = Msnap.open_region k ~name:"r2" ~len:(Size.kib 64) () in
+      let put md pages tag =
+        List.iter
+          (fun p ->
+            Msnap.write_string k md ~off:(p * 4096)
+              (Printf.sprintf "%s.%s%d" (Msnap.name md) tag p))
+          pages
+      in
+      let persist ?scope () =
+        let t0 = Sched.now () in
+        ignore (Msnap.persist k ?scope ());
+        Sched.now () - t0
+      in
+      let observe () =
+        let s = Device.stats dev in
+        ( Msnap.durable_epoch r1, Msnap.durable_epoch r2, s.Disk.writes,
+          s.Disk.bytes_written )
+      in
+      Device.reset_stats dev;
+      List.iter (fun (md, p) -> put md [ p ] "a")
+        [ (r1, 3); (r2, 0); (r1, 0); (r2, 7); (r1, 9); (r2, 2); (r1, 5) ];
+      let d1 = persist () in
+      let o1 = observe () in
+      let other =
+        Sched.spawn ~name:"B" (fun () ->
+            put r2 [ 4; 1 ] "b";
+            put r1 [ 8 ] "b";
+            Sched.delay 1_000_000)
+      in
+      put r1 [ 2; 3 ] "c";
+      put r2 [ 6 ] "c";
+      Sched.delay 10_000;
+      let d2 = persist ~scope:`Global () in
+      let o2 = observe () in
+      Sched.join other;
+      let check label (e1, e2, writes, bytes) (e1', e2', writes', bytes') =
+        checki (label ^ ": r1 epoch") e1 e1';
+        checki (label ^ ": r2 epoch") e2 e2';
+        checki (label ^ ": device writes") writes writes';
+        checki (label ^ ": bytes written") bytes bytes'
+      in
+      checki "one-thread persist time" 47_286 d1;
+      check "one-thread persist" (1, 1, 4, 37_888) o1;
+      checki "global persist time" 46_022 d2;
+      check "global persist" (2, 2, 9, 71_680) o2;
+      (* Block placement: the device block each page image landed in. *)
+      let placed = ref [] in
+      let chunk = Size.mib 1 in
+      for c = 0 to (Device.size dev / chunk) - 1 do
+        let b = Device.read dev ~off:(c * chunk) ~len:chunk in
+        for blk = 0 to (chunk / 4096) - 1 do
+          let head = Bytes.sub_string b (blk * 4096) 3 in
+          if head = "r1." || head = "r2." then
+            placed :=
+              Printf.sprintf "%d:%s" ((c * chunk / 4096) + blk)
+                (Bytes.sub_string b (blk * 4096) 5)
+              :: !placed
+        done
+      done;
+      checks "block placement"
+        "6:r1.a3 7:r1.a0 8:r1.a9 9:r1.a5 11:r2.a0 12:r2.a7 13:r2.a2 15:r1.c2 \
+         16:r1.c3 17:r1.b8 19:r2.c6 20:r2.b4 21:r2.b1"
+        (String.concat " " (List.rev !placed)))
+    ()
+
 (* Runs last: every case before it returned what it took. *)
 let test_suite_returns_buffers () =
   checki "outstanding pooled buffers" suite_start (outstanding () - !exempt)
@@ -561,6 +684,12 @@ let () =
         [
           tc "large region open allocation" test_open_large_region_allocation;
           tc "leaf boundaries" test_leaf_boundaries;
+        ] );
+      ( "persist",
+        [
+          tc "persist re-protects every process" test_persist_reprotects_every_process;
+          tc "map_into needs attach" test_map_into_needs_attach;
+          tc "golden values" test_persist_golden;
         ] );
       ( "pool",
         [ tc "suite returns every buffer" test_suite_returns_buffers ] );

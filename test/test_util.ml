@@ -876,6 +876,17 @@ let test_pool_double_recycle_detected () =
         | () -> false
         | exception Pool.Violation _ -> true))
 
+let test_pool_foreign_recycle_detected () =
+  with_pool ~debug:true (fun () ->
+      checkb "heap buffer refused" true
+        (match Pool.recycle (Bytes.create Pool.min_pooled) with
+        | () -> false
+        | exception Pool.Violation _ -> true);
+      let b = Pool.alloc Pool.min_pooled in
+      Pool.recycle b;
+      checkb "slab buffer accepted" true (Pool.alloc Pool.min_pooled == b);
+      Pool.recycle b)
+
 let test_pool_use_after_recycle_detected () =
   with_pool ~debug:true (fun () ->
       let b = Pool.alloc 8192 in
@@ -1373,6 +1384,7 @@ let () =
           tc "small buffers bypass" test_pool_small_not_pooled;
           tc "alloc_zeroed" test_pool_alloc_zeroed;
           tc "double recycle detected" test_pool_double_recycle_detected;
+          tc "foreign recycle detected" test_pool_foreign_recycle_detected;
           tc "use-after-recycle detected" test_pool_use_after_recycle_detected;
           QCheck_alcotest.to_alcotest prop_pool_differential;
           tc "slab buffer lengths" test_pool_slab_lengths;
