@@ -3,24 +3,12 @@ module Slice = Msnap_util.Slice
 module type S = sig
   type t
 
-  val name : t -> string
-  val size : t -> int
   val writev : t -> (int * Slice.t) list -> unit
   val write_slice : t -> off:int -> Slice.t -> unit
   val read_into : t -> off:int -> Slice.t -> unit
   val flush : t -> unit
   val barrier : t -> unit
-  val fail_power : t -> torn_seed:int -> unit
-  val restore_power : t -> unit
-  val stats : t -> Disk.stats
-  val reset_stats : t -> unit
-  val dispose : t -> unit
-  val attach_record : t -> Record.t -> unit
-  val detach_record : t -> unit
-  val members : t -> int
-  val member_size : t -> member:int -> int
-  val peek : t -> member:int -> off:int -> len:int -> Bytes.t
-  val poke : t -> member:int -> off:int -> data:Bytes.t -> unit
+  val disks : t -> Disk.t array
 end
 
 type t = Dev : (module S with type t = 'a) * 'a -> t
@@ -32,23 +20,7 @@ module Disk_backend = struct
   include Disk
 
   let barrier = Disk.flush
-  let members _ = 1
-
-  let check_member d member =
-    if member <> 0 then
-      invalid_arg (Printf.sprintf "%s: no member %d" (Disk.name d) member)
-
-  let member_size d ~member =
-    check_member d member;
-    Disk.size d
-
-  let peek d ~member ~off ~len =
-    check_member d member;
-    Disk.peek d ~off ~len
-
-  let poke d ~member ~off ~data =
-    check_member d member;
-    Disk.poke d ~off ~data
+  let disks d = [| d |]
 end
 
 module Stripe_backend = struct
@@ -64,8 +36,6 @@ let testbed ~mib =
   let disk name = Disk.create ~name ~size:(Msnap_util.Size.mib mib) () in
   of_stripe (Stripe.create [ disk "nvme0"; disk "nvme1" ])
 
-let name (Dev ((module D), d)) = D.name d
-let size (Dev ((module D), d)) = D.size d
 let writev (Dev ((module D), d)) segs = D.writev d segs
 let write_slice (Dev ((module D), d)) ~off s = D.write_slice d ~off s
 let read_into (Dev ((module D), d)) ~off s = D.read_into d ~off s
@@ -77,14 +47,34 @@ let read dev ~off ~len =
 
 let flush (Dev ((module D), d)) = D.flush d
 let barrier (Dev ((module D), d)) = D.barrier d
-let fail_power (Dev ((module D), d)) ~torn_seed = D.fail_power d ~torn_seed
-let restore_power (Dev ((module D), d)) = D.restore_power d
-let stats (Dev ((module D), d)) = D.stats d
-let reset_stats (Dev ((module D), d)) = D.reset_stats d
-let dispose (Dev ((module D), d)) = D.dispose d
-let attach_record (Dev ((module D), d)) r = D.attach_record d r
-let detach_record (Dev ((module D), d)) = D.detach_record d
-let members (Dev ((module D), d)) = D.members d
-let member_size (Dev ((module D), d)) ~member = D.member_size d ~member
-let peek (Dev ((module D), d)) ~member ~off ~len = D.peek d ~member ~off ~len
-let poke (Dev ((module D), d)) ~member ~off ~data = D.poke d ~member ~off ~data
+let disks (Dev ((module D), d)) = D.disks d
+
+(* --- the member disks, one by one --- *)
+
+let size dev = Array.fold_left (fun a d -> a + Disk.size d) 0 (disks dev)
+
+(* Member [i] tears with seed [torn_seed + i]; members register with a
+   recorder in the same order, so recorded member [i] replays it. *)
+let fail_power dev ~torn_seed =
+  Array.iteri (fun i d -> Disk.fail_power d ~torn_seed:(torn_seed + i)) (disks dev)
+
+let restore_power dev = Array.iter Disk.restore_power (disks dev)
+
+let stats dev =
+  Array.fold_left
+    (fun (acc : Disk.stats) d ->
+      let s = Disk.stats d in
+      {
+        Disk.reads = acc.reads + s.reads;
+        writes = acc.writes + s.writes;
+        bytes_read = acc.bytes_read + s.bytes_read;
+        bytes_written = acc.bytes_written + s.bytes_written;
+        busy_ns = acc.busy_ns + s.busy_ns;
+      })
+    { Disk.reads = 0; writes = 0; bytes_read = 0; bytes_written = 0; busy_ns = 0 }
+    (disks dev)
+
+let reset_stats dev = Array.iter Disk.reset_stats (disks dev)
+let dispose dev = Array.iter Disk.dispose (disks dev)
+let attach_record dev r = Array.iter (fun d -> Disk.attach_record d r) (disks dev)
+let detach_record dev = Array.iter Disk.detach_record (disks dev)

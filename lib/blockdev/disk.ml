@@ -255,7 +255,6 @@ let create ?(name = "nvme") ~size () =
   }
 
 let size t = Medium.size t.medium
-let name t = t.dname
 
 let check_power t = if not t.powered then raise Powered_off
 

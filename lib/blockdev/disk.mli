@@ -48,7 +48,6 @@ val create : ?name:string -> size:int -> unit -> t
 (** [size] in bytes, rounded up to a whole sector. Contents start zeroed. *)
 
 val size : t -> int
-val name : t -> string
 
 (** {2 IO — block until the command completes (in virtual time)} *)
 

@@ -18,11 +18,7 @@ let create ?(unit_size = Size.kib 64) disks =
   { disks; unit_size }
 
 let size t = Array.fold_left (fun a d -> a + Disk.size d) 0 t.disks
-let unit_size t = t.unit_size
-
-let name t =
-  String.concat "+" (Array.to_list (Array.map Disk.name t.disks))
-
+let disks t = t.disks
 let ndisks t = Array.length t.disks
 
 (* Split [off, len) into (dev, dev_off, seg_off, seg_len) chunks. *)
@@ -126,36 +122,3 @@ let read_into t ~off dst =
     jobs
 
 let flush t = Array.iter Disk.flush t.disks
-
-let fail_power t ~torn_seed =
-  Array.iteri (fun i d -> Disk.fail_power d ~torn_seed:(torn_seed + i)) t.disks
-
-let restore_power t = Array.iter Disk.restore_power t.disks
-
-let stats t =
-  Array.fold_left
-    (fun (acc : Disk.stats) d ->
-      let s = Disk.stats d in
-      {
-        Disk.reads = acc.reads + s.reads;
-        writes = acc.writes + s.writes;
-        bytes_read = acc.bytes_read + s.bytes_read;
-        bytes_written = acc.bytes_written + s.bytes_written;
-        busy_ns = acc.busy_ns + s.busy_ns;
-      })
-    { Disk.reads = 0; writes = 0; bytes_read = 0; bytes_written = 0; busy_ns = 0 }
-    t.disks
-
-let reset_stats t = Array.iter Disk.reset_stats t.disks
-let dispose t = Array.iter Disk.dispose t.disks
-
-(* --- crash-schedule capture (host-only) --- *)
-
-(* Members register ascending, so recorded member [i] tears with seed
-   [torn_seed + i] — the same mapping [fail_power] uses. *)
-let attach_record t r = Array.iter (fun d -> Disk.attach_record d r) t.disks
-let detach_record t = Array.iter Disk.detach_record t.disks
-let members t = ndisks t
-let member_size t ~member = Disk.size t.disks.(member)
-let peek t ~member ~off ~len = Disk.peek t.disks.(member) ~off ~len
-let poke t ~member ~off ~data = Disk.poke t.disks.(member) ~off ~data

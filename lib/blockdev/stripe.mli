@@ -10,7 +10,11 @@
     Zero-copy: splitting produces {e sub-slices} of the caller's segments
     (no payload bytes move), so the ownership rule of {!Disk} extends to
     every write through this module. Reads through {!read_into} land directly in
-    the caller's buffer, one disjoint range per member device. *)
+    the caller's buffer, one disjoint range per member device.
+
+    This module is the data path only. Everything that acts on the
+    member disks one by one — size, power, statistics, teardown, crash
+    recording — is {!Device}'s, over {!disks}. *)
 
 module Slice = Msnap_util.Slice
 
@@ -20,11 +24,12 @@ val create : ?unit_size:int -> Disk.t list -> t
 (** [unit_size] defaults to 64 KiB. Requires at least one disk; all disks
     must have equal size. *)
 
-val size : t -> int
-val unit_size : t -> int
-
-val name : t -> string
-(** Member device names joined with ["+"], e.g. ["nvme0+nvme1"]. *)
+val writev : t -> (int * Slice.t) list -> unit
+(** One vectored command per member device; completes when all devices do.
+    Segments obey the ownership rule. Sector-adjacent segments that are
+    contiguous in the same backing buffer are coalesced into single wider
+    sub-slices per member — host-only; simulated latency and committed
+    (or torn) bytes are identical to the unmerged sequence. *)
 
 val write_slice : t -> off:int -> Slice.t -> unit
 (** [writev] of one segment. *)
@@ -34,33 +39,7 @@ val read_into : t -> off:int -> Slice.t -> unit
 
 val flush : t -> unit
 
-val fail_power : t -> torn_seed:int -> unit
-val restore_power : t -> unit
-
-val writev : t -> (int * Slice.t) list -> unit
-(** One vectored command per member device; completes when all devices do.
-    Segments obey the ownership rule. Sector-adjacent segments that are
-    contiguous in the same backing buffer are coalesced into single wider
-    sub-slices per member — host-only; simulated latency and committed
-    (or torn) bytes are identical to the unmerged sequence. *)
-
-val stats : t -> Disk.stats
-(** Aggregated across members. *)
-
-val reset_stats : t -> unit
-
-val dispose : t -> unit
-(** {!Disk.dispose} every member. *)
-
-(** {2 Crash-schedule capture (host-only)}
-
-    Members register with the recorder in ascending order — the order
-    {!fail_power} tears them in, so recorded member [i] corresponds to
-    live seed [torn_seed + i]. *)
-
-val attach_record : t -> Record.t -> unit
-val detach_record : t -> unit
-val members : t -> int
-val member_size : t -> member:int -> int
-val peek : t -> member:int -> off:int -> len:int -> Bytes.t
-val poke : t -> member:int -> off:int -> data:Bytes.t -> unit
+val disks : t -> Disk.t array
+(** The member disks in the order given to {!create}: unit [k] of the
+    volume lives on member [k mod n]. Not a copy: the caller must not
+    mutate it. *)

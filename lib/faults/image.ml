@@ -19,7 +19,7 @@
    A command that commits *at* boundary [prefix] is durable, not torn:
    the live crash hook runs after the committing thread has left the
    in-flight list. Everything here is host work on the raw medium
-   ([Device.poke]); no simulated IO is issued. *)
+   ([Disk.poke] on [Device.disks]); no simulated IO is issued. *)
 
 module Device = Msnap_blockdev.Device
 module Disk = Msnap_blockdev.Disk
@@ -42,18 +42,20 @@ let inflight_at record ~prefix ~member =
     (List.rev (Record.all_commands record))
 
 let apply_committed dev record ~prefix =
+  let disks = Device.disks dev in
   for i = 0 to prefix do
     match (Record.boundary record i).b_cmd with
     | None -> ()
     | Some c ->
       Array.iter
         (fun (s : Record.seg) ->
-          Device.poke dev ~member:c.c_member ~off:s.g_off ~data:s.g_data)
+          Disk.poke disks.(c.c_member) ~off:s.g_off ~data:s.g_data)
         c.c_segs
   done
 
 let apply_torn dev record ~prefix ~torn_seed =
   let b = Record.boundary record prefix in
+  let disks = Device.disks dev in
   for member = 0 to Record.members record - 1 do
     let rng = Rng.create ((torn_seed + member) lxor 0x5EED) in
     List.iter
@@ -73,7 +75,7 @@ let apply_torn dev record ~prefix ~torn_seed =
             remaining := !remaining - take;
             if take > 0 then begin
               let nbytes = min (Bytes.length s.g_data) (take * sector) in
-              Device.poke dev ~member ~off:s.g_off
+              Disk.poke disks.(member) ~off:s.g_off
                 ~data:(Bytes.sub s.g_data 0 nbytes)
             end)
           c.c_segs)

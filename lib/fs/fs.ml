@@ -658,11 +658,12 @@ let mmap t f aspace ~va ~len =
           else begin
             let cb = get_block t f (off / t.bs) ~need_old:true in
             let within = off mod t.bs in
-            (* Fill the frame here instead of handing Aspace a slice over
+            (* Fill the frame here instead of handing Aspace a copy of
                the cache block: the charge sequence (frame alloc, then a
                page-sized memcpy) is exactly what Aspace performs for a
-               [`Slice], and doing the blit under a pin keeps the buffer
-               alive if the alloc/memcpy charges yield into an eviction. *)
+               page of [`Bytes], without the staging copy, and doing the
+               blit under a pin keeps the buffer alive if the
+               alloc/memcpy charges yield into an eviction. *)
             pin cb;
             Fun.protect
               ~finally:(fun () -> unpin cb)

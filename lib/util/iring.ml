@@ -29,9 +29,6 @@ let push t v =
   Array.unsafe_set t.data i v;
   t.len <- t.len + 1
 
-(* The oldest element without removing it, or -1 when empty. *)
-let peek t = if t.len = 0 then -1 else Array.unsafe_get t.data t.head
-
 (* Pop the oldest element, or -1 when empty. *)
 let pop t =
   if t.len = 0 then -1

@@ -8,9 +8,6 @@ val length : t -> int
 val is_empty : t -> bool
 val push : t -> int -> unit
 
-val peek : t -> int
-(** Oldest element without removing it, or [-1] when empty. *)
-
 val pop : t -> int
 (** Oldest element, or [-1] when empty. *)
 

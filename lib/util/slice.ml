@@ -26,7 +26,6 @@ let buf t = t.s_buf
 let pos t = t.s_pos
 let length t = t.s_len
 
-let to_bytes t = Bytes.sub t.s_buf t.s_pos t.s_len
 let to_string t = Bytes.sub_string t.s_buf t.s_pos t.s_len
 
 let blit_to_bytes t ~src_pos dst ~dst_pos ~len =

@@ -48,9 +48,6 @@ val buf : t -> Bytes.t
 val pos : t -> int
 val length : t -> int
 
-val to_bytes : t -> Bytes.t
-(** Copy out. *)
-
 val to_string : t -> string
 
 val blit_to_bytes : t -> src_pos:int -> Bytes.t -> dst_pos:int -> len:int -> unit

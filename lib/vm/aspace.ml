@@ -6,7 +6,6 @@ module Probe = Msnap_sim.Probe
 type frame_source =
   [ `Zero
   | `Bytes of Bytes.t
-  | `Slice of Msnap_util.Slice.t
   | `Page of Phys.page ]
 
 type pager = { page_in : int -> frame_source }
@@ -130,13 +129,6 @@ let page_in t m vpn =
       Sched.cpu (Costs.memcpy (Bytes.length b));
       Bytes.blit b 0 p.data 0 (min (Bytes.length b) Addr.page_size);
       p
-    | `Slice s ->
-      let module Slice = Msnap_util.Slice in
-      let p = Phys.alloc t.a_phys in
-      Sched.cpu (Costs.memcpy (Slice.length s));
-      Slice.blit_to_bytes s ~src_pos:0 p.data ~dst_pos:0
-        ~len:(min (Slice.length s) Addr.page_size);
-      p
     | `Page p -> p
   in
   let loc = Ptable.walk t.pt vpn in
@@ -250,7 +242,7 @@ let page_for_read t ~va = resolve_read t (Addr.vpn_of_va va)
    closures: Aspace.read/write run once per storage access on the mmap
    paths, and a per-call closure is exactly the kind of hot-path
    allocation this module avoids. *)
-let rec write_sub_loop t data va pos len =
+let rec write_loop t data va pos len =
   if len > 0 then begin
     let in_page = Addr.page_size - Addr.page_offset va in
     let n = min len in_page in
@@ -262,15 +254,10 @@ let rec write_sub_loop t data va pos len =
     let loc = resolve_write_loc t (Addr.vpn_of_va va) in
     let page = Phys.get t.a_phys (Pte.frame (Ptloc.get loc)) in
     Bytes.blit data pos page.Phys.data (Addr.page_offset va) n;
-    write_sub_loop t data (va + n) (pos + n) (len - n)
+    write_loop t data (va + n) (pos + n) (len - n)
   end
 
-let write_sub t ~va data ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length data then
-    invalid_arg "Aspace.write_sub: bad slice";
-  write_sub_loop t data va pos len
-
-let write t ~va data = write_sub t ~va data ~pos:0 ~len:(Bytes.length data)
+let write t ~va data = write_loop t data va 0 (Bytes.length data)
 
 let rec read_into_loop t buf va pos len =
   if len > 0 then begin

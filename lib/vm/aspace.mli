@@ -12,9 +12,6 @@ type t
 type frame_source =
   [ `Zero  (** anonymous zero-fill *)
   | `Bytes of Bytes.t  (** initial contents (copied) *)
-  | `Slice of Msnap_util.Slice.t
-    (** initial contents (copied from the slice — same charge as [`Bytes]
-        of that length, without the caller's staging allocation) *)
   | `Page of Phys.page  (** map an existing frame (shared memory) *) ]
 
 type pager = { page_in : int -> frame_source }
@@ -76,7 +73,6 @@ val write : t -> va:int -> Bytes.t -> unit
 
 val read : t -> va:int -> len:int -> Bytes.t
 
-val write_sub : t -> va:int -> Bytes.t -> pos:int -> len:int -> unit
 val read_into : t -> va:int -> Bytes.t -> pos:int -> len:int -> unit
 
 val page_for_write : t -> va:int -> Phys.page * Ptloc.t

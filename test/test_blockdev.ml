@@ -450,7 +450,7 @@ let test_stripe_roundtrip () =
 let test_stripe_size () =
   in_sim (fun () ->
       let s = mk_stripe () in
-      checki "size" (Size.mib 8) (Stripe.size s))
+      checki "size" (Size.mib 8) (Device.size (Device.of_stripe s)))
     ()
 
 let test_stripe_parallelism () =
@@ -469,18 +469,19 @@ let test_stripe_single_unit_one_device () =
   in_sim (fun () ->
       let s = mk_stripe () in
       stripe_write s ~off:0 (Bytes.create (Size.kib 64));
-      let st = Stripe.stats s in
+      let st = Device.stats (Device.of_stripe s) in
       checki "one command" 1 st.Disk.writes)
     ()
 
 let test_stripe_crash () =
   in_sim (fun () ->
       let s = mk_stripe () in
+      let dev = Device.of_stripe s in
       stripe_write s ~off:0 (Bytes.make 512 'A');
-      Stripe.fail_power s ~torn_seed:3;
+      Device.fail_power dev ~torn_seed:3;
       let raised = try stripe_write s ~off:0 (Bytes.create 512); false with Disk.Powered_off -> true in
       checkb "off" true raised;
-      Stripe.restore_power s;
+      Device.restore_power dev;
       check_bytes "data survives" (String.make 512 'A')
         (Bytes.to_string (stripe_read s ~off:0 ~len:512)))
     ()
@@ -691,7 +692,8 @@ let test_device_stripe_parity () =
         let b = Bytes.create 128 in
         Stripe.read_into s ~off:(Size.kib 64) (Slice.of_bytes b);
         Stripe.flush s;
-        (Bytes.to_string b, Sched.now (), Stripe.size s))
+        (Bytes.to_string b, Sched.now (),
+         Array.fold_left (fun a d -> a + Disk.size d) 0 (Stripe.disks s)))
   in
   let wrapped =
     Sched.run (fun () ->
@@ -729,6 +731,89 @@ let test_device_barrier_orders () =
       Device.restore_power dev;
       check_bytes "barriered write durable" (String.make 8 'b')
         (Bytes.to_string (Device.read dev ~off:0 ~len:8)))
+
+(* The member-level operations over 1, 2 and 3 disks: size and stats
+   are the sums over the members, a power cut tears member [i] with
+   [torn_seed + i], and [reset_stats] zeroes every member. Twin disks
+   see the same commands at the same virtual times and are torn one by
+   one; their media must equal the device's members byte for byte. *)
+let test_device_member_ops () =
+  let zero =
+    { Disk.reads = 0; writes = 0; bytes_read = 0; bytes_written = 0; busy_ns = 0 }
+  in
+  let sum_stats disks =
+    List.fold_left
+      (fun (a : Disk.stats) d ->
+        let s = Disk.stats d in
+        { Disk.reads = a.reads + s.reads;
+          writes = a.writes + s.writes;
+          bytes_read = a.bytes_read + s.bytes_read;
+          bytes_written = a.bytes_written + s.bytes_written;
+          busy_ns = a.busy_ns + s.busy_ns })
+      zero disks
+  in
+  let check_stats name (a : Disk.stats) (b : Disk.stats) =
+    Alcotest.(check (list int)) name
+      [ a.reads; a.writes; a.bytes_read; a.bytes_written; a.busy_ns ]
+      [ b.reads; b.writes; b.bytes_read; b.bytes_written; b.busy_ns ]
+  in
+  let case n =
+    Sched.run (fun () ->
+        let mk tag =
+          List.init n (fun i ->
+              Disk.create ~name:(Printf.sprintf "%s%d" tag i) ~size:(Size.kib 512) ())
+        in
+        let pack = function
+          | [ d ] -> Device.of_disk d
+          | ds -> Device.of_stripe (Stripe.create ds)
+        in
+        let disks = mk "m" and twins = mk "t" in
+        let dev = pack disks and twin = pack twins in
+        let name = Printf.sprintf "%d disks" n in
+        let rng = Msnap_util.Rng.create n in
+        let payload = Msnap_util.Rng.bytes rng (Size.kib 320) in
+        let both f = f dev; f twin in
+        both (fun d ->
+            Device.write_slice d ~off:0 (Slice.of_bytes (Bytes.make (Size.kib 200) 'o'));
+            Device.writev d
+              [ (Size.kib 4, Slice.make payload ~pos:0 ~len:(Size.kib 8));
+                (Size.kib 70, Slice.make payload ~pos:(Size.kib 8) ~len:(Size.kib 60)) ];
+            ignore (Device.read d ~off:(Size.kib 30) ~len:(Size.kib 100));
+            Device.flush d);
+        checki (name ^ ": size") (n * Size.kib 512) (Device.size dev);
+        check_stats (name ^ ": stats") (sum_stats disks) (Device.stats dev);
+        (* Cut power half way through a write that spans every member. *)
+        let seed = 11 in
+        let writer d =
+          Sched.spawn (fun () ->
+              try Device.write_slice d ~off:(Size.kib 8) (Slice.of_bytes payload)
+              with Disk.Powered_off -> ())
+        in
+        let w = writer dev and tw = writer twin in
+        Sched.delay ((Costs.disk_base + Costs.disk_xfer (Size.kib 320 / n)) / 2);
+        Device.fail_power dev ~torn_seed:seed;
+        List.iteri (fun i t -> Disk.fail_power t ~torn_seed:(seed + i)) twins;
+        Sched.join w;
+        Sched.join tw;
+        Device.restore_power dev;
+        List.iter Disk.restore_power twins;
+        List.iteri
+          (fun i (d, t) ->
+            checkb
+              (Printf.sprintf "%s: member %d torn with seed + %d" name i i)
+              true
+              (Bytes.equal
+                 (Disk.peek d ~off:0 ~len:(Disk.size d))
+                 (Disk.peek t ~off:0 ~len:(Disk.size t))))
+          (List.combine disks twins);
+        Device.reset_stats dev;
+        List.iteri
+          (fun i d -> check_stats (Printf.sprintf "%s: member %d reset" name i) zero (Disk.stats d))
+          disks;
+        Device.dispose dev;
+        Device.dispose twin)
+  in
+  List.iter case [ 1; 2; 3 ]
 
 let mentions msg sub =
   let n = String.length sub in
@@ -842,6 +927,7 @@ let () =
           tc "power failure through wrapper" test_device_power_failure;
           tc "barrier makes prior IO durable" test_device_barrier_orders;
           tc "lent buffer: one contract" test_device_lent_buffer;
+          tc "member ops: size, stats, tear, reset" test_device_member_ops;
         ] );
       ( "alloc",
         [

@@ -49,9 +49,9 @@ let script dev =
 
 (* Raw media of every member disk, concatenated in member order. *)
 let snapshot dev =
-  List.init (Device.members dev) (fun m ->
-      Device.peek dev ~member:m ~off:0
-        ~len:(Device.member_size dev ~member:m))
+  List.map
+    (fun d -> Disk.peek d ~off:0 ~len:(Disk.size d))
+    (Array.to_list (Device.disks dev))
 
 (* The crash-free recording pass: the schedule history plus the final
    media image and final virtual time. *)
