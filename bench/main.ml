@@ -274,9 +274,11 @@ let sample_profile =
   Arg.(value & flag & info [ "sample-profile" ]
          ~doc:"Sample the host call stack every millisecond of process CPU \
                time and print the hottest source lines (self and \
-               inclusive) to stderr. Samples land at OCaml poll points, so \
-               time in C stubs and in loops without polls is charged to \
-               the calling line. Serial runs only; stdout is unchanged.")
+               inclusive) to stderr. Samples land at the next OCaml poll \
+               point, so time in C stubs and in loops without polls is \
+               charged to whatever runs next (often a small accessor \
+               such as Sched.engine_slot), not to the calling line. \
+               Serial runs only; stdout is unchanged.")
 
 let cmd =
   Cmd.v

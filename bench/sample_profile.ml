@@ -7,13 +7,18 @@
    Bias: OCaml runs signal handlers only at its poll points (allocations,
    function entries, loop back-edges), so a sample lands on the next poll
    point after the tick, not on the instruction the tick interrupted.
-   Time spent in C stubs (the device medium's memcpy, Bigarray fills) and
-   in loops that never poll is charged to the OCaml line that called or
-   contains them. The sampler only reads the stack, so simulated values
-   and stdout are unchanged; the handler allocates, so the host GC
-   counters in the timings file are not comparable with an unsampled
-   run. Serial runs only: the handler runs on whichever domain polls
-   first, so samples from a -j pool would not be attributable. *)
+   Time spent in a [@@noalloc] C stub (the device medium's copies, the
+   checksum kernel) or in a loop that never polls is therefore charged
+   to whichever poll point runs next, not to the caller: often the entry
+   of a small accessor the caller reaches next, such as
+   Sched.engine_slot (a Domain.DLS.get), which then looks far hotter
+   than it is. On table7 it takes about 14% of self samples, while its
+   own cost is a few ns per call. Read a hot one-line accessor as "the
+   time just before this call". The sampler only reads the stack, so
+   simulated values and stdout are unchanged; the handler allocates, so
+   the host GC counters in the timings file are not comparable with an
+   unsampled run. Serial runs only: the handler runs on whichever domain
+   polls first, so samples from a -j pool would not be attributable. *)
 
 let period = 0.001
 let max_depth = 256
@@ -94,7 +99,8 @@ let report ?(top = 25) () =
   in
   Printf.eprintf
     "[sample-profile] %d samples at %.0f us of process CPU time each \
-     (charged at OCaml poll points; C stubs count as their caller)\n"
+     (charged at the next OCaml poll point, so time in C stubs and \
+     poll-free loops lands on whatever runs next)\n"
     n (period *. 1e6);
   print "self" (fun l -> l.self);
   print "inclusive" (fun l -> l.incl);

@@ -162,13 +162,11 @@ let sqlite_db = "db"
 let sqlite_table = "t"
 let sqlite_steps = 28
 
-let sqlite_run dev record =
+let sqlite_run ~checkpoint_threshold dev record =
   let hist = History.create () in
   let fs = Fs.mkfs dev ~kind:Fs.Ffs in
   Fs.sync_meta fs;
-  (* No checkpoints: the crash matrix exercises WAL replay, and the
-     checkpointer's in-place db-file rewrite is a separate concern. *)
-  let bw = Backend_wal.create fs ~db_name:sqlite_db ~checkpoint_threshold:max_int () in
+  let bw = Backend_wal.create fs ~db_name:sqlite_db ~checkpoint_threshold () in
   let db = Db.open_db (Backend_wal.backend bw) in
   let tb = Db.create_table db sqlite_table in
   let model = Hashtbl.create 16 in
@@ -190,16 +188,26 @@ let sqlite_run dev record =
   Fs.dispose fs;
   hist
 
-let sqlite_workload =
+let sqlite_script ~name ~checkpoint_threshold =
   {
-    Checker.w_name = "sqlite";
+    Checker.w_name = name;
     w_device = mk_dev;
-    w_run = sqlite_run;
+    w_run = sqlite_run ~checkpoint_threshold;
     w_recoverable =
       (module (val Db.recoverable ~db_name:sqlite_db ~table:sqlite_table
-                     ~checkpoint_threshold:max_int ())
+                     ~checkpoint_threshold ())
       : Msnap_faults.Recoverable.S);
   }
+
+(* No checkpoints: the crash matrix exercises WAL replay alone. *)
+let sqlite_workload = sqlite_script ~name:"sqlite" ~checkpoint_threshold:max_int
+
+(* Every commit checkpoints: its frames are copied into the db file,
+   both files are fsynced and the WAL is truncated, so crashes also land
+   inside the in-place db-file rewrite and between the truncate and the
+   next frame. *)
+let sqlite_ckpt_workload =
+  sqlite_script ~name:"sqlite-ckpt" ~checkpoint_threshold:4
 
 (* --- pg: one insert per transaction on the buffered (WAL) variant --- *)
 
@@ -288,6 +296,7 @@ let all =
     objstore_workload;
     fs_workload;
     sqlite_workload;
+    sqlite_ckpt_workload;
     pg_workload;
     rocks_workload;
   ]

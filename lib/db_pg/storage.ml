@@ -96,8 +96,8 @@ let wal_append w ~rel ~blockno ~off ~data ~block =
     | None -> Bytes.fill buf (wal_record_header + len) bs '\000'
   end;
   let ck =
-    Wire.checksum buf ~pos:wal_record_header ~len:(rec_len - wal_record_header)
-      ~init:(Wire.checksum buf ~pos:0 ~len:56 ~init:w.w_cksum)
+    Wire.chain buf ~pos:wal_record_header ~len:(rec_len - wal_record_header)
+      ~init:(Wire.chain buf ~pos:0 ~len:56 ~init:w.w_cksum)
   in
   Wire.set_u64 buf 56 ck;
   w.w_cksum <- ck;
@@ -340,8 +340,8 @@ let wal_read_record fs file ~off ~cksum =
         Fs.read_into fs file ~off:(off + wal_record_header) payload ~pos:0
           ~len:(len + image);
         let ck =
-          Wire.checksum payload ~pos:0 ~len:(len + image)
-            ~init:(Wire.checksum hdr ~pos:0 ~len:56 ~init:cksum)
+          Wire.chain payload ~pos:0 ~len:(len + image)
+            ~init:(Wire.chain hdr ~pos:0 ~len:56 ~init:cksum)
         in
         if Wire.get_u64 hdr 56 <> ck then None
         else if image > 0 && flags land wal_flag_real = 0 then

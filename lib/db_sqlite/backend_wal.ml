@@ -19,13 +19,17 @@ module Wire = Msnap_util.Wire
 let wal_magic = 0x4C57534D (* "MSWL" *)
 let wal_cksum_seed = 0x57414C00
 
+let none = Bytes.empty
+
 type t = {
   fs : Fs.t;
   db_file : Fs.file;
   wal_file : Fs.file;
-  (* The WAL index: latest logged image per page. Doubles as the "WAL as
-     cache" role the paper describes. *)
-  wal_frames : (int, Bytes.t) Hashtbl.t;
+  (* The WAL index: latest logged image per page, indexed by page number
+     and grown by doubling, as in [Pager]; [Bytes.empty] marks a page
+     with no logged frame. Doubles as the "WAL as cache" role the paper
+     describes. *)
+  mutable wal_frames : Bytes.t array;
   mutable wal_size : int;
   mutable wal_cksum : int; (* chain state after the last appended frame *)
   hdr : Bytes.t; (* staging for one frame header; consumed per append *)
@@ -38,7 +42,7 @@ let create fs ~db_name ?(checkpoint_threshold = Size.mib 4) () =
     fs;
     db_file = Fs.open_file fs db_name;
     wal_file = Fs.open_file fs (db_name ^ "-wal");
-    wal_frames = Hashtbl.create 1024;
+    wal_frames = Array.make 1024 none;
     wal_size = 0;
     wal_cksum = wal_cksum_seed;
     hdr = Bytes.create frame_header;
@@ -54,9 +58,9 @@ let seal_frame t ~pgno ~flags payload =
   Wire.set_u32 t.hdr 4 pgno;
   Wire.set_u32 t.hdr 8 flags;
   let ck =
-    Wire.checksum t.hdr ~pos:0 ~len:12
+    Wire.chain t.hdr ~pos:0 ~len:12
       ~init:
-        (Wire.checksum payload ~pos:0 ~len:(Bytes.length payload)
+        (Wire.chain payload ~pos:0 ~len:(Bytes.length payload)
            ~init:t.wal_cksum)
   in
   Wire.set_u64 t.hdr 12 ck;
@@ -70,10 +74,37 @@ let copy_page b =
   Bytes.blit b 0 c 0 Page.size;
   c
 
+let logged t pgno =
+  if pgno < Array.length t.wal_frames then t.wal_frames.(pgno) else none
+
+(* Make [b] the logged image of [pgno]; the one it replaces has no
+   other holders ([read_page] hands out copies) and goes back to the
+   pool. *)
+let set_logged t pgno b =
+  let cap = Array.length t.wal_frames in
+  if pgno >= cap then begin
+    let a = Array.make (max (pgno + 1) (2 * cap)) none in
+    Array.blit t.wal_frames 0 a 0 cap;
+    t.wal_frames <- a
+  end;
+  let old = t.wal_frames.(pgno) in
+  if old != none then Pool.recycle old;
+  t.wal_frames.(pgno) <- b
+
+(* Empty the index, returning every logged image to the pool. *)
+let clear_logged t =
+  Array.iteri
+    (fun pgno b ->
+      if b != none then begin
+        Pool.recycle b;
+        t.wal_frames.(pgno) <- none
+      end)
+    t.wal_frames
+
 let read_page t pgno =
-  match Hashtbl.find_opt t.wal_frames pgno with
-  | Some b -> Some (copy_page b)
-  | None ->
+  let b = logged t pgno in
+  if b != none then Some (copy_page b)
+  else
     let off = (pgno - 1) * Page.size in
     if off + Page.size > Fs.size t.fs t.db_file then None
     else
@@ -87,23 +118,20 @@ let read_page t pgno =
 let checkpoint t =
   t.ckpts <- t.ckpts + 1;
   (* Copy every logged page into the database file, in page order —
-     random IO from the file system's point of view. *)
-  let pages =
-    Hashtbl.fold (fun pgno b acc -> (pgno, b) :: acc) t.wal_frames []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter
-    (fun (pgno, b) ->
-      Sched.with_bucket Probe.Bucket.write (fun () ->
-          Metrics.timed Probe.db_write (fun () ->
-              Fs.write t.fs t.db_file ~off:((pgno - 1) * Page.size) b)))
-    pages;
+     random IO from the file system's point of view. Commits hold the
+     pager's write lock, so the index cannot change under the walk. *)
+  Array.iteri
+    (fun pgno b ->
+      if b != none then
+        Sched.with_bucket Probe.Bucket.write (fun () ->
+            Metrics.timed Probe.db_write (fun () ->
+                Fs.write t.fs t.db_file ~off:((pgno - 1) * Page.size) b)))
+    t.wal_frames;
   Sched.with_bucket Probe.Bucket.fsync (fun () ->
       Metrics.timed Probe.db_fsync (fun () -> Fs.fsync t.fs t.db_file);
       Metrics.timed Probe.db_fsync (fun () -> Fs.fsync t.fs t.wal_file));
   Fs.truncate t.fs t.wal_file 0;
-  Hashtbl.iter (fun _ b -> Pool.recycle b) t.wal_frames;
-  Hashtbl.reset t.wal_frames;
+  clear_logged t;
   t.wal_size <- 0;
   t.wal_cksum <- wal_cksum_seed
 
@@ -122,12 +150,11 @@ let commit t pages =
               Fs.writev t.fs t.wal_file ~off:t.wal_size
                 [ Slice.of_bytes t.hdr; Slice.of_bytes b ]));
       t.wal_size <- t.wal_size + frame_header + Page.size;
-      (* A newer image supersedes the logged frame; its buffer has no
-         other holders ([read_page] hands out copies). *)
-      (match Hashtbl.find_opt t.wal_frames pgno with
-      | Some old -> Pool.recycle old
-      | None -> ());
-      Hashtbl.replace t.wal_frames pgno (copy_page b))
+      (* A newer image supersedes the logged frame in its own buffer,
+         which has no other holders ([read_page] hands out copies). *)
+      let frame = logged t pgno in
+      if frame != none then Bytes.blit b 0 frame 0 Page.size
+      else set_logged t pgno (copy_page b))
     pages;
   Sched.with_bucket Probe.Bucket.fsync (fun () ->
       Metrics.timed Probe.db_fsync (fun () -> Fs.fsync t.fs t.wal_file));
@@ -154,13 +181,7 @@ let recover fs ~db_name ?checkpoint_threshold () =
   (* Frames of the transaction being parsed, promoted at commit. *)
   let pending = ref [] in
   let promote () =
-    List.iter
-      (fun (pgno, b) ->
-        (match Hashtbl.find_opt t.wal_frames pgno with
-        | Some old -> Pool.recycle old
-        | None -> ());
-        Hashtbl.replace t.wal_frames pgno b)
-      (List.rev !pending);
+    List.iter (fun (pgno, b) -> set_logged t pgno b) (List.rev !pending);
     pending := []
   in
   (try
@@ -172,8 +193,8 @@ let recover fs ~db_name ?checkpoint_threshold () =
        let expect =
          (* The checksum field itself (bytes [12, 20)) is outside both
             sums. *)
-         Wire.checksum buf ~pos:0 ~len:12
-           ~init:(Wire.checksum buf ~pos:frame_header ~len:Page.size ~init:!ck)
+         Wire.chain buf ~pos:0 ~len:12
+           ~init:(Wire.chain buf ~pos:frame_header ~len:Page.size ~init:!ck)
        in
        if Wire.get_u64 buf 12 <> expect then raise Exit;
        ck := expect;
@@ -197,6 +218,5 @@ let recover fs ~db_name ?checkpoint_threshold () =
    back to the pool (the WAL file's blocks belong to the Fs and are
    returned by [Fs.dispose]). *)
 let dispose t =
-  Hashtbl.iter (fun _ b -> Pool.recycle b) t.wal_frames;
-  Hashtbl.reset t.wal_frames;
+  clear_logged t;
   t.wal_size <- 0

@@ -13,13 +13,26 @@ let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 let get_u64 b off = Int64.to_int (Bytes.get_int64_le b off) land max_int
 let set_u64 b off v = Bytes.set_int64_le b off (Int64.of_int v)
 
-(* A splitmix64 fold over the bytes, returned as a non-negative int so
-   it round-trips through {!set_u64}. [init] chains checksums: each WAL
-   frame mixes in its predecessor's. Every journaled byte passes through
-   here, so the fold is the native four-lane {!Splitmix} kernel (about
-   0.7 us per 4 KiB, no allocation). The media format is pinned by the
-   Int64 differential and the golden values in test_util.ml. *)
-let checksum ?(init = 0x5DEECE66D) b ~pos ~len =
+(* The kernel is C (wire_stubs.c): eight multiply-accumulate lanes over
+   64-byte stripes, folded with splitmix64's mix. Every journaled byte
+   passes through it (about 0.7 us per 4 KiB in L1, no allocation). It
+   checks nothing, so both entry points bounds-check first. The media
+   format is pinned by the Int64 differential and the golden values in
+   test_util.ml. *)
+external kernel :
+  Bytes.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "msnap_wire_checksum_byte" "msnap_wire_checksum"
+[@@noalloc]
+
+(* [init] chains checksums: each WAL frame mixes in its predecessor's.
+   A required label, not an optional one: under the dev profile's
+   -opaque an [?init] argument would box a [Some] on every call. *)
+let chain ~init b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Wire.checksum";
-  Splitmix.fold ~init b ~pos ~len
+  kernel b pos len init
+
+let checksum b ~pos ~len = chain ~init:0x5DEECE66D b ~pos ~len

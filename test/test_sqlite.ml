@@ -585,6 +585,58 @@ let test_wal_checkpoint_triggers () =
       check_opt "row" (Some v) (Db.get tbl (Db.key_of_int 250)))
     ()
 
+(* The checkpoint copies the latest image of every logged page into the
+   db file, in ascending page order. Pages are logged in descending
+   order over three transactions, some rewritten; the third commit
+   reaches the threshold and checkpoints. Afterwards every page reads
+   back its last image from the db file. The pages are 8 apart, so
+   each sits in its own 32 KiB FFS block. Two simulated times are
+   pinned: the checkpointing commit, and the read-back after the buffer
+   cache shrinks to four blocks. The cache holds the db file's blocks
+   in the order the checkpoint wrote them, so that order decides which
+   pages the read-back misses, and a checkpoint that wrote in another
+   order moves the second value. *)
+let test_wal_checkpoint_page_order () =
+  in_dev ~mib:128 (fun dev ->
+      let& fs = (Fs.mkfs dev ~kind:Fs.Ffs, Fs.dispose) in
+      let pgno i = (8 * i) + 1 in
+      let txns = [ [ 9; 8; 7; 6 ]; [ 8; 6; 4; 2 ]; [ 7; 5; 3; 1; 0 ] ] in
+      let frames = List.length (List.concat txns) in
+      (* Frames are a 24-byte header and a page. *)
+      let& be =
+        ( Backend_wal.create fs ~db_name:"order.db"
+            ~checkpoint_threshold:(frames * (24 + Page.size)) (),
+          Backend_wal.dispose )
+      in
+      let b = Backend_wal.backend be in
+      let image i txn = Bytes.make Page.size (Char.chr ((i * 16) + txn)) in
+      let last = Array.make 10 0 in
+      let commit_ns = ref 0 in
+      List.iteri
+        (fun txn pages ->
+          let t0 = Sched.now () in
+          b.Pager.b_commit (List.map (fun i -> (pgno i, image i txn)) pages);
+          commit_ns := Sched.now () - t0;
+          List.iter (fun i -> last.(i) <- txn) pages)
+        txns;
+      checki "one checkpoint" 1 (Backend_wal.checkpoints_done be);
+      checki "checkpointing commit, simulated ns" 320800 !commit_ns;
+      (* One miss on another file evicts the oldest clean blocks. *)
+      Fs.set_cache_capacity fs 4;
+      Fs.write fs (Fs.open_file fs "other") ~off:0 (Bytes.make Page.size 'o');
+      let t0 = Sched.now () in
+      for i = 0 to 9 do
+        match b.Pager.b_read_page (pgno i) with
+        | None -> Alcotest.failf "page %d missing from the db file" (pgno i)
+        | Some got ->
+          checkb (Printf.sprintf "page %d holds its last image" (pgno i)) true
+            (Bytes.equal got (image i last.(i)));
+          Msnap_util.Pool.recycle got
+      done;
+      checki "read-back through a squeezed cache, simulated ns" 316370
+        (Sched.now () - t0))
+    ()
+
 let test_msnap_fewer_calls_than_wal () =
   in_dev ~mib:128 (fun wal_dev ->
       (* The Table 7 effect in miniature: the same workload needs an fsync
@@ -652,6 +704,7 @@ let () =
           tc "recovery (msnap)" test_db_recovery_msnap;
           tc "crash loses uncommitted" test_db_crash_uncommitted_lost_msnap;
           tc "wal checkpoints" test_wal_checkpoint_triggers;
+          tc "wal checkpoint page order" test_wal_checkpoint_page_order;
           tc "call counts" test_msnap_fewer_calls_than_wal;
           tc "disposed machines return buffers" test_disposed_machines_return_buffers;
         ] );

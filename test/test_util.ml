@@ -69,9 +69,10 @@ let test_rng_bytes_len () =
   let rng = Rng.create 1 in
   checki "length" 33 (Bytes.length (Rng.bytes rng 33))
 
-(* The Splitmix kernel (Rng, Wire.checksum) must be bit-exact with the
-   plain boxed Int64 formulation: RNG draw sequences and on-media
-   checksum bytes are simulated values. This is the Int64 reference. *)
+(* The Splitmix kernel under Rng and Wire's C checksum kernel must be
+   bit-exact with plain boxed Int64 formulations: RNG draw sequences are
+   simulated values and checksum bytes are media format. This is the
+   Int64 reference for both. *)
 module Ref64 = struct
   let mix z =
     let open Int64 in
@@ -96,36 +97,43 @@ module Ref64 = struct
 
   let bool t = Int64.logand (bits64 t) 1L = 1L
 
-  (* Wire's four-lane fold: lane [k] starts at the mixed [init] plus [k]
-     golden gammas and absorbs word [4s + k] of each 32-byte stride [s];
-     the lanes then fold into the hash in order, followed by the leftover
-     words, the tail bytes (first byte most significant) and [len]. *)
+  (* Wire's kernel: lane [k] starts at the mixed [init] and adds, for
+     word [w] at [8s + k] of each 64-byte stripe [s], lo32 x * hi32 x + w
+     with x = w xor (key k + s * gamma). The lanes then fold into the
+     hash in order, followed by the leftover words, the tail bytes
+     (first byte most significant) and [len]. *)
+  let lane_key =
+    [| 0x6A09E667F3BCC908L; 0xBB67AE8584CAA73BL; 0x3C6EF372FE94F82BL;
+       0xA54FF53A5F1D36F1L; 0x510E527FADE682D1L; 0x9B05688C2B3E6C1FL;
+       0x1F83D9ABFB41BD6BL; 0x5BE0CD19137E2179L |]
+
   let checksum ?(init = 0x5DEECE66D) b ~pos ~len =
-    let seed = mix (Int64.of_int init) in
+    let open Int64 in
+    let seed = mix (of_int init) in
     let word i = Bytes.get_int64_le b (pos + (8 * i)) in
-    let stripes = len / 32 in
+    let stripes = len / 64 in
     let h = ref seed in
     if stripes > 0 then begin
-      let lanes =
-        Array.init 4 (fun k ->
-            Int64.add seed (Int64.mul (Int64.of_int k) 0x9E3779B97F4A7C15L))
-      in
+      let acc = Array.make 8 seed in
       for s = 0 to stripes - 1 do
-        for k = 0 to 3 do
-          lanes.(k) <- mix (Int64.add lanes.(k) (word ((4 * s) + k)))
+        for k = 0 to 7 do
+          let w = word ((8 * s) + k) in
+          let x = logxor w (add lane_key.(k) (mul (of_int s) 0x9E3779B97F4A7C15L)) in
+          let lo = logand x 0xFFFFFFFFL and hi = shift_right_logical x 32 in
+          acc.(k) <- add acc.(k) (add (mul lo hi) w)
         done
       done;
-      Array.iter (fun l -> h := mix (Int64.add !h l)) lanes
+      Array.iter (fun a -> h := mix (add !h a)) acc
     end;
-    for i = 4 * stripes to (len / 8) - 1 do
-      h := mix (Int64.add !h (word i))
+    for i = 8 * stripes to (len / 8) - 1 do
+      h := mix (add !h (word i))
     done;
     let tail = ref 0 in
     for i = pos + (len / 8 * 8) to pos + len - 1 do
       tail := (!tail lsl 8) lor Char.code (Bytes.get b i)
     done;
-    if len mod 8 <> 0 then h := mix (Int64.add !h (Int64.of_int !tail));
-    Int64.to_int (mix (Int64.add !h (Int64.of_int len))) land max_int
+    if len mod 8 <> 0 then h := mix (add !h (of_int !tail));
+    to_int (mix (add !h (of_int len))) land Stdlib.max_int
 end
 
 let prop_rng_differential =
@@ -164,13 +172,14 @@ let prop_checksum_differential =
       let pos = salt mod 8 mod (Bytes.length b + 1) in
       let len = Bytes.length b - pos in
       let init = if salt mod 3 = 0 then salt * 7919 land max_int else 0x5DEECE66D in
-      Msnap_util.Wire.checksum ~init b ~pos ~len
+      Msnap_util.Wire.chain ~init b ~pos ~len
       = Ref64.checksum ~init b ~pos ~len)
 
 let test_checksum_long () =
-  (* Cover multi-page lengths (beyond qcheck's small payloads) and
-     chained inits, as the WAL uses them, at every start alignment: the
-     fold reads unaligned 64-bit words. *)
+  (* Cover multi-page lengths (beyond qcheck's small payloads), every
+     remainder around a page, and chained inits, as the WAL uses them,
+     at every start alignment: the kernel reads unaligned 64-bit
+     words. *)
   let rng = Rng.create 4242 in
   let b = Rng.bytes rng 16384 in
   for pos = 0 to 7 do
@@ -178,24 +187,26 @@ let test_checksum_long () =
     List.iter
       (fun len ->
         let len = min len (Bytes.length b - pos) in
-        let a = Msnap_util.Wire.checksum ~init:!prev b ~pos ~len in
+        let a = Msnap_util.Wire.chain ~init:!prev b ~pos ~len in
         let r = Ref64.checksum ~init:!prev b ~pos ~len in
         checkb (Printf.sprintf "chained checksum pos %d len %d" pos len) true
           (a = r);
         prev := a)
-      (List.init 72 Fun.id @ [ 4095; 4096; 4097; 4104; 4127; 8192; 12288; 16381 ])
+      (List.init 72 Fun.id
+      @ List.init 33 (fun i -> 4095 + i)
+      @ [ 8192; 12288; 16381 ])
   done
 
 (* The media format as numbers: a later edit to the kernel that the
    reference follows by mistake still fails here. One input is a page,
-   the other a stripe, two leftover words and five tail bytes. *)
+   the other a stripe, a leftover word and five tail bytes. *)
 let test_checksum_golden () =
   let page = Bytes.init 4096 (fun i -> Char.chr ((i * 7) land 0xff)) in
-  checki "4 KiB page" 1857327366096402549
+  checki "4 KiB page" 2421735050161714597
     (Msnap_util.Wire.checksum page ~pos:0 ~len:4096);
-  let odd = Bytes.init 53 (fun i -> Char.chr (((i * 31) + 5) land 0xff)) in
-  checki "53 bytes, init 42" 3962097054352714255
-    (Msnap_util.Wire.checksum ~init:42 odd ~pos:0 ~len:53)
+  let odd = Bytes.init 77 (fun i -> Char.chr (((i * 31) + 5) land 0xff)) in
+  checki "77 bytes, init 42" 4134258012900898372
+    (Msnap_util.Wire.chain ~init:42 odd ~pos:0 ~len:77)
 
 (* A torn 4 KiB write leaves a sector prefix of the new page over the
    old one. Pages that differ in every 512-byte sector must give every
@@ -222,6 +233,40 @@ let prop_checksum_torn =
              let c = ck torn in
              c <> c_old && c <> c_new)
            [ 1; 2; 3; 4; 5; 6; 7 ])
+
+(* Every single-bit flip anywhere in a page changes its sum. A flip of
+   bit [b] moves [w] by 2^b and the lane's product by 2^b times the
+   other half of [x]; the two cancel only when that half is exactly 1. *)
+let prop_checksum_bit_flips =
+  QCheck.Test.make ~count:10 ~name:"checksum sees every single-bit flip"
+    QCheck.small_int
+    (fun seed ->
+      let page = Rng.bytes (Rng.create (seed + 1)) 4096 in
+      let ck () = Msnap_util.Wire.checksum page ~pos:0 ~len:4096 in
+      let c0 = ck () in
+      let ok = ref true in
+      for bit = 0 to (8 * 4096) - 1 do
+        let i = bit / 8 and m = 1 lsl (bit mod 8) in
+        let flip () = Bytes.set page i (Char.chr (Char.code (Bytes.get page i) lxor m)) in
+        flip ();
+        if ck () = c0 then ok := false;
+        flip ()
+      done;
+      !ok)
+
+(* Swapping two 512-byte sectors of a page changes its sum: each word's
+   key depends on its offset, not only on its content. *)
+let prop_checksum_sector_swap =
+  QCheck.Test.make ~count:200 ~name:"checksum sees two sectors swapped"
+    QCheck.(triple small_int (int_bound 7) (int_bound 6))
+    (fun (seed, a, d) ->
+      let b = (a + 1 + d) mod 8 in
+      let page = Rng.bytes (Rng.create (seed + 1)) 4096 in
+      let ck p = Msnap_util.Wire.checksum p ~pos:0 ~len:4096 in
+      let swapped = Bytes.copy page in
+      Bytes.blit page (a * 512) swapped (b * 512) 512;
+      Bytes.blit page (b * 512) swapped (a * 512) 512;
+      ck swapped <> ck page)
 
 (* [words f] is the minor words allocated by 1000 calls of [f], after
    one warm-up call. *)
@@ -260,6 +305,10 @@ let test_checksum_alloc_free () =
   checkb "Wire.checksum allocates nothing" true
     (words (fun () ->
          sum := !sum lxor Msnap_util.Wire.checksum page ~pos:0 ~len:4096)
+    = 0.0);
+  checkb "Wire.chain allocates nothing" true
+    (words (fun () ->
+         sum := Msnap_util.Wire.chain ~init:!sum page ~pos:0 ~len:4096)
     = 0.0)
 
 (* --- Keyfmt / Intern --- *)
@@ -1320,6 +1369,8 @@ let () =
           tc "checksum golden values" test_checksum_golden;
           QCheck_alcotest.to_alcotest prop_checksum_differential;
           QCheck_alcotest.to_alcotest prop_checksum_torn;
+          QCheck_alcotest.to_alcotest prop_checksum_bit_flips;
+          QCheck_alcotest.to_alcotest prop_checksum_sector_swap;
         ] );
       ( "keyfmt",
         [
