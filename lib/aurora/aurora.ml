@@ -137,11 +137,10 @@ module Region = struct
     let pager =
       { Aspace.page_in =
           (fun rel ->
-            (* Pooled staging instead of [read_block]'s fresh block, and
-               the frame filled here instead of via [`Bytes]: the charge
-               sequence (radix lookup, device read, frame alloc, then a
-               page-sized memcpy) is exactly what the allocating path
-               produced. *)
+            (* Pooled staging instead of [read_block]'s fresh block,
+               copied into a frame allocated here. The charge sequence
+               is radix lookup, device read, frame alloc, then a
+               page-sized memcpy. *)
             let staging = Pool.alloc Msnap_objstore.Layout.block_size in
             Fun.protect
               ~finally:(fun () -> Pool.recycle staging)

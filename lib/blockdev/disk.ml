@@ -327,7 +327,6 @@ let writev t segs =
         if !Slice.debug_checks then List.map (fun (_, s) -> Slice.checksum s) segs
         else []
       in
-      List.iter (fun (_, s) -> Slice.borrow s) segs;
       let fl = { segs; checksums; t0 = Sched.now (); dur; torn = false } in
       t.inflight <- fl :: t.inflight;
       (* Host-only history capture: the snapshot taken here equals the
@@ -344,7 +343,6 @@ let writev t segs =
       verify_checksums t fl;
       commit_segs t.medium segs;
       Medium.fence ();
-      List.iter (fun (_, s) -> Slice.release s) segs;
       t.s_writes <- t.s_writes + 1;
       t.s_bytes_written <- t.s_bytes_written + total;
       match rcmd with
@@ -433,8 +431,7 @@ let fail_power t ~torn_seed =
           let nbytes = min len (take * Costs.sector) in
           Medium.write t.medium ~off (Slice.buf s) ~pos:(Slice.pos s)
             ~len:nbytes
-        end;
-        Slice.release s)
+        end)
       fl.segs
   in
   List.iter tear t.inflight;

@@ -132,18 +132,11 @@ val region_by_name : t -> string -> md option
 
 (** {2 Crash recovery ({!Msnap_faults})} *)
 
-val cell_max : int
-(** Longest value {!cell_write} accepts (the 256-byte slot minus its
-    length prefix). *)
-
 val cell_write : t -> md -> off:int -> string -> unit
-(** Store a value in the fixed-size cell at [off]: every update writes
+(** Store a value of at most 254 bytes (the 256-byte slot minus its
+    length prefix) in the fixed-size cell at [off]: every update writes
     the full 256-byte slot, so the command stream a crash workload
     issues is independent of the value lengths. *)
-
-val cell_read : t -> md -> off:int -> string option
-(** [None] when the slot's length prefix is out of range (torn or
-    unwritten media that slipped past recovery). *)
 
 type recovered = { rec_kernel : t; rec_md : md }
 (** A kernel and region rebuilt from a post-crash device by {!boot}. *)

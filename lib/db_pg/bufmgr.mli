@@ -26,9 +26,6 @@ val read_buffer : t -> rel:string -> blockno:int -> Bytes.t
 
 val mark_dirty : t -> rel:string -> blockno:int -> unit
 
-val flush_rel : t -> rel:string -> unit
-(** Checkpoint path: write back the relation's dirty buffers and flush. *)
-
 val flush_all : t -> unit
 
 val dirty_count : t -> int

@@ -36,7 +36,6 @@ let open_db st =
   }
 
 let storage t = t.st
-let xid txn = txn.t_xid
 
 let tables t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.heaps [] |> List.sort compare

@@ -23,8 +23,6 @@ val with_txn : t -> (txn -> 'a) -> 'a
 (** Begin, run, commit; aborts (releasing row locks, leaving the
     transaction uncommitted in the clog) if the callback raises. *)
 
-val xid : txn -> int
-
 (** {2 Statements (inside a transaction)} *)
 
 val insert : t -> txn -> table:string -> key:string -> string -> unit

@@ -1,14 +1,12 @@
 (** The two-level LSM tree of the baseline RocksDB.
 
-    MemTable flushes produce overlapping L0 runs; when {!l0_trigger} runs
+    MemTable flushes produce overlapping L0 runs; when four runs
     accumulate, a background-style compaction merges every L0 run with the
     single sorted L1 run (newest shadows oldest, tombstones drop out). The
     extra IO compaction generates is the garbage-collection cost §2
     attributes to LSM designs. *)
 
 type t
-
-val l0_trigger : int
 
 val create : Msnap_fs.Fs.t -> name:string -> t
 

@@ -1,13 +1,11 @@
 (** Sorted string table files — RocksDB's on-disk run format.
 
     A file of sorted records with a sparse in-memory index (one entry per
-    {!index_stride} records). Point lookups binary-search the index and
+    64 records). Point lookups binary-search the index and
     read one segment; iteration streams segments sequentially. Values are
     stored with a tombstone tag so deletes shadow older runs. *)
 
 type t
-
-val index_stride : int
 
 val build :
   Msnap_fs.Fs.t -> name:string -> (string * string option) list -> t
@@ -15,7 +13,6 @@ val build :
 
 val name : t -> string
 val count : t -> int
-val min_key : t -> string
 val max_key : t -> string
 
 val get : t -> string -> string option option

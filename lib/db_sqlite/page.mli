@@ -18,7 +18,6 @@
 type kind = Leaf | Interior
 
 val size : int (* 4096 *)
-val header_size : int
 
 val init : Bytes.t -> kind -> unit
 val kind_of : Bytes.t -> kind
@@ -74,5 +73,4 @@ val move_cells : Bytes.t -> from:int -> Bytes.t -> unit
     truncates [src] to its first [from] cells. Cell bodies are copied
     byte for byte. *)
 
-val leaf_cell_size : key:string -> value:string -> int
 val interior_cell_size : key:string -> int

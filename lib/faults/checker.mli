@@ -35,21 +35,11 @@ type opts = {
 val default_opts : opts
 (** [{seeds = [1;2;3]; max_points = 600; sample_seed = 1; jobs = 0}] *)
 
-val record_run :
-  workload -> Msnap_blockdev.Record.t * History.t
-(** The recording pass alone (one [Sched.run]); exposed for tests. *)
-
 val points : boundaries:int -> opts:opts -> (int * int) list
 (** The crash points the checker will visit, canonical order:
     exhaustive cross product when it fits [max_points], else a seeded
     reservoir sample. *)
 
-val check_point :
-  workload -> Msnap_blockdev.Record.t -> History.t ->
-  prefix:int -> torn_seed:int -> failure option
-(** Check one crash point in its own simulation cell. *)
-
 val run : ?opts:opts -> workload -> report
 
-val pp_failure : string -> failure -> string
 val pp_report : report -> string

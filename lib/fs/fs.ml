@@ -109,7 +109,6 @@ type t = {
       (* staging for FFS journal records and commit records: real
          content, same write sizes as the zero-filled records had. Users
          write synchronously under [fsync_lock], so one buffer serves. *)
-  mutable s_disk_bytes : int;
   mutable s_rmw_reads : int;
 }
 
@@ -133,7 +132,6 @@ let mkfs dev ~kind =
     fsync_lock = Sync.Mutex.create ();
     scratch_zeros = Bytes.empty;
     scratch_journal = Bytes.empty;
-    s_disk_bytes = 0;
     s_rmw_reads = 0;
   }
 
@@ -169,20 +167,7 @@ let size _t f = f.f_size
 let resident_blocks _t f = Hashtbl.length f.f_cache
 let set_cache_capacity t n = t.capacity <- n
 
-let bytes_written_to_disk t = t.s_disk_bytes
 let rmw_reads t = t.s_rmw_reads
-
-(* --- device helpers --- *)
-
-let dev_write t ~off s =
-  t.s_disk_bytes <- t.s_disk_bytes + Slice.length s;
-  Device.write_slice t.dev ~off s
-
-let dev_writev t segs =
-  List.iter (fun (_, s) -> t.s_disk_bytes <- t.s_disk_bytes + Slice.length s) segs;
-  Device.writev t.dev segs
-
-let dev_read_into t ~off dst = Device.read_into t.dev ~off dst
 
 (* A scratch backing of at least [n] bytes: [b] itself, or a zeroed
    replacement. Growth is rare and happens only between commands (every
@@ -219,7 +204,7 @@ let journal_place t nbytes =
 (* ZFS intent log: content-free, as before. *)
 let journal_write t nbytes =
   let off, blocks = journal_place t nbytes in
-  dev_write t ~off (zero_slice t (blocks * dev_bs))
+  Device.write_slice t.dev ~off (zero_slice t (blocks * dev_bs))
 
 let journal_scratch t n =
   t.scratch_journal <- grow_scratch t.scratch_journal n;
@@ -274,7 +259,7 @@ let journal_entries t ~seq dirty =
         Wire.set_u64 buf (p + 16) ord
       end)
     dirty;
-  dev_write t ~off (Slice.make buf ~pos:0 ~len:(blocks * dev_bs))
+  Device.write_slice t.dev ~off (Slice.make buf ~pos:0 ~len:(blocks * dev_bs))
 
 (* The 512-byte commit record: transaction seq, file name, new size and
    the transaction's (fs-block -> device-block) mappings. A transaction
@@ -305,7 +290,7 @@ let journal_commit t ~seq f dirty =
   end;
   Wire.set_u64 buf commit_cksum_off
     (Wire.checksum buf ~pos:0 ~len:commit_cksum_off);
-  dev_write t ~off (Slice.make buf ~pos:0 ~len:512)
+  Device.write_slice t.dev ~off (Slice.make buf ~pos:0 ~len:512)
 
 (* --- buffer cache --- *)
 
@@ -359,7 +344,7 @@ let get_block t f idx ~need_old =
         (* The device read fills the whole block, so an uninitialized
            pooled buffer is as good as the fresh [Bytes.create] was. *)
         let data = Pool.alloc t.bs in
-        dev_read_into t ~off:(first * dev_bs) (Slice.of_bytes data);
+        Device.read_into t.dev ~off:(first * dev_bs) (Slice.of_bytes data);
         data
       | Some _ | None -> Pool.alloc_zeroed t.bs
     in
@@ -567,7 +552,7 @@ let fsync_ffs t f dirty =
         pin cb;
         ignore
           (Sched.spawn ~name:"ffs-write" (fun () ->
-               dev_write t ~off:(first * dev_bs) data;
+               Device.write_slice t.dev ~off:(first * dev_bs) data;
                Sync.Ivar.fill iv ();
                unpin cb));
         pending := iv :: !pending;
@@ -577,7 +562,7 @@ let fsync_ffs t f dirty =
     dirty;
   flush_pending ();
   (* Inode + block bitmap update, then the journal commit record. *)
-  dev_write t ~off:0 (zero_slice t dev_bs);
+  Device.write_slice t.dev ~off:0 (zero_slice t dev_bs);
   journal_commit t ~seq f dirty
 
 (* ZFS: intent log for small syncs, then COW data, indirect chain and
@@ -606,7 +591,7 @@ let fsync_zfs t f dirty =
         (first * dev_bs, Slice.make cb.cb_data ~pos:0 ~len:(max dev_bs len)))
       dirty
   in
-  dev_writev t segs;
+  Device.writev t.dev segs;
   List.iter (fun (_, cb) -> unpin cb) dirty;
   (* Indirect blocks: one per record (they are scattered for random
      updates), written COW as well, then the uberblock. *)
@@ -616,8 +601,8 @@ let fsync_zfs t f dirty =
   Balloc.free_now t.alloc f.f_ind_blocks;
   let ind = Balloc.alloc_run t.alloc nind in
   f.f_ind_blocks <- ind;
-  dev_writev t (List.map (fun b -> (b * dev_bs, zero_slice t dev_bs)) ind);
-  dev_write t ~off:(dev_bs / 2) (zero_slice t 512)
+  Device.writev t.dev (List.map (fun b -> (b * dev_bs, zero_slice t dev_bs)) ind);
+  Device.write_slice t.dev ~off:(dev_bs / 2) (zero_slice t 512)
 
 let fsync t f =
   let trace_t0 = if Trace.is_on () then Sched.now () else 0 in
@@ -658,12 +643,11 @@ let mmap t f aspace ~va ~len =
           else begin
             let cb = get_block t f (off / t.bs) ~need_old:true in
             let within = off mod t.bs in
-            (* Fill the frame here instead of handing Aspace a copy of
-               the cache block: the charge sequence (frame alloc, then a
-               page-sized memcpy) is exactly what Aspace performs for a
-               page of [`Bytes], without the staging copy, and doing the
-               blit under a pin keeps the buffer alive if the
-               alloc/memcpy charges yield into an eviction. *)
+            (* Fill the frame straight from the cache block (frame
+               alloc, then a page-sized memcpy charge), with no staging
+               copy. The blit runs under a pin, which keeps the buffer
+               alive if the alloc/memcpy charges yield into an
+               eviction. *)
             pin cb;
             Fun.protect
               ~finally:(fun () -> unpin cb)
@@ -829,9 +813,9 @@ let sync_meta t =
         end
         else dev_bs (* legacy-size monster snapshot: single slot *)
       in
-      (* [dev_write] commits before returning, so the staging buffer can
+      (* The write commits before returning, so the staging buffer can
          go straight back to the pool. *)
-      dev_write t ~off (Slice.of_bytes data))
+      Device.write_slice t.dev ~off (Slice.of_bytes data))
 
 (* --- mount / recovery (FFS) --- *)
 

@@ -107,7 +107,6 @@ val dispose : t -> unit
 
 (** {2 Statistics} *)
 
-val bytes_written_to_disk : t -> int
 val rmw_reads : t -> int
 (** Read-modify-write block reads triggered by sub-block writes. *)
 

@@ -14,9 +14,7 @@
 val block_size : int (* 4096 *)
 val sb_blocks : int (* 2 *)
 val first_data_block : int
-val ptr_size : int (* 8 *)
 val radix_fanout : int (* 512 *)
-val name_max : int (* 200 *)
 
 type superblock = {
   generation : int;

@@ -21,9 +21,6 @@ type node = Bytes.t
 val capacity : height:int -> int
 (** Data blocks addressable by a tree of the given height (height 0 = 0). *)
 
-val height_for : int -> int
-(** Minimal height whose capacity covers indexes [0 .. n-1]. *)
-
 type update_result = {
   new_root : int;
   new_height : int;

@@ -91,10 +91,8 @@ val free_blocks : t -> int
 
 val tag_page : string -> Bytes.t
 (** A fresh one-block page carrying a length-prefixed tag — what crash
-    workloads commit so {!page_tag} can identify the block's writer. *)
-
-val page_tag : Bytes.t -> string option
-(** [None] when the length prefix is out of range (garbage media). *)
+    workloads commit so the recovery check can identify the block's
+    writer. *)
 
 val recoverable :
   objects:string list -> blocks:int ->

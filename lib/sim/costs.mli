@@ -65,12 +65,9 @@ val page_copy : int
 val disk_base : int
 (** Per-command latency floor. *)
 
-val disk_per_byte_num : int
-val disk_per_byte_den : int
-(** Transfer time is [size * num / den] ns (~2.2 GiB/s per device). *)
-
 val disk_xfer : int -> int
-(** [disk_xfer n] transfer component for [n] bytes. *)
+(** [disk_xfer n] transfer component for [n] bytes: [n * 45 / 100] ns
+    (~2.2 GiB/s per device). *)
 
 val disk_channels : int
 (** Commands one device can service concurrently. *)

@@ -1,10 +1,11 @@
-(** Byte slices: a view [{buf; pos; len}] into a [Bytes.t], the currency
-    of the zero-copy data plane.
+(** Byte slices: an immutable view [{buf; pos; len}] into a [Bytes.t],
+    the currency of the zero-copy data plane.
 
     Every layer of the IO stack (block device, stripe, object store, file
     system) passes slices instead of copying payloads into staging
     buffers, so a page frame travels from the application to the disk
     medium with exactly one copy — the commit-time blit into the medium.
+    A slice owns nothing: writers change the bytes through [buf].
 
     {2 The ownership rule}
 
@@ -19,15 +20,12 @@
     file systems by keeping dirty cache blocks pinned until their
     writeback command completes.
 
-    Devices {!borrow} each slice at issue and {!release} it at
-    completion. When {!debug_checks} is on, mutating a borrowed slice
-    through this module raises {!Borrowed}, and the device additionally
-    verifies a content checksum at commit time, so a violation anywhere
-    (even via a raw alias of [buf]) is caught in tests. *)
+    One check enforces the rule: under {!debug_checks}, [Disk.writev]
+    records a {!checksum} of each segment at issue and re-verifies it at
+    commit and at a power-failure tear, so a mutation through any alias
+    of the backing buffer fails loudly in tests. *)
 
 type t
-
-exception Borrowed of string
 
 val make : Bytes.t -> pos:int -> len:int -> t
 (** View of [buf.[pos .. pos+len-1]]. Raises [Invalid_argument] when out
@@ -36,11 +34,6 @@ val make : Bytes.t -> pos:int -> len:int -> t
 val of_bytes : Bytes.t -> t
 (** Whole-buffer view; no copy. *)
 
-val of_string : string -> t
-(** Read-only view of a string; no copy. The slice aliases the string's
-    storage, so mutating operations on it are forbidden (enforced when
-    {!debug_checks} is on; undefined behaviour otherwise). *)
-
 val sub : t -> pos:int -> len:int -> t
 (** Sub-view, relative to the slice. No copy. *)
 
@@ -48,34 +41,17 @@ val buf : t -> Bytes.t
 val pos : t -> int
 val length : t -> int
 
-val to_string : t -> string
-
 val blit_to_bytes : t -> src_pos:int -> Bytes.t -> dst_pos:int -> len:int -> unit
-(** Copy out of the slice (always allowed — reads don't need ownership). *)
-
-val blit_from_bytes : Bytes.t -> src_pos:int -> t -> dst_pos:int -> len:int -> unit
-(** Copy into the slice. Checked mutation: raises {!Borrowed} when
-    {!debug_checks} is on and the slice is borrowed. *)
-
-val fill : t -> char -> unit
-(** Checked mutation (see {!blit_from_bytes}). *)
-
-(** {2 Borrow discipline} *)
+(** Copy out of the slice. *)
 
 val debug_checks : bool ref
-(** Default [false]. Turn on in tests: checked mutations of borrowed
-    slices raise, and devices verify content checksums at commit. *)
-
-val borrow : t -> unit
-(** Mark the slice lent out to an in-flight command. Cheap (one integer
-    increment); called by devices at issue. *)
-
-val release : t -> unit
-(** Return the borrow; called by devices at completion (or tear). *)
-
-val borrows : t -> int
+(** Default [false]; the test suites turn it on. The one switch for
+    every host-side integrity check of the simulator: [Disk]'s
+    per-segment checksums (the ownership rule above, plus poisoning of
+    disposed medium chunks), [Pool]'s poisoning of recycled buffers,
+    [Sched]'s poisoned wakers in place of its free list, and [Twheel]'s
+    audit of pop order. None of them changes a simulated value. *)
 
 val checksum : t -> int
-(** Content hash used by devices under {!debug_checks} to detect
-    ownership-rule violations that bypass this module. Host-only: never
-    feeds simulated state. *)
+(** Content hash of the viewed bytes, which devices take under
+    {!debug_checks}. Host-only: never feeds simulated state. *)

@@ -5,7 +5,6 @@ module Probe = Msnap_sim.Probe
 
 type frame_source =
   [ `Zero
-  | `Bytes of Bytes.t
   | `Page of Phys.page ]
 
 type pager = { page_in : int -> frame_source }
@@ -124,11 +123,6 @@ let page_in t m vpn =
   let page =
     match source with
     | `Zero -> Phys.alloc t.a_phys
-    | `Bytes b ->
-      let p = Phys.alloc t.a_phys in
-      Sched.cpu (Costs.memcpy (Bytes.length b));
-      Bytes.blit b 0 p.data 0 (min (Bytes.length b) Addr.page_size);
-      p
     | `Page p -> p
   in
   let loc = Ptable.walk t.pt vpn in

@@ -11,8 +11,9 @@ type t
 
 type frame_source =
   [ `Zero  (** anonymous zero-fill *)
-  | `Bytes of Bytes.t  (** initial contents (copied) *)
-  | `Page of Phys.page  (** map an existing frame (shared memory) *) ]
+  | `Page of Phys.page
+    (** map this frame: a pager that supplies contents allocates it
+        from {!phys} and fills it, charging the copy itself *) ]
 
 type pager = { page_in : int -> frame_source }
 (** [page_in rel_page] supplies the initial frame for page [rel_page] of

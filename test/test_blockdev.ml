@@ -852,6 +852,50 @@ let test_device_lent_buffer () =
   check "disk" (fun () -> Device.of_disk (mk_disk ()));
   check "stripe" (fun () -> Device.of_stripe (mk_stripe ()))
 
+(* The same contract on the member slices a stripe builds itself: one
+   command whose first two segments are adjacent on the device and in
+   the buffer, so [Stripe.coalesce] hands member 0 one merged slice,
+   and whose third crosses the 64 KiB stripe unit, so each member gets
+   a part of it. A byte mutated under any of them while the command is
+   in flight fails that member's commit-time checksum. *)
+let test_device_lent_buffer_stripe_segments () =
+  let unit = Size.kib 64 in
+  let segs b =
+    [ (0, Slice.make b ~pos:0 ~len:4096);
+      (4096, Slice.make b ~pos:4096 ~len:4096);
+      (unit - 4096, Slice.make b ~pos:8192 ~len:8192) ]
+  in
+  let mutated dev name at =
+    let b = Bytes.make 16384 'A' in
+    let violation = ref false in
+    let writer =
+      Sched.spawn (fun () ->
+          try Device.writev dev (segs b)
+          with Invalid_argument msg ->
+            violation := mentions msg "ownership violation")
+    in
+    Sched.delay 1;
+    Bytes.set b at 'Z';
+    Sched.join writer;
+    checkb (name ^ ": mutation in flight raises") true !violation
+  in
+  Testkit.in_dev ~mib:1
+    (fun dev ->
+      let b = Bytes.init 16384 (fun i -> Char.chr (65 + (i / 4096))) in
+      Device.writev dev (segs b);
+      let member i = Disk.stats (Device.disks dev).(i) in
+      checki "member 0: merged run and first part" 12288
+        (member 0).bytes_written;
+      checki "member 1: second part" 4096 (member 1).bytes_written;
+      check_bytes "unmutated command lands"
+        (Bytes.sub_string b 8192 8192)
+        (Bytes.to_string (Device.read dev ~off:(unit - 4096) ~len:8192));
+      mutated dev "coalesced run, first segment" 100;
+      mutated dev "coalesced run, second segment" 5000;
+      mutated dev "split segment, member 0 part" 9000;
+      mutated dev "split segment, member 1 part" 13000)
+    ()
+
 (* --- Balloc --- *)
 
 (* Two reserved blocks, as the object store's two superblock slots. *)
@@ -927,6 +971,8 @@ let () =
           tc "power failure through wrapper" test_device_power_failure;
           tc "barrier makes prior IO durable" test_device_barrier_orders;
           tc "lent buffer: one contract" test_device_lent_buffer;
+          tc "lent buffer: stripe member segments"
+            test_device_lent_buffer_stripe_segments;
           tc "member ops: size, stats, tear, reset" test_device_member_ops;
         ] );
       ( "alloc",

@@ -20,6 +20,9 @@ let in_sim f () = Sched.run f
 let mk_fs ?(kind = Fs.Ffs) ?(mib = 64) () =
   Fs.mkfs (Device.testbed ~mib) ~kind
 
+(* Bytes the device has committed, over its members. *)
+let disk_bytes dev = (Device.stats dev).Disk.bytes_written
+
 let test_write_read_roundtrip kind () =
   in_sim (fun () ->
       let fs = mk_fs ~kind () in
@@ -41,16 +44,17 @@ let test_holes_read_zero () =
 
 let test_fsync_persists_to_device kind () =
   in_sim (fun () ->
-      let fs = mk_fs ~kind () in
+      let dev = Device.testbed ~mib:64 in
+      let fs = Fs.mkfs dev ~kind in
       let f = Fs.open_file fs "durable" in
       Fs.write fs f ~off:0 (Bytes.make 8192 'D');
-      let before = Fs.bytes_written_to_disk fs in
+      let before = disk_bytes dev in
       Fs.fsync fs f;
-      checkb "io happened" true (Fs.bytes_written_to_disk fs > before);
+      checkb "io happened" true (disk_bytes dev > before);
       (* Clean after fsync: another fsync writes nothing. *)
-      let mid = Fs.bytes_written_to_disk fs in
+      let mid = disk_bytes dev in
       Fs.fsync fs f;
-      checki "no new data io" mid (Fs.bytes_written_to_disk fs))
+      checki "no new data io" mid (disk_bytes dev))
     ()
 
 let test_read_back_after_eviction () =
@@ -220,47 +224,50 @@ let test_mmap_read_write () =
 
 let test_msync_retracks () =
   in_sim (fun () ->
-      let fs = mk_fs () in
+      let dev = Device.testbed ~mib:64 in
+      let fs = Fs.mkfs dev ~kind:Fs.Ffs in
       let f = Fs.open_file fs "mapped" in
       let phys = Phys.create () in
       let a = Aspace.create phys in
       ignore (Fs.mmap fs f a ~va:0x7000_0000 ~len:(Size.kib 16));
       Aspace.write a ~va:0x7000_0000 (Bytes.of_string "one");
       Fs.msync fs f;
-      let io1 = Fs.bytes_written_to_disk fs in
+      let io1 = disk_bytes dev in
       (* Nothing dirty: msync writes nothing new. *)
       Fs.msync fs f;
-      checki "clean msync" io1 (Fs.bytes_written_to_disk fs);
+      checki "clean msync" io1 (disk_bytes dev);
       (* Dirty again after re-protection: tracked and flushed. *)
       Aspace.write a ~va:0x7000_0000 (Bytes.of_string "two");
       Fs.msync fs f;
-      checkb "re-tracked" true (Fs.bytes_written_to_disk fs > io1);
+      checkb "re-tracked" true (disk_bytes dev > io1);
       checks "content" "two" (Bytes.to_string (Fs.read fs f ~off:0 ~len:3)))
     ()
 
 let test_zfs_cow_allocates_fresh () =
   in_sim (fun () ->
-      let fs = mk_fs ~kind:Fs.Zfs () in
+      let dev = Device.testbed ~mib:64 in
+      let fs = Fs.mkfs dev ~kind:Fs.Zfs in
       let f = Fs.open_file fs "cow" in
       Fs.write fs f ~off:0 (Bytes.make 4096 'a');
       Fs.fsync fs f;
-      let w1 = Fs.bytes_written_to_disk fs in
+      let w1 = disk_bytes dev in
       Fs.write fs f ~off:0 (Bytes.make 4096 'b');
       Fs.fsync fs f;
       (* COW rewrites the record somewhere new; data still correct. *)
-      checkb "second sync wrote" true (Fs.bytes_written_to_disk fs > w1);
+      checkb "second sync wrote" true (disk_bytes dev > w1);
       checks "content" "b" (Bytes.to_string (Fs.read fs f ~off:0 ~len:1)))
     ()
 
 let test_sync_meta_writes () =
   in_sim (fun () ->
-      let fs = mk_fs () in
+      let dev = Device.testbed ~mib:64 in
+      let fs = Fs.mkfs dev ~kind:Fs.Ffs in
       let f = Fs.open_file fs "meta-test" in
       Fs.write fs f ~off:0 (Bytes.make 4096 'm');
       Fs.fsync fs f;
-      let before = Fs.bytes_written_to_disk fs in
+      let before = disk_bytes dev in
       Fs.sync_meta fs;
-      checkb "metadata flushed to device" true (Fs.bytes_written_to_disk fs > before))
+      checkb "metadata flushed to device" true (disk_bytes dev > before))
     ()
 
 (* The construction [sync_meta] used to size its snapshot IO (one
@@ -599,11 +606,11 @@ let prop_writev_split =
             Fs.set_cache_capacity fs cap;
             write fs f;
             let after_write = (Fs.size fs f, Fs.rmw_reads fs, Sched.now ()) in
-            let disk0 = Fs.bytes_written_to_disk fs in
+            let disk0 = disk_bytes dev in
             Fs.fsync fs f;
             ( Bytes.to_string (Fs.read fs f ~off:0 ~len:(Fs.size fs f)),
               after_write,
-              Fs.bytes_written_to_disk fs - disk0,
+              disk_bytes dev - disk0,
               Sched.now () ))
       in
       let slice_of lo hi =

@@ -557,7 +557,11 @@ let test_aspace_pager () =
   in_sim (fun () ->
       let _, a = mk_aspace () in
       let pager =
-        { Aspace.page_in = (fun rel -> `Bytes (Bytes.make 4096 (Char.chr (65 + rel)))) }
+        { Aspace.page_in =
+            (fun rel ->
+              let p = Phys.alloc (Aspace.phys a) in
+              Bytes.fill p.Phys.data 0 4096 (Char.chr (65 + rel));
+              `Page p) }
       in
       ignore (Aspace.map a ~name:"m" ~va:0x20000 ~len:(Size.kib 16) ~pager ());
       let b = Aspace.read a ~va:(0x20000 + 4096) ~len:4 in
