@@ -31,7 +31,6 @@ module Kernel = struct
     r_name : string;
     r_va : int;
     r_len : int;
-    mapping : Aspace.mapping;
     obj : Store.obj;
     (* Flat combining: one checkpoint runs at a time; callers that arrive
        meanwhile are satisfied by the next round. *)
@@ -154,16 +153,15 @@ module Region = struct
                 else `Zero))
       }
     in
-    let mapping =
-      Aspace.map k.aspace ~name:("aurora:" ^ name) ~va ~len ~writable:true
-        ~new_pages_writable:false ~pager ()
-    in
     let r =
-      { k; r_name = name; r_va = va; r_len = len; mapping; obj; waiters = [];
+      { k; r_name = name; r_va = va; r_len = len; obj; waiters = [];
         ckpt_running = false; cow_copies = []; breakdown = None;
         dirty_slots = Array.make Addr.fanout 0 }
     in
-    Aspace.set_write_fault_handler mapping (Some (on_write_fault r));
+    ignore
+      (Aspace.map k.aspace ~name:("aurora:" ^ name) ~va ~len ~writable:true
+         ~new_pages_writable:false ~pager ~on_write_fault:(on_write_fault r)
+         ());
     k.regions <- r :: k.regions;
     r
 

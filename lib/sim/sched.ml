@@ -1,4 +1,4 @@
-module Twheel = Msnap_util.Twheel
+module Minheap = Msnap_util.Minheap
 
 (* Waker life cycle. A waker is acquired from the engine free list when
    a thread parks (Suspend) or sleeps (Delay), carries the parked
@@ -53,7 +53,7 @@ and waker = {
 
 and engine = {
   mutable clock : int;
-  runq : (unit -> unit) Twheel.t;
+  runq : (unit -> unit) Minheap.t;
   mutable live : int;
   mutable cur : thread; (* [t_none] when the scheduler itself runs *)
   t_none : thread;
@@ -85,7 +85,7 @@ let dummy_k : (unit, unit) Effect.Deep.continuation = Obj.magic 0
    stacks. Shared across engines and domains, so its fields are NEVER
    written — every list operation checks for it by physical equality
    before touching links. *)
-let nil_runq : (unit -> unit) Twheel.t = Twheel.create ~initial:2 ()
+let nil_runq : (unit -> unit) Minheap.t = Minheap.create ~initial:2 ()
 
 let rec nil_thread =
   { id = -1; tname = "scheduler"; spawned = 0; finished = true;
@@ -160,7 +160,7 @@ let self () =
 let tid_int t = t.id
 let name t = t.tname
 
-let schedule e ~at action = Twheel.push e.runq ~prio:at action
+let schedule e ~at action = Minheap.push e.runq ~prio:at action
 
 (* --- waker pool --- *)
 
@@ -331,16 +331,16 @@ let start_thread e t body =
 
 let suspend f = Effect.perform (Suspend f)
 
-(* Fast path: when the wheel holds nothing scheduled at or before the
-   target time, performing the Delay effect would park our continuation
-   and immediately pop it back (the tie-break seq ordering guarantees we
-   run before anything later queued at the same instant), so advancing
-   the clock inline is semantically identical and skips the continuation
-   capture plus two wheel operations. [Twheel.min_prio] is a pure O(1)
-   cached-minimum read, so this probe costs what the heap's peek did. *)
+(* Fast path: when the run queue holds nothing scheduled at or before
+   the target time, performing the Delay effect would park our
+   continuation and immediately pop it back (the tie-break seq ordering
+   guarantees we run before anything later queued at the same instant),
+   so advancing the clock inline is semantically identical and skips the
+   continuation capture plus a push and a pop. [Minheap.min_prio] is an
+   O(1) read of the heap's root. *)
 let advance e ns =
   let target = e.clock + ns in
-  let p = Twheel.min_prio e.runq in
+  let p = Minheap.min_prio e.runq in
   if p >= 0 && p <= target then Effect.perform (Delay ns)
   else e.clock <- target
 
@@ -417,7 +417,7 @@ let run main =
     { id = -1; tname = "scheduler"; spawned = 0; finished = true;
       joiners = nil_waker; acct = 0 }
   in
-  let runq = Twheel.create () in
+  let runq = Minheap.create () in
   let buckets = Array.make Probe.Bucket.count 0 in
   let rec e =
     { clock = 0; runq; live = 0; cur = t_none; t_none; next_tid = 0;
@@ -464,12 +464,12 @@ let run main =
   let rec loop () =
     if e.failure <> None then ()
     else begin
-      let at = Twheel.min_prio e.runq in
+      let at = Minheap.min_prio e.runq in
       if at < 0 then begin if e.live > 0 then deadlock () end
       else begin
         if at > e.clock then e.clock <- at;
         e.ev <- e.ev + 1;
-        (Twheel.pop_min e.runq) ();
+        (Minheap.pop_min e.runq) ();
         loop ()
       end
     end

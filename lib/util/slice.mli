@@ -49,7 +49,7 @@ val debug_checks : bool ref
     every host-side integrity check of the simulator: [Disk]'s
     per-segment checksums (the ownership rule above, plus poisoning of
     disposed medium chunks), [Pool]'s poisoning of recycled buffers,
-    [Sched]'s poisoned wakers in place of its free list, and [Twheel]'s
+    [Sched]'s poisoned wakers in place of its free list, and [Minheap]'s
     audit of pop order. None of them changes a simulated value. *)
 
 val checksum : t -> int

@@ -16,7 +16,7 @@ type mapping = {
   m_writable : bool;
   new_pages_writable : bool;
   pager : pager option;
-  mutable on_write_fault : (fault -> unit) option;
+  on_write_fault : (fault -> unit) option;
 }
 
 and fault = {
@@ -73,8 +73,6 @@ let map t ~name ~va ~len ?(writable = true) ?(new_pages_writable = true) ?pager
   Array.sort (fun a b -> compare a.start_vpn b.start_vpn) ms;
   t.mappings <- ms;
   m
-
-let set_write_fault_handler m h = m.on_write_fault <- h
 
 let mapping_len m = m.npages * Addr.page_size
 let mapping_of_fault_rel_page f = f.f_vpn - f.f_mapping.start_vpn

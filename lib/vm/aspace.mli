@@ -53,13 +53,14 @@ val map :
 (** Install a mapping of [len] bytes at page-aligned [va].
     [new_pages_writable = false] (MemSnap's configuration) makes freshly
     paged-in PTEs read-only so the first store takes a tracking fault.
-    Raises [Invalid_argument] on overlap or misalignment. *)
+    [on_write_fault], fixed for the mapping's life, handles a store to a
+    read-only PTE and must leave it writable; without one the PTE is
+    simply made writable. Raises [Invalid_argument] on overlap or
+    misalignment. *)
 
 val unmap : t -> mapping -> unit
 (** Remove the mapping, dropping PTEs and freeing frames whose last
     reference this was. *)
-
-val set_write_fault_handler : mapping -> (fault -> unit) option -> unit
 
 val mapping_len : mapping -> int
 val mapping_of_fault_rel_page : fault -> int

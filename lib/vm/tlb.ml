@@ -70,13 +70,6 @@ let update t vpn payload =
   let s = Itab.slot t.tab vpn in
   if s >= 0 then Itab.set_slot t.tab s payload
 
-let access t vpn =
-  if probe t vpn then true
-  else begin
-    insert t vpn t.absent;
-    false
-  end
-
 let invalidate_page t vpn = Itab.remove t.tab vpn
 
 (* Every cached vpn has a ring entry (an insert of an absent vpn pushes

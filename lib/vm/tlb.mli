@@ -43,12 +43,6 @@ val update : 'a t -> int -> 'a -> unit
 (** [update t vpn payload] replaces the payload iff [vpn] is still
     cached; a no-op otherwise. No eviction, no hit/miss accounting. *)
 
-val access : 'a t -> int -> bool
-(** [access t vpn] returns [true] on hit; on miss, inserts the entry
-    with the [absent] payload (evicting FIFO) and returns [false].
-    Convenience for payload-free TLBs; equivalent to {!probe} followed
-    by {!insert} on miss. *)
-
 val invalidate_page : 'a t -> int -> unit
 val flush : 'a t -> unit
 

@@ -1,7 +1,9 @@
-(* Binary min-heap over (prio, seq): the scheduler's original run queue.
-   It lives with the tests as the reference for the timing wheel that
-   replaced it (Msnap_util.Twheel): the differential suite in
-   test_util.ml pins the wheel to this heap pop for pop. *)
+(* Binary min-heap over boxed (prio, seq, value) entries: the
+   scheduler's original run queue, kept deliberately plain. It lives
+   with the tests as the reference for the run queue in use
+   (Msnap_util.Minheap, the same order over flat columns): the
+   differential suite in test_util.ml pins it to this heap pop for
+   pop. *)
 
 type 'a entry = { prio : int; seq : int; value : 'a }
 

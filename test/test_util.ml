@@ -1226,46 +1226,59 @@ let prop_tp_model =
           rs = List.map (fun x -> (x, chew x)) xs
           && Atomic.get ran = List.length xs))
 
-(* --- Twheel (vs the reference heap) --- *)
+(* --- Minheap (vs the reference heap) --- *)
 
-module Twheel = Msnap_util.Twheel
+module Minheap = Msnap_util.Minheap
 
 (* Equal priorities pop in push order, including across an interleaved
-   pop that advances the wheel's "now" between the pushes. *)
-let test_twheel_fifo_ties () =
-  let tw = Twheel.create ~initial:2 () in
-  Twheel.push tw ~prio:10 "a";
-  Twheel.push tw ~prio:10 "b";
-  Twheel.push tw ~prio:5 "x";
-  check Alcotest.string "lowest first" "x" (Twheel.pop_min tw);
-  Twheel.push tw ~prio:10 "c";
-  Twheel.push tw ~prio:7 "y";
-  check Alcotest.string "y" "y" (Twheel.pop_min tw);
-  check Alcotest.string "a" "a" (Twheel.pop_min tw);
-  check Alcotest.string "b" "b" (Twheel.pop_min tw);
-  check Alcotest.string "c" "c" (Twheel.pop_min tw);
-  checkb "empty" true (Twheel.is_empty tw);
-  checki "empty min" (-1) (Twheel.min_prio tw)
+   pop between the pushes. *)
+let test_minheap_fifo_ties () =
+  let h = Minheap.create ~initial:2 () in
+  Minheap.push h ~prio:10 "a";
+  Minheap.push h ~prio:10 "b";
+  Minheap.push h ~prio:5 "x";
+  check Alcotest.string "lowest first" "x" (Minheap.pop_min h);
+  Minheap.push h ~prio:10 "c";
+  Minheap.push h ~prio:7 "y";
+  check Alcotest.string "y" "y" (Minheap.pop_min h);
+  check Alcotest.string "a" "a" (Minheap.pop_min h);
+  check Alcotest.string "b" "b" (Minheap.pop_min h);
+  check Alcotest.string "c" "c" (Minheap.pop_min h);
+  checkb "empty" true (Minheap.is_empty h);
+  checki "empty min" (-1) (Minheap.min_prio h)
 
-(* Far-apart priorities exercise the upper levels and the cascade. *)
-let test_twheel_levels () =
-  let tw = Twheel.create () in
-  let prios = [ 0; 1; 31; 32; 1_000; 32_768; 1_000_000; 1_073_741_824 ] in
-  List.iteri (fun i p -> Twheel.push tw ~prio:p i) prios;
-  List.iteri
-    (fun i p ->
-      checki "min tracks" p (Twheel.min_prio tw);
-      checki "pop order" i (Twheel.pop_min tw))
-    prios
+(* The queue is monotone: a push below the last popped priority, or
+   below zero, is refused and leaves the heap as it was; popping an
+   empty heap is refused too. *)
+let test_minheap_monotone () =
+  let h = Minheap.create () in
+  let refused f =
+    match f () with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  checkb "negative prio refused" true
+    (refused (fun () -> Minheap.push h ~prio:(-1) 0));
+  Minheap.push h ~prio:10 1;
+  Minheap.push h ~prio:20 2;
+  checki "pop" 1 (Minheap.pop_min h);
+  checkb "below the last pop refused" true
+    (refused (fun () -> Minheap.push h ~prio:9 3));
+  Minheap.push h ~prio:10 4;
+  checki "length" 2 (Minheap.length h);
+  checki "equal to the last pop accepted" 4 (Minheap.pop_min h);
+  checki "then the rest" 2 (Minheap.pop_min h);
+  checkb "empty pop refused" true
+    (refused (fun () -> ignore (Minheap.pop_min h)))
 
-(* Differential property: drive the wheel and the reference heap with an
+(* Differential property: drive the heap and the reference heap with an
    identical monotone op sequence — pushes at now + delta (frequent
-   delta 0 bursts for the equal-priority tie-break, occasional huge
-   deltas for multi-level cascades), pops that advance "now" — and
-   require the same value pop for pop and the same min_prio at every
-   step. The wheel's internal (prio, seq) order audit is armed
+   delta 0 bursts for the equal-priority tie-break, nearby deltas, and
+   far-apart priorities up to 2^40 ahead), pops that advance "now" —
+   and require the same value pop for pop and the same min_prio at
+   every step. The heap's internal (prio, seq) order audit is armed
    throughout. *)
-let prop_twheel_differential =
+let prop_minheap_differential =
   let open QCheck in
   let op =
     Gen.(
@@ -1274,11 +1287,11 @@ let prop_twheel_differential =
           (3, pair (return 0) (return 0)); (* pop *)
           (3, pair (return 1) (return 0)); (* push, same prio as "now" *)
           (4, pair (return 2) (int_range 0 200)); (* push, nearby *)
-          (1, pair (return 3) (int_range 0 2_000)); (* push, far: levels *)
+          (1, pair (return 3) (int_range 0 40)); (* push, far: 2^delta *)
         ])
   in
   QCheck.Test.make ~count:500
-    ~name:"twheel matches the reference heap pop for pop"
+    ~name:"minheap matches the reference heap pop for pop"
     (make Gen.(list_size (int_range 0 400) op))
     (fun ops ->
       let saved = !Msnap_util.Slice.debug_checks in
@@ -1286,28 +1299,27 @@ let prop_twheel_differential =
       Fun.protect
         ~finally:(fun () -> Msnap_util.Slice.debug_checks := saved)
         (fun () ->
-          let tw = Twheel.create ~initial:2 () in
+          let h = Minheap.create ~initial:2 () in
           let pq = Pq.create () in
           let now = ref 0 in
           let next = ref 0 in
           let mins_agree () =
-            Twheel.min_prio tw
+            Minheap.min_prio h
             = (match Pq.min_prio pq with Some p -> p | None -> -1)
           in
           let step (kind, delta) =
             if kind = 0 then
-              if Pq.is_empty pq then Twheel.is_empty tw
+              if Pq.is_empty pq then Minheap.is_empty h
               else begin
-                now := Twheel.min_prio tw;
-                let v = Twheel.pop_min tw in
+                now := Minheap.min_prio h;
+                let v = Minheap.pop_min h in
                 Some v = Pq.pop pq && mins_agree ()
               end
             else begin
-              (* kind 3 spreads pushes across wheel levels *)
-              let prio = !now + (if kind = 3 then delta * 524_287 else delta) in
+              let prio = !now + (if kind = 3 then 1 lsl delta else delta) in
               let v = !next in
               incr next;
-              Twheel.push tw ~prio v;
+              Minheap.push h ~prio v;
               Pq.push pq ~prio v;
               mins_agree ()
             end
@@ -1316,9 +1328,9 @@ let prop_twheel_differential =
           &&
           (* drain: every remaining entry in identical order *)
           let rec drain () =
-            if Pq.is_empty pq then Twheel.is_empty tw
+            if Pq.is_empty pq then Minheap.is_empty h
             else
-              Some (Twheel.pop_min tw) = Pq.pop pq
+              Some (Minheap.pop_min h) = Pq.pop pq
               && mins_agree () && drain ()
           in
           drain ()))
@@ -1430,12 +1442,12 @@ let () =
           tc "fork/join nesting" test_tp_nested;
           QCheck_alcotest.to_alcotest prop_tp_model;
         ] );
-      ( "twheel",
+      ( "minheap",
         [
           tc "equal-priority FIFO across interleaved pops"
-            test_twheel_fifo_ties;
-          tc "multi-level cascade order" test_twheel_levels;
-          QCheck_alcotest.to_alcotest prop_twheel_differential;
+            test_minheap_fifo_ties;
+          tc "push below the last pop is refused" test_minheap_monotone;
+          QCheck_alcotest.to_alcotest prop_minheap_differential;
         ] );
       ( "tbl",
         [

@@ -346,13 +346,18 @@ let test_phys_rmap () =
 
 (* --- Tlb --- *)
 
+(* Probe, and insert [payload] on a miss as the access path does; true
+   on a hit. *)
+let touch tlb vpn payload =
+  Tlb.probe tlb vpn || (Tlb.insert tlb vpn payload; false)
+
 let test_tlb_hit_miss () =
   in_sim (fun () ->
       let tlb = Tlb.create ~entries:4 ~absent:() () in
-      checkb "first access misses" false (Tlb.access tlb 1);
-      checkb "second hits" true (Tlb.access tlb 1);
+      checkb "first access misses" false (touch tlb 1 ());
+      checkb "second hits" true (touch tlb 1 ());
       Tlb.invalidate_page tlb 1;
-      checkb "after invalidate" false (Tlb.access tlb 1);
+      checkb "after invalidate" false (touch tlb 1 ());
       checki "misses" 2 (Tlb.misses tlb);
       checki "hits" 1 (Tlb.hits tlb))
     ()
@@ -360,25 +365,25 @@ let test_tlb_hit_miss () =
 let test_tlb_eviction () =
   in_sim (fun () ->
       let tlb = Tlb.create ~entries:2 ~absent:() () in
-      ignore (Tlb.access tlb 1);
-      ignore (Tlb.access tlb 2);
-      ignore (Tlb.access tlb 3); (* evicts 1 (FIFO) *)
-      checkb "1 evicted" false (Tlb.access tlb 1))
+      ignore (touch tlb 1 ());
+      ignore (touch tlb 2 ());
+      ignore (touch tlb 3 ()); (* evicts 1 (FIFO) *)
+      checkb "1 evicted" false (touch tlb 1 ()))
     ()
 
 let test_tlb_shootdown_cost () =
   in_sim (fun () ->
       let tlb = Tlb.create ~absent:() () in
-      ignore (Tlb.access tlb 5);
+      ignore (touch tlb 5 ());
       let t0 = Sched.now () in
       Tlb.shootdown tlb [ 5 ];
       checkb "selective cost charged" true (Sched.now () - t0 > 0);
-      checkb "invalidated" false (Tlb.access tlb 5);
+      checkb "invalidated" false (touch tlb 5 ());
       (* Above the threshold: full flush. *)
       let many = List.init 200 Fun.id in
-      List.iter (fun v -> ignore (Tlb.access tlb v)) many;
+      List.iter (fun v -> ignore (touch tlb v ())) many;
       Tlb.shootdown tlb many;
-      checkb "flushed" false (Tlb.access tlb 100))
+      checkb "flushed" false (touch tlb 100 ()))
     ()
 
 (* Reference TLB: the previous Hashtbl + Queue implementation, re-stated
@@ -425,13 +430,6 @@ module Tlb_ref = struct
   let update t vpn payload =
     if Hashtbl.mem t.tab vpn then Hashtbl.replace t.tab vpn payload
 
-  let access t vpn =
-    if probe t vpn then true
-    else begin
-      insert t vpn t.absent;
-      false
-    end
-
   let invalidate_page t vpn = Hashtbl.remove t.tab vpn
 
   let flush t =
@@ -467,13 +465,13 @@ let prop_tlb_model =
           let kind = if kind < flush_pct then 17 else kind mod 17 in
           let step_ok =
             match kind with
-            | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 ->
+            | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 | 11 | 12 ->
+              (* kinds 8-12 insert the [absent] payload *)
+              let payload = if kind < 8 then payload else -1 in
               let h = Tlb.probe tlb vpn and h' = Tlb_ref.probe m vpn in
               if not h then Tlb.insert tlb vpn payload;
               if not h' then Tlb_ref.insert m vpn payload;
               h = h' && Tlb.hit_payload tlb = Tlb_ref.hit_payload m
-            | 8 | 9 | 10 | 11 | 12 ->
-              Tlb.access tlb vpn = Tlb_ref.access m vpn
             | 13 | 14 ->
               Tlb.invalidate_page tlb vpn;
               Tlb_ref.invalidate_page m vpn;
@@ -501,7 +499,7 @@ let prop_tlb_model =
    eviction after it starts from the first page inserted after it. *)
 let test_tlb_flush () =
   let tlb = Tlb.create ~entries:16 ~absent:() () in
-  let fill vpns = List.iter (fun v -> ignore (Tlb.access tlb v)) vpns in
+  let fill vpns = List.iter (fun v -> ignore (touch tlb v ())) vpns in
   (* Short ring: 3 live pages, a stale entry for 2 and a duplicate of 1. *)
   fill [ 1; 2; 3 ];
   Tlb.invalidate_page tlb 2;
