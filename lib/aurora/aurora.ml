@@ -34,8 +34,7 @@ module Kernel = struct
     obj : Store.obj;
     (* Flat combining: one checkpoint runs at a time; callers that arrive
        meanwhile are satisfied by the next round. *)
-    mutable waiters : unit Sync.Ivar.t list;
-    mutable ckpt_running : bool;
+    checkpoints : unit Sync.Group.t;
     mutable cow_copies : Phys.page list;
         (* Frames that COW faults left unmapped during the flight, dirty
            snapshot frames and clean ones alike. A dirty one may still be
@@ -154,8 +153,8 @@ module Region = struct
       }
     in
     let r =
-      { k; r_name = name; r_va = va; r_len = len; obj; waiters = [];
-        ckpt_running = false; cow_copies = []; breakdown = None;
+      { k; r_name = name; r_va = va; r_len = len; obj;
+        checkpoints = Sync.Group.create (); cow_copies = []; breakdown = None;
         dirty_slots = Array.make Addr.fanout 0 }
     in
     ignore
@@ -280,21 +279,8 @@ module Region = struct
 
   let checkpoint r =
     let iv = Sync.Ivar.create () in
-    r.waiters <- iv :: r.waiters;
-    if not r.ckpt_running then begin
-      r.ckpt_running <- true;
-      let rec rounds () =
-        match r.waiters with
-        | [] -> r.ckpt_running <- false
-        | ws ->
-          r.waiters <- [];
-          run_checkpoint r;
-          List.iter (fun w -> Sync.Ivar.fill w ()) (List.rev ws);
-          rounds ()
-      in
-      rounds ()
-    end;
-    Sync.Ivar.read iv
+    Sync.Group.submit r.checkpoints ~round:(fun _ -> run_checkpoint r) () iv;
+    Sync.await iv
 
   let last_breakdown r =
     Option.map

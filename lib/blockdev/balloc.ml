@@ -42,7 +42,6 @@ let mark_allocated t i =
   end
 
 let free_blocks t = t.nfree
-let total_blocks t = t.total
 
 (* Find [n] contiguous free blocks in [from, limit); None if no run. *)
 let find_run t ~from ~limit n =

@@ -28,4 +28,3 @@ val mark_allocated : t -> int -> unit
 
 val is_allocated : t -> int -> bool
 val free_blocks : t -> int
-val total_blocks : t -> int

@@ -1,4 +1,3 @@
-module Sched = Msnap_sim.Sched
 module Sync = Msnap_sim.Sync
 module Size = Msnap_util.Size
 module Slice = Msnap_util.Slice
@@ -42,23 +41,14 @@ let check_range t off len =
       (Printf.sprintf "Stripe: IO out of range (off=%d len=%d size=%d)" off len
          (size t))
 
-(* Run one job per device concurrently; propagate the first failure. *)
+(* Run one job per device concurrently; wait for all of them, then
+   raise the first failure in member order. *)
 let fanout t per_dev jobs =
   let launch (dev, job) =
     if job = [] then None
-    else begin
-      let iv = Sync.Ivar.create () in
-      let run () =
-        let r = try Ok (per_dev t.disks.(dev) job) with e -> Error e in
-        Sync.Ivar.fill iv r
-      in
-      ignore (Sched.spawn ~name:"stripe-io" run);
-      Some iv
-    end
+    else Some (Sync.fork ~name:"stripe-io" (fun () -> per_dev t.disks.(dev) job))
   in
-  let ivs = List.filter_map launch jobs in
-  let results = List.map Sync.Ivar.read ivs in
-  List.iter (function Error e -> raise e | Ok () -> ()) results
+  Sync.await_all (List.filter_map launch jobs)
 
 (* Write coalescing: collapse consecutive per-member segments that are
    both device-offset-adjacent and contiguous in the same backing buffer

@@ -41,7 +41,7 @@ and region = {
   frames : Phys.page array array;
       (* rel page -> shared frame; null_page = none. Two levels of
          512-slot leaves (see [frame]/[set_frame]). *)
-  populating : Phys.page Sync.Ivar.t Itab.t;
+  populating : Phys.page Sync.cell Itab.t;
       (* busy-page lock, keyed by rel page while a page-in is in flight:
          concurrent faults on the same missing page wait for the first to
          materialize the frame *)
@@ -94,7 +94,7 @@ let set_frame r rel p =
   r.frames.(i).(rel land leaf_mask) <- p
 
 (* [populating]'s miss sentinel: never filled, never read. *)
-let no_page_in : Phys.page Sync.Ivar.t = Sync.Ivar.create ()
+let no_page_in : Phys.page Sync.cell = Sync.Ivar.create ()
 
 let dset_create () =
   { d_vpn = [||]; d_rel = [||]; d_page = [||]; d_reg = [||]; d_len = 0 }
@@ -258,20 +258,25 @@ let region_pager t r =
         if not (Phys.is_null p) then `Page p
         else
           let iv = Itab.find r.populating rel in
-          if iv != no_page_in then `Page (Sync.Ivar.read iv)
+          if iv != no_page_in then `Page (Sync.await iv)
           else begin
             let iv = Sync.Ivar.create () in
             Itab.set r.populating rel iv;
             let p = Phys.alloc (kernel_phys t) in
             (* Read the block straight into the frame; the memcpy charge
                models the kernel copying from the IO buffer into the
-               page, exactly as the staged read did. *)
-            if Store.read_block_into t.store r.r_obj rel p.Phys.data then
-              Sched.cpu (Costs.memcpy Addr.page_size);
-            set_frame r rel p;
+               page, exactly as the staged read did. A failed read
+               reaches every thread waiting on [iv]. *)
+            (match Store.read_block_into t.store r.r_obj rel p.Phys.data with
+            | hit ->
+              if hit then Sched.cpu (Costs.memcpy Addr.page_size);
+              set_frame r rel p;
+              Sync.Ivar.fill iv (Ok p)
+            | exception exn ->
+              Phys.free (kernel_phys t) p;
+              Sync.Ivar.fill iv (Error exn));
             Itab.remove r.populating rel;
-            Sync.Ivar.fill iv p;
-            `Page p
+            `Page (Sync.await iv)
           end)
   }
 
@@ -546,7 +551,7 @@ let persist t ?region ?(mode = `Sync) ?(scope = `Thread) () =
       let finish () =
         List.iter
           (fun (r, ep, ticket, idxs, flow) ->
-            (match Store.wait ticket with
+            (match Sync.await ticket with
             | () -> Hashtbl.remove r.tickets ep
             | exception exn ->
               (* Keep the ticket so msnap_wait observes the failure.
@@ -594,7 +599,7 @@ let wait t r epoch =
       in
       match best with
       | Some (_, ticket) ->
-        Store.wait ticket;
+        Sync.await ticket;
         loop ()
       | None ->
         invalid_arg

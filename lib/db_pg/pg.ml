@@ -37,9 +37,6 @@ let open_db st =
 
 let storage t = t.st
 
-let tables t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.heaps [] |> List.sort compare
-
 let heap t table =
   match Hashtbl.find_opt t.heaps table with
   | Some h -> h

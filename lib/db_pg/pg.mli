@@ -34,4 +34,3 @@ val update : t -> txn -> table:string -> key:string -> string -> bool
 val update_with : t -> txn -> table:string -> key:string -> (string -> string) -> bool
 (** Read-modify-write under the row lock. *)
 
-val tables : t -> string list

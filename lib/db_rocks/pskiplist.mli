@@ -49,4 +49,3 @@ val delete : t -> string -> bool
 val iter_from : t -> string -> (string -> string -> bool) -> unit
 val count : t -> int
 
-val max_pair_size : int

@@ -45,8 +45,7 @@ type baseline_state = {
   mutable n_flushes : int;
   (* RocksDB-style write groups: concurrent committers queue and a leader
      performs one WAL append + fsync for the whole group. *)
-  mutable wg_queue : ((string * string) list * unit Sync.Ivar.t) list;
-  mutable wg_leader_active : bool;
+  write_group : (string * string) list Sync.Group.t;
 }
 
 type state =
@@ -91,8 +90,7 @@ let open_state ~recovering ?(config = default_config) backend ~name =
         lock = Sync.Mutex.create ();
         flush_bytes = config.memtable_flush_bytes;
         n_flushes = 0;
-        wg_queue = [];
-        wg_leader_active = false;
+        write_group = Sync.Group.create ();
       }
   | Memsnap k ->
     let md =
@@ -155,32 +153,21 @@ let maybe_flush b =
     b.wal_size <- 0
   end
 
-(* Write-group commit: enqueue; the first arrival leads, draining the
-   queue with one WAL append + fsync per round. *)
-let rec wg_drain b =
-  match b.wg_queue with
-  | [] -> b.wg_leader_active <- false
-  | batch ->
-    b.wg_queue <- [];
-    let batch = List.rev batch in
-    let records = List.concat_map (fun (pairs, _) -> pairs) batch in
-    Sync.Mutex.with_lock b.lock (fun () ->
-        wal_append b records;
-        List.iter
-          (fun (k, v) -> Skiplist.insert b.memtable ~key:k ~value:v)
-          records;
-        maybe_flush b);
-    List.iter (fun (_, iv) -> Sync.Ivar.fill iv ()) batch;
-    wg_drain b
+(* One write-group round: one WAL append + fsync for every put queued
+   since the last round, in arrival order. *)
+let write_group_round b batch =
+  let records = List.concat batch in
+  Sync.Mutex.with_lock b.lock (fun () ->
+      wal_append b records;
+      List.iter
+        (fun (k, v) -> Skiplist.insert b.memtable ~key:k ~value:v)
+        records;
+      maybe_flush b)
 
 let baseline_put_tagged b tagged_pairs =
   let iv = Sync.Ivar.create () in
-  b.wg_queue <- (tagged_pairs, iv) :: b.wg_queue;
-  if not b.wg_leader_active then begin
-    b.wg_leader_active <- true;
-    wg_drain b
-  end;
-  Sync.Ivar.read iv
+  Sync.Group.submit b.write_group ~round:(write_group_round b) tagged_pairs iv;
+  Sync.await iv
 
 let baseline_put_batch b pairs =
   baseline_put_tagged b (List.map (fun (k, v) -> (k, enc_value v)) pairs)

@@ -66,7 +66,6 @@ let build fs ~name pairs =
 
 let name t = t.sst_name
 let count t = t.sst_count
-let max_key t = t.sst_max
 
 let decode_segment seg =
   let pos = ref 0 in

@@ -13,7 +13,6 @@ val build :
 
 val name : t -> string
 val count : t -> int
-val max_key : t -> string
 
 val get : t -> string -> string option option
 (** [None] = key absent here; [Some None] = tombstone; [Some (Some v)]. *)

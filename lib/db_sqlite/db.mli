@@ -30,7 +30,6 @@ val table : t -> string -> table option
 val put : table -> key:string -> value:string -> unit
 val get : table -> string -> string option
 val delete : table -> string -> bool
-val iter_range : table -> ?lo:string -> ?hi:string -> (string -> string -> unit) -> unit
 val count : table -> int
 
 val key_of_int : int -> string

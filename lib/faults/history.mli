@@ -33,7 +33,6 @@ val step :
   state:(string * string) list -> unit
 (** Record one acked operation and the full expected state after it. *)
 
-val steps : t -> step array
 val nsteps : t -> int
 val ready : t -> int
 

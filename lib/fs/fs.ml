@@ -532,9 +532,9 @@ let fsync_ffs t f dirty =
   journal_entries t ~seq dirty;
   (* Soft-updates dependency ordering allows only shallow overlap. *)
   let qd = 2 in
-  let pending = ref [] in
+  let pending = ref [] in (* newest first, as it is awaited *)
   let flush_pending () =
-    List.iter Sync.Ivar.read !pending;
+    Sync.await_all !pending;
     pending := []
   in
   List.iter
@@ -542,7 +542,6 @@ let fsync_ffs t f dirty =
       let first = ensure_allocated t f idx in
       let len = used_len t f idx in
       if len > 0 then begin
-        let iv = Sync.Ivar.create () in
         (* Slice over the cache block itself: dirty blocks stay in the
            cache, and writeback completes before fsync returns, so the
            ownership rule holds without a staging copy. Marking the block
@@ -550,12 +549,14 @@ let fsync_ffs t f dirty =
            pins the buffer until the device is done with it. *)
         let data = Slice.make cb.cb_data ~pos:0 ~len in
         pin cb;
-        ignore
-          (Sched.spawn ~name:"ffs-write" (fun () ->
-               Device.write_slice t.dev ~off:(first * dev_bs) data;
-               Sync.Ivar.fill iv ();
-               unpin cb));
-        pending := iv :: !pending;
+        let write () =
+          match Device.write_slice t.dev ~off:(first * dev_bs) data with
+          | () -> unpin cb
+          | exception exn ->
+            unpin cb;
+            raise exn
+        in
+        pending := Sync.fork ~name:"ffs-write" write :: !pending;
         if List.length !pending >= qd then flush_pending ()
       end;
       cb.cb_dirty <- false)

@@ -12,14 +12,13 @@ module Probe = Msnap_sim.Probe
 
 exception Corrupt of string
 
-type ticket = (unit, exn) result Sync.Ivar.t
+type ticket = unit Sync.cell
 
 type pending = {
   p_updates : (int * int) list; (* (page index, data block) *)
   p_segs : (int * Slice.t) list;
       (* device segments carrying the data: slices straight over the
          caller's page frames (ownership rule: stable until durable) *)
-  p_ivar : ticket;
   p_epoch : int;
   p_size : int; (* logical size implied by this commit *)
   p_flow : int; (* trace flow id linking this Î¼Checkpoint's events; 0 = none *)
@@ -29,8 +28,7 @@ type obj = {
   header_block : int;
   mutable hdr : Layout.header;
   mutable next_epoch : int;
-  mutable queue : pending list; (* reversed arrival order *)
-  mutable committing : bool;
+  commits : pending Sync.Group.t; (* group commit, one round per batch *)
   mutable deleted : bool;
 }
 
@@ -159,7 +157,7 @@ let mount dev =
               Balloc.mark_allocated t.alloc block);
           Hashtbl.replace t.objects name
             { header_block = hblock; hdr; next_epoch = hdr.Layout.epoch + 1;
-              queue = []; committing = false; deleted = false })
+              commits = Sync.Group.create (); deleted = false })
       entries
   end;
   t
@@ -207,8 +205,8 @@ let create t ~name ?(meta = 0) () =
       t.next_obj_id <- t.next_obj_id + 1;
       write_commit_sector t.dev hblock (Layout.header_to_bytes hdr);
       let o =
-        { header_block = hblock; hdr; next_epoch = 1; queue = [];
-          committing = false; deleted = false }
+        { header_block = hblock; hdr; next_epoch = 1;
+          commits = Sync.Group.create (); deleted = false }
       in
       Hashtbl.replace t.objects name o;
       persist_directory t;
@@ -239,7 +237,6 @@ let delete t o =
 
 let list_objects t = List.map fst (directory_entries t)
 
-let obj_name o = o.hdr.Layout.obj_name
 let epoch o = o.hdr.Layout.epoch
 let size_bytes o = o.hdr.Layout.size_bytes
 let meta o = o.hdr.Layout.meta
@@ -254,28 +251,12 @@ let set_meta t o meta =
 
 (* --- μCheckpoint commits --- *)
 
-(* Drain the object's pending queue: one combined COW tree update, one
-   vectored node write, one header flip per batch. Runs until the queue is
-   empty; new commits arriving during IO join the next batch (group
-   commit / flat combining). *)
-let rec drain t o =
-  match o.queue with
-  | [] -> o.committing <- false
-  | _ ->
-    let batch = List.rev o.queue in
-    o.queue <- [];
-    match drain_batch t o batch with
-    | () -> drain t o
-    | exception exn ->
-      (* Device failure mid-batch: the previous epoch is still intact on
-         disk; report the failure to every waiter, including commits that
-         queued up behind this batch. *)
-      let stranded = List.rev o.queue in
-      o.queue <- [];
-      o.committing <- false;
-      List.iter (fun p -> Sync.Ivar.fill p.p_ivar (Error exn)) (batch @ stranded)
-
-and drain_batch t o batch =
+(* One group-commit round over a batch of pending commits: one combined
+   COW tree update, one vectored node write, one header flip. Commits
+   arriving during its IO join the next round (flat combining); a device
+   failure mid-round leaves the previous epoch intact on disk and reaches
+   every waiter through [Sync.Group]. *)
+let commit_round t o batch =
   Sched.with_bucket Probe.Bucket.memsnap_flush @@ fun () ->
     let trace_t0 = if Trace.is_on () then Sched.now () else 0 in
     let updates = List.concat_map (fun p -> p.p_updates) batch in
@@ -291,7 +272,7 @@ and drain_batch t o batch =
     Sched.cpu (result.Radix.nodes_visited * Costs.cow_node_cpu);
     (* Insert fresh nodes into the cache before they hit the device so
        concurrent readers of *other* objects never see stale views; this
-       object is protected by [committing]. Each image is also its own
+       object runs one round at a time. Each image is also its own
        device segment: it is immutable from here on, so lending it to the
        write below satisfies the ownership rule. *)
     let node_segs =
@@ -347,8 +328,7 @@ and drain_batch t o batch =
     (* The header write above has completed: the superseded blocks are
        unreachable from the durable epoch, so they may be reused. *)
     Balloc.free_now t.alloc result.Radix.freed;
-    evict t result.Radix.freed;
-    List.iter (fun p -> Sync.Ivar.fill p.p_ivar (Ok ())) batch
+    evict t result.Radix.freed
 
 let commit_async ?(flow = 0) t o pages =
   if o.deleted then invalid_arg "Store.commit: deleted object";
@@ -370,8 +350,9 @@ let commit_async ?(flow = 0) t o pages =
             ("pages", Trace.I npages); ("epoch", Trace.I epoch) ];
     Sched.cpu (npages * Costs.io_initiate);
     let worker () =
-      try
-        let data_blocks = Balloc.alloc_run t.alloc npages in
+      match Balloc.alloc_run t.alloc npages with
+      | exception exn -> Sync.Ivar.fill iv (Error exn)
+      | data_blocks ->
         (* One pass over the dirty pages builds the index->block updates
            and the device segments together and folds the size — the
            lists are identical to the old two [map2]s over the pair. *)
@@ -388,23 +369,17 @@ let commit_async ?(flow = 0) t o pages =
         in
         let updates, segs = build pages data_blocks in
         let size = !size in
-        o.queue <- { p_updates = updates; p_segs = segs; p_ivar = iv;
-                     p_epoch = epoch; p_size = size; p_flow = flow } :: o.queue;
-        if not o.committing then begin
-          o.committing <- true;
-          drain t o
-        end
-      with exn -> Sync.Ivar.fill iv (Error exn)
+        Sync.Group.submit o.commits ~round:(commit_round t o)
+          { p_updates = updates; p_segs = segs; p_epoch = epoch;
+            p_size = size; p_flow = flow }
+          iv
     in
     ignore (Sched.spawn ~name:"objstore-commit" worker);
     (epoch, iv)
 
-let wait iv =
-  match Sync.Ivar.read iv with Ok () -> () | Error exn -> raise exn
-
 let commit t o pages =
   let epoch, iv = commit_async t o pages in
-  wait iv;
+  Sync.await iv;
   epoch
 
 let read_block t o idx =

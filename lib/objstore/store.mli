@@ -14,7 +14,7 @@
     restorable from its last committed header independent of any global
     state. Objects carry a monotonic epoch so concurrent μCheckpoints to
     different objects never serialize on each other; commits to the same
-    object are ordered by a per-object lock. *)
+    object are group-committed in arrival order. *)
 
 type t
 type obj
@@ -38,7 +38,6 @@ val open_obj : t -> name:string -> obj option
 val delete : t -> obj -> unit
 val list_objects : t -> string list
 
-val obj_name : obj -> string
 val epoch : obj -> int
 val size_bytes : obj -> int
 val meta : obj -> int
@@ -47,8 +46,13 @@ val set_meta : t -> obj -> int -> unit
 
 (** {2 μCheckpoint commits} *)
 
-type ticket
-(** Completion handle of an in-flight commit. *)
+type ticket = unit Msnap_sim.Sync.cell
+(** Completion of an in-flight commit: [Ok ()] once it is durable, or the
+    exception that failed it. Commits to one object are group-committed
+    ({!Msnap_sim.Sync.Group}): a device failure during a round fails that
+    round's commits and every commit queued behind it, each through its
+    own ticket, and leaves the previous epoch intact. Wait with
+    {!Msnap_sim.Sync.await}. *)
 
 val commit : t -> obj -> (int * Bytes.t) list -> int
 (** [commit t obj pages] durably applies [(page_index, 4 KiB image)] pairs
@@ -65,9 +69,6 @@ val commit_async : ?flow:int -> t -> obj -> (int * Bytes.t) list -> int * ticket
     [Msnap_sim.Trace.new_flow] id, 0 = none) links the commit's trace
     events into the originating μCheckpoint's flow; it has no effect on
     simulation. *)
-
-val wait : ticket -> unit
-(** Block until the commit is durable; re-raises its failure if any. *)
 
 val read_block : t -> obj -> int -> Bytes.t option
 (** Read back one 4 KiB block ([None] = hole). Charged device read. *)

@@ -55,7 +55,6 @@ let make p_sub p_name =
 
 let name p = p.p_name
 let subsystem p = p.p_sub
-let to_string p = subsystem_name p.p_sub ^ "/" ^ p.p_name
 let id p = p.p_id
 let count () = !next_id
 let of_id i = !by_id.(i)

@@ -40,9 +40,6 @@ val name : t -> string
 (** The wire name — what {!Metrics.counters} reports and what appears as
     the event name in exported traces. *)
 
-val to_string : t -> string
-(** ["subsystem/name"], for diagnostics. *)
-
 val subsystem : t -> subsystem
 
 val id : t -> int

@@ -375,8 +375,6 @@ let join target =
         w.w_qnext <- target.joiners;
         target.joiners <- w)
 
-let bucket () = Probe.Bucket.name (Probe.Bucket.of_id (self ()).acct)
-
 let cpu ns =
   if ns > 0 then begin
     let e = engine () in

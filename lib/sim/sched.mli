@@ -111,9 +111,6 @@ val with_bucket : Probe.Bucket.t -> (unit -> 'a) -> 'a
 (** Attribute all {!cpu} time spent in the callback (on this thread) to the
     named bucket. Nests; the innermost bucket wins. *)
 
-val bucket : unit -> string
-(** Current bucket name (["user"] at top level). *)
-
 val account_report : unit -> (string * int) list
 (** Total {!cpu} nanoseconds charged per bucket this run, sorted by name. *)
 

@@ -85,3 +85,57 @@ module Ivar = struct
       | Some v -> v
       | None -> assert false)
 end
+
+(* The result cell every hand-off below fills: a value, or the exception
+   that stopped its producer, so no waiter is left parked by a failure. *)
+type 'a cell = ('a, exn) result Ivar.t
+
+let await c = match Ivar.read c with Ok v -> v | Error e -> raise e
+
+let fork ?name f =
+  let c = Ivar.create () in
+  let run () =
+    Ivar.fill c (match f () with () -> Ok () | exception e -> Error e)
+  in
+  ignore (Sched.spawn ?name run);
+  c
+
+let rec await_all = function
+  | [] -> ()
+  | c :: cs -> (
+    match Ivar.read c with
+    | Ok () -> await_all cs
+    | Error e ->
+      List.iter (fun c -> ignore (Ivar.read c)) cs;
+      raise e)
+
+module Group = struct
+  (* Queued items with their cells, newest first; [busy] while a leader
+     runs rounds. *)
+  type 'a t = { mutable queue : ('a * unit cell) list; mutable busy : bool }
+
+  let create () = { queue = []; busy = false }
+  let fill r batch = List.iter (fun (_, c) -> Ivar.fill c r) batch
+
+  let rec rounds g round =
+    match List.rev g.queue with
+    | [] -> g.busy <- false
+    | batch -> (
+      g.queue <- [];
+      match round (List.map fst batch) with
+      | () ->
+        fill (Ok ()) batch;
+        rounds g round
+      | exception e ->
+        let stranded = List.rev g.queue in
+        g.queue <- [];
+        g.busy <- false;
+        fill (Error e) (batch @ stranded))
+
+  let submit g ~round item cell =
+    g.queue <- (item, cell) :: g.queue;
+    if not g.busy then begin
+      g.busy <- true;
+      rounds g round
+    end
+end

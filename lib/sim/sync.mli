@@ -48,3 +48,39 @@ module Ivar : sig
   val read : 'a t -> 'a
   (** Block until filled; immediate if already filled. *)
 end
+
+(** {2 Hand-offs that carry failure}
+
+    Every place that batches callers or fans IO out hands back a result
+    cell, so a failure (a power cut mid-IO, say) reaches every waiter as
+    its exception: none stays parked after its producer failed. *)
+
+type 'a cell = ('a, exn) result Ivar.t
+
+val await : 'a cell -> 'a
+(** Block until filled; return the value or raise the exception. *)
+
+val fork : ?name:string -> (unit -> unit) -> unit cell
+(** Spawn a thread (as {!Sched.spawn}) whose outcome lands in the
+    returned cell; its exception never reaches {!Sched.run}. *)
+
+val await_all : unit cell list -> unit
+(** Wait for every cell in list order, even past a failure, then raise
+    the first failure in that order. *)
+
+(** Flat combining (group commit). *)
+module Group : sig
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val submit : 'a t -> round:('a list -> unit) -> 'a -> unit cell -> unit
+  (** [submit g ~round item cell] queues [item]. If no round is running,
+      the caller leads: it applies its [round] to everything queued, in
+      arrival order, until the queue is empty (items arriving during a
+      round join the next), filling each round's cells [Ok ()] in
+      arrival order. A round that raises fills its own cells, then every
+      cell queued behind it, with the exception, and leaves the group
+      idle for the next [submit]. A follower returns at once. [submit]
+      never raises from [round]: callers {!await} their cell. *)
+end

@@ -30,10 +30,6 @@ val bool : t -> bool
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
-val fill : t -> Bytes.t -> pos:int -> len:int -> unit
-(** [fill t b ~pos ~len] overwrites [len] bytes of [b] at [pos] with
-    random bytes; draw-for-draw identical to {!bytes}. *)
-
 val bytes : t -> int -> Bytes.t
 (** [bytes t n] is [n] random bytes. *)
 

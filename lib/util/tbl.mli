@@ -30,9 +30,6 @@ val us : int -> string
 val us_short : int -> string
 (** Render nanoseconds adaptively like the paper: ["156"], ["1.9K"] (µs). *)
 
-val fixed : int -> float -> string
-(** [fixed d v] is [v] with [d] decimals. *)
-
 val pct : float -> string
 (** ["29.15%"] style. *)
 

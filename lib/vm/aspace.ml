@@ -74,7 +74,6 @@ let map t ~name ~va ~len ?(writable = true) ?(new_pages_writable = true) ?pager
   t.mappings <- ms;
   m
 
-let mapping_len m = m.npages * Addr.page_size
 let mapping_of_fault_rel_page f = f.f_vpn - f.f_mapping.start_vpn
 
 let find_mapping t ~name =
@@ -206,12 +205,6 @@ let resolve_write_loc t vpn =
             dispatch);
     loc
   end
-
-let resolve_write t vpn =
-  let loc = resolve_write_loc t vpn in
-  (Phys.get t.a_phys (Pte.frame (Ptloc.get loc)), loc)
-
-let page_for_write t ~va = resolve_write t (Addr.vpn_of_va va)
 
 let resolve_read t vpn =
   let m = mapping_of_vpn t vpn in

@@ -62,7 +62,6 @@ val unmap : t -> mapping -> unit
 (** Remove the mapping, dropping PTEs and freeing frames whose last
     reference this was. *)
 
-val mapping_len : mapping -> int
 val mapping_of_fault_rel_page : fault -> int
 (** Page index of the fault within its mapping. *)
 
@@ -77,9 +76,6 @@ val read : t -> va:int -> len:int -> Bytes.t
 
 val read_into : t -> va:int -> Bytes.t -> pos:int -> len:int -> unit
 
-val page_for_write : t -> va:int -> Phys.page * Ptloc.t
-(** Translate for writing: page-in and/or fault until the PTE is writable.
-    Used by the access path and by tests. *)
 
 val page_for_read : t -> va:int -> Phys.page
 

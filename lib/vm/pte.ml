@@ -26,14 +26,6 @@ let set_cow t v = set_bit t bit_cow v
 let set_frame t f =
   (f lsl Addr.page_shift) lor (t land (Addr.page_size - 1))
 
-let pp t =
-  if not (present t) then "<not present>"
-  else
-    Printf.sprintf "frame=%d%s%s%s" (frame t)
-      (if writable t then " W" else " RO")
-      (if cow t then " COW" else "")
-      (if accessed t then " A" else "")
-
 (* Aurora's whole-mapping passes, one leaf window per call, in
    pte_stubs.c. The stubs check nothing, so the window and the scratch
    are checked here, before each call, unconditionally. *)

@@ -23,8 +23,6 @@ val set_writable : t -> bool -> t
 val set_cow : t -> bool -> t
 val set_frame : t -> int -> t
 
-val pp : t -> string
-
 (** {2 Whole-leaf passes}
 
     Aurora's checkpoint passes over one window [s0..s1] (inclusive) of a

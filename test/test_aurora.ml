@@ -1,5 +1,6 @@
 module Sched = Msnap_sim.Sched
 module Size = Msnap_util.Size
+module Disk = Msnap_blockdev.Disk
 module Device = Msnap_blockdev.Device
 module Phys = Msnap_vm.Phys
 module Aspace = Msnap_vm.Aspace
@@ -307,6 +308,36 @@ let test_flat_combining () =
       checki "all callers complete" 8 !done_count)
     ()
 
+(* Two threads checkpoint one region and the power fails mid-round
+   (both checkpoints are durable by 60 us): both callers catch
+   [Powered_off], neither is left parked. Nothing is disposed (the cut
+   leaves buffers mid-transfer). *)
+let test_checkpoint_power_cut () =
+  List.iter
+    (fun cut_us ->
+      let failed =
+        Sched.run (fun () ->
+            let dev = Device.testbed ~mib:32 in
+            let k = Aurora.Kernel.boot ~format:true dev in
+            let r =
+              Aurora.Region.create k ~name:"r" ~va:0x5000_0000 ~len:(Size.kib 64)
+            in
+            let failed = ref 0 in
+            let ts =
+              List.init 2 (fun i ->
+                  Sched.spawn (fun () ->
+                      Aurora.Region.write r ~off:(i * 4096) (Bytes.make 8 'z');
+                      try Aurora.Region.checkpoint r
+                      with Disk.Powered_off -> incr failed))
+            in
+            Sched.delay (cut_us * 1000);
+            Device.fail_power dev ~torn_seed:1;
+            List.iter Sched.join ts;
+            !failed)
+      in
+      checki (Printf.sprintf "cut at %d us fails both callers" cut_us) 2 failed)
+    [ 5; 20; 50 ]
+
 (* One seeded run: checkpoint rounds of random dirty pages over a
    2,048-page region, then a reboot that reads the first byte of every
    page back. Returns the final simulated time and what was recovered. *)
@@ -393,6 +424,7 @@ let () =
             test_checkpoint_alloc_independent_of_mapping;
           tc "stop-the-world stalls writers" test_writes_stall_during_stop_the_world;
           tc "flat combining" test_flat_combining;
+          tc "power cut fails every caller" test_checkpoint_power_cut;
           tc "regions on two domains" test_regions_on_two_domains;
           tc "disposed machine returns buffers" test_disposed_machine_returns_buffers;
         ] );

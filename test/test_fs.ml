@@ -648,6 +648,32 @@ let test_mount_recycles_scan_buffers () =
       checki "file recovered" 5000 (Fs.size fs2 (Fs.open_file fs2 "kept")))
     ()
 
+(* A power cut while an FFS fsync's writeback window is in flight
+   reaches the fsync caller as its exception, whichever writeback
+   thread the device failed under: the run itself never raises.
+   Nothing is disposed (the cut leaves buffers mid-transfer). *)
+let test_ffs_fsync_power_cut () =
+  List.iter
+    (fun cut_us ->
+      let caught =
+        Sched.run (fun () ->
+            let dev = Device.testbed ~mib:64 in
+            let fs = Fs.mkfs dev ~kind:Fs.Ffs in
+            let f = Fs.open_file fs "f" in
+            Fs.write fs f ~off:0 (Bytes.make (16 * 32 * 1024) 'x');
+            let caught = ref false in
+            let w =
+              Sched.spawn (fun () ->
+                  try Fs.fsync fs f with Disk.Powered_off -> caught := true)
+            in
+            Sched.delay (cut_us * 1000);
+            Device.fail_power dev ~torn_seed:1;
+            Sched.join w;
+            !caught)
+      in
+      checkb (Printf.sprintf "cut at %d us reaches the caller" cut_us) true caught)
+    [ 10; 30; 60; 100; 200; 300 ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "fs"
@@ -669,6 +695,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_meta_length;
           tc "mount recycles scan buffers" test_mount_recycles_scan_buffers;
           tc "double miss keeps first block" test_double_miss_keeps_first_block;
+          tc "power cut mid-fsync reaches the caller" test_ffs_fsync_power_cut;
         ] );
       ("lru", [ QCheck_alcotest.to_alcotest prop_eviction_order ]);
       ("writev", [ QCheck_alcotest.to_alcotest prop_writev_split ]);

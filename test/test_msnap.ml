@@ -340,6 +340,70 @@ let test_crash_during_persist () =
     ();
   exempt := !exempt + outstanding () - before
 
+(* The reference behaviour of a grouped commit under a power cut: two
+   threads persist concurrently and the power fails while their
+   μCheckpoints are in flight. A caller whose commit was durable before
+   the cut returns; every other one catches [Powered_off]. None is left
+   parked: at 10 us both commits are in flight, at 50 us only the second
+   round, and by 80 us both are durable. *)
+let test_concurrent_persist_power_cut () =
+  let before = outstanding () in
+  List.iter
+    (fun (cut_us, want) ->
+      let failed =
+        Sched.run (fun () ->
+            let dev = Device.testbed ~mib:32 in
+            let k = Msnap.boot ~format:true dev in
+            let md = Msnap.open_region k ~name:"db" ~len:(Size.kib 64) () in
+            let failed = ref 0 in
+            let ts =
+              List.init 2 (fun i ->
+                  Sched.spawn (fun () ->
+                      Msnap.write_string k md ~off:(i * 4096) "doomed";
+                      try ignore (Msnap.persist k ~region:md ())
+                      with Disk.Powered_off -> incr failed))
+            in
+            Sched.delay (cut_us * 1000);
+            Device.fail_power dev ~torn_seed:5;
+            List.iter Sched.join ts;
+            !failed)
+      in
+      checki (Printf.sprintf "persists failed by a cut at %d us" cut_us) want failed)
+    [ (10, 2); (50, 1); (80, 0) ];
+  exempt := !exempt + outstanding () - before
+
+(* Two threads fault the same non-resident page of a recovered region
+   and the power fails during the page-in: the thread reading the block
+   and the one waiting for it both catch [Powered_off]. *)
+let test_page_in_power_cut () =
+  let before = outstanding () in
+  List.iter
+    (fun cut_ns ->
+      let failed =
+        Sched.run (fun () ->
+            let dev = Device.testbed ~mib:32 in
+            let k = Msnap.boot ~format:true dev in
+            let md = Msnap.open_region k ~name:"db" ~len:(Size.kib 64) () in
+            Msnap.write_string k md ~off:0 "stable";
+            ignore (Msnap.persist k ~region:md ());
+            let k2 = Msnap.boot ~format:false dev in
+            let md2 = Msnap.open_region k2 ~name:"db" ~len:(Size.kib 64) () in
+            let failed = ref 0 in
+            let ts =
+              List.init 2 (fun _ ->
+                  Sched.spawn (fun () ->
+                      try ignore (Msnap.read k2 md2 ~off:0 ~len:6)
+                      with Disk.Powered_off -> incr failed))
+            in
+            Sched.delay cut_ns;
+            Device.fail_power dev ~torn_seed:5;
+            List.iter Sched.join ts;
+            !failed)
+      in
+      checki (Printf.sprintf "cut at %d ns fails both readers" cut_ns) 2 failed)
+    [ 100; 1_000; 10_000 ];
+  exempt := !exempt + outstanding () - before
+
 let test_multi_region_pointer_stability () =
   in_dev ~mib:32 (fun dev ->
       let& k = (Msnap.boot ~format:true dev, Msnap.dispose) in
@@ -676,6 +740,8 @@ let () =
       ( "recovery",
         [
           tc "crash during persist" test_crash_during_persist;
+          tc "power cut fails concurrent persists" test_concurrent_persist_power_cut;
+          tc "power cut during a shared page-in" test_page_in_power_cut;
           tc "pointer stability" test_multi_region_pointer_stability;
           QCheck_alcotest.to_alcotest prop_persist_recover_random;
           QCheck_alcotest.to_alcotest prop_dirty_model;

@@ -1,4 +1,5 @@
 module Sched = Msnap_sim.Sched
+module Sync = Msnap_sim.Sync
 module Size = Msnap_util.Size
 module Rng = Msnap_util.Rng
 module Disk = Msnap_blockdev.Disk
@@ -267,7 +268,7 @@ let test_store_async_commit () =
       let o = Store.create s ~name:"o" () in
       let e, ticket = Store.commit_async s o [ (0, page 'Z') ] in
       checkb "not durable yet" true (Store.epoch o < e);
-      Store.wait ticket;
+      Sync.await ticket;
       checkb "durable" true (Store.epoch o >= e))
     ()
 
@@ -547,8 +548,8 @@ let test_reads_during_flight_see_committed_epoch () =
         expect 600 'b';
         Sched.delay 1_000
       done;
-      Store.wait ticket;
-      Store.wait t2;
+      Sync.await ticket;
+      Sync.await t2;
       checkb "read while in flight" true (!reads > 0);
       match Store.read_block s o 600 with
       | Some b -> checkb "new epoch" true (Bytes.for_all (fun x -> x = 'B') b)
@@ -576,7 +577,7 @@ let test_superseded_blocks_freed_after_header () =
               Sched.delay 1
             done)
       in
-      Store.wait ticket;
+      Sync.await ticket;
       finished := true;
       Sched.join sampler;
       let in_flight =

@@ -618,6 +618,31 @@ let test_aurora_serializes_checkpoints () =
         (aurora_ns > 2 * memsnap_ns))
     ()
 
+(* Two concurrent puts on the WAL baseline and a power cut [cut_us] into
+   their write groups: the first put leads a round of its own, the
+   second joins the next. Every put whose round the cut failed catches
+   [Powered_off], whether the fsync failed under the leader or under an
+   FFS writeback thread; none is left parked. Nothing is disposed (the
+   cut leaves buffers mid-transfer). *)
+let baseline_puts_power_cut cut_us ~want () =
+  let failed =
+    Sched.run (fun () ->
+        let dev = Device.testbed ~mib:256 in
+        let db = Rocks.open_db (Rocks.Baseline (Fs.mkfs dev ~kind:Fs.Ffs)) ~name:"db" in
+        let failed = ref 0 in
+        let ts =
+          List.init 2 (fun i ->
+              Sched.spawn (fun () ->
+                  try Rocks.put db ~key:(Printf.sprintf "k%d" i) ~value:"v"
+                  with Disk.Powered_off -> incr failed))
+        in
+        Sched.delay (cut_us * 1000);
+        Device.fail_power dev ~torn_seed:1;
+        List.iter Sched.join ts;
+        !failed)
+  in
+  checki (Printf.sprintf "puts failed by a cut at %d us" cut_us) want failed
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "rocks"
@@ -648,6 +673,8 @@ let () =
           tc "flush/compaction" test_baseline_flush_and_compaction_under_load;
           tc "memsnap recovery" test_rocks_memsnap_recovery;
           tc "aurora serializes" test_aurora_serializes_checkpoints;
+          tc "power cut in a write group" (baseline_puts_power_cut 20 ~want:2);
+          tc "power cut in group fsync writeback" (baseline_puts_power_cut 100 ~want:1);
         ] );
       ( "torture",
         [

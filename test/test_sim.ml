@@ -218,6 +218,99 @@ let test_ivar () =
       let raised = try Sync.Ivar.fill iv 1; false with Invalid_argument _ -> true in
       checkb "double fill" true raised)
 
+(* The outcome in a result cell, as text: "ok" or the [Failure] message. *)
+let outcome c =
+  match Sync.Ivar.read c with
+  | Ok () -> "ok"
+  | Error (Failure m) -> m
+  | Error e -> Printexc.to_string e
+
+(* One watcher per cell, spawned in reverse so that the log follows the
+   order the cells are filled in, not the order the watchers parked. *)
+let watch cells =
+  let log = ref [] in
+  for i = Array.length cells - 1 downto 0 do
+    ignore
+      (Sched.spawn (fun () ->
+           ignore (Sync.Ivar.read cells.(i));
+           log := (i, Sched.now ()) :: !log))
+  done;
+  log
+
+(* Submitter [i] arrives at [arrive.(i)]; every round takes 100 ns. *)
+let run_group ?(fail_on = -1) arrive =
+  let g = Sync.Group.create () in
+  let rounds = ref [] in
+  let round batch =
+    rounds := batch :: !rounds;
+    Sched.delay 100;
+    if List.mem fail_on batch then failwith "boom"
+  in
+  let cells = Array.map (fun _ -> Sync.Ivar.create ()) arrive in
+  let log = watch cells in
+  let ts =
+    Array.to_list
+      (Array.mapi
+         (fun i at ->
+           Sched.spawn (fun () ->
+               Sched.delay at;
+               Sync.Group.submit g ~round i cells.(i)))
+         arrive)
+  in
+  List.iter Sched.join ts;
+  (g, round, List.rev !rounds, cells, List.rev !log)
+
+let test_group_fifo_rounds () =
+  Sched.run (fun () ->
+      let _, _, rounds, cells, log = run_group [| 0; 10; 20; 30; 150 |] in
+      Alcotest.(check (list (list int)))
+        "arrivals during a round join the next, in arrival order"
+        [ [ 0 ]; [ 1; 2; 3 ]; [ 4 ] ] rounds;
+      Alcotest.(check (list (pair int int)))
+        "cells fill in arrival order as each round ends"
+        [ (0, 100); (1, 200); (2, 200); (3, 200); (4, 300) ] log;
+      Array.iter (fun c -> checks "ok" "ok" (outcome c)) cells)
+
+let test_group_failure () =
+  Sched.run (fun () ->
+      let g, round, rounds, cells, log =
+        run_group ~fail_on:1 [| 0; 10; 20; 150 |]
+      in
+      Alcotest.(check (list (list int)))
+        "the failed round ends the run; item 3 never reaches a round"
+        [ [ 0 ]; [ 1; 2 ] ] rounds;
+      Alcotest.(check (list string))
+        "the failure reaches its batch and the queue behind it"
+        [ "ok"; "boom"; "boom"; "boom" ]
+        (Array.to_list (Array.map outcome cells));
+      Alcotest.(check (list (pair int int)))
+        "failed cells fill in arrival order"
+        [ (0, 100); (1, 200); (2, 200); (3, 200) ] log;
+      (* The group is idle again: the next caller leads a fresh round. *)
+      let c = Sync.Ivar.create () in
+      Sync.Group.submit g ~round 7 c;
+      checks "works again after a failure" "ok" (outcome c);
+      checki "led by the caller" 300 (Sched.now ()))
+
+let test_fork_await_all () =
+  let t, raised =
+    Sched.run (fun () ->
+        let job delay fail () =
+          Sched.delay delay;
+          if fail <> "" then failwith fail
+        in
+        let cells =
+          [ Sync.fork (job 30 "first"); Sync.fork (job 10 "second");
+            Sync.fork (job 50 "") ]
+        in
+        let raised = try Sync.await_all cells; "" with Failure m -> m in
+        Sync.await_all [];
+        Sync.await (Sync.fork (job 5 ""));
+        (Sched.now () - 5, raised))
+  in
+  checks "first failure in list order, not in time" "first" raised;
+  checki "waits for every cell" 50 t
+
 let test_metrics () =
   Metrics.reset ();
   Sched.run (fun () ->
@@ -770,6 +863,9 @@ let () =
           tc "cond broadcast" test_condition_broadcast;
           tc "semaphore" test_semaphore_bounds;
           tc "ivar" test_ivar;
+          tc "group: fifo rounds" test_group_fifo_rounds;
+          tc "group: failure fails the queue, then recovers" test_group_failure;
+          tc "fork and await_all" test_fork_await_all;
         ] );
       ( "metrics",
         [
