@@ -14,7 +14,6 @@ type t = {
   backend : backend;
   mutable cache : Bytes.t array;
   mutable ncached : int;
-  mutable undo : Bytes.t array; (* pre-images for rollback *)
   (* [stamp.(pgno) = txn_id] iff the open transaction dirtied [pgno]. *)
   mutable stamp : int array;
   mutable dirty : int list; (* page numbers, each once *)
@@ -40,7 +39,6 @@ let ensure t pgno =
       a'
     in
     t.cache <- grow t.cache none;
-    t.undo <- grow t.undo none;
     t.stamp <- grow t.stamp 0
   end
 
@@ -54,7 +52,7 @@ let install t pgno b =
 let create backend =
   let t =
     { backend; cache = Array.make 1024 none; ncached = 0;
-      undo = Array.make 1024 none; stamp = Array.make 1024 0; dirty = [];
+      stamp = Array.make 1024 0; dirty = [];
       txn_id = 0; in_txn = false; hwm = 1; hwm_at_begin = 1;
       write_lock = Sync.Mutex.create () }
   in
@@ -98,20 +96,14 @@ let mark_dirty t pgno =
     true
   end
 
+(* No pre-image is taken: the backend still holds the committed image,
+   and [rollback] reloads from it. *)
 let page_for_write t pgno =
   check_txn t;
   let b = get_page t pgno in
-  if mark_dirty t pgno then begin
-    (* Pooled pre-image: private to the transaction, recycled when commit
-       discards the undo log (rollback promotes it into the cache
-       instead). *)
-    let pre = Pool.alloc Page.size in
-    Bytes.blit b 0 pre 0 Page.size;
-    t.undo.(pgno) <- pre
-  end;
+  ignore (mark_dirty t pgno : bool);
   b
 
-(* Pages the transaction allocated are dirty without a pre-image. *)
 let alloc_page t =
   check_txn t;
   t.hwm <- t.hwm + 1;
@@ -130,34 +122,19 @@ let commit t =
   let pgnos = List.sort Int.compare t.dirty in
   if pgnos <> [] then
     t.backend.b_commit (List.map (fun pgno -> (pgno, t.cache.(pgno))) pgnos);
-  List.iter
-    (fun pgno ->
-      let pre = t.undo.(pgno) in
-      if pre != none then begin
-        Pool.recycle pre;
-        t.undo.(pgno) <- none
-      end)
-    t.dirty;
   end_txn t
 
+(* SQLite's WAL-mode rollback (pagerUndoCallback): every page the
+   transaction dirtied leaves the cache, and its buffer goes back to the
+   pool (nothing else references it). The next [get_page] reloads the
+   committed image from the backend, charging that read then. *)
 let rollback t =
   check_txn t;
   List.iter
     (fun pgno ->
-      let pre = t.undo.(pgno) in
-      (* The mutated cache buffer goes back to the pool: nothing else
-         references it. A page with a pre-image gets the pre-image back;
-         a page the transaction allocated never reached the backend and
-         leaves the cache. *)
       Pool.recycle t.cache.(pgno);
-      if pre != none then begin
-        t.cache.(pgno) <- pre;
-        t.undo.(pgno) <- none
-      end
-      else begin
-        t.cache.(pgno) <- none;
-        t.ncached <- t.ncached - 1
-      end)
+      t.cache.(pgno) <- none;
+      t.ncached <- t.ncached - 1)
     t.dirty;
   (* Page numbers above the pre-transaction high-water mark are handed
      out again by the next [alloc_page], as zeroed pages. *)

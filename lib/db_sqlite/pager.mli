@@ -9,8 +9,10 @@
     as the two implementations.
 
     Concurrency follows SQLite: one writer at a time ({!begin_write} takes
-    the database write lock), readers unrestricted. Transactions are
-    undo-logged in memory so [rollback] restores pre-images. *)
+    the database write lock), readers unrestricted. A transaction keeps
+    no undo log: until commit the backend still holds every committed
+    image, and {!rollback} reloads from it, as SQLite's WAL-mode
+    rollback does. *)
 
 type t
 
@@ -29,9 +31,16 @@ val create : backend -> t
 val begin_write : t -> unit
 val commit : t -> unit
 val rollback : t -> unit
-(** Restore every page the transaction changed from its pre-image and
-    drop the pages it allocated; the next {!alloc_page} hands their
-    numbers out again, as zeroed pages. *)
+(** Drop every page the transaction dirtied from the cache, returning
+    its buffer to the pool, and forget the pages it allocated: the next
+    {!alloc_page} hands their numbers out again, as zeroed pages. No IO
+    happens here, so a rollback on a powered-off device raises nothing;
+    the next {!get_page} of a dropped page reloads the committed image
+    through [b_read_page] and charges that read then.
+
+    After a failed {!commit} the backend may hold part of the aborted
+    transaction, and the reload returns whatever it holds. Commits fail
+    only on a dead device, whose machine is discarded. *)
 
 val in_txn : t -> bool
 
@@ -41,8 +50,9 @@ val get_page : t -> int -> Bytes.t
 (** Read-only view (do not mutate without {!page_for_write}). *)
 
 val page_for_write : t -> int -> Bytes.t
-(** The same bytes, registered in the transaction's dirty set with an
-    undo image. Requires an open transaction. *)
+(** The same bytes, registered in the transaction's dirty set. No
+    pre-image is copied: {!rollback} reloads from the backend.
+    Requires an open transaction. *)
 
 val alloc_page : t -> int
 (** New page number (starts dirty, zeroed). Requires a transaction. *)

@@ -21,24 +21,37 @@ let journal_blocks = 256
 let reserved_blocks = meta_blocks + journal_blocks
 let dev_bs = 4096
 
+(* Zeroing rule: a fresh block (no old contents to read) is not zeroed
+   when it enters the cache. Its bytes from [cb_zero_from] to the end of
+   the block read as zeros but hold whatever the pool handed out.
+   [writev] zeroes only the gap between the watermark and where its
+   write lands, just before its blit, and advances the watermark past
+   the write; appends therefore zero nothing. Every other reader settles
+   the block first ({!get_block} zeroes the rest of it), and writeback
+   zeroes only up to the length it lends to the device. The watermark
+   only moves up, so a settled block stays settled. Blocks read from
+   disk start settled ([cb_zero_from = bs]). *)
 type cached_block = {
   cb_data : Bytes.t; (* pooled: recycled when the block leaves the cache *)
+  mutable cb_zero_from : int; (* [cb_data] reads as zeros from here *)
   mutable cb_dirty : bool;
   mutable cb_pin : int;
       (* holders of [cb_data] across a scheduling point: in-flight
          writeback commands and writers inside a charge+blit window *)
-  mutable cb_gone : bool; (* evicted while pinned; last unpin recycles *)
-  cb_idx : int; (* fs-block index within its file *)
+  mutable cb_idx : int;
+      (* fs-block index within its file; [gone] once the block left the
+         cache while pinned, and the last unpin recycles *)
   cb_owner : (int, cached_block) Hashtbl.t; (* the file's [f_cache] *)
   mutable cb_prev : cached_block; (* LRU neighbours; self when unlinked *)
   mutable cb_next : cached_block;
 }
 
+let gone = -1
 let pin cb = cb.cb_pin <- cb.cb_pin + 1
 
 let unpin cb =
   cb.cb_pin <- cb.cb_pin - 1;
-  if cb.cb_gone && cb.cb_pin = 0 then Pool.recycle cb.cb_data
+  if cb.cb_idx = gone && cb.cb_pin = 0 then Pool.recycle cb.cb_data
 
 (* A block leaving the cache returns its buffer to the pool — unless a
    writer or writeback command still holds it across a scheduling point,
@@ -46,15 +59,15 @@ let unpin cb =
    block gets evicted (the victim choice feeds later RMW reads, a
    simulated value); they only defer the host-side recycle. *)
 let discard_block cb =
-  if cb.cb_pin = 0 then Pool.recycle cb.cb_data else cb.cb_gone <- true
+  if cb.cb_pin = 0 then Pool.recycle cb.cb_data else cb.cb_idx <- gone
 
 (* The LRU list: circular, doubly linked through the blocks, around a
    sentinel that holds no data; [lru.cb_next] is the least recently
    touched block. *)
 let lru_sentinel () =
   let rec s =
-    { cb_data = Bytes.empty; cb_dirty = false; cb_pin = 0; cb_gone = false;
-      cb_idx = -1; cb_owner = Hashtbl.create 1; cb_prev = s; cb_next = s }
+    { cb_data = Bytes.empty; cb_zero_from = 0; cb_dirty = false; cb_pin = 0;
+      cb_idx = gone; cb_owner = Hashtbl.create 1; cb_prev = s; cb_next = s }
   in
   s
 
@@ -327,9 +340,19 @@ let touch t cb =
     link_newest t.lru cb
   end
 
-(* Get the cached block, reading it from disk when a read-modify-write
-   requires the old contents ([need_old]). *)
-let get_block t f idx ~need_old =
+(* Make [cb_data] hold the block's contents up to [upto] (see the
+   zeroing rule at [cached_block]). *)
+let zero_upto cb upto =
+  let z = cb.cb_zero_from in
+  if z < upto then begin
+    Bytes.fill cb.cb_data z (upto - z) '\000';
+    cb.cb_zero_from <- upto
+  end
+
+(* Look up or cache a block for [writev], reading it from disk when a
+   read-modify-write requires the old contents ([need_old]). A fresh
+   block arrives unzeroed, with its watermark at 0. *)
+let lookup_block t f idx ~need_old =
   match Hashtbl.find_opt f.f_cache idx with
   | Some cb ->
     Sched.cpu Costs.buffer_cache_lookup;
@@ -337,16 +360,17 @@ let get_block t f idx ~need_old =
     cb
   | None ->
     Sched.cpu Costs.buffer_cache_lookup;
-    let data =
+    (* Either the device read fills the whole block, or the watermark
+       says none of it is written yet, so an uninitialized pooled buffer
+       serves both. *)
+    let data = Pool.alloc t.bs in
+    let read_old =
       match Hashtbl.find_opt f.f_blocks idx with
       | Some first when need_old ->
         t.s_rmw_reads <- t.s_rmw_reads + 1;
-        (* The device read fills the whole block, so an uninitialized
-           pooled buffer is as good as the fresh [Bytes.create] was. *)
-        let data = Pool.alloc t.bs in
         Device.read_into t.dev ~off:(first * dev_bs) (Slice.of_bytes data);
-        data
-      | Some _ | None -> Pool.alloc_zeroed t.bs
+        true
+      | Some _ | None -> false
     in
     (* Another thread may have missed the same block and cached it while
        this one was charged or reading: its copy may already carry writes,
@@ -358,14 +382,22 @@ let get_block t f idx ~need_old =
       cb
     | None ->
       let rec cb =
-        { cb_data = data; cb_dirty = false; cb_pin = 0; cb_gone = false;
-          cb_idx = idx; cb_owner = f.f_cache; cb_prev = cb; cb_next = cb }
+        { cb_data = data; cb_zero_from = (if read_old then t.bs else 0);
+          cb_dirty = false; cb_pin = 0; cb_idx = idx; cb_owner = f.f_cache;
+          cb_prev = cb; cb_next = cb }
       in
       link_newest t.lru cb;
       Hashtbl.replace f.f_cache idx cb;
       t.cached_count <- t.cached_count + 1;
       evict_if_needed ~keep:cb t;
       cb
+
+(* The cached block with its old contents, settled: every reader but
+   [writev] comes through here. *)
+let get_block t f idx =
+  let cb = lookup_block t f idx ~need_old:true in
+  zero_upto cb t.bs;
+  cb
 
 (* --- read / write --- *)
 
@@ -389,12 +421,18 @@ let writev t f ~off slices =
     let n = min !remaining (t.bs - within) in
     (* Sub-block writes to on-disk blocks must read the old contents. *)
     let covers_whole = within = 0 && n = t.bs in
-    let cb = get_block t f idx ~need_old:(not covers_whole) in
+    let cb = lookup_block t f idx ~need_old:(not covers_whole) in
     (* The memcpy charge can yield; pin so that an eviction during the
        yield defers the buffer's recycle past our blit. (The write into
        an evicted block is lost either way, as before pooling.) *)
     pin cb;
     Sched.cpu (Costs.memcpy n);
+    (* Zero the unwritten gap before the write and move the watermark
+       past it; no scheduling point until the blit is done. *)
+    if cb.cb_zero_from < within + n then begin
+      zero_upto cb within;
+      cb.cb_zero_from <- within + n
+    end;
     let dst_pos = ref within and todo = ref n in
     while !todo > 0 do
       match !rem with
@@ -439,7 +477,7 @@ let read_into t f ~off buf ~pos ~len =
       let cached = Hashtbl.mem f.f_cache idx in
       let on_disk = Hashtbl.mem f.f_blocks idx in
       if cached || on_disk then begin
-        let cb = get_block t f idx ~need_old:true in
+        let cb = get_block t f idx in
         pin cb;
         Sched.cpu (Costs.memcpy n);
         Bytes.blit cb.cb_data within buf pos n;
@@ -465,7 +503,7 @@ let truncate t f newsize =
     let within = newsize mod t.bs and tail = newsize / t.bs in
     if within <> 0 && (Hashtbl.mem f.f_cache tail || Hashtbl.mem f.f_blocks tail)
     then begin
-      let cb = get_block t f tail ~need_old:true in
+      let cb = get_block t f tail in
       Bytes.fill cb.cb_data within (t.bs - within) '\000';
       cb.cb_dirty <- true
     end;
@@ -547,6 +585,7 @@ let fsync_ffs t f dirty =
            ownership rule holds without a staging copy. Marking the block
            clean below makes it evictable mid-writeback, so the command
            pins the buffer until the device is done with it. *)
+        zero_upto cb len;
         let data = Slice.make cb.cb_data ~pos:0 ~len in
         pin cb;
         let write () =
@@ -588,8 +627,9 @@ let fsync_zfs t f dirty =
            buffer until the vectored command below has committed it. *)
         cb.cb_dirty <- false;
         pin cb;
-        let len = used_len t f idx in
-        (first * dev_bs, Slice.make cb.cb_data ~pos:0 ~len:(max dev_bs len)))
+        let len = max dev_bs (used_len t f idx) in
+        zero_upto cb len;
+        (first * dev_bs, Slice.make cb.cb_data ~pos:0 ~len))
       dirty
   in
   Device.writev t.dev segs;
@@ -642,7 +682,7 @@ let mmap t f aspace ~va ~len =
           let off = rel * Addr.page_size in
           if off >= f.f_size && not (Hashtbl.mem f.f_blocks (off / t.bs)) then `Zero
           else begin
-            let cb = get_block t f (off / t.bs) ~need_old:true in
+            let cb = get_block t f (off / t.bs) in
             let within = off mod t.bs in
             (* Fill the frame straight from the cache block (frame
                alloc, then a page-sized memcpy charge), with no staging
@@ -684,7 +724,7 @@ let msync t f =
           let va = mm.mm_va + (rel * Addr.page_size) in
           let page = Aspace.page_for_read mm.mm_aspace ~va in
           let off = rel * Addr.page_size in
-          let cb = get_block t f (off / t.bs) ~need_old:true in
+          let cb = get_block t f (off / t.bs) in
           pin cb;
           Sched.cpu (Costs.memcpy Addr.page_size);
           Bytes.blit page.Phys.data 0 cb.cb_data (off mod t.bs) Addr.page_size;

@@ -14,11 +14,13 @@ let get_u64 b off = Int64.to_int (Bytes.get_int64_le b off) land max_int
 let set_u64 b off v = Bytes.set_int64_le b off (Int64.of_int v)
 
 (* The kernel is C (wire_stubs.c): eight multiply-accumulate lanes over
-   64-byte stripes, folded with splitmix64's mix. Every journaled byte
-   passes through it (about 0.7 us per 4 KiB in L1, no allocation). It
-   checks nothing, so both entry points bounds-check first. The media
-   format is pinned by the Int64 differential and the golden values in
-   test_util.ml. *)
+   64-byte stripes, folded with splitmix64's mix. On x86-64 GCC builds
+   it is per-ISA clones of that one C function (default, AVX2, AVX-512)
+   with the same bits; the loader picks the widest the host runs. Every
+   journaled byte passes through it (about 0.2-0.5 us per 4 KiB in L1,
+   by clone, no allocation). It checks nothing, so both entry points
+   bounds-check first. The media format is pinned by the Int64
+   differential and the golden values in test_util.ml. *)
 external kernel :
   Bytes.t ->
   (int[@untagged]) ->

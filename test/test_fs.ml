@@ -627,6 +627,160 @@ let prop_writev_split =
       run (fun fs f -> Fs.writev fs f ~off (slices 0 (cuts @ [ len ])))
       = run (fun fs f -> Fs.write fs f ~off payload))
 
+(* The zero watermark: a fresh cache block is not zeroed when it enters
+   the cache, only where no write lands. Random writes into fresh blocks
+   (gaps, writes past EOF, whole-block and sub-block writes), reads,
+   fsyncs, truncates and mmap page-ins must all see a flat zero-filled
+   model file, and after every fsync each block's bytes on the disk, up
+   to the length its last writeback lent the device, must equal the
+   model as it was then. Every case starts by recycling block-sized
+   buffers, which [debug_checks] poisons, so an unzeroed byte shows.
+   The cache is unbounded: every block stays fresh in the cache, and
+   none is re-read from the disk, which holds only the prefix its last
+   writeback wrote. *)
+type zero_op =
+  | Zwrite of int * int * int (* off, len, seed *)
+  | Zread of int * int
+  | Zfsync
+  | Ztruncate of int
+  | Zpage_in of int (* page number *)
+
+let zero_op_to_string = function
+  | Zwrite (off, len, seed) -> Printf.sprintf "write %d at %d (seed %d)" len off seed
+  | Zread (off, len) -> Printf.sprintf "read %d at %d" len off
+  | Zfsync -> "fsync"
+  | Ztruncate n -> Printf.sprintf "truncate %d" n
+  | Zpage_in p -> Printf.sprintf "page-in %d" p
+
+let prop_zero_watermark =
+  let open QCheck.Gen in
+  let gen =
+    oneofl [ Fs.Ffs; Fs.Zfs ] >>= fun kind ->
+    let bs = fs_block_of kind in
+    let cap = 4 * bs in
+    let write =
+      oneof
+        [
+          (int_range 0 (cap - 300) >>= fun off -> int_range 1 300 >|= fun len -> (off, len));
+          (int_range 0 (cap - bs) >>= fun off -> int_range 1 bs >|= fun len -> (off, len));
+          (int_range 0 3 >|= fun k -> (k * bs, bs));
+        ]
+      >>= fun (off, len) -> int >|= fun seed -> Zwrite (off, len, seed)
+    in
+    let op =
+      frequency
+        [
+          (5, write);
+          (2, int_range 0 (cap - 1) >>= fun off ->
+              int_range 0 (min bs (cap - off)) >|= fun len -> Zread (off, len));
+          (2, return Zfsync);
+          (1, int_range 0 cap >|= fun n -> Ztruncate n);
+          (1, int_range 0 ((cap / 4096) - 1) >|= fun p -> Zpage_in p);
+        ]
+    in
+    list_size (int_range 1 30) op >|= fun ops -> (kind, ops)
+  in
+  let print (kind, ops) =
+    Printf.sprintf "%s: %s"
+      (match kind with Fs.Ffs -> "ffs" | Fs.Zfs -> "zfs")
+      (String.concat "; " (List.map zero_op_to_string ops))
+  in
+  QCheck.Test.make ~count:150 ~name:"fresh blocks read as zeros where no write lands"
+    (QCheck.make ~print gen)
+    (fun (kind, ops) ->
+      let module Pool = Msnap_util.Pool in
+      let bs = fs_block_of kind in
+      let cap = 4 * bs in
+      List.iter Pool.recycle (List.init 4 (fun _ -> Pool.alloc bs));
+      Sched.run (fun () ->
+          let disk = Disk.create ~size:(Size.mib 16) () in
+          let dev = Device.of_disk disk in
+          let fs = Fs.mkfs dev ~kind in
+          let f = Fs.open_file fs "z" in
+          let phys = Phys.create () in
+          let aspace = Aspace.create phys in
+          let model = Bytes.make cap '\000' and size = ref 0 in
+          (* Blocks written and not dropped, blocks dirtied since the last
+             fsync, and what each block's last writeback lent the device. *)
+          let exists = Hashtbl.create 8 and dirty = Hashtbl.create 8 in
+          let durable = Hashtbl.create 8 in
+          let dirty_range off len =
+            for idx = off / bs to (off + len - 1) / bs do
+              Hashtbl.replace exists idx ();
+              Hashtbl.replace dirty idx ()
+            done
+          in
+          let used_len idx =
+            let upto = min bs (!size - (idx * bs)) in
+            if upto <= 0 then 0 else (upto + 4095) / 4096 * 4096
+          in
+          let fsync () =
+            Fs.fsync fs f;
+            Hashtbl.iter
+              (fun idx () ->
+                let len =
+                  match kind with Fs.Ffs -> used_len idx | Fs.Zfs -> max 4096 (used_len idx)
+                in
+                if len > 0 then Hashtbl.replace durable idx (Bytes.sub model (idx * bs) len))
+              dirty;
+            Hashtbl.reset dirty;
+            List.for_all
+              (fun (idx, first) ->
+                match Hashtbl.find_opt durable idx with
+                | None -> true
+                | Some image ->
+                  Bytes.equal image (Disk.peek disk ~off:(first * 4096) ~len:(Bytes.length image)))
+              (Fs.debug_blocks fs f)
+          in
+          let va = ref 0x1000_0000 in
+          let step = function
+            | Zwrite (off, len, seed) ->
+              let payload = Rng.bytes (Rng.create seed) len in
+              Fs.write fs f ~off payload;
+              Bytes.blit payload 0 model off len;
+              size := max !size (off + len);
+              dirty_range off len;
+              true
+            | Zread (off, len) ->
+              let buf = Bytes.make len 'Z' in
+              Fs.read_into fs f ~off buf ~pos:0 ~len;
+              Bytes.equal buf (Bytes.sub model off len)
+            | Zfsync -> fsync ()
+            | Ztruncate n ->
+              Fs.truncate fs f n;
+              if n < !size then begin
+                Bytes.fill model n (cap - n) '\000';
+                let keep = (n + bs - 1) / bs in
+                if n mod bs <> 0 && Hashtbl.mem exists (n / bs) then
+                  Hashtbl.replace dirty (n / bs) ();
+                List.iter
+                  (fun tbl ->
+                    Hashtbl.filter_map_inplace (fun idx v -> if idx >= keep then None else Some v) tbl)
+                  [ exists; dirty ];
+                Hashtbl.filter_map_inplace
+                  (fun idx v -> if idx >= keep then None else Some v)
+                  durable
+              end;
+              size := n;
+              true
+            | Zpage_in p ->
+              (* A fresh mapping per page-in: frames are not invalidated
+                 by later writes. *)
+              let base = !va in
+              va := !va + cap;
+              ignore (Fs.mmap fs f aspace ~va:base ~len:cap);
+              Bytes.equal
+                (Aspace.read aspace ~va:(base + (p * 4096)) ~len:4096)
+                (Bytes.sub model (p * 4096) 4096)
+          in
+          let ok = List.for_all step ops && fsync () in
+          let all = Bytes.make cap 'Z' in
+          Fs.read_into fs f ~off:0 all ~pos:0 ~len:cap;
+          Fs.dispose fs;
+          Phys.dispose phys;
+          Device.dispose dev;
+          ok && Bytes.equal all model))
+
 (* Mount scans both snapshot slots and the whole journal ring; the scan
    buffers come from the pool and all go back to it. *)
 let test_mount_recycles_scan_buffers () =
@@ -699,6 +853,7 @@ let () =
         ] );
       ("lru", [ QCheck_alcotest.to_alcotest prop_eviction_order ]);
       ("writev", [ QCheck_alcotest.to_alcotest prop_writev_split ]);
+      ("zeros", [ QCheck_alcotest.to_alcotest prop_zero_watermark ]);
       ( "zfs",
         [
           tc "roundtrip" (test_write_read_roundtrip Fs.Zfs);

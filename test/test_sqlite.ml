@@ -2,6 +2,7 @@ module Sched = Msnap_sim.Sched
 module Size = Msnap_util.Size
 module Rng = Msnap_util.Rng
 module Device = Msnap_blockdev.Device
+module Disk = Msnap_blockdev.Disk
 module Fs = Msnap_fs.Fs
 module Msnap = Msnap_core.Msnap
 module Page = Msnap_sqlite.Page
@@ -404,46 +405,77 @@ let prop_btree_model =
           let& reopened = (Pager.create backend, Pager.dispose) in
           agrees (Btree.open_tree reopened ~root:(Btree.root tree)) !committed))
 
-(* A rollback across a leaf split restores every pre-image, and the page
-   numbers the aborted transaction allocated are handed out again, as
-   zeroed pages. *)
+(* [backend] with its [b_read_page] calls counted in [reads]. *)
+let counting reads (b : Pager.backend) =
+  { b with Pager.b_read_page = (fun pgno -> incr reads; b.b_read_page pgno) }
+
+(* A rollback across a leaf split, over [backend]. The pages the aborted
+   transaction dirtied leave the cache; the next touch of each reloads
+   its committed bytes through [b_read_page], once; the page numbers the
+   transaction allocated are handed out again, as zeroed pages. *)
+let check_rollback_split backend =
+  let reads = ref 0 in
+  let& pager = (Pager.create (counting reads backend), Pager.dispose) in
+  let value = String.make 100 'v' in
+  let insert tree i = Btree.insert tree ~key:(Db.key_of_int i) ~value in
+  Pager.begin_write pager;
+  let tree = Btree.create pager in
+  for i = 0 to 19 do
+    insert tree i
+  done;
+  Pager.commit pager;
+  checki "one leaf" 1 (Btree.depth tree);
+  let npages = Pager.npages pager and cached = Pager.cached_pages pager in
+  let committed = List.init npages (fun i -> Bytes.copy (Pager.get_page pager (i + 1))) in
+  Pager.begin_write pager;
+  for i = 20 to 59 do
+    insert tree i
+  done;
+  checkb "split" true (Btree.depth tree > 1);
+  let allocated = Pager.npages pager - npages and dirty = Pager.dirty_pages pager in
+  checkb "pages allocated" true (allocated > 0);
+  Pager.rollback pager;
+  let reloads = dirty - allocated in
+  checkb "committed pages dirtied" true (reloads > 0);
+  checki "no dirty pages" 0 (Pager.dirty_pages pager);
+  checki "dirtied pages leave the cache" (cached - reloads) (Pager.cached_pages pager);
+  checki "page count restored" npages (Pager.npages pager);
+  let read_back () =
+    List.iteri
+      (fun i image ->
+        checkb "committed bytes" true (Bytes.equal image (Pager.get_page pager (i + 1))))
+      committed
+  in
+  reads := 0;
+  read_back ();
+  checki "one reload per dirtied page" reloads !reads;
+  read_back ();
+  checki "reloaded pages stay cached" reloads !reads;
+  checki "rows" 20 (Btree.count tree);
+  check_opt "aborted row" None (Btree.find tree (Db.key_of_int 25));
+  Pager.begin_write pager;
+  let pgno = Pager.alloc_page pager in
+  checki "aborted page number reused" (npages + 1) pgno;
+  checkb "reused page reads as zeros" true
+    (Bytes.equal (Bytes.make Page.size '\000') (Pager.get_page pager pgno));
+  Pager.commit pager
+
 let test_pager_rollback_split () =
-  Sched.run (fun () ->
-      let& pager = (Pager.create (mem_backend ()), Pager.dispose) in
-      let value = String.make 100 'v' in
-      let insert tree i = Btree.insert tree ~key:(Db.key_of_int i) ~value in
-      Pager.begin_write pager;
-      let tree = Btree.create pager in
-      for i = 0 to 19 do
-        insert tree i
-      done;
-      Pager.commit pager;
-      checki "one leaf" 1 (Btree.depth tree);
-      let npages = Pager.npages pager and cached = Pager.cached_pages pager in
-      let before = List.init npages (fun i -> Bytes.copy (Pager.get_page pager (i + 1))) in
-      Pager.begin_write pager;
-      for i = 20 to 59 do
-        insert tree i
-      done;
-      checkb "split" true (Btree.depth tree > 1);
-      checkb "pages allocated" true (Pager.npages pager > npages);
-      checkb "pages dirty" true (Pager.dirty_pages pager > 0);
-      Pager.rollback pager;
-      checki "no dirty pages" 0 (Pager.dirty_pages pager);
-      checki "cache size restored" cached (Pager.cached_pages pager);
-      checki "page count restored" npages (Pager.npages pager);
-      List.iteri
-        (fun i pre ->
-          checkb "pre-image restored" true (Bytes.equal pre (Pager.get_page pager (i + 1))))
-        before;
-      checki "rows" 20 (Btree.count tree);
-      check_opt "aborted row" None (Btree.find tree (Db.key_of_int 25));
-      Pager.begin_write pager;
-      let pgno = Pager.alloc_page pager in
-      checki "aborted page number reused" (npages + 1) pgno;
-      checkb "reused page reads as zeros" true
-        (Bytes.equal (Bytes.make Page.size '\000') (Pager.get_page pager pgno));
-      Pager.commit pager)
+  Sched.run (fun () -> check_rollback_split (mem_backend ()))
+
+let test_pager_rollback_msnap () =
+  in_dev ~mib:128 (fun dev ->
+      let& k = (Msnap.boot ~format:true dev, Msnap.dispose) in
+      check_rollback_split
+        (Backend_msnap.backend (Backend_msnap.create k ~db_name:"rb.db" ~max_pages:4096)))
+    ()
+
+let test_pager_rollback_wal () =
+  in_dev ~mib:128 (fun dev ->
+      let& fs = (Fs.mkfs dev ~kind:Fs.Ffs, Fs.dispose) in
+      let& be = (Backend_wal.create fs ~db_name:"rb.db" (), Backend_wal.dispose) in
+      check_rollback_split (Backend_wal.backend be))
+    ()
 
 (* --- Db over both real backends --- *)
 
@@ -493,6 +525,29 @@ let test_db_rollback () =
        with Failure _ -> ());
       check_opt "committed stays" (Some "1") (Db.get tbl "a");
       check_opt "aborted rolled back" None (Db.get tbl "b"))
+    ()
+
+(* Rollback does no IO: after a commit fails on a powered-off device it
+   raises nothing and closes the transaction, over either backend. *)
+let test_rollback_powered_off () =
+  let abort dev db =
+    let tbl = Db.create_table db "t" in
+    Db.with_write_txn db (fun () -> Db.put tbl ~key:"a" ~value:"1");
+    let pager = Db.pager db in
+    Pager.begin_write pager;
+    Db.put tbl ~key:"b" ~value:"2";
+    Device.fail_power dev ~torn_seed:1;
+    (match Pager.commit pager with
+     | () -> Alcotest.fail "commit on a powered-off device"
+     | exception Disk.Powered_off -> ());
+    Pager.rollback pager;
+    checkb "transaction closed" false (Pager.in_txn pager)
+  in
+  in_dev ~mib:128 (fun dev -> with_wal_db dev ~db_name:"off.db" (fun _ db -> abort dev db)) ();
+  in_dev ~mib:128 (fun dev ->
+      let& k = (Msnap.boot ~format:true dev, Msnap.dispose) in
+      let& db = (msnap_db k ~db_name:"off.db", dispose_pager) in
+      abort dev db)
     ()
 
 let test_db_recovery_msnap () =
@@ -695,12 +750,15 @@ let () =
           tc "delete" test_btree_delete;
           QCheck_alcotest.to_alcotest prop_btree_model;
           tc "pager rollback across a split" test_pager_rollback_split;
+          tc "pager rollback reloads (msnap)" test_pager_rollback_msnap;
+          tc "pager rollback reloads (wal)" test_pager_rollback_wal;
         ] );
       ( "db",
         [
           tc "over wal backend" test_db_over_wal;
           tc "over msnap backend" test_db_over_msnap;
           tc "rollback" test_db_rollback;
+          tc "rollback on a powered-off device" test_rollback_powered_off;
           tc "recovery (msnap)" test_db_recovery_msnap;
           tc "crash loses uncommitted" test_db_crash_uncommitted_lost_msnap;
           tc "wal checkpoints" test_wal_checkpoint_triggers;
