@@ -200,7 +200,6 @@ let fig1 () =
 let table5 () =
   section "Table 5: breakdown of msnap_persist (64 KiB dirty)";
   Sched.run (fun () ->
-      Metrics.reset ();
       let _, k = mk_msnap () in
       let region_pages = 65536 in
       let md = Msnap.open_region k ~name:"bench" ~len:(region_pages * page) () in
@@ -269,10 +268,8 @@ let table2 () =
 let table10 () =
   section "Table 10: MemSnap vs Aurora persistence cost";
   let aurora = aurora_breakdown () in
-  Metrics.reset ();
   let ms_reset, ms_io, ms_total =
     Sched.run (fun () ->
-        Metrics.reset ();
         let _, k = mk_msnap () in
         let md = Msnap.open_region k ~name:"bench" ~len:(65536 * page) () in
         let rng = Rng.create 6 in

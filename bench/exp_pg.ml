@@ -183,7 +183,6 @@ type result = { tps : float; mb_per_s : float; iops : float }
 
 let run_variant mk =
   Sched.run (fun () ->
-      Metrics.reset ();
       let dev, st = mk () in
       let db = Pg.open_db st in
       load db;

@@ -60,7 +60,6 @@ type result = {
 
 let run_mixgraph backend ~ops =
   Sched.run (fun () ->
-      Metrics.reset ();
       let db = mk_db backend in
       prefill_db db;
       let wl = Mixgraph.create ~value_size ~nkeys () in

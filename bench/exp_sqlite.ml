@@ -58,7 +58,6 @@ type dbbench_result = {
 
 let run_dbbench ~backend ~pattern ~txn_bytes ~total_writes () =
   Sched.run (fun () ->
-      Metrics.reset ();
       let db = open_db backend in
       let tbl = Db.create_table db "kv" in
       let wl = Dbbench.create ~nkeys:max_key ~txn_bytes ~pattern () in

@@ -34,28 +34,33 @@ let app_workload db =
           ~value:(Printf.sprintf "order %d by customer %d" o (o mod 50)))
   done
 
+(* Each configuration is its own simulation: [Metrics] counts what the
+   run it is read in recorded. *)
 let () =
-  Sched.run @@ fun () ->
-  (* Baseline: WAL file + checkpoints over the file API. *)
-  Metrics.reset ();
-  let wal_dev = Device.testbed ~mib:128 in
-  let fs = Fs.mkfs wal_dev ~kind:Fs.Ffs in
-  let bw = Backend_wal.create fs ~db_name:"app.db" () in
-  let wal_db = Db.open_db (Backend_wal.backend bw) in
-  app_workload wal_db;
-  say "baseline (WAL+checkpoint): %4d fsync, %5d write, mean fsync %.0f us"
-    (Metrics.count Probe.db_fsync) (Metrics.count Probe.db_write)
-    (Metrics.mean_ns Probe.db_fsync /. 1e3);
+  (Sched.run @@ fun () ->
+   (* Baseline: WAL file + checkpoints over the file API. *)
+   let wal_dev = Device.testbed ~mib:128 in
+   let fs = Fs.mkfs wal_dev ~kind:Fs.Ffs in
+   let bw = Backend_wal.create fs ~db_name:"app.db" () in
+   let wal_db = Db.open_db (Backend_wal.backend bw) in
+   app_workload wal_db;
+   say "baseline (WAL+checkpoint): %4d fsync, %5d write, mean fsync %.0f us"
+     (Metrics.count Probe.db_fsync) (Metrics.count Probe.db_write)
+     (Metrics.mean_ns Probe.db_fsync /. 1e3);
+   Msnap_sqlite.Pager.dispose (Db.pager wal_db);
+   Backend_wal.dispose bw;
+   Fs.dispose fs;
+   Device.dispose wal_dev);
 
+  Sched.run @@ fun () ->
   (* MemSnap plugin: same storage engine, no files. *)
-  Metrics.reset ();
   let dev = Device.testbed ~mib:128 in
   let k = Msnap.boot ~format:true dev in
   let be = Backend_msnap.create k ~db_name:"app.db" ~max_pages:16384 in
   let ms_db = Db.open_db (Backend_msnap.backend be) in
   app_workload ms_db;
-  say "memsnap plugin:            %4d msnap_persist, 0 fsync, mean persist %.0f us"
-    (Metrics.count Probe.db_memsnap)
+  say "memsnap plugin:            %4d msnap_persist, %d fsync, mean persist %.0f us"
+    (Metrics.count Probe.db_memsnap) (Metrics.count Probe.db_fsync)
     (Metrics.mean_ns Probe.db_memsnap /. 1e3);
 
   say "== crash and recover the memsnap database ==";
@@ -68,10 +73,7 @@ let () =
   say "orders recovered: %d rows; order 123 = %S" (Db.count orders)
     (Option.get (Db.get orders (Db.key_of_int 123)));
   assert (Db.count orders = 500);
-  List.iter (fun db -> Msnap_sqlite.Pager.dispose (Db.pager db)) [ wal_db; ms_db; db2 ];
-  Backend_wal.dispose bw;
-  Fs.dispose fs;
+  List.iter (fun db -> Msnap_sqlite.Pager.dispose (Db.pager db)) [ ms_db; db2 ];
   Msnap.dispose k;
   Msnap.dispose k2;
-  Device.dispose wal_dev;
   Device.dispose dev

@@ -29,8 +29,9 @@ let dev_bs = 4096
    the write; appends therefore zero nothing. Every other reader settles
    the block first ({!get_block} zeroes the rest of it), and writeback
    zeroes only up to the length it lends to the device. The watermark
-   only moves up, so a settled block stays settled. Blocks read from
-   disk start settled ([cb_zero_from = bs]). *)
+   only moves up, so a settled block stays settled. A block read from
+   disk starts with its watermark at the length its last writeback put
+   there ([f_wlen]): past it the device holds older bytes. *)
 type cached_block = {
   cb_data : Bytes.t; (* pooled: recycled when the block leaves the cache *)
   mutable cb_zero_from : int; (* [cb_data] reads as zeros from here *)
@@ -96,6 +97,9 @@ type file = {
   f_name : string;
   mutable f_size : int;
   f_blocks : (int, int) Hashtbl.t; (* fs-block idx -> first device block *)
+  f_wlen : (int, int) Hashtbl.t;
+      (* fs-block idx -> bytes its last writeback put on the device, for
+         every mapped block; host-only *)
   f_cache : (int, cached_block) Hashtbl.t;
   mutable f_ind_blocks : int list; (* ZFS: current indirect blocks *)
   mutable f_mmaps : mm list;
@@ -157,7 +161,8 @@ let open_file t name =
   | None ->
     let f =
       { f_name = name; f_size = 0; f_blocks = Hashtbl.create 64;
-        f_cache = Hashtbl.create 64; f_ind_blocks = []; f_mmaps = [] }
+        f_wlen = Hashtbl.create 64; f_cache = Hashtbl.create 64;
+        f_ind_blocks = []; f_mmaps = [] }
     in
     Hashtbl.replace t.files name f;
     f
@@ -351,7 +356,8 @@ let zero_upto cb upto =
 
 (* Look up or cache a block for [writev], reading it from disk when a
    read-modify-write requires the old contents ([need_old]). A fresh
-   block arrives unzeroed, with its watermark at 0. *)
+   block arrives unzeroed, with its watermark at 0; a block read from
+   disk, with its watermark where its last writeback ended. *)
 let lookup_block t f idx ~need_old =
   match Hashtbl.find_opt f.f_cache idx with
   | Some cb ->
@@ -360,17 +366,20 @@ let lookup_block t f idx ~need_old =
     cb
   | None ->
     Sched.cpu Costs.buffer_cache_lookup;
-    (* Either the device read fills the whole block, or the watermark
-       says none of it is written yet, so an uninitialized pooled buffer
-       serves both. *)
+    (* The device read fills the whole block, and the watermark says
+       which of it holds the file's bytes (none, for a fresh block), so
+       an uninitialized pooled buffer serves both. *)
     let data = Pool.alloc t.bs in
-    let read_old =
+    let zero_from =
       match Hashtbl.find_opt f.f_blocks idx with
       | Some first when need_old ->
+        (* Taken before the read yields: a truncate may unmap the block
+           meanwhile. *)
+        let wlen = Hashtbl.find f.f_wlen idx in
         t.s_rmw_reads <- t.s_rmw_reads + 1;
         Device.read_into t.dev ~off:(first * dev_bs) (Slice.of_bytes data);
-        true
-      | Some _ | None -> false
+        wlen
+      | Some _ | None -> 0
     in
     (* Another thread may have missed the same block and cached it while
        this one was charged or reading: its copy may already carry writes,
@@ -382,7 +391,7 @@ let lookup_block t f idx ~need_old =
       cb
     | None ->
       let rec cb =
-        { cb_data = data; cb_zero_from = (if read_old then t.bs else 0);
+        { cb_data = data; cb_zero_from = zero_from;
           cb_dirty = false; cb_pin = 0; cb_idx = idx; cb_owner = f.f_cache;
           cb_prev = cb; cb_next = cb }
       in
@@ -515,6 +524,7 @@ let truncate t f newsize =
     List.iter
       (fun (idx, first) ->
         Hashtbl.remove f.f_blocks idx;
+        Hashtbl.remove f.f_wlen idx;
         Balloc.free_now t.alloc (List.init (t.bs / dev_bs) (fun i -> first + i)))
       !dropped;
     let drop_cache = ref [] in
@@ -579,6 +589,7 @@ let fsync_ffs t f dirty =
     (fun (idx, cb) ->
       let first = ensure_allocated t f idx in
       let len = used_len t f idx in
+      Hashtbl.replace f.f_wlen idx len;
       if len > 0 then begin
         (* Slice over the cache block itself: dirty blocks stay in the
            cache, and writeback completes before fsync returns, so the
@@ -628,6 +639,7 @@ let fsync_zfs t f dirty =
         cb.cb_dirty <- false;
         pin cb;
         let len = max dev_bs (used_len t f idx) in
+        Hashtbl.replace f.f_wlen idx len;
         zero_upto cb len;
         (first * dev_bs, Slice.make cb.cb_data ~pos:0 ~len))
       dirty
@@ -1046,6 +1058,14 @@ let mount dev ~kind =
   (match snap_slot with
   | Some slot -> t.meta_slot <- 1 - slot
   | None -> t.meta_slot <- 0);
+  (* What a block's last writeback put on the device is not recorded;
+     the used prefix of the recovered size stands in for it. *)
+  Hashtbl.iter
+    (fun _ f ->
+      Hashtbl.iter
+        (fun idx _ -> Hashtbl.replace f.f_wlen idx (used_len t f idx))
+        f.f_blocks)
+    t.files;
   t
 
 (* End-of-run teardown: every cache block and the zero scratch go back to

@@ -1,8 +1,8 @@
 module Taskpool = Msnap_util.Taskpool
 
 (* What a finished cell hands back to the forcing experiment, besides
-   its value: the per-domain store the body recorded into, plus how far
-   it advanced its private trace timeline. *)
+   its value: the trace store the body recorded into, plus how far it
+   advanced its private trace timeline. *)
 type 'a outcome = { o_value : 'a; o_store : Trace.snapshot; o_advance : int }
 
 type 'a t = {
@@ -19,7 +19,7 @@ let submit f =
   let body () =
     if Sched.running () then
       invalid_arg "Cell: task pool reached into a live simulation";
-    (* Full domain-local isolation: a fresh recording store, a base-0
+    (* Full domain-local isolation: a fresh trace store, a base-0
        trace timeline. The swap — not just a reset — is what
        makes cells safe to run on a domain that is mid-experiment
        (await-helping): the host's store is untouched underneath. *)
@@ -51,10 +51,9 @@ let force c =
     if Sched.running () then
       invalid_arg "Cell.force: called inside Sched.run";
     let o = Taskpool.await c.task in
-    (* Splice the cell's recordings into this domain's store exactly
-       where a serial run would have put them: the trace timeline
-       resumes at the current base and advances by what the cell's own
-       runs consumed, and metrics fold in submission (= force) order. *)
+    (* Splice the cell's trace into this domain's store exactly where a
+       serial run would have put it: the timeline resumes at the current
+       base and advances by what the cell's own runs consumed. *)
     let base = Sched.trace_base () in
     Trace.cell_merge ~shift:base o.o_store;
     Sched.set_trace_base (base + o.o_advance);

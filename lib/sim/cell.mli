@@ -8,15 +8,18 @@
     runs it and {e when} are pure host decisions. The cell layer makes
     that safe by construction:
 
-    - the body runs with a fresh domain-local recording store (the
-      [Trace] buffer and summary and the [Metrics] columns, one record)
-      and a base-0 trace timeline, swapped in around the body
-      and swapped back out after, so a worker (or an await-helping
-      experiment domain) never leaks cell state into whatever else it
-      was doing;
-    - {!force} splices the cell's recordings back into the calling
-      domain's store in force order, exactly where a serial run would
-      have put them.
+    - the body runs with a fresh domain-local trace store (the [Trace]
+      buffer and summary) and a base-0 trace timeline, swapped in
+      around the body and swapped back out after, so a worker (or an
+      await-helping experiment domain) never leaks cell state into
+      whatever else it was doing;
+    - {!force} splices the cell's trace back into the calling domain's
+      store in force order, exactly where a serial run would have put
+      it.
+
+    [Metrics] figures need no isolation: they belong to the [Sched.run]
+    that recorded them, so a body that wants them returns them in its
+    value. A cell carries back only its value and its trace.
 
     With zero pool workers a cell runs inline at {!force} — serial
     execution is the degenerate case, and its observable output is the
@@ -35,13 +38,12 @@ val submit : (unit -> 'a) -> 'a t
 
 val share : 'a t -> 'a t
 (** Another handle on the same body, which runs once however many
-    handles there are. Each handle merges the recordings once, into the
+    handles there are. Each handle merges the trace once, into the
     store of the domain that forces it, so every reader of a shared
     measurement records what running the body itself would have. *)
 
 val force : 'a t -> 'a
 (** Wait for the body (running it inline if no domain picked it up),
-    merge its metrics/trace recordings into this domain, and return
-    its value. Idempotent: only the first call merges. Re-raises the
-    body's exception, in which case the cell's recordings are
-    discarded. *)
+    merge its trace into this domain, and return its value.
+    Idempotent: only the first call merges. Re-raises the body's
+    exception, in which case the cell's trace is discarded. *)

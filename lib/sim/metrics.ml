@@ -1,21 +1,19 @@
 module Histogram = Msnap_util.Histogram
 
-(* A view over the metric columns of the per-domain recording store
-   ([Trace.metric_counts] / [Trace.metric_hists], indexed by
-   [Probe.id]); cells isolate and merge them with the trace columns. *)
-
-let reset = Trace.clear_metrics
+(* A view over the running engine's metric columns
+   ([Sched.probe_counts] / [Sched.probe_hists], indexed by
+   [Probe.id]). *)
 
 let incr ?(by = 1) p =
-  let c = Trace.metric_counts () and i = Probe.id p in
+  let c = Sched.probe_counts () and i = Probe.id p in
   c.(i) <- c.(i) + by
 
-let count p = (Trace.metric_counts ()).(Probe.id p)
-let hist p = (Trace.metric_hists ()).(Probe.id p)
+let count p = (Sched.probe_counts ()).(Probe.id p)
+let hist p = (Sched.probe_hists ()).(Probe.id p)
 
 let add_sample p ns =
   incr p;
-  let hs = Trace.metric_hists () and i = Probe.id p in
+  let hs = Sched.probe_hists () and i = Probe.id p in
   match hs.(i) with
   | Some h -> Histogram.add h ns
   | None ->
@@ -30,7 +28,7 @@ let counters () =
   let acc = ref [] in
   Array.iteri
     (fun i n -> if n <> 0 then acc := (Probe.name (Probe.of_id i), n) :: !acc)
-    (Trace.metric_counts ());
+    (Sched.probe_counts ());
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
 (* Closure-free form of {!timed} for hot call sites: bracket the section

@@ -7,17 +7,13 @@
     regenerate the paper's syscall-count tables (Tables 7 and 9).
 
     This module owns no storage: it is a typed view over the metric
-    columns of the per-domain recording store that {!Trace} keeps,
-    indexed by {!Probe.id}. A parallel simulation cell ([Cell]) swaps
-    and merges that one store, trace summary and metrics together.
-
-    State is domain-local — call {!reset} between experiments. Every
-    entry point takes a typed {!Probe}; use {!Probe.make} for ad-hoc
-    names (tests, one-off experiments). *)
-
-val reset : unit -> unit
-(** Clear every counter and histogram on this domain. The trace buffer
-    and its summary are left alone. *)
+    columns of the running [Sched] engine, indexed by {!Probe.id}.
+    Like [Sched.account_report], the figures belong to one [Sched.run]:
+    every run starts with every counter at 0 and no histogram, and a
+    reader reads them inside the run that recorded them (return them
+    as a value to keep them). Outside a run, every entry point raises
+    [Invalid_argument]. Each takes a typed {!Probe}; use {!Probe.make} for ad-hoc names (tests, one-off
+    experiments). *)
 
 val incr : ?by:int -> Probe.t -> unit
 (** Bump a counter. *)

@@ -1,4 +1,5 @@
 module Minheap = Msnap_util.Minheap
+module Histogram = Msnap_util.Histogram
 
 (* Waker life cycle. A waker is acquired from the engine free list when
    a thread parks (Suspend) or sleeps (Delay), carries the parked
@@ -61,6 +62,10 @@ and engine = {
   mutable failure : exn option;
   (* Per-bucket CPU ns, indexed by Probe.Bucket.id. *)
   buckets : int array;
+  (* Metrics' counter and histogram columns, indexed by Probe.id; empty
+     at run start and grown to Probe.count () on first use. *)
+  mutable counts : int array;
+  mutable hists : Histogram.t option array;
   (* Sentinel of the parked-waker dlist, most recently parked first. *)
   parked : waker;
   mutable free_wakers : waker; (* free list, [nil_waker]-terminated *)
@@ -94,8 +99,8 @@ let rec nil_thread =
 and nil_engine =
   { clock = 0; runq = nil_runq; live = 0; cur = nil_thread;
     t_none = nil_thread; next_tid = 0; failure = None; buckets = [||];
-    parked = nil_waker; free_wakers = nil_waker; ev = 0; walloc = 0;
-    wreuse = 0 }
+    counts = [||]; hists = [||]; parked = nil_waker; free_wakers = nil_waker;
+    ev = 0; walloc = 0; wreuse = 0 }
 
 and nil_waker =
   { w_thread = nil_thread; w_state = 5 (* st_nil *); w_k = dummy_k;
@@ -404,6 +409,28 @@ let account_report () =
 let account_total () =
   List.fold_left (fun acc (_, v) -> acc + v) 0 (account_report ())
 
+(* Both metric columns grow together, contents kept, to cover every
+   probe interned so far. *)
+let grow_metrics e =
+  let n = Probe.count () in
+  let grow a zero =
+    let na = Array.make n zero in
+    Array.blit a 0 na 0 (Array.length a);
+    na
+  in
+  e.counts <- grow e.counts 0;
+  e.hists <- grow e.hists None
+
+let probe_counts () =
+  let e = engine () in
+  if Array.length e.counts < Probe.count () then grow_metrics e;
+  e.counts
+
+let probe_hists () =
+  let e = engine () in
+  if Array.length e.hists < Probe.count () then grow_metrics e;
+  e.hists
+
 let running () = !(engine_slot ()) <> None
 let trace_base () = !(Domain.DLS.get trace_base_key)
 let set_trace_base v = Domain.DLS.get trace_base_key := v
@@ -419,8 +446,8 @@ let run main =
   let buckets = Array.make Probe.Bucket.count 0 in
   let rec e =
     { clock = 0; runq; live = 0; cur = t_none; t_none; next_tid = 0;
-      failure = None; buckets; parked = psent; free_wakers = nil_waker;
-      ev = 0; walloc = 0; wreuse = 0 }
+      failure = None; buckets; counts = [||]; hists = [||]; parked = psent;
+      free_wakers = nil_waker; ev = 0; walloc = 0; wreuse = 0 }
   and psent =
     { w_thread = t_none; w_state = st_nil; w_k = dummy_k; w_engine = e;
       w_resume = ignore; w_prev = psent; w_next = psent;

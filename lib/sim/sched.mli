@@ -31,10 +31,11 @@ exception Violation of string
 val run : (unit -> 'a) -> 'a
 (** [run main] executes [main] as the first thread of a fresh simulation and
     returns its result once every spawned thread has finished. Resets the
-    clock and CPU accounting. Not reentrant. *)
+    clock, CPU accounting and metric columns. Not reentrant. *)
 
 val now : unit -> int
-(** Current virtual time in nanoseconds. Must be called inside {!run}. *)
+(** Current virtual time in nanoseconds. Must be called inside {!run}:
+    outside it, raises [Invalid_argument]. *)
 
 val running : unit -> bool
 (** Is a simulation active on this domain? *)
@@ -116,6 +117,21 @@ val account_report : unit -> (string * int) list
 
 val account_total : unit -> int
 (** Sum across buckets. *)
+
+(** {2 Metric columns}
+
+    [Metrics]' counters and histograms belong to the run, like the CPU
+    buckets: every {!run} starts with none, and they are read inside
+    the run that recorded them. [Metrics] is the typed view over these;
+    nothing else should call them. Outside {!run} they raise
+    [Invalid_argument], as {!now} does. *)
+
+val probe_counts : unit -> int array
+(** This run's counter column, indexed by {!Probe.id} and grown to
+    cover every probe interned so far. Written in place. *)
+
+val probe_hists : unit -> Msnap_util.Histogram.t option array
+(** The histogram column, indexed and grown like {!probe_counts}. *)
 
 (** {2 Host-side statistics} *)
 

@@ -36,13 +36,9 @@ let unpack_flow packed =
     in
     Some (packed lsr 2, phase)
 
-module Histogram = Msnap_util.Histogram
-
 (* The one per-domain recording store: the trace buffer and its
-   per-probe summary, plus [Metrics]'s counter and histogram columns.
-   Every per-probe column is indexed by [Probe.id] and grown by
-   [ensure_stats]. [enable]/[dump] touch only the trace columns;
-   [clear_metrics] only the metric ones. *)
+   per-probe summary. Every per-probe column is indexed by [Probe.id]
+   and grown by [ensure_stats]. *)
 type store = {
   mutable enabled : bool;
   mutable verbose : bool;
@@ -71,9 +67,6 @@ type store = {
   mutable st_count : int array;
   mutable st_total : int array;
   mutable st_max : int array;
-  (* Metric columns: counters and latency histograms. *)
-  mutable m_count : int array;
-  mutable m_hist : Histogram.t option array;
 }
 
 let fresh ~enabled ~verbose ~limit =
@@ -96,8 +89,6 @@ let fresh ~enabled ~verbose ~limit =
     st_count = [||];
     st_total = [||];
     st_max = [||];
-    m_count = [||];
-    m_hist = [||];
   }
 
 let store_key : store Domain.DLS.key =
@@ -120,15 +111,8 @@ let set_thread_source ~tid ~tname =
   thread_id_source := tid;
   thread_name_source := tname
 
-(* A fresh trace side; the metric columns carry over untouched. *)
 let enable ?(limit = 1 lsl 20) ?(verbose = false) () =
-  let s = store () in
-  Domain.DLS.set store_key
-    {
-      (fresh ~enabled:true ~verbose ~limit) with
-      m_count = s.m_count;
-      m_hist = s.m_hist;
-    }
+  Domain.DLS.set store_key (fresh ~enabled:true ~verbose ~limit)
 
 let disable () = (store ()).enabled <- false
 let is_on () = (store ()).enabled
@@ -143,7 +127,7 @@ let new_flow () =
   s.next_flow <- s.next_flow + 1;
   s.next_flow
 
-(* The one grow-on-demand path for every per-probe column: each is
+(* The one grow-on-demand path for every per-probe trace column: each is
    extended to cover all probes interned so far, contents kept. *)
 let ensure_stats s =
   let n = Probe.count () in
@@ -157,26 +141,7 @@ let ensure_stats s =
   in
   s.st_count <- grow s.st_count 0;
   s.st_total <- grow s.st_total 0;
-  s.st_max <- grow s.st_max 0;
-  s.m_count <- grow s.m_count 0;
-  s.m_hist <- grow s.m_hist None
-
-(* --- metric columns (read and written by Metrics) --- *)
-
-let metric_counts () =
-  let s = store () in
-  if Array.length s.m_count < Probe.count () then ensure_stats s;
-  s.m_count
-
-let metric_hists () =
-  let s = store () in
-  if Array.length s.m_hist < Probe.count () then ensure_stats s;
-  s.m_hist
-
-let clear_metrics () =
-  let s = store () in
-  s.m_count <- [||];
-  s.m_hist <- [||]
+  s.st_max <- grow s.st_max 0
 
 let grow_buf s =
   let cap = max 1024 (min s.limit (2 * Array.length s.b_probe)) in
@@ -282,18 +247,6 @@ let cell_merge ~shift cell =
         if cell.st_max.(i) > s.st_max.(i) then s.st_max.(i) <- cell.st_max.(i)
       end)
     cell.st_count;
-  Array.iteri (fun i c -> s.m_count.(i) <- s.m_count.(i) + c) cell.m_count;
-  Array.iteri
-    (fun i h ->
-      match (h, s.m_hist.(i)) with
-      | None, _ -> ()
-      | Some h, Some cur -> Histogram.merge cur h
-      | Some h, None ->
-        (* Copied: the snapshot may be merged into further stores. *)
-        let cur = Histogram.create () in
-        Histogram.merge cur h;
-        s.m_hist.(i) <- Some cur)
-    cell.m_hist;
   s.dropped <- s.dropped + cell.dropped;
   (* Flow ids are only unique within a store; rebase the cell's ids
      past everything already issued here. *)

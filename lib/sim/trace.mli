@@ -47,7 +47,7 @@ val set_thread_source : tid:(unit -> int) -> tname:(unit -> string) -> unit
 
 val enable : ?limit:int -> ?verbose:bool -> unit -> unit
 (** Start recording on the calling domain with an empty buffer and
-    summary (the metric columns are kept).
+    summary.
     [limit] caps the number of buffered events (default [1_048_576]);
     [verbose] additionally records high-volume events such as per-walk
     page-table instants (default [false]). *)
@@ -105,31 +105,13 @@ val with_span :
     callback raises (the exception is re-raised). When disabled this is
     exactly [f ()]. *)
 
-(** {2 Metric columns}
-
-    The per-domain store that holds the trace buffer and its per-probe
-    summary also holds [Metrics]'s counters and histograms, so one
-    store is swapped and merged per cell. [Metrics] is the typed view
-    over these; nothing else should call them. {!enable} and {!dump}
-    leave them alone. *)
-
-val metric_counts : unit -> int array
-(** The calling domain's counter column, indexed by {!Probe.id} and
-    grown to cover every probe interned so far. Written in place. *)
-
-val metric_hists : unit -> Msnap_util.Histogram.t option array
-(** The histogram column, indexed and grown like {!metric_counts}. *)
-
-val clear_metrics : unit -> unit
-(** Empty both metric columns on the calling domain. *)
-
 (** {2 Cell isolation}
 
     Used by [Msnap_sim.Cell]: a parallel simulation cell records into a
     private store over a private base-0 timeline, spliced back into the
     submitting experiment's store at force time in submission order, so
-    the export, the summary and the metrics are identical whether cells
-    ran serially or on worker domains. *)
+    the export and the summary are identical whether cells ran serially
+    or on worker domains. *)
 
 type snapshot
 
@@ -137,9 +119,8 @@ val buffer_limit : unit -> int
 (** The current store's event cap (propagated into cell stores). *)
 
 val cell_begin : enabled:bool -> verbose:bool -> limit:int -> snapshot
-(** Install a fresh store (empty buffer, summary and metrics) on this
-    domain, recording trace events iff [enabled]; returns the displaced
-    one. *)
+(** Install a fresh store (empty buffer and summary) on this domain,
+    recording trace events iff [enabled]; returns the displaced one. *)
 
 val cell_end : snapshot -> snapshot
 (** Restore the displaced store; returns the cell's store (recording
@@ -148,11 +129,10 @@ val cell_end : snapshot -> snapshot
 val cell_merge : shift:int -> snapshot -> unit
 (** Splice a finished cell's store into the current one: events with
     timestamps shifted by [shift] ns and flow ids rebased past the
-    current store's; per-probe summary stats and counters added exactly
-    (even past the buffer cap — events that don't fit count as
-    dropped); histograms folded sample-exactly. The snapshot is only
-    read, never aliased into the current store, so it may be merged
-    into several stores (one per [Cell.share] handle). *)
+    current store's; per-probe summary stats added exactly (even past
+    the buffer cap — events that don't fit count as dropped). The
+    snapshot is only read, so it may be merged into several stores (one
+    per [Cell.share] handle). *)
 
 (** {2 Collecting}
 

@@ -12,16 +12,10 @@ val create : unit -> t
 val add : t -> int -> unit
 (** Record one sample (e.g. nanoseconds). Negative samples are clamped to 0. *)
 
-val merge : t -> t -> unit
-(** [merge dst src] folds [src]'s samples into [dst]. *)
-
 val count : t -> int
 val mean : t -> float
 val max_value : t -> int
-val min_value : t -> int
 
 val percentile : t -> float -> int
 (** [percentile t 99.0] is an upper bound of the p99 sample, accurate to the
     bucket width. Returns [0] on an empty histogram. *)
-
-val clear : t -> unit

@@ -39,10 +39,39 @@ let dirty_random_pages k md rng ~region_pages ~pages =
 type trace = {
   sim_ns : int list; (* per-cell simulated results *)
   accounts : (string * (string * int) list) list; (* per-run CPU reports *)
+  metrics : (string * run_metrics) list; (* per-run metric digests *)
   table_digest : string;
-  counters : (string * int) list;
   crashes : (string * string) list; (* crash scenario -> recovery digest *)
 }
+
+(* What a run's [Metrics] hold, read inside that run: a digest of its
+   counters and of the figures each histogram reports (a histogram bug
+   moves these even when every counter matches), and how many
+   histograms there were. *)
+and run_metrics = string * int
+
+let hist_figures () =
+  List.filter_map
+    (fun i ->
+      let p = Probe.of_id i in
+      match Metrics.hist p with
+      | Some h when Metrics.samples p > 0 ->
+        Some
+          (Printf.sprintf "%s samples=%d mean=%.17g p50=%d p99=%d max=%d"
+             (Probe.name p) (Metrics.samples p) (Metrics.mean_ns p)
+             (Histogram.percentile h 50.0) (Histogram.percentile h 99.0)
+             (Histogram.max_value h))
+      | _ -> None)
+    (List.init (Probe.count ()) Fun.id)
+
+let run_metrics () : run_metrics =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (name, n) -> Buffer.add_string b (Printf.sprintf "%s=%d;" name n))
+    (Metrics.counters ());
+  let hists = hist_figures () in
+  List.iter (fun l -> Buffer.add_string b (l ^ ";")) hists;
+  (Digest.to_hex (Digest.string (Buffer.contents b)), List.length hists)
 
 (* One self-contained MemSnap persist measurement: mean persist latency
    over 3 dirtyings of [dirty_pages] random pages. Body of a [Sched.run];
@@ -63,7 +92,7 @@ let ms_measure ~region_pages ~dirty_pages () =
     ignore (Msnap.persist k ~region:md ());
     total := !total + (Sched.now () - t0)
   done;
-  (!total / 3, Sched.account_report ())
+  (!total / 3, Sched.account_report (), run_metrics ())
 
 (* The Aurora counterpart: time 3 region checkpoints. *)
 let au_measure ~region_pages ~dirty_pages () =
@@ -90,17 +119,18 @@ let au_measure ~region_pages ~dirty_pages () =
       chosen;
     Aurora.Region.checkpoint r
   done;
-  (Sched.now () - t0, Sched.account_report ())
+  (Sched.now () - t0, Sched.account_report (), run_metrics ())
 
 (* A reduced fig3: sweep dirty-set sizes over MemSnap persist and Aurora
    region checkpoints, plus a multi-threaded MemSnap phase, recording
    everything observable. *)
 let fig3_reduced () =
   let region_pages = 512 in
-  let sim_ns = ref [] and accounts = ref [] in
-  let record name v report =
+  let sim_ns = ref [] and accounts = ref [] and metrics = ref [] in
+  let record name (v, report, m) =
     sim_ns := v :: !sim_ns;
-    accounts := (name, report) :: !accounts
+    accounts := (name, report) :: !accounts;
+    metrics := (name, m) :: !metrics
   in
   let t =
     Tbl.create ~title:"determinism sweep"
@@ -108,21 +138,20 @@ let fig3_reduced () =
   in
   List.iter
     (fun dirty_pages ->
-      let ms, ms_report =
+      let ((ms, _, _) as ms_run) =
         Sched.run (fun () -> ms_measure ~region_pages ~dirty_pages ())
       in
-      let au, au_report =
+      let ((au, _, _) as au_run) =
         Sched.run (fun () -> au_measure ~region_pages ~dirty_pages ())
       in
-      record (Printf.sprintf "memsnap/%d" dirty_pages) ms ms_report;
-      record (Printf.sprintf "aurora/%d" dirty_pages) au au_report;
+      record (Printf.sprintf "memsnap/%d" dirty_pages) ms_run;
+      record (Printf.sprintf "aurora/%d" dirty_pages) au_run;
       Tbl.row t
         [ string_of_int dirty_pages; Tbl.us ms; Tbl.us au ])
     [ 1; 4; 16 ];
   (* Multi-threaded phase: concurrent writers sharing one region, with
      persists racing the dirtying stores. *)
-  Metrics.reset ();
-  let mt_ns, mt_report =
+  let mt_run =
     Sched.run (fun () ->
         let& dev = testbed ~mib:64 in
         let& k = (Msnap.boot ~format:true dev, Msnap.dispose) in
@@ -144,9 +173,9 @@ let fig3_reduced () =
         ignore (Msnap.persist k ~region:md ());
         List.iter Sched.join ts;
         ignore (Msnap.persist k ~region:md ());
-        (Sched.now (), Sched.account_report ()))
+        (Sched.now (), Sched.account_report (), run_metrics ()))
   in
-  record "mt" mt_ns mt_report;
+  record "mt" mt_run;
   (* Crash-injection phase: power-fail the device while a μCheckpoint's
      zero-copy commit (scatter/gather straight over the page frames) is
      in flight, remount, and digest everything recoverable. The tear
@@ -159,7 +188,7 @@ let fig3_reduced () =
     List.map
       (fun crash_delay ->
         let region_pages = 128 in
-        let sim_end, digest =
+        let sim_end, digest, m =
           Sched.run (fun () ->
               let dev = Device.testbed ~mib:64 in
               let k = Msnap.boot ~format:true dev in
@@ -208,17 +237,20 @@ let fig3_reduced () =
                   | Some b -> Buffer.add_bytes buf b
                   | None -> Buffer.add_string buf "hole"
                 done);
-              (Sched.now (), Digest.to_hex (Digest.string (Buffer.contents buf))))
+              ( Sched.now (),
+                Digest.to_hex (Digest.string (Buffer.contents buf)),
+                run_metrics () ))
         in
-        ( Printf.sprintf "crash@%dns" crash_delay,
-          Printf.sprintf "%s/end=%d" digest sim_end ))
+        let name = Printf.sprintf "crash@%dns" crash_delay in
+        metrics := (name, m) :: !metrics;
+        (name, Printf.sprintf "%s/end=%d" digest sim_end))
       [ 30_000; 120_000; 400_000 ]
   in
   {
     sim_ns = List.rev !sim_ns;
     accounts = List.rev !accounts;
+    metrics = List.rev !metrics;
     table_digest = Digest.to_hex (Digest.string (Tbl.render t));
-    counters = Metrics.counters ();
     crashes;
   }
 
@@ -243,7 +275,8 @@ let test_identical_traced_untraced () =
         ra rb)
     a.accounts b.accounts;
   Alcotest.(check string) "table digest" a.table_digest b.table_digest;
-  Alcotest.(check (list (pair string int))) "metrics" a.counters b.counters;
+  Alcotest.(check (list (pair string (pair string int))))
+    "per-run metrics" a.metrics b.metrics;
   Alcotest.(check (list (pair string string)))
     "crash-injection recovery digests" a.crashes b.crashes
 
@@ -259,7 +292,8 @@ let test_identical_twice () =
         ra rb)
     a.accounts b.accounts;
   Alcotest.(check string) "table digest" a.table_digest b.table_digest;
-  Alcotest.(check (list (pair string int))) "metrics" a.counters b.counters;
+  Alcotest.(check (list (pair string (pair string int))))
+    "per-run metrics" a.metrics b.metrics;
   Alcotest.(check (list (pair string string)))
     "crash-injection recovery digests" a.crashes b.crashes
 
@@ -268,7 +302,7 @@ let test_identical_twice () =
    The same sweep expressed as independent simulation cells on the
    domain task pool. The contract under test: how many pool workers
    exist (0 = serial inline execution, the reference) is pure host
-   policy — every simulated value, CPU account, merged metric, and
+   policy — every simulated value, CPU account, per-run metric, and
    merged trace byte must be identical at any worker count, traced or
    not. *)
 
@@ -278,8 +312,7 @@ module Taskpool = Msnap_util.Taskpool
 type cellrun = {
   c_vals : (string * int) list; (* cell label -> simulated ns *)
   c_accounts : (string * (string * int) list) list;
-  c_counters : (string * int) list;
-  c_hists : string list;
+  c_metrics : (string * run_metrics) list; (* read inside each body's run *)
   c_trace_events : int;
   c_trace_digest : string;
 }
@@ -304,29 +337,11 @@ let trace_digest () =
   Array.iter addi d.Trace.d_av;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Every probe with samples, with the figures its merged histogram
-   reports: a histogram merge bug moves these even when every counter
-   matches. *)
-let hist_figures () =
-  List.filter_map
-    (fun i ->
-      let p = Probe.of_id i in
-      match Metrics.hist p with
-      | Some h when Metrics.samples p > 0 ->
-        Some
-          (Printf.sprintf "%s samples=%d mean=%.17g p50=%d p99=%d max=%d"
-             (Probe.name p) (Metrics.samples p) (Metrics.mean_ns p)
-             (Histogram.percentile h 50.0) (Histogram.percentile h 99.0)
-             (Histogram.max_value h))
-      | _ -> None)
-    (List.init (Probe.count ()) Fun.id)
-
 (* [cells:false] runs the same bodies in order on this domain, with no
    cell store to merge: the reference the merged recordings must equal. *)
 let cell_run ?(cells = true) ~workers ~traced () =
   Taskpool.shutdown ();
   Taskpool.ensure_workers workers;
-  Metrics.reset ();
   Sched.set_trace_base 0;
   if traced then Trace.enable ~verbose:true ();
   let region_pages = 256 in
@@ -351,17 +366,14 @@ let cell_run ?(cells = true) ~workers ~traced () =
       List.map (fun (n, p) -> (n, Cell.force p)) pend
     end
   in
-  let counters = Metrics.counters () in
-  let hists = hist_figures () in
   let n_ev = if traced then Trace.event_count () else 0 in
   let td = if traced then trace_digest () else "" in
   if traced then Trace.disable ();
   Taskpool.shutdown ();
   {
-    c_vals = List.map (fun (n, (v, _)) -> (n, v)) forced;
-    c_accounts = List.map (fun (n, (_, r)) -> (n, r)) forced;
-    c_counters = counters;
-    c_hists = hists;
+    c_vals = List.map (fun (n, (v, _, _)) -> (n, v)) forced;
+    c_accounts = List.map (fun (n, (_, r, _)) -> (n, r)) forced;
+    c_metrics = List.map (fun (n, (_, _, m)) -> (n, m)) forced;
     c_trace_events = n_ev;
     c_trace_digest = td;
   }
@@ -376,10 +388,8 @@ let check_cellrun name a b =
         (Printf.sprintf "%s: account report (%s)" name na)
         ra rb)
     a.c_accounts b.c_accounts;
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": merged metrics") a.c_counters b.c_counters;
-  Alcotest.(check (list string))
-    (name ^ ": merged histograms") a.c_hists b.c_hists;
+  Alcotest.(check (list (pair string (pair string int))))
+    (name ^ ": per-run metrics") a.c_metrics b.c_metrics;
   Alcotest.(check int) (name ^ ": trace events") a.c_trace_events
     b.c_trace_events;
   Alcotest.(check string)
@@ -387,7 +397,11 @@ let check_cellrun name a b =
 
 let test_cells_parallel_identical () =
   let serial = cell_run ~workers:0 ~traced:false () in
-  Alcotest.(check bool) "histograms recorded" true (serial.c_hists <> []);
+  Alcotest.(check bool)
+    "every memsnap cell recorded histograms" true
+    (List.for_all
+       (fun (n, (_, hists)) -> String.sub n 0 7 <> "memsnap" || hists > 0)
+       serial.c_metrics);
   check_cellrun "serial vs no cells" (cell_run ~cells:false ~workers:0 ~traced:false ())
     serial;
   check_cellrun "1 worker vs serial" serial (cell_run ~workers:1 ~traced:false ());
@@ -404,10 +418,8 @@ let test_cells_traced_identical () =
   let untraced = cell_run ~workers:0 ~traced:false () in
   Alcotest.(check (list (pair string int)))
     "traced vs untraced: simulated values" untraced.c_vals serial.c_vals;
-  Alcotest.(check (list (pair string int)))
-    "traced vs untraced: metrics" untraced.c_counters serial.c_counters;
-  Alcotest.(check (list string))
-    "traced vs untraced: histograms" untraced.c_hists serial.c_hists
+  Alcotest.(check (list (pair string (pair string int))))
+    "traced vs untraced: per-run metrics" untraced.c_metrics serial.c_metrics
 
 let () =
   Alcotest.run "determinism"

@@ -23,6 +23,8 @@ let mk_fs ?(kind = Fs.Ffs) ?(mib = 64) () =
 (* Bytes the device has committed, over its members. *)
 let disk_bytes dev = (Device.stats dev).Disk.bytes_written
 
+let fs_block_of = function Fs.Ffs -> 32 * 1024 | Fs.Zfs -> 128 * 1024
+
 let test_write_read_roundtrip kind () =
   in_sim (fun () ->
       let fs = mk_fs ~kind () in
@@ -168,6 +170,53 @@ let test_truncate_zeroes_tail ~cached () =
       let f2 = Fs.open_file fs2 "t" in
       checki "mounted size" 51 (Fs.size fs2 f2);
       checks "after mount" want (Bytes.to_string (Fs.read fs2 f2 ~off:0 ~len:51)))
+    ()
+
+(* A block re-read from the device holds only what its last writeback
+   put there. FFS writes a tail block's used prefix in place, over the
+   bytes of an earlier, longer writeback; ZFS writes a fresh run, which
+   may be one a removed file left full of 'A'. Past that prefix the
+   block must read as zeros, even once the file has grown past it. *)
+let test_reread_after_short_writeback kind () =
+  in_sim (fun () ->
+      let bs = fs_block_of kind in
+      let f, fs =
+        match kind with
+        | Fs.Ffs ->
+          (* A full block of 'A', truncated to 100 bytes, then the file
+             grows, with a cache of two blocks. *)
+          let fs = Fs.mkfs (Device.testbed ~mib:64) ~kind in
+          Fs.set_cache_capacity fs 2;
+          let f = Fs.open_file fs "f" in
+          Fs.write fs f ~off:0 (Bytes.make bs 'A');
+          Fs.fsync fs f;
+          Fs.truncate fs f 100;
+          Fs.fsync fs f;
+          Fs.write fs f ~off:bs (Bytes.make (3 * bs) 'B');
+          Fs.fsync fs f;
+          (f, fs)
+        | Fs.Zfs ->
+          (* Room for two runs past the reserved area, plus indirect
+             blocks: the second file's runs wrap onto the first's. *)
+          let dev =
+            Device.of_disk
+              (Disk.create ~size:((320 * 4096) + (2 * bs) + (4 * 4096)) ())
+          in
+          let fs = Fs.mkfs dev ~kind in
+          let old = Fs.open_file fs "old" in
+          Fs.write fs old ~off:0 (Bytes.make (2 * bs) 'A');
+          Fs.fsync fs old;
+          Fs.remove fs "old";
+          Fs.set_cache_capacity fs 0;
+          let f = Fs.open_file fs "f" in
+          Fs.write fs f ~off:0 (Bytes.make 100 'b');
+          Fs.fsync fs f;
+          Fs.write fs f ~off:bs (Bytes.make 100 'B');
+          Fs.fsync fs f;
+          (f, fs)
+      in
+      checks "past the writeback prefix" (String.make 8 '\000')
+        (Bytes.to_string (Fs.read fs f ~off:4096 ~len:8)))
     ()
 
 let test_remove () =
@@ -459,8 +508,6 @@ let run_cache_ops ~kind ~cap ~nfiles ops =
             Sched.now () ))
         ops)
 
-let fs_block_of = function Fs.Ffs -> 32 * 1024 | Fs.Zfs -> 128 * 1024
-
 let prop_eviction_order =
   let open QCheck.Gen in
   let gen =
@@ -566,6 +613,34 @@ let test_double_miss_keeps_first_block () =
       checks "after mount" "oAAAAo" (around fs2 (Fs.open_file fs2 "raced")))
     ()
 
+(* A truncate that unmaps a block while a reader's miss is reading it
+   from the device: the reader keeps what it read. *)
+let test_truncate_during_miss () =
+  in_sim (fun () ->
+      let fs = mk_fs () in
+      Fs.set_cache_capacity fs 0;
+      let bs = Fs.fs_block_size fs in
+      let f = Fs.open_file fs "raced" in
+      Fs.write fs f ~off:0 (Bytes.make (2 * bs) 'o');
+      Fs.fsync fs f;
+      checki "evicted" 0 (Fs.resident_blocks fs f);
+      let rmw0 = Fs.rmw_reads fs in
+      let reader =
+        Sched.spawn (fun () ->
+            checks "read" "oooo" (Bytes.to_string (Fs.read fs f ~off:bs ~len:4)))
+      in
+      let truncator =
+        Sched.spawn (fun () ->
+            (* Past the reader's charges up to its device read. *)
+            Sched.delay Msnap_sim.Costs.(syscall + vfs_call + buffer_cache_lookup);
+            Fs.truncate fs f bs)
+      in
+      Sched.join reader;
+      Sched.join truncator;
+      checki "the reader missed" (rmw0 + 1) (Fs.rmw_reads fs);
+      checki "truncated" bs (Fs.size fs f))
+    ()
+
 (* writev of a payload cut into slices must be indistinguishable from a
    write of the concatenation: contents, size, RMW reads, clock and the
    bytes fsync moves. Each slice views the middle of a larger buffer, and
@@ -635,9 +710,9 @@ let prop_writev_split =
    to the length its last writeback lent the device, must equal the
    model as it was then. Every case starts by recycling block-sized
    buffers, which [debug_checks] poisons, so an unzeroed byte shows.
-   The cache is unbounded: every block stays fresh in the cache, and
-   none is re-read from the disk, which holds only the prefix its last
-   writeback wrote. *)
+   The cache holds one block, two, or all of them: a block evicted and
+   re-read from the disk, which holds only the prefix its last writeback
+   wrote, must read as zeros past that prefix too. *)
 type zero_op =
   | Zwrite of int * int * int (* off, len, seed *)
   | Zread of int * int
@@ -678,16 +753,18 @@ let prop_zero_watermark =
           (1, int_range 0 ((cap / 4096) - 1) >|= fun p -> Zpage_in p);
         ]
     in
-    list_size (int_range 1 30) op >|= fun ops -> (kind, ops)
+    oneofl [ Some 1; Some 2; None ] >>= fun blocks ->
+    list_size (int_range 1 30) op >|= fun ops -> (kind, blocks, ops)
   in
-  let print (kind, ops) =
-    Printf.sprintf "%s: %s"
+  let print (kind, blocks, ops) =
+    Printf.sprintf "%s, cache %s: %s"
       (match kind with Fs.Ffs -> "ffs" | Fs.Zfs -> "zfs")
+      (match blocks with Some n -> string_of_int n | None -> "unbounded")
       (String.concat "; " (List.map zero_op_to_string ops))
   in
   QCheck.Test.make ~count:150 ~name:"fresh blocks read as zeros where no write lands"
     (QCheck.make ~print gen)
-    (fun (kind, ops) ->
+    (fun (kind, blocks, ops) ->
       let module Pool = Msnap_util.Pool in
       let bs = fs_block_of kind in
       let cap = 4 * bs in
@@ -696,6 +773,7 @@ let prop_zero_watermark =
           let disk = Disk.create ~size:(Size.mib 16) () in
           let dev = Device.of_disk disk in
           let fs = Fs.mkfs dev ~kind in
+          Option.iter (Fs.set_cache_capacity fs) blocks;
           let f = Fs.open_file fs "z" in
           let phys = Phys.create () in
           let aspace = Aspace.create phys in
@@ -843,12 +921,15 @@ let () =
           tc "truncate" test_truncate;
           tc "truncate zeroes tail" (test_truncate_zeroes_tail ~cached:true);
           tc "truncate zeroes evicted tail" (test_truncate_zeroes_tail ~cached:false);
+          tc "short writeback re-read reads zeros"
+            (test_reread_after_short_writeback Fs.Ffs);
           tc "remove" test_remove;
           tc "resident scan" test_resident_scan_cost_grows;
           tc "sync_meta" test_sync_meta_writes;
           QCheck_alcotest.to_alcotest prop_meta_length;
           tc "mount recycles scan buffers" test_mount_recycles_scan_buffers;
           tc "double miss keeps first block" test_double_miss_keeps_first_block;
+          tc "truncate during a miss" test_truncate_during_miss;
           tc "power cut mid-fsync reaches the caller" test_ffs_fsync_power_cut;
         ] );
       ("lru", [ QCheck_alcotest.to_alcotest prop_eviction_order ]);
@@ -860,6 +941,8 @@ let () =
           tc "fsync persists" (test_fsync_persists_to_device Fs.Zfs);
           tc "random slower" (test_random_slower_than_seq Fs.Zfs);
           tc "cow fresh blocks" test_zfs_cow_allocates_fresh;
+          tc "short writeback re-read reads zeros"
+            (test_reread_after_short_writeback Fs.Zfs);
         ] );
       ( "mmap",
         [

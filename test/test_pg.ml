@@ -210,7 +210,6 @@ let test_pg_row_locks_serialize =
 
 let test_pg_wal_checkpointing =
   in_dev ~mib:256 (fun dev ->
-      Msnap_sim.Metrics.reset ();
       let& fs = ffs dev in
       let st = Storage.ffs fs ~wal_checkpoint_bytes:(Size.kib 256) () in
       let db = Pg.open_db st in
@@ -228,7 +227,6 @@ let test_pg_wal_checkpointing =
 
 let test_pg_memsnap_no_wal =
   in_dev ~mib:256 (fun dev ->
-      Msnap_sim.Metrics.reset ();
       let& k = msnap dev in
       let db = Pg.open_db (Storage.memsnap k) in
       for i = 0 to 49 do

@@ -312,63 +312,82 @@ let test_fork_await_all () =
   checki "waits for every cell" 50 t
 
 let test_metrics () =
-  Metrics.reset ();
-  Sched.run (fun () ->
-      let x = Probe.make Probe.Host "x" in
-      Metrics.incr x;
-      Metrics.incr ~by:4 x;
-      Metrics.add_sample (Probe.make Probe.Host "lat") 100;
-      Metrics.add_sample (Probe.make Probe.Host "lat") 300;
-      Metrics.timed (Probe.make Probe.Host "op") (fun () -> Sched.delay 77));
-  checki "counter" 5 (Metrics.count (Probe.make Probe.Host "x"));
-  checki "samples" 2 (Metrics.samples (Probe.make Probe.Host "lat"));
-  Alcotest.(check (float 0.01)) "mean" 200.0
-    (Metrics.mean_ns (Probe.make Probe.Host "lat"));
-  Alcotest.(check (float 0.01)) "timed" 77.0
-    (Metrics.mean_ns (Probe.make Probe.Host "op"));
-  Metrics.reset ();
-  checki "reset" 0 (Metrics.count (Probe.make Probe.Host "x"))
+  let x = Probe.make Probe.Host "x" in
+  let lat = Probe.make Probe.Host "lat" and op = Probe.make Probe.Host "op" in
+  let count, samples, lat_mean, op_mean =
+    Sched.run (fun () ->
+        Metrics.incr x;
+        Metrics.incr ~by:4 x;
+        Metrics.add_sample lat 100;
+        Metrics.add_sample lat 300;
+        Metrics.timed op (fun () -> Sched.delay 77);
+        (Metrics.count x, Metrics.samples lat, Metrics.mean_ns lat,
+         Metrics.mean_ns op))
+  in
+  checki "counter" 5 count;
+  checki "samples" 2 samples;
+  Alcotest.(check (float 0.01)) "mean" 200.0 lat_mean;
+  Alcotest.(check (float 0.01)) "timed" 77.0 op_mean
 
-(* --- Metrics: reset, nesting, histogram counts --- *)
+(* --- Metrics: per-run columns, nesting, histogram counts --- *)
 
-let test_metrics_reset_clears_hists () =
-  Metrics.reset ();
-  Sched.run (fun () ->
-      Metrics.add_sample Probe.db_write 100;
-      Metrics.add_sample Probe.db_write 200);
-  checki "samples before reset" 2 (Metrics.samples Probe.db_write);
-  checkb "hist exists" true (Metrics.hist Probe.db_write <> None);
-  Metrics.reset ();
-  checki "samples cleared" 0 (Metrics.samples Probe.db_write);
-  checkb "hist cleared" true (Metrics.hist Probe.db_write = None);
-  checki "counter cleared" 0 (Metrics.count Probe.db_write)
+(* Every probe's counter and histogram, as this run sees them. *)
+let all_metrics () =
+  List.init (Probe.count ()) (fun i ->
+      let p = Probe.of_id i in
+      (Metrics.count p, Metrics.hist p <> None))
+
+let test_metrics_fresh_per_run () =
+  let recorded =
+    Sched.run (fun () ->
+        Metrics.add_sample Probe.db_write 100;
+        Metrics.incr ~by:3 Probe.db_fsync;
+        Metrics.counters ())
+  in
+  Alcotest.(check (list (pair string int)))
+    "first run recorded" [ ("fsync", 3); ("write", 1) ] recorded;
+  let counters, columns = Sched.run (fun () -> (Metrics.counters (), all_metrics ())) in
+  Alcotest.(check (list (pair string int))) "second run: no counter" [] counters;
+  checkb "second run: every counter 0, no histogram" true
+    (List.for_all (fun (n, h) -> n = 0 && not h) columns);
+  checkb "second run: no db_write samples" true
+    (Sched.run (fun () -> Metrics.samples Probe.db_write = 0))
+
+let test_metrics_outside_run () =
+  let raises what f =
+    checkb what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "incr" (fun () -> Metrics.incr Probe.db_fsync);
+  raises "count" (fun () -> ignore (Metrics.count Probe.db_fsync));
+  (* A finished run leaves nothing behind to read. *)
+  Sched.run (fun () -> Metrics.incr Probe.db_fsync);
+  raises "count after a run" (fun () -> ignore (Metrics.count Probe.db_fsync))
 
 let test_metrics_timed_nesting () =
-  Metrics.reset ();
   Sched.run (fun () ->
       Metrics.timed Probe.db_write (fun () ->
           Sched.delay 100;
           Metrics.timed Probe.db_fsync (fun () -> Sched.delay 40);
-          Sched.delay 10));
-  Alcotest.(check (float 0.01))
-    "outer includes inner" 150.0
-    (Metrics.mean_ns Probe.db_write);
-  Alcotest.(check (float 0.01)) "inner" 40.0 (Metrics.mean_ns Probe.db_fsync);
-  checki "one outer sample" 1 (Metrics.samples Probe.db_write);
-  checki "one inner sample" 1 (Metrics.samples Probe.db_fsync)
+          Sched.delay 10);
+      Alcotest.(check (float 0.01))
+        "outer includes inner" 150.0
+        (Metrics.mean_ns Probe.db_write);
+      Alcotest.(check (float 0.01)) "inner" 40.0 (Metrics.mean_ns Probe.db_fsync);
+      checki "one outer sample" 1 (Metrics.samples Probe.db_write);
+      checki "one inner sample" 1 (Metrics.samples Probe.db_fsync))
 
 let test_metrics_histogram_sample_counts () =
-  Metrics.reset ();
   Sched.run (fun () ->
       for i = 1 to 64 do
         Metrics.add_sample Probe.db_read (i * 10)
-      done);
-  checki "samples" 64 (Metrics.samples Probe.db_read);
-  (match Metrics.hist Probe.db_read with
-  | None -> Alcotest.fail "histogram missing"
-  | Some h -> checki "hist count" 64 (Msnap_util.Histogram.count h));
-  (* add_sample also bumps the implicit op counter of the same name. *)
-  checki "implicit counter" 64 (Metrics.count Probe.db_read)
+      done;
+      checki "samples" 64 (Metrics.samples Probe.db_read);
+      (match Metrics.hist Probe.db_read with
+      | None -> Alcotest.fail "histogram missing"
+      | Some h -> checki "hist count" 64 (Msnap_util.Histogram.count h));
+      (* add_sample also bumps the implicit op counter of the same name. *)
+      checki "implicit counter" 64 (Metrics.count Probe.db_read))
 
 (* --- typed buckets --- *)
 
@@ -435,7 +454,6 @@ let test_trace_flow_ids_unique () =
   checkb "nonzero and distinct" true (a <> 0 && b <> 0 && a <> b)
 
 let test_trace_summary_reconciles_with_buckets () =
-  Metrics.reset ();
   Trace.enable ();
   let report =
     Sched.run (fun () ->
@@ -672,25 +690,17 @@ let test_account_report_only_charged_buckets () =
 
 (* --- Cell: the merge contract ---
 
-   A cell records into a private store that [Cell.force] folds into the
-   forcing domain's counters, histograms and trace summary. Both
-   properties below must hold whether the body runs inline at force (0
-   pool workers) or on a worker domain. *)
+   A cell records its trace into a private store that [Cell.force] folds
+   into the forcing domain's trace summary and buffer. The properties
+   below must hold whether the body runs inline at force (0 pool
+   workers) or on a worker domain. *)
 
 let cell_op = Probe.make Probe.Host "cell.op"
 
 exception Cell_boom
 
-(* Everything the forcing domain has recorded under [cell_op]. *)
+(* Everything the forcing domain's trace has recorded under [cell_op]. *)
 let recorded () =
-  let hist =
-    match Metrics.hist cell_op with
-    | Some h ->
-      Printf.sprintf "n=%d sum=%.0f max=%d" (Histogram.count h)
-        (Histogram.mean h *. float_of_int (Histogram.count h))
-        (Histogram.max_value h)
-    | None -> "none"
-  in
   let summary =
     List.filter_map
       (fun (_, name, n, total, mx) ->
@@ -699,20 +709,22 @@ let recorded () =
         else None)
       (Trace.dump ()).Trace.d_summary
   in
-  Printf.sprintf "count=%d hist=(%s) summary=[%s]" (Metrics.count cell_op)
-    hist (String.concat "; " summary)
+  Printf.sprintf "summary=[%s]" (String.concat "; " summary)
 
 (* One timed 50 ns section: a counter bump, a histogram sample and a
-   trace span. *)
+   trace span. Returns the run's samples under [cell_op]. *)
 let timed_op () =
-  Sched.run (fun () -> Metrics.timed cell_op (fun () -> Sched.delay 50))
+  Sched.run (fun () ->
+      Metrics.timed cell_op (fun () -> Sched.delay 50);
+      Metrics.samples cell_op)
+
+let one_op = "summary=[n=1 total=50 max=50]"
 
 let at_workers f =
   List.iter
     (fun workers ->
       Taskpool.shutdown ();
       Taskpool.ensure_workers workers;
-      Metrics.reset ();
       Trace.enable ();
       Fun.protect
         ~finally:(fun () ->
@@ -723,11 +735,10 @@ let at_workers f =
 
 let test_cell_force_twice_merges_once () =
   at_workers (fun label ->
-      let c = Cell.submit (fun () -> timed_op (); 7) in
+      let c = Cell.submit (fun () -> ignore (timed_op ()); 7) in
       checki (label ^ ": value") 7 (Cell.force c);
       let once = recorded () in
-      checks (label ^ ": merged once")
-        "count=1 hist=(n=1 sum=50 max=50) summary=[n=1 total=50 max=50]" once;
+      checks (label ^ ": merged once") one_op once;
       checki (label ^ ": value again") 7 (Cell.force c);
       checks (label ^ ": second force merges nothing") once (recorded ()))
 
@@ -741,15 +752,13 @@ let in_fresh_store f =
   in
   Fun.protect ~finally:(fun () -> ignore (Trace.cell_end saved)) f
 
-let one_op = "count=1 hist=(n=1 sum=50 max=50) summary=[n=1 total=50 max=50]"
-
 let test_cell_shared_handles_merge_once_each () =
   at_workers (fun label ->
       let runs = Atomic.make 0 in
       let c =
         Cell.submit (fun () ->
             Atomic.incr runs;
-            timed_op ();
+            ignore (timed_op ());
             7)
       in
       let c' = Cell.share c in
@@ -767,31 +776,24 @@ let test_cell_shared_handles_merge_once_each () =
       checks (label ^ ": first store untouched") one_op (recorded ());
       checki (label ^ ": body ran once") 1 (Atomic.get runs))
 
-(* Merging a cell's store must not hand its histograms to the forcing
-   store: a sample added there afterwards would show up in every later
-   merge of the same snapshot. *)
-let test_cell_merge_leaves_snapshot_intact () =
+(* A cell's metrics stay in the run that recorded them: the body
+   returns its own figures, and the forcing domain's next run starts
+   with none. *)
+let test_metrics_cell_samples_stay_in_cell () =
   at_workers (fun label ->
       let c = Cell.submit timed_op in
-      Cell.force c;
-      Metrics.add_sample cell_op 20;
-      let samples =
-        in_fresh_store (fun () ->
-            Cell.force (Cell.share c);
-            match Metrics.hist cell_op with
-            | Some h -> Histogram.count h
-            | None -> 0)
-      in
-      checki (label ^ ": fresh store holds the one sample") 1 samples)
+      checki (label ^ ": the cell's run saw its sample") 1 (Cell.force c);
+      checks (label ^ ": the trace was merged") one_op (recorded ());
+      checki (label ^ ": the forcer's next run has none") 0
+        (Sched.run (fun () -> Metrics.samples cell_op + Metrics.count cell_op)))
 
 let test_cell_raise_leaves_forcer_untouched () =
   at_workers (fun label ->
-      timed_op ();
+      ignore (timed_op ());
       let before = recorded () in
       let c =
         Cell.submit (fun () ->
-            timed_op ();
-            Metrics.incr cell_op;
+            ignore (timed_op ());
             raise Cell_boom)
       in
       for i = 1 to 2 do
@@ -870,9 +872,12 @@ let () =
       ( "metrics",
         [
           tc "counters and samples" test_metrics;
-          tc "reset clears histograms" test_metrics_reset_clears_hists;
+          tc "a new run starts with none" test_metrics_fresh_per_run;
+          tc "outside a run raises" test_metrics_outside_run;
           tc "timed nesting" test_metrics_timed_nesting;
           tc "histogram sample counts" test_metrics_histogram_sample_counts;
+          tc "a cell's samples stay in the cell"
+            test_metrics_cell_samples_stay_in_cell;
         ] );
       ( "trace",
         [
@@ -890,7 +895,5 @@ let () =
             test_cell_raise_leaves_forcer_untouched;
           tc "shared handles merge once each"
             test_cell_shared_handles_merge_once_each;
-          tc "merging a snapshot leaves it intact"
-            test_cell_merge_leaves_snapshot_intact;
         ] );
     ]

@@ -422,7 +422,6 @@ let test_hist_exact_small () =
   checki "count" 5 (Histogram.count h);
   check Alcotest.(float 0.001) "mean" 3.0 (Histogram.mean h);
   checki "max" 5 (Histogram.max_value h);
-  checki "min" 1 (Histogram.min_value h);
   checki "p50" 3 (Histogram.percentile h 50.0)
 
 let test_hist_p99 () =
@@ -445,24 +444,11 @@ let test_hist_empty () =
   checki "p99 empty" 0 (Histogram.percentile h 99.0);
   check Alcotest.(float 0.0) "mean" 0.0 (Histogram.mean h)
 
-let test_hist_merge () =
-  let a = Histogram.create () and b = Histogram.create () in
-  Histogram.add a 10;
-  Histogram.add b 20;
-  Histogram.merge a b;
-  checki "count" 2 (Histogram.count a);
-  checki "max" 20 (Histogram.max_value a)
-
-let test_hist_clear () =
-  let h = Histogram.create () in
-  Histogram.add h 5;
-  Histogram.clear h;
-  checki "count" 0 (Histogram.count h)
-
 let test_hist_negative_clamped () =
   let h = Histogram.create () in
   Histogram.add h (-5);
-  checki "clamped" 0 (Histogram.min_value h)
+  check Alcotest.(float 0.0) "mean of the clamped sample" 0.0 (Histogram.mean h);
+  checki "p100 of the clamped sample" 0 (Histogram.percentile h 100.0)
 
 let prop_hist_percentile_monotone =
   QCheck.Test.make ~count:200 ~name:"percentile monotone in p"
@@ -489,6 +475,56 @@ let prop_hist_percentile_bounds =
       List.iter (Histogram.add h) samples;
       let mx = List.fold_left max 0 samples in
       Histogram.percentile h 100.0 <= mx && Histogram.max_value h = mx)
+
+(* The flat-array histogram: one bucket array over all 64 powers of
+   two. [Histogram] allocates a power's row only at its first sample and
+   must report exactly what this does. *)
+let ref_percentile samples p =
+  let linear = 64 and sub_bits = 5 in
+  let index_of v =
+    if v < linear then v
+    else
+      let msb = 62 - Bits.clz v in
+      linear + (msb lsl sub_bits) + ((v lsr (msb - sub_bits)) land 31)
+  in
+  let value_of i =
+    if i < linear then i
+    else
+      let msb = (i - linear) lsr sub_bits and sub = (i - linear) land 31 in
+      (1 lsl msb) + ((sub + 1) lsl (msb - sub_bits)) - 1
+  in
+  let samples = List.map (max 0) samples in
+  let buckets = Array.make (linear + (64 lsl sub_bits)) 0 in
+  List.iter (fun v -> buckets.(index_of v) <- buckets.(index_of v) + 1) samples;
+  let n = List.length samples and mx = List.fold_left max 0 samples in
+  if n = 0 then 0
+  else begin
+    let target =
+      max 1 (min n (int_of_float (Float.ceil (float_of_int n *. p /. 100.0))))
+    in
+    let rec scan i seen =
+      if i >= Array.length buckets then mx
+      else
+        let seen = seen + buckets.(i) in
+        if seen >= target then min (value_of i) mx else scan (i + 1) seen
+    in
+    scan 0 0
+  end
+
+let prop_hist_matches_flat_reference =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 60)
+        (oneof [ int_range (-5) 100; int_bound 1_000_000; int_bound max_int ]))
+  in
+  QCheck.Test.make ~count:300 ~name:"percentiles match the flat-array reference"
+    (QCheck.make ~print:QCheck.Print.(list int) gen)
+    (fun samples ->
+      let h = Histogram.create () in
+      List.iter (Histogram.add h) samples;
+      List.for_all
+        (fun p -> Histogram.percentile h p = ref_percentile samples p)
+        [ 0.0; 1.0; 10.0; 50.0; 90.0; 99.0; 99.9; 100.0 ])
 
 (* --- Bits --- *)
 
@@ -1387,11 +1423,10 @@ let () =
           tc "p99" test_hist_p99;
           tc "relative error" test_hist_relative_error;
           tc "empty" test_hist_empty;
-          tc "merge" test_hist_merge;
-          tc "clear" test_hist_clear;
           tc "negative clamped" test_hist_negative_clamped;
           QCheck_alcotest.to_alcotest prop_hist_percentile_monotone;
           QCheck_alcotest.to_alcotest prop_hist_percentile_bounds;
+          QCheck_alcotest.to_alcotest prop_hist_matches_flat_reference;
         ] );
       ( "bits",
         [
