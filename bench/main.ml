@@ -82,23 +82,25 @@ let trace_path_for ~trace ~multi name =
    allocation and pool traffic to this experiment even when its domain
    helped run other tasks while awaiting, or its cells ran on workers.
    Wall clock stays the raw elapsed span: the experiment's critical
-   path. Trace collection and export happen right here, on whichever
-   domain ran the experiment (cells merge into this domain's buffer at
-   force time). *)
+   path. A traced experiment runs under its own trace scope, which its
+   cells splice into at force time, and is exported right here. *)
 let timed ?trace_path name f =
-  if trace_path <> None then Trace.enable ();
   Env.frame_begin ();
   let t0 = Unix.gettimeofday () in
-  f ();
+  let traced =
+    match trace_path with
+    | None ->
+      f ();
+      None
+    | Some path -> Some (path, snd (Trace.collect f))
+  in
   let wall = Unix.gettimeofday () -. t0 in
   let host, cells = Env.frame_end () in
   let trace_events, trace_dropped, trace_s =
-    match trace_path with
+    match traced with
     | None -> (0, 0, 0.0)
-    | Some path ->
+    | Some (path, d) ->
       let e0 = Unix.gettimeofday () in
-      Trace.disable ();
-      let d = Trace.dump () in
       let oc = open_out path in
       Trace.export_json oc d;
       close_out oc;

@@ -43,17 +43,15 @@ let with_trace trace f =
   match trace with
   | None -> f ()
   | Some path ->
-    Trace.enable ();
-    Fun.protect f ~finally:(fun () ->
-        Trace.disable ();
-        let d = Trace.dump () in
-        let oc = open_out path in
-        Trace.export_json oc d;
-        close_out oc;
-        Printf.eprintf "[trace] %d events (%d dropped) -> %s\n%s%!"
-          d.Trace.d_count
-          d.Trace.d_dropped path
-          (Trace.render_summary d))
+    let v, d = Trace.collect f in
+    let oc = open_out path in
+    Trace.export_json oc d;
+    close_out oc;
+    Printf.eprintf "[trace] %d events (%d dropped) -> %s\n%s%!"
+      d.Trace.d_count
+      d.Trace.d_dropped path
+      (Trace.render_summary d);
+    v
 
 let persist_sweep trace =
   with_trace trace @@ fun () ->

@@ -8,14 +8,13 @@
     runs it and {e when} are pure host decisions. The cell layer makes
     that safe by construction:
 
-    - the body runs with a fresh domain-local trace store (the [Trace]
-      buffer and summary) and a base-0 trace timeline, swapped in
-      around the body and swapped back out after, so a worker (or an
-      await-helping experiment domain) never leaks cell state into
-      whatever else it was doing;
-    - {!force} splices the cell's trace back into the calling domain's
-      store in force order, exactly where a serial run would have put
-      it.
+    - the body runs under its own [Trace] scope
+      ([Trace.collect_as]), recording iff the submitter's scope was, so
+      a worker (or an await-helping experiment domain) never mixes cell
+      events into whatever else it was doing;
+    - {!force} splices the cell's dump into the calling domain's scope
+      ([Trace.append]) in force order, exactly where a serial run would
+      have put it.
 
     [Metrics] figures need no isolation: they belong to the [Sched.run]
     that recorded them, so a body that wants them returns them in its
@@ -32,18 +31,18 @@
 type 'a t
 
 val submit : (unit -> 'a) -> 'a t
-(** Queue the body on the task pool. Tracing configuration (on/off,
-    verbosity, buffer cap) is inherited from the submitting domain at
-    submit time. *)
+(** Queue the body on the task pool. Its trace settings (on/off,
+    verbosity, buffer cap) are the submitter's scope's at submit
+    time. *)
 
 val share : 'a t -> 'a t
 (** Another handle on the same body, which runs once however many
-    handles there are. Each handle merges the trace once, into the
-    store of the domain that forces it, so every reader of a shared
+    handles there are. Each handle splices the trace once, into the
+    scope of the domain that forces it, so every reader of a shared
     measurement records what running the body itself would have. *)
 
 val force : 'a t -> 'a
 (** Wait for the body (running it inline if no domain picked it up),
-    merge its trace into this domain, and return its value.
-    Idempotent: only the first call merges. Re-raises the body's
+    splice its trace into this domain's scope, and return its value.
+    Idempotent: only the first call splices. Re-raises the body's
     exception, in which case the cell's trace is discarded. *)

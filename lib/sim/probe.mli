@@ -44,8 +44,8 @@ val subsystem : t -> subsystem
 
 val id : t -> int
 (** Dense id assigned at interning time, indexing the flat per-probe
-    columns of the recording store (trace summary, metric counters and
-    histograms). Stable within a process. *)
+    columns: a trace scope's summary, and a run's metric counters and
+    histograms. Stable within a process. *)
 
 val count : unit -> int
 (** Number of distinct probes interned so far; ids are [0..count()-1]. *)

@@ -115,11 +115,6 @@ let engine_key : engine option ref Domain.DLS.key =
 
 let engine_slot () = Domain.DLS.get engine_key
 
-(* Trace-timeline base: accumulated final clocks of completed runs on
-   this domain, so consecutive Sched.runs occupy disjoint intervals of
-   the exported trace instead of overlapping at t=0. Host-only. *)
-let trace_base_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-
 (* Cumulative host-side scheduler statistics per domain (events
    executed, waker allocation/reuse). Pure host observability for
    BENCH_sim.json — deliberately not Metrics counters, so they can never
@@ -140,8 +135,7 @@ let host_counters () =
 
 let () =
   Trace.set_time_source (fun () ->
-      let base = !(Domain.DLS.get trace_base_key) in
-      match !(engine_slot ()) with Some e -> base + e.clock | None -> base);
+      match !(engine_slot ()) with Some e -> e.clock | None -> 0);
   (* [cur] is [t_none] (id -1, "scheduler") between threads, so the
      sources need no option branch. *)
   Trace.set_thread_source
@@ -432,8 +426,6 @@ let probe_hists () =
   e.hists
 
 let running () = !(engine_slot ()) <> None
-let trace_base () = !(Domain.DLS.get trace_base_key)
-let set_trace_base v = Domain.DLS.get trace_base_key := v
 
 let run main =
   let slot = engine_slot () in
@@ -459,8 +451,7 @@ let run main =
   let finalize () =
     (* Advance the host-only trace timeline past this run (plus a gap so
        back-to-back runs are visually distinct in the export). *)
-    let base = Domain.DLS.get trace_base_key in
-    base := !base + e.clock + 1_000;
+    Trace.advance (e.clock + 1_000);
     let s = Domain.DLS.get host_stats_key in
     s.hs_events <- s.hs_events + e.ev;
     s.hs_walloc <- s.hs_walloc + e.walloc;

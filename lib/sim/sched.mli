@@ -40,15 +40,6 @@ val now : unit -> int
 val running : unit -> bool
 (** Is a simulation active on this domain? *)
 
-val trace_base : unit -> int
-val set_trace_base : int -> unit
-(** The domain-local trace-timeline base: each finished {!run} advances
-    it past its final clock so consecutive runs occupy disjoint
-    intervals of an exported trace. Exposed for the cell layer
-    ([Msnap_sim.Cell]), which gives each cell a private base-0 timeline
-    and splices it back into the forcing domain's timeline in
-    submission order. Host-only state. *)
-
 val spawn : ?name:string -> (unit -> unit) -> tid
 (** Start a new thread at the current time. *)
 

@@ -3,7 +3,7 @@ type args = (string * arg) list
 type flow_phase = Flow_start | Flow_step | Flow_end
 
 (* AoS view, materialized only by {!events} for tests and tools; the
-   store itself is structs-of-arrays (below) so the emit path writes
+   buffer itself is structs-of-arrays (below) so the emit path writes
    six unboxed column slots instead of allocating a record. *)
 type event = {
   ev_probe : Probe.t;
@@ -36,13 +36,14 @@ let unpack_flow packed =
     in
     Some (packed lsr 2, phase)
 
-(* The one per-domain recording store: the trace buffer and its
-   per-probe summary. Every per-probe column is indexed by [Probe.id]
-   and grown by [ensure_stats]. *)
-type store = {
-  mutable enabled : bool;
-  mutable verbose : bool;
-  mutable limit : int;
+(* A recording scope: the trace buffer, its per-probe summary, and the
+   timeline the scope's runs are laid out on. {!collect} installs one
+   for the extent of its callback; every per-probe column is indexed by
+   [Probe.id] and grown by [ensure_stats]. *)
+type scope = {
+  enabled : bool;
+  verbose : bool; (* only ever true in a recording scope *)
+  limit : int;
   (* Event buffer as parallel columns, grown together. The args column
      is almost always the immediate [[]]; flow is packed (see above). *)
   mutable b_probe : int array; (* Probe.id *)
@@ -60,6 +61,9 @@ type store = {
   mutable len : int;
   mutable dropped : int;
   mutable next_flow : int;
+  (* Timeline start of the current or next run: what the scope's
+     finished runs and spliced dumps have consumed so far. *)
+  mutable base : int;
   (* First-seen name per tid, registered when an event is stored. *)
   tnames : (int, string) Hashtbl.t;
   (* Per-probe running totals, kept at emit time so the summary stays
@@ -67,12 +71,14 @@ type store = {
   mutable st_count : int array;
   mutable st_total : int array;
   mutable st_max : int array;
+  (* The summaries of spliced dumps, merged (see [merge_summary]). *)
+  mutable spliced : (string * string * int * int * int) list;
 }
 
 let fresh ~enabled ~verbose ~limit =
   {
     enabled;
-    verbose;
+    verbose = enabled && verbose;
     limit;
     b_probe = [||];
     b_ts = [||];
@@ -85,17 +91,20 @@ let fresh ~enabled ~verbose ~limit =
     len = 0;
     dropped = 0;
     next_flow = 0;
+    base = 0;
     tnames = Hashtbl.create 32;
     st_count = [||];
     st_total = [||];
     st_max = [||];
+    spliced = [];
   }
 
-let store_key : store Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      fresh ~enabled:false ~verbose:false ~limit:(1 lsl 20))
+(* The calling domain's innermost scope; outside every {!collect}, a
+   non-recording one. *)
+let scope_key : scope Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> fresh ~enabled:false ~verbose:false ~limit:0)
 
-let store () = Domain.DLS.get store_key
+let scope () = Domain.DLS.get scope_key
 
 (* Injected by Sched at module-init time; identity fallbacks keep Trace
    usable (as a no-op timeline) outside any simulation. The thread
@@ -111,19 +120,18 @@ let set_thread_source ~tid ~tname =
   thread_id_source := tid;
   thread_name_source := tname
 
-let enable ?(limit = 1 lsl 20) ?(verbose = false) () =
-  Domain.DLS.set store_key (fresh ~enabled:true ~verbose ~limit)
+let is_on () = (scope ()).enabled
+let verbose () = (scope ()).verbose
 
-let disable () = (store ()).enabled <- false
-let is_on () = (store ()).enabled
-let verbose () =
-  let s = store () in
-  s.enabled && s.verbose
+(* The current instant on the scope's timeline. *)
+let now s = s.base + !time_source ()
 
-let now () = if (store ()).enabled then !time_source () else 0
+let advance ns =
+  let s = scope () in
+  if s.enabled then s.base <- s.base + ns
 
 let new_flow () =
-  let s = store () in
+  let s = scope () in
   s.next_flow <- s.next_flow + 1;
   s.next_flow
 
@@ -190,91 +198,26 @@ let emit s ?(args = []) ?(argi = ("", 0)) ?flow probe ~ts ~dur =
   end
 
 let instant ?args ?argi ?flow probe =
-  let s = store () in
-  if s.enabled then
-    emit s ?args ?argi ?flow probe ~ts:(!time_source ()) ~dur:(-1)
+  let s = scope () in
+  if s.enabled then emit s ?args ?argi ?flow probe ~ts:(now s) ~dur:(-1)
 
 let complete ?args ?argi ?flow probe ~dur =
-  let s = store () in
-  if s.enabled then
-    emit s ?args ?argi ?flow probe ~ts:(!time_source () - dur) ~dur
+  let s = scope () in
+  if s.enabled then emit s ?args ?argi ?flow probe ~ts:(now s - dur) ~dur
 
 let with_span ?args ?argi ?flow probe f =
-  let s = store () in
+  let s = scope () in
   if not s.enabled then f ()
   else begin
-    let t0 = !time_source () in
+    let t0 = now s in
     match f () with
     | r ->
-      emit s ?args ?argi ?flow probe ~ts:t0 ~dur:(!time_source () - t0);
+      emit s ?args ?argi ?flow probe ~ts:t0 ~dur:(now s - t0);
       r
     | exception exn ->
-      emit s ?args ?argi ?flow probe ~ts:t0 ~dur:(!time_source () - t0);
+      emit s ?args ?argi ?flow probe ~ts:t0 ~dur:(now s - t0);
       raise exn
   end
-
-(* --- cell isolation (see Msnap_sim.Cell) ---
-
-   A simulation cell records into a private store over a private base-0
-   timeline; at force time the submitting experiment splices the cell's
-   events into its own store with a timestamp shift, remapped flow ids,
-   and an exact per-probe stats merge — so an exported trace is
-   identical in shape whether the cells ran serially or on workers. *)
-
-type snapshot = store
-
-let buffer_limit () = (store ()).limit
-
-let cell_begin ~enabled ~verbose ~limit =
-  let saved = store () in
-  Domain.DLS.set store_key (fresh ~enabled ~verbose ~limit);
-  saved
-
-let cell_end saved =
-  let cell = store () in
-  cell.enabled <- false;
-  Domain.DLS.set store_key saved;
-  cell
-
-let cell_merge ~shift cell =
-  let s = store () in
-  ensure_stats s;
-  Array.iteri
-    (fun i c ->
-      if c > 0 then begin
-        s.st_count.(i) <- s.st_count.(i) + c;
-        s.st_total.(i) <- s.st_total.(i) + cell.st_total.(i);
-        if cell.st_max.(i) > s.st_max.(i) then s.st_max.(i) <- cell.st_max.(i)
-      end)
-    cell.st_count;
-  s.dropped <- s.dropped + cell.dropped;
-  (* Flow ids are only unique within a store; rebase the cell's ids
-     past everything already issued here. *)
-  let fbase = s.next_flow in
-  s.next_flow <- s.next_flow + cell.next_flow;
-  for i = 0 to cell.len - 1 do
-    if s.len >= s.limit then s.dropped <- s.dropped + 1
-    else begin
-      if s.len >= Array.length s.b_probe then grow_buf s;
-      let j = s.len in
-      s.len <- j + 1;
-      let tid = cell.b_tid.(i) in
-      s.b_probe.(j) <- cell.b_probe.(i);
-      s.b_ts.(j) <- cell.b_ts.(i) + shift;
-      s.b_dur.(j) <- cell.b_dur.(i);
-      s.b_tid.(j) <- tid;
-      s.b_args.(j) <- cell.b_args.(i);
-      s.b_ak.(j) <- cell.b_ak.(i);
-      s.b_av.(j) <- cell.b_av.(i);
-      (let packed = cell.b_flow.(i) in
-       s.b_flow.(j) <-
-         (if packed = 0 then 0
-          else (((packed lsr 2) + fbase) * 4) lor (packed land 3)));
-      if not (Hashtbl.mem s.tnames tid) then
-        Hashtbl.add s.tnames tid
-          (try Hashtbl.find cell.tnames tid with Not_found -> "?")
-    end
-  done
 
 type dump = {
   d_count : int;
@@ -289,56 +232,108 @@ type dump = {
   d_av : int array;
   d_flow : int array;
   d_tnames : (int, string) Hashtbl.t;
+  d_span : int;
+  d_flows : int;
 }
 
-let event_count () = (store ()).len
+(* Per-probe summaries are sorted by (subsystem, name), which is unique
+   per probe: merge them as sorted lists, adding counts and totals. *)
+let rec merge_summary a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | ((sa, na, ca, ta, ma) as x) :: ra, ((sb, nb, cb, tb, mb) as y) :: rb ->
+    let c = compare (sa, na) (sb, nb) in
+    if c < 0 then x :: merge_summary ra b
+    else if c > 0 then y :: merge_summary a rb
+    else (sa, na, ca + cb, ta + tb, max ma mb) :: merge_summary ra rb
 
-let dump () =
-  let s = store () in
-  let summary = ref [] in
+(* The scope is finished: its columns move into the dump without
+   copying (a capped buffer is ~48 MB of arrays). Consumers read only
+   the first [d_count] slots. *)
+let finish s =
+  let own = ref [] in
   for i = Array.length s.st_count - 1 downto 0 do
     if s.st_count.(i) > 0 then begin
       let p = Probe.of_id i in
-      summary :=
+      own :=
         ( Probe.subsystem_name (Probe.subsystem p),
           Probe.name p,
           s.st_count.(i),
           s.st_total.(i),
           s.st_max.(i) )
-        :: !summary
+        :: !own
     end
   done;
-  (* Transfer the columns instead of copying: a capped buffer is ~48 MB
-     of arrays, and snapshotting it inside the export window forced
-     major-GC slices proportional to whatever heap the run had built up.
-     Consumers only read the first [d_count] slots; the store starts
-     over empty (the next [enable] regrows lazily). *)
-  let d =
-    {
-      d_count = s.len;
-      d_dropped = s.dropped;
-      d_summary = List.sort compare !summary;
-      d_probe = s.b_probe;
-      d_ts = s.b_ts;
-      d_dur = s.b_dur;
-      d_tid = s.b_tid;
-      d_args = s.b_args;
-      d_ak = s.b_ak;
-      d_av = s.b_av;
-      d_flow = s.b_flow;
-      d_tnames = Hashtbl.copy s.tnames;
-    }
-  in
-  s.b_probe <- [||];
-  s.b_ts <- [||];
-  s.b_dur <- [||];
-  s.b_tid <- [||];
-  s.b_args <- [||];
-  s.b_ak <- [||];
-  s.b_av <- [||];
-  s.b_flow <- [||];
-  s.len <- 0;
-  d
+  {
+    d_count = s.len;
+    d_dropped = s.dropped;
+    d_summary = merge_summary (List.sort compare !own) s.spliced;
+    d_probe = s.b_probe;
+    d_ts = s.b_ts;
+    d_dur = s.b_dur;
+    d_tid = s.b_tid;
+    d_args = s.b_args;
+    d_ak = s.b_ak;
+    d_av = s.b_av;
+    d_flow = s.b_flow;
+    d_tnames = s.tnames;
+    d_span = s.base;
+    d_flows = s.next_flow;
+  }
+
+let in_scope s f =
+  let outer = scope () in
+  Domain.DLS.set scope_key s;
+  let v = Fun.protect ~finally:(fun () -> Domain.DLS.set scope_key outer) f in
+  (v, finish s)
+
+let collect ?(limit = 1 lsl 20) ?(verbose = false) f =
+  in_scope (fresh ~enabled:true ~verbose ~limit) f
+
+type config = { c_enabled : bool; c_verbose : bool; c_limit : int }
+
+let config () =
+  let s = scope () in
+  { c_enabled = s.enabled; c_verbose = s.verbose; c_limit = s.limit }
+
+let collect_as c f =
+  in_scope (fresh ~enabled:c.c_enabled ~verbose:c.c_verbose ~limit:c.c_limit) f
+
+let append d =
+  let s = scope () in
+  if s.enabled then begin
+    s.spliced <- merge_summary s.spliced d.d_summary;
+    s.dropped <- s.dropped + d.d_dropped;
+    (* Flow ids are only unique within a scope; rebase the dump's ids
+       past everything already issued here. *)
+    let fbase = s.next_flow in
+    s.next_flow <- s.next_flow + d.d_flows;
+    let shift = s.base in
+    for i = 0 to d.d_count - 1 do
+      if s.len >= s.limit then s.dropped <- s.dropped + 1
+      else begin
+        if s.len >= Array.length s.b_probe then grow_buf s;
+        let j = s.len in
+        s.len <- j + 1;
+        let tid = d.d_tid.(i) in
+        s.b_probe.(j) <- d.d_probe.(i);
+        s.b_ts.(j) <- d.d_ts.(i) + shift;
+        s.b_dur.(j) <- d.d_dur.(i);
+        s.b_tid.(j) <- tid;
+        s.b_args.(j) <- d.d_args.(i);
+        s.b_ak.(j) <- d.d_ak.(i);
+        s.b_av.(j) <- d.d_av.(i);
+        (let packed = d.d_flow.(i) in
+         s.b_flow.(j) <-
+           (if packed = 0 then 0
+            else (((packed lsr 2) + fbase) * 4) lor (packed land 3)));
+        if not (Hashtbl.mem s.tnames tid) then
+          Hashtbl.add s.tnames tid
+            (try Hashtbl.find d.d_tnames tid with Not_found -> "?")
+      end
+    done;
+    s.base <- s.base + d.d_span
+  end
 
 let tname d tid = try Hashtbl.find d.d_tnames tid with Not_found -> "?"
 

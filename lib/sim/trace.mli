@@ -1,12 +1,13 @@
 (** Host-only structured tracing over virtual time.
 
-    When enabled, the simulator records spans (begin/end over virtual
-    time), instant events, and flow links into a per-domain in-memory
-    buffer, which exports as Chrome [trace_event] JSON (load it in
+    Recording is a scope: {!collect} runs a callback and returns, with
+    its value, everything the simulator recorded inside it (spans
+    (begin/end over virtual time), instant events, and flow links) as a
+    {!type-dump}, which exports as Chrome [trace_event] JSON (load it in
     [chrome://tracing] or [https://ui.perfetto.dev]). Events carry the
-    current virtual timestamp, the green thread that emitted them, the
-    {!Probe} they were emitted through (whose subsystem becomes the
-    trace category), and optional key/value arguments.
+    scope's timestamp, the green thread that emitted them, the {!Probe}
+    they were emitted through (whose subsystem becomes the trace
+    category), and optional key/value arguments.
 
     {b Tracing is host observability only.} No function in this module
     advances the virtual clock, charges CPU accounting, or touches any
@@ -14,16 +15,17 @@
     simulated number is byte-identical ("host work may change, simulated
     work may not"). The determinism suite enforces this.
 
-    {b Zero cost when disabled.} Every emit function first reads one
-    domain-local flag and returns. Call sites that compute arguments
-    must guard with {!is_on} so the argument list is never allocated on
-    the disabled path.
+    {b Zero cost when disabled.} Every emit function first reads the
+    calling domain's innermost scope (one domain-local read) and returns
+    unless it records. Call sites that compute arguments must guard with
+    {!is_on} so the argument list is never allocated on the disabled
+    path.
 
-    The buffer is bounded ({!enable}'s [?limit]); once full, further
+    The buffer is bounded ({!collect}'s [?limit]); once full, further
     events are counted in {!type-dump}[.d_dropped] and reported in the
     export metadata rather than silently discarded. The per-probe
-    summary keeps accumulating past the cap, so {!summary} totals remain
-    exact even for runs that overflow the buffer. *)
+    summary keeps accumulating past the cap, so {!type-dump}[.d_summary]
+    totals remain exact even for runs that overflow the buffer. *)
 
 type arg = I of int | S of string
 type args = (string * arg) list
@@ -43,33 +45,24 @@ val set_thread_source : tid:(unit -> int) -> tname:(unit -> string) -> unit
     must be allocation-free — it returns an unboxed int); [tname] runs
     only the first time a given tid stores an event. *)
 
-(** {2 Control (domain-local)} *)
-
-val enable : ?limit:int -> ?verbose:bool -> unit -> unit
-(** Start recording on the calling domain with an empty buffer and
-    summary.
-    [limit] caps the number of buffered events (default [1_048_576]);
-    [verbose] additionally records high-volume events such as per-walk
-    page-table instants (default [false]). *)
-
-val disable : unit -> unit
-(** Stop recording. The buffer survives until the next {!enable} so it
-    can still be {!dump}ed. *)
+val advance : int -> unit
+(** Called by [Sched] as a run finishes: moves the recording scope's
+    timeline past the run by the given ns, so consecutive runs in one
+    scope occupy disjoint intervals of its export. A non-recording
+    scope keeps no timeline. *)
 
 val is_on : unit -> bool
-val verbose : unit -> bool
-(** [is_on () && verbose flag] — gate for high-volume events. *)
+(** Does the calling domain's innermost scope record? *)
 
-val now : unit -> int
-(** Current trace timestamp (ns): the virtual clock plus a per-domain
-    base that advances across [Sched.run]s so consecutive runs occupy
-    disjoint intervals of the exported timeline. Returns 0 when tracing
-    is off — cheap enough to call unconditionally for a span's start. *)
+val verbose : unit -> bool
+(** Does it also record high-volume events such as per-walk page-table
+    instants? Implies {!is_on}. *)
 
 val new_flow : unit -> int
-(** Fresh flow id (domain-local, unique within an export). Flows link
+(** Fresh flow id, unique within the scope (the first is 1). Flows link
     causally-related events across threads — e.g. one μCheckpoint's
-    first fault → PTE reset → device commit → durable epoch. *)
+    first fault → PTE reset → device commit → durable epoch. Call it
+    only under {!is_on}. *)
 
 (** {2 Emitting}
 
@@ -105,35 +98,6 @@ val with_span :
     callback raises (the exception is re-raised). When disabled this is
     exactly [f ()]. *)
 
-(** {2 Cell isolation}
-
-    Used by [Msnap_sim.Cell]: a parallel simulation cell records into a
-    private store over a private base-0 timeline, spliced back into the
-    submitting experiment's store at force time in submission order, so
-    the export and the summary are identical whether cells ran serially
-    or on worker domains. *)
-
-type snapshot
-
-val buffer_limit : unit -> int
-(** The current store's event cap (propagated into cell stores). *)
-
-val cell_begin : enabled:bool -> verbose:bool -> limit:int -> snapshot
-(** Install a fresh store (empty buffer and summary) on this domain,
-    recording trace events iff [enabled]; returns the displaced one. *)
-
-val cell_end : snapshot -> snapshot
-(** Restore the displaced store; returns the cell's store (recording
-    stopped) for a later {!cell_merge}. *)
-
-val cell_merge : shift:int -> snapshot -> unit
-(** Splice a finished cell's store into the current one: events with
-    timestamps shifted by [shift] ns and flow ids rebased past the
-    current store's; per-probe summary stats added exactly (even past
-    the buffer cap — events that don't fit count as dropped). The
-    snapshot is only read, so it may be merged into several stores (one
-    per [Cell.share] handle). *)
-
 (** {2 Collecting}
 
     The live buffer is structs-of-arrays (one int column per event
@@ -166,15 +130,43 @@ type dump = {
   d_av : int array;           (** single-int-arg fast path: value *)
   d_flow : int array;         (** packed: [0] none, else [id*4 + phase] *)
   d_tnames : (int, string) Hashtbl.t;  (** first-seen name per tid *)
+  d_span : int;
+      (** ns of timeline the scope consumed: each of its runs' final
+          clock plus a 1 µs gap, and every spliced dump's span *)
+  d_flows : int;              (** flow ids the scope issued *)
 }
 
-val event_count : unit -> int
+val collect : ?limit:int -> ?verbose:bool -> (unit -> 'a) -> 'a * dump
+(** [collect f] runs [f] under a fresh recording scope on the calling
+    domain and returns its value with what the scope recorded. Every
+    [Sched.run] inside [f] records straight into the scope's buffer;
+    the scope's timeline starts at 0 and its flow ids at 1, whatever
+    the domain ran before. Scopes nest: the enclosing one is restored
+    on return and sees none of the inner one's events. If [f] raises,
+    its trace is discarded and the exception re-raised.
+    [limit] caps the number of buffered events (default [1_048_576]);
+    [verbose] additionally records high-volume events (default
+    [false]). *)
 
-val dump : unit -> dump
-(** Take the calling domain's buffer: the columns move into the dump
-    without copying and the live buffer is left empty (a later
-    {!enable} or further emission regrows it). Per-probe summary
-    stats and the dropped count are not reset. *)
+val append : dump -> unit
+(** Splice a dump into the calling domain's scope, as if its runs had
+    happened here: timestamps shifted to the scope's current timeline
+    position, which then advances by [d_span]; flow ids rebased past
+    the scope's; per-probe summary stats added exactly (events past the
+    scope's cap count as dropped). The dump is only read, so it may be
+    appended to several scopes. A no-op in a non-recording scope. *)
+
+type config
+(** A scope's recording settings: on or off, verbosity, buffer cap. *)
+
+val config : unit -> config
+(** The settings of the calling domain's innermost scope. *)
+
+val collect_as : config -> (unit -> 'a) -> 'a * dump
+(** {!collect} with captured settings, for work that runs elsewhere on
+    a scope's behalf ([Msnap_sim.Cell]): under a non-recording config,
+    [f] runs under an explicit non-recording scope (so no enclosing
+    scope catches its events) and the dump is empty. *)
 
 val events : dump -> event array
 (** Materialize the record-per-event view of a dump's columns. *)

@@ -10,8 +10,10 @@
     Determinism contract: the pool schedules {e host} work only. A task
     body must be self-contained with respect to domain-local state —
     the simulation cell layer ([Msnap_sim.Cell]) guarantees this by
-    swapping every [Domain.DLS] store around the body — so which domain
-    runs a task, and when, can never change a simulated value.
+    running the body under its own trace scope, and the other
+    [Domain.DLS] state a body touches (buffer pools, host counters) is
+    host-only — so which domain runs a task, and when, can never change
+    a simulated value.
 
     With zero workers, tasks run inline at {!await} in program order:
     serial execution is the degenerate case, not a separate code

@@ -260,12 +260,8 @@ let fig3_reduced () =
    not"). Run once untraced and once under a verbose trace. *)
 let test_identical_traced_untraced () =
   let a = fig3_reduced () in
-  Trace.enable ~verbose:true ();
-  let b = fig3_reduced () in
-  Trace.disable ();
-  Alcotest.(check bool)
-    "trace actually recorded" true
-    (Trace.event_count () > 0);
+  let b, d = Trace.collect ~verbose:true fig3_reduced in
+  Alcotest.(check bool) "trace actually recorded" true (d.Trace.d_count > 0);
   Alcotest.(check (list int)) "sim-time totals" a.sim_ns b.sim_ns;
   List.iter2
     (fun (na, ra) (nb, rb) ->
@@ -320,8 +316,7 @@ type cellrun = {
 (* Digest everything a merged trace exposes: the exact per-probe
    summary plus every event's probe/timestamp/duration/tid/flow/arg
    columns, in buffer order. *)
-let trace_digest () =
-  let d = Trace.dump () in
+let trace_digest d =
   let b = Buffer.create 65536 in
   Buffer.add_string b (Trace.render_summary d);
   let addi v =
@@ -338,12 +333,10 @@ let trace_digest () =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* [cells:false] runs the same bodies in order on this domain, with no
-   cell store to merge: the reference the merged recordings must equal. *)
+   cell dump to splice: the reference the spliced recordings must equal. *)
 let cell_run ?(cells = true) ~workers ~traced () =
   Taskpool.shutdown ();
   Taskpool.ensure_workers workers;
-  Sched.set_trace_base 0;
-  if traced then Trace.enable ~verbose:true ();
   let region_pages = 256 in
   let bodies =
     List.concat_map
@@ -358,7 +351,7 @@ let cell_run ?(cells = true) ~workers ~traced () =
         ])
       [ 1; 4; 16 ]
   in
-  let forced =
+  let run () =
     if not cells then List.map (fun (n, f) -> (n, f ())) bodies
     else begin
       let pend = List.map (fun (n, f) -> (n, Cell.submit f)) bodies in
@@ -366,9 +359,12 @@ let cell_run ?(cells = true) ~workers ~traced () =
       List.map (fun (n, p) -> (n, Cell.force p)) pend
     end
   in
-  let n_ev = if traced then Trace.event_count () else 0 in
-  let td = if traced then trace_digest () else "" in
-  if traced then Trace.disable ();
+  let forced, n_ev, td =
+    if traced then
+      let forced, d = Trace.collect ~verbose:true run in
+      (forced, d.Trace.d_count, trace_digest d)
+    else (run (), 0, "")
+  in
   Taskpool.shutdown ();
   {
     c_vals = List.map (fun (n, (v, _, _)) -> (n, v)) forced;

@@ -421,19 +421,23 @@ let contains s sub =
   m = 0 || go 0
 
 let test_trace_disabled_no_events () =
-  Trace.enable ();
-  Trace.disable ();
-  Sched.run (fun () ->
-      Trace.instant Probe.vm_write_fault;
-      Trace.complete Probe.db_write ~dur:10);
-  checki "no events recorded" 0 (Trace.event_count ());
-  checki "now is 0 when off" 0 (Trace.now ())
+  checkb "off outside every scope" false (Trace.is_on ());
+  let (), d =
+    Trace.collect_as (Trace.config ()) (fun () ->
+        Sched.run (fun () ->
+            Trace.instant Probe.vm_write_fault;
+            Trace.complete Probe.db_write ~dur:10))
+  in
+  checki "no events recorded" 0 d.Trace.d_count;
+  checkb "no summary" true (d.Trace.d_summary = []);
+  checki "no timeline" 0 d.Trace.d_span
 
 let test_trace_span_records () =
-  Trace.enable ();
-  Sched.run (fun () -> Trace.with_span Probe.fs_fsync (fun () -> Sched.delay 120));
-  Trace.disable ();
-  let d = Trace.dump () in
+  let (), d =
+    Trace.collect (fun () ->
+        Sched.run (fun () ->
+            Trace.with_span Probe.fs_fsync (fun () -> Sched.delay 120)))
+  in
   (* The run also records the main thread's lifetime span (sched.thread);
      pick out the fsync span. *)
   let spans =
@@ -447,22 +451,50 @@ let test_trace_span_records () =
   checki "dur is the virtual-time delta" 120 e.Trace.ev_dur
 
 let test_trace_flow_ids_unique () =
-  Trace.enable ();
-  let a = Trace.new_flow () in
-  let b = Trace.new_flow () in
-  Trace.disable ();
+  let (a, b), _ =
+    Trace.collect (fun () ->
+        Sched.run (fun () ->
+            let a = Trace.new_flow () in
+            (a, Trace.new_flow ())))
+  in
   checkb "nonzero and distinct" true (a <> 0 && b <> 0 && a <> b)
 
+(* One traced run: a 30 ns delay, then a flow-start instant. *)
+let traced_instant () =
+  Trace.collect (fun () ->
+      Sched.run (fun () ->
+          Sched.delay 30;
+          let flow = Trace.new_flow () in
+          Trace.instant Probe.msnap_first_fault ~flow:(flow, Trace.Flow_start);
+          flow))
+
+let test_trace_scopes_start_at_zero () =
+  Sched.run (fun () -> Sched.delay 500);
+  let f1, d1 = traced_instant () in
+  Sched.run (fun () -> Sched.delay 700);
+  let f2, d2 = traced_instant () in
+  List.iter
+    (fun (what, flow, d) ->
+      let evs = Trace.events d in
+      checki (what ^ ": flow") 1 flow;
+      checki (what ^ ": first event at 0") 0
+        (Array.fold_left (fun m e -> min m e.Trace.ev_ts) max_int evs);
+      checkb (what ^ ": the instant at 30") true
+        (Array.exists
+           (fun e ->
+             e.Trace.ev_ts = 30 && e.Trace.ev_flow = Some (1, Trace.Flow_start))
+           evs);
+      checki (what ^ ": span is the run plus its gap") 1_030 d.Trace.d_span)
+    [ ("first scope", f1, d1); ("second scope", f2, d2) ]
+
 let test_trace_summary_reconciles_with_buckets () =
-  Trace.enable ();
-  let report =
-    Sched.run (fun () ->
-        Metrics.timed Probe.db_fsync (fun () ->
-            Sched.with_bucket Probe.Bucket.fsync (fun () -> Sched.cpu 500));
-        Sched.account_report ())
+  let report, d =
+    Trace.collect (fun () ->
+        Sched.run (fun () ->
+            Metrics.timed Probe.db_fsync (fun () ->
+                Sched.with_bucket Probe.Bucket.fsync (fun () -> Sched.cpu 500));
+            Sched.account_report ()))
   in
-  Trace.disable ();
-  let d = Trace.dump () in
   let _, _, count, total, _ =
     List.find
       (fun (sub, name, _, _, _) -> sub = "db" && name = "fsync")
@@ -474,14 +506,14 @@ let test_trace_summary_reconciles_with_buckets () =
     total
 
 let test_trace_export_json () =
-  Trace.enable ();
-  Sched.run (fun () ->
-      let flow = Trace.new_flow () in
-      Trace.instant Probe.msnap_first_fault ~flow:(flow, Trace.Flow_start);
-      Trace.with_span Probe.db_write (fun () -> Sched.delay 10);
-      Trace.instant Probe.msnap_durable ~flow:(flow, Trace.Flow_end));
-  Trace.disable ();
-  let d = Trace.dump () in
+  let (), d =
+    Trace.collect (fun () ->
+        Sched.run (fun () ->
+            let flow = Trace.new_flow () in
+            Trace.instant Probe.msnap_first_fault ~flow:(flow, Trace.Flow_start);
+            Trace.with_span Probe.db_write (fun () -> Sched.delay 10);
+            Trace.instant Probe.msnap_durable ~flow:(flow, Trace.Flow_end)))
+  in
   let path = Filename.temp_file "msnap_trace" ".json" in
   let oc = open_out path in
   Trace.export_json oc d;
@@ -499,13 +531,13 @@ let test_trace_export_json () =
     ]
 
 let test_trace_buffer_cap_keeps_summary_exact () =
-  Trace.enable ~limit:8 ();
-  Sched.run (fun () ->
-      for _ = 1 to 20 do
-        Trace.complete Probe.db_write ~dur:5
-      done);
-  Trace.disable ();
-  let d = Trace.dump () in
+  let (), d =
+    Trace.collect ~limit:8 (fun () ->
+        Sched.run (fun () ->
+            for _ = 1 to 20 do
+              Trace.complete Probe.db_write ~dur:5
+            done))
+  in
   checki "buffer capped" 8 d.Trace.d_count;
   (* 20 writes + the main thread's lifetime span, 8 kept. *)
   checki "overflow counted" 13 d.Trace.d_dropped;
@@ -688,10 +720,10 @@ let test_account_report_only_charged_buckets () =
   checkb "silent absent" true (List.assoc_opt "page faults" report = None);
   checki "user" 5 (List.assoc "user" report)
 
-(* --- Cell: the merge contract ---
+(* --- Cell: the splice contract ---
 
-   A cell records its trace into a private store that [Cell.force] folds
-   into the forcing domain's trace summary and buffer. The properties
+   A cell records its trace under its own scope, whose dump
+   [Cell.force] splices into the forcing domain's scope. The properties
    below must hold whether the body runs inline at force (0 pool
    workers) or on a worker domain. *)
 
@@ -699,15 +731,15 @@ let cell_op = Probe.make Probe.Host "cell.op"
 
 exception Cell_boom
 
-(* Everything the forcing domain's trace has recorded under [cell_op]. *)
-let recorded () =
+(* Everything a dump recorded under [cell_op]. *)
+let recorded d =
   let summary =
     List.filter_map
       (fun (_, name, n, total, mx) ->
         if name = Probe.name cell_op then
           Some (Printf.sprintf "n=%d total=%d max=%d" n total mx)
         else None)
-      (Trace.dump ()).Trace.d_summary
+      d.Trace.d_summary
   in
   Printf.sprintf "summary=[%s]" (String.concat "; " summary)
 
@@ -719,89 +751,129 @@ let timed_op () =
       Metrics.samples cell_op)
 
 let one_op = "summary=[n=1 total=50 max=50]"
+let no_op = "summary=[]"
 
 let at_workers f =
   List.iter
     (fun workers ->
       Taskpool.shutdown ();
       Taskpool.ensure_workers workers;
-      Trace.enable ();
-      Fun.protect
-        ~finally:(fun () ->
-          Trace.disable ();
-          Taskpool.shutdown ())
-        (fun () -> f (Printf.sprintf "%d workers" workers)))
+      Fun.protect ~finally:Taskpool.shutdown (fun () ->
+          f (Printf.sprintf "%d workers" workers)))
     [ 0; 2 ]
 
 let test_cell_force_twice_merges_once () =
   at_workers (fun label ->
-      let c = Cell.submit (fun () -> ignore (timed_op ()); 7) in
-      checki (label ^ ": value") 7 (Cell.force c);
-      let once = recorded () in
-      checks (label ^ ": merged once") one_op once;
-      checki (label ^ ": value again") 7 (Cell.force c);
-      checks (label ^ ": second force merges nothing") once (recorded ()))
-
-(* Run [f] against a fresh recording store, swapped in the way a cell
-   body's store is, and return its result with the original store
-   restored. *)
-let in_fresh_store f =
-  let saved =
-    Trace.cell_begin ~enabled:true ~verbose:false
-      ~limit:(Trace.buffer_limit ())
-  in
-  Fun.protect ~finally:(fun () -> ignore (Trace.cell_end saved)) f
+      let (), once =
+        Trace.collect (fun () ->
+            let c = Cell.submit (fun () -> ignore (timed_op ()); 7) in
+            checki (label ^ ": value") 7 (Cell.force c);
+            let (), again =
+              Trace.collect (fun () ->
+                  checki (label ^ ": value again") 7 (Cell.force c))
+            in
+            checks (label ^ ": second force merges nothing") no_op
+              (recorded again))
+      in
+      checks (label ^ ": merged once") one_op (recorded once))
 
 let test_cell_shared_handles_merge_once_each () =
   at_workers (fun label ->
       let runs = Atomic.make 0 in
-      let c =
-        Cell.submit (fun () ->
-            Atomic.incr runs;
-            ignore (timed_op ());
-            7)
+      let (), first =
+        Trace.collect (fun () ->
+            let c =
+              Cell.submit (fun () ->
+                  Atomic.incr runs;
+                  ignore (timed_op ());
+                  7)
+            in
+            let c' = Cell.share c in
+            checki (label ^ ": value") 7 (Cell.force c);
+            let v, second =
+              Trace.collect (fun () ->
+                  let v = Cell.force c' in
+                  ignore (Cell.force c');
+                  v)
+            in
+            checki (label ^ ": shared value") 7 v;
+            checks (label ^ ": second scope merged once") one_op
+              (recorded second);
+            checki (label ^ ": value again") 7 (Cell.force c))
       in
-      let c' = Cell.share c in
-      checki (label ^ ": value") 7 (Cell.force c);
-      checks (label ^ ": first store merged once") one_op (recorded ());
-      let v, second =
-        in_fresh_store (fun () ->
-            let v = Cell.force c' in
-            ignore (Cell.force c');
-            (v, recorded ()))
-      in
-      checki (label ^ ": shared value") 7 v;
-      checks (label ^ ": second store merged once") one_op second;
-      checki (label ^ ": value again") 7 (Cell.force c);
-      checks (label ^ ": first store untouched") one_op (recorded ());
+      checks (label ^ ": first scope merged once, untouched by the second")
+        one_op (recorded first);
       checki (label ^ ": body ran once") 1 (Atomic.get runs))
+
+(* A cell submitted outside every recording scope runs under its own
+   non-recording scope, so forcing it inside a traced scope (inline:
+   the forcer's domain runs the body) leaves that scope's dump as if the
+   cell had never been there. *)
+let test_cell_untraced_forced_in_traced_scope () =
+  Taskpool.shutdown ();
+  let traced_run () =
+    Sched.run (fun () ->
+        Sched.delay 20;
+        Trace.instant cell_op)
+  in
+  let c = Cell.submit (fun () -> ignore (timed_op ())) in
+  let (), with_cell =
+    Trace.collect (fun () ->
+        traced_run ();
+        Cell.force c;
+        traced_run ())
+  in
+  let (), without =
+    Trace.collect (fun () ->
+        traced_run ();
+        traced_run ())
+  in
+  checks "no cell events" "summary=[n=2 total=0 max=0]" (recorded with_cell);
+  checki "events" without.Trace.d_count with_cell.Trace.d_count;
+  checkb "timestamps" true
+    (Array.sub with_cell.Trace.d_ts 0 with_cell.Trace.d_count
+    = Array.sub without.Trace.d_ts 0 without.Trace.d_count);
+  checkb "summary" true (with_cell.Trace.d_summary = without.Trace.d_summary);
+  checki "span" without.Trace.d_span with_cell.Trace.d_span
 
 (* A cell's metrics stay in the run that recorded them: the body
    returns its own figures, and the forcing domain's next run starts
    with none. *)
 let test_metrics_cell_samples_stay_in_cell () =
   at_workers (fun label ->
-      let c = Cell.submit timed_op in
-      checki (label ^ ": the cell's run saw its sample") 1 (Cell.force c);
-      checks (label ^ ": the trace was merged") one_op (recorded ());
-      checki (label ^ ": the forcer's next run has none") 0
-        (Sched.run (fun () -> Metrics.samples cell_op + Metrics.count cell_op)))
+      let (), d =
+        Trace.collect (fun () ->
+            let c = Cell.submit timed_op in
+            checki (label ^ ": the cell's run saw its sample") 1 (Cell.force c);
+            checki (label ^ ": the forcer's next run has none") 0
+              (Sched.run (fun () ->
+                   Metrics.samples cell_op + Metrics.count cell_op)))
+      in
+      checks (label ^ ": the trace was merged") one_op (recorded d))
 
 let test_cell_raise_leaves_forcer_untouched () =
   at_workers (fun label ->
-      ignore (timed_op ());
-      let before = recorded () in
-      let c =
-        Cell.submit (fun () ->
+      let (), before = Trace.collect (fun () -> ignore (timed_op ())) in
+      let (), after =
+        Trace.collect (fun () ->
             ignore (timed_op ());
-            raise Cell_boom)
+            let c =
+              Cell.submit (fun () ->
+                  ignore (timed_op ());
+                  raise Cell_boom)
+            in
+            for i = 1 to 2 do
+              checkb
+                (Printf.sprintf "%s, force %d: re-raises" label i)
+                true
+                (match Cell.force c with
+                | () -> false
+                | exception Cell_boom -> true)
+            done)
       in
-      for i = 1 to 2 do
-        let what = Printf.sprintf "%s, force %d" label i in
-        checkb (what ^ ": re-raises") true
-          (match Cell.force c with () -> false | exception Cell_boom -> true);
-        checks (what ^ ": forcer untouched") before (recorded ())
-      done)
+      checks (label ^ ": forcer untouched") (recorded before) (recorded after);
+      checki (label ^ ": timeline untouched") before.Trace.d_span
+        after.Trace.d_span)
 
 let test_determinism_end_to_end () =
   (* The same program must produce the identical trace twice. *)
@@ -884,6 +956,8 @@ let () =
           tc "disabled records nothing" test_trace_disabled_no_events;
           tc "span records probe and dur" test_trace_span_records;
           tc "flow ids unique" test_trace_flow_ids_unique;
+          tc "each scope starts at ts 0 and flow 1"
+            test_trace_scopes_start_at_zero;
           tc "summary reconciles buckets" test_trace_summary_reconciles_with_buckets;
           tc "export json shape" test_trace_export_json;
           tc "summary exact past cap" test_trace_buffer_cap_keeps_summary_exact;
@@ -895,5 +969,7 @@ let () =
             test_cell_raise_leaves_forcer_untouched;
           tc "shared handles merge once each"
             test_cell_shared_handles_merge_once_each;
+          tc "an untraced cell leaves a traced scope unchanged"
+            test_cell_untraced_forced_in_traced_scope;
         ] );
     ]
