@@ -3,45 +3,7 @@
    striped NVMe devices (the paper's testbed layout), physical memory, one
    or more address spaces, and whichever persistence stack it measures. *)
 
-(* --- end-of-run disposal ---
-
-   Machine builders register teardown hooks that return pooled buffers
-   (page frames, file-system cache blocks, radix node images) to
-   [Msnap_util.Pool] when the simulation finishes, so the next experiment
-   on this domain reuses them instead of allocating fresh. Device
-   teardown parks the media's chunks for the next device the same way
-   ([Disk.dispose]). Pooled memory lives in slabs outside the OCaml heap
-   that nothing frees, so whatever a builder does not register here is
-   lost until exit. Host-only: disposal runs after the simulated clock
-   has stopped. *)
-
-let disposals_key : (unit -> unit) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let on_dispose f =
-  let slot = Domain.DLS.get disposals_key in
-  slot := f :: !slot
-
-module Sched = struct
-  include Msnap_sim.Sched
-
-  (* Run a simulation, then tear down what the machine builders
-     registered. On an abnormal exit (e.g. a simulated power failure
-     propagating out) the hooks are discarded without running: buffer
-     ownership may be mid-transfer, and losing the buffers is always
-     safe. *)
-  let run f =
-    let slot = Domain.DLS.get disposals_key in
-    match Msnap_sim.Sched.run f with
-    | v ->
-      List.iter (fun d -> d ()) !slot;
-      slot := [];
-      v
-    | exception e ->
-      slot := [];
-      raise e
-end
-
+module Sched = Msnap_sim.Sched
 module Metrics = Msnap_sim.Metrics
 module Probe = Msnap_sim.Probe
 module Rng = Msnap_util.Rng
@@ -59,28 +21,36 @@ module Fs = Msnap_fs.Fs
 module Msnap = Msnap_core.Msnap
 module Aurora = Msnap_aurora.Aurora
 
+(* Every builder registers the teardown of what it builds with the
+   running simulation ([Sched.on_exit]): page frames, file-system cache
+   blocks, radix node images and the media's chunks go back to
+   [Msnap_util.Pool] as the run returns, so the next experiment on this
+   domain reuses them instead of allocating fresh. Pooled memory lives
+   in slabs outside the OCaml heap that nothing frees, so whatever a
+   builder does not register is lost until exit. *)
+
 let mk_dev () =
   let dev = Device.testbed ~mib:512 in
-  on_dispose (fun () -> Device.dispose dev);
+  Sched.on_exit (fun () -> Device.dispose dev);
   dev
 
 let mk_fs kind =
   let dev = mk_dev () in
   let fs = Fs.mkfs dev ~kind in
-  on_dispose (fun () -> Fs.dispose fs);
+  Sched.on_exit (fun () -> Fs.dispose fs);
   (dev, fs)
 
 (* A machine with a MemSnap kernel: (device, kernel). *)
 let mk_msnap () =
   let dev = mk_dev () in
   let k = Msnap.boot ~format:true dev in
-  on_dispose (fun () -> Msnap.dispose k);
+  Sched.on_exit (fun () -> Msnap.dispose k);
   (dev, k)
 
 (* A machine with an Aurora kernel. *)
 let mk_aurora () =
   let k = Aurora.Kernel.boot ~format:true (mk_dev ()) in
-  on_dispose (fun () -> Aurora.Kernel.dispose k);
+  Sched.on_exit (fun () -> Aurora.Kernel.dispose k);
   k
 
 (* Dirty [pages] distinct random 4 KiB pages of a MemSnap region. *)
@@ -233,10 +203,11 @@ let frame_end () =
    self-contained deterministic simulation (fixed seeds, own machines,
    no state shared with other cells or the enclosing experiment) — and
    queues it on the task pool. [force] waits for it, replays its [emit]
-   output here, folds its metrics/trace into this domain (in force
-   order — see Msnap_sim.Cell), books its host costs to the enclosing
-   frame, and returns its value. With zero pool workers the body runs
-   inline at [force]: `-j 1` is exactly the old serial execution. *)
+   output here, splices its trace dump into this domain's recording
+   scope (in force order — see Msnap_sim.Cell), books its host costs to
+   the enclosing frame, and returns its value. With zero pool workers
+   the body runs inline at [force]: `-j 1` is exactly the old serial
+   execution. *)
 
 module Cell = Msnap_sim.Cell
 
@@ -247,16 +218,11 @@ let cell f : _ pending =
   Cell.submit (fun () ->
       frame_begin ();
       let buf = Buffer.create 256 in
-      let slot = Domain.DLS.get disposals_key in
-      let saved = !slot in
-      slot := [];
       match captured buf f with
       | v ->
-        slot := saved;
         let host, _ = frame_end () in
         { co_v = v; co_out = Buffer.contents buf; co_host = host }
       | exception e ->
-        slot := saved;
         ignore (frame_end ());
         raise e)
 

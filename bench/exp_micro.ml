@@ -148,7 +148,7 @@ let fig1 () =
   let run strategy dirty_pages =
     Sched.run (fun () ->
         let phys = Phys.create () in
-        on_dispose (fun () -> Phys.dispose phys);
+        Sched.on_exit (fun () -> Phys.dispose phys);
         let a = Aspace.create phys in
         let va = 0x4000_0000_0000 in
         let dirty = ref [] in

@@ -218,13 +218,13 @@ let fig6 () =
         fun () ->
           let dev, fs = mk_fs Fs.Ffs in
           let phys = Phys.create () in
-          on_dispose (fun () -> Phys.dispose phys);
+          Sched.on_exit (fun () -> Phys.dispose phys);
           (dev, Storage.ffs_mmap fs (Aspace.create phys) ()) );
       ( "ffs-mmap-bd",
         fun () ->
           let dev, fs = mk_fs Fs.Ffs in
           let phys = Phys.create () in
-          on_dispose (fun () -> Phys.dispose phys);
+          Sched.on_exit (fun () -> Phys.dispose phys);
           (dev, Storage.ffs_mmap_bufdirect fs (Aspace.create phys) ()) );
       ( "memsnap",
         fun () ->

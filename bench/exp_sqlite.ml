@@ -35,7 +35,7 @@ let open_db backend =
     Fs.set_cache_capacity fs 128;
     let w = Backend_wal.create fs ~db_name:"bench.db" () in
     let db = Db.open_db (Backend_wal.backend w) in
-    on_dispose (fun () ->
+    Sched.on_exit (fun () ->
         Msnap_sqlite.Pager.dispose (Db.pager db);
         Backend_wal.dispose w);
     db
@@ -46,7 +46,7 @@ let open_db backend =
         (Backend_msnap.backend
            (Backend_msnap.create k ~db_name:"bench.db" ~max_pages:65536))
     in
-    on_dispose (fun () -> Msnap_sqlite.Pager.dispose (Db.pager db));
+    Sched.on_exit (fun () -> Msnap_sqlite.Pager.dispose (Db.pager db));
     db
 
 type dbbench_result = {

@@ -2,7 +2,7 @@
    evaluation. Run everything with `dune exec bench/main.exe`, one
    experiment with `-e table6` etc., and fan independent experiments out
    over a pool of OCaml 5 domains with `-j N`. Each experiment is a
-   self-contained simulation (own Sched.run, seeded RNGs, domain-local
+   self-contained simulation (own Sched.run, seeded RNGs, per-run
    metrics), so parallel runs produce byte-identical stdout to serial
    ones; per-experiment host wall-clock is recorded in BENCH_sim.json so
    simulator-throughput regressions show up in review.

@@ -62,10 +62,11 @@ let persist_sweep trace =
   List.iter
     (fun kib ->
       let run mode =
-        let dev = Device.testbed ~mib:256 in
-        let k, mean =
-          Sched.run (fun () ->
+        Sched.run (fun () ->
+            let dev = Device.testbed ~mib:256 in
+            Sched.on_exit (fun () -> Device.dispose dev);
             let k = Msnap.boot ~format:true dev in
+            Sched.on_exit (fun () -> Msnap.dispose k);
             let md = Msnap.open_region k ~name:"r" ~len:(Size.mib 64) () in
             let rng = Rng.create 1 in
             let total = ref 0 in
@@ -83,11 +84,7 @@ let persist_sweep trace =
               total := !total + (Sched.now () - t0);
               Sched.delay 5_000_000
             done;
-            (k, !total / 8))
-        in
-        Msnap.dispose k;
-        Device.dispose dev;
-        mean
+            !total / 8)
       in
       Tbl.row t
         [ Size.pp (Size.kib kib); Tbl.us (run `Sync); Tbl.us (run `Async) ])
@@ -98,13 +95,18 @@ let torture trace record_mode =
   with_trace trace @@ fun () ->
   let survived = ref 0 in
   for round = 1 to 10 do
-    let dev = Device.testbed ~mib:256 in
-    (* --record attaches an (unarmed) crash-schedule recorder: host-only
-       observability, so every simulated value printed below must be
-       identical with or without it — CI cmps the two stdouts. *)
-    if record_mode then Device.attach_record dev (Msnap_blockdev.Record.create ());
-    let ok, k2 =
+    let ok =
       Sched.run (fun () ->
+          let dev = Device.testbed ~mib:256 in
+          Sched.on_exit (fun () -> Device.dispose dev);
+          (* --record attaches an (unarmed) crash-schedule recorder:
+             host-only observability, so every simulated value printed
+             below must be identical with or without it — CI cmps the
+             two stdouts. *)
+          if record_mode then
+            Device.attach_record dev (Msnap_blockdev.Record.create ());
+          (* The kernel that loses power registers no teardown: buffer
+             ownership may be mid-transfer. *)
           let k = Msnap.boot ~format:true dev in
           let md = Msnap.open_region k ~name:"t" ~len:(Size.mib 1) () in
           let committed = ref 0 in
@@ -125,6 +127,7 @@ let torture trace record_mode =
           Sched.join w;
           Device.restore_power dev;
           let k2 = Msnap.boot ~format:false dev in
+          Sched.on_exit (fun () -> Msnap.dispose k2);
           let md2 = Msnap.open_region k2 ~name:"t" ~len:(Size.mib 1) () in
           (* The recovered page for the last committed write must hold it. *)
           let i = !committed in
@@ -132,12 +135,8 @@ let torture trace record_mode =
             Int64.to_int
               (Bytes.get_int64_le (Msnap.read k2 md2 ~off:((i mod 256) * 4096) ~len:8) 0)
           in
-          (v = i || v = i + 1, k2))
+          v = i || v = i + 1)
     in
-    (* The crashed kernel is not disposed: buffer ownership may be
-       mid-transfer. *)
-    Msnap.dispose k2;
-    Device.dispose dev;
     Printf.printf "round %2d: %s\n%!" round (if ok then "consistent" else "CORRUPT");
     if ok then incr survived
   done;

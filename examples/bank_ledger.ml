@@ -40,6 +40,9 @@ let total k md =
 let () =
   Sched.run @@ fun () ->
   let dev = Device.testbed ~mib:64 in
+  Sched.on_exit (fun () -> Device.dispose dev);
+  (* [k] loses power mid-run, so it registers no teardown: buffer
+     ownership may be mid-transfer. *)
   let k = Msnap.boot ~format:true dev in
   let md = Msnap.open_region k ~name:"ledger" ~len:(accounts * page) () in
 
@@ -92,14 +95,11 @@ let () =
   Device.restore_power dev;
 
   let k2 = Msnap.boot ~format:false dev in
+  Sched.on_exit (fun () -> Msnap.dispose k2);
   let md2 = Msnap.open_region k2 ~name:"ledger" ~len:(accounts * page) () in
   let recovered = total k2 md2 in
   say "recovered total: %d (expected %d) -> %s" recovered
     (accounts * initial_balance)
     (if recovered = accounts * initial_balance then "conserved: no torn transfer"
      else "MONEY LEAKED - atomicity violated!");
-  assert (recovered = accounts * initial_balance);
-  (* [k] lost power mid-run and is not disposed: buffer ownership may
-     be mid-transfer. *)
-  Msnap.dispose k2;
-  Device.dispose dev
+  assert (recovered = accounts * initial_balance)

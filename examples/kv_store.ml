@@ -20,7 +20,9 @@ let config = { Rocks.default_config with region_pages = 8192 }
 let () =
   Sched.run @@ fun () ->
   let dev = Device.testbed ~mib:128 in
+  Sched.on_exit (fun () -> Device.dispose dev);
   let k = Msnap.boot ~format:true dev in
+  Sched.on_exit (fun () -> Msnap.dispose k);
   let db = Rocks.open_db ~config (Rocks.Memsnap k) ~name:"kv" in
 
   say "== loading 1000 keys (each put is one durable μCheckpoint) ==";
@@ -59,7 +61,4 @@ let () =
     (float_of_int (Sched.now () - t0) /. 1e6);
   say "user:0001 = %s" (Option.get (Rocks.get db2 "user:0001"));
   say "audit:last = %s" (Option.get (Rocks.get db2 "audit:last"));
-  assert (Rocks.count db2 = 1001);
-  Msnap.dispose k;
-  RR.dispose r;
-  Device.dispose dev
+  assert (Rocks.count db2 = 1001)

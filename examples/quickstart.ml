@@ -18,9 +18,13 @@ let () =
   (* One "machine": two striped NVMe devices; booting adds physical
      memory and a process. *)
   let dev = Device.testbed ~mib:64 in
+  (* Teardown is host-only: it hands the machine's buffers back when the
+     simulation ends. *)
+  Sched.on_exit (fun () -> Device.dispose dev);
 
   say "== first boot ==";
   let k = Msnap.boot ~format:true dev in
+  Sched.on_exit (fun () -> Msnap.dispose k);
 
   (* msnap_open: create a persistent region. It gets a fixed virtual
      address, so pointers into it stay valid across reboots. *)
@@ -51,12 +55,10 @@ let () =
 
   say "== reboot and recover ==";
   let k2 = Msnap.boot ~format:false dev in
+  Sched.on_exit (fun () -> Msnap.dispose k2);
   let md2 = Msnap.open_region k2 ~name:"my-data" ~len:(Size.kib 256) () in
   say "region recovered at 0x%x (same address: %b)" (Msnap.addr md2)
     (Msnap.addr md2 = Msnap.addr md);
   say "page 0: %S" (Bytes.to_string (Msnap.read k2 md2 ~off:0 ~len:11));
   say "page 1: %S" (Bytes.to_string (Msnap.read k2 md2 ~off:4096 ~len:21));
-  say "the persisted epoch survived; the tamper did not.";
-  Msnap.dispose k;
-  Msnap.dispose k2;
-  Device.dispose dev
+  say "the persisted epoch survived; the tamper did not."

@@ -40,24 +40,27 @@ let () =
   (Sched.run @@ fun () ->
    (* Baseline: WAL file + checkpoints over the file API. *)
    let wal_dev = Device.testbed ~mib:128 in
+   Sched.on_exit (fun () -> Device.dispose wal_dev);
    let fs = Fs.mkfs wal_dev ~kind:Fs.Ffs in
+   Sched.on_exit (fun () -> Fs.dispose fs);
    let bw = Backend_wal.create fs ~db_name:"app.db" () in
+   Sched.on_exit (fun () -> Backend_wal.dispose bw);
    let wal_db = Db.open_db (Backend_wal.backend bw) in
+   Sched.on_exit (fun () -> Msnap_sqlite.Pager.dispose (Db.pager wal_db));
    app_workload wal_db;
    say "baseline (WAL+checkpoint): %4d fsync, %5d write, mean fsync %.0f us"
      (Metrics.count Probe.db_fsync) (Metrics.count Probe.db_write)
-     (Metrics.mean_ns Probe.db_fsync /. 1e3);
-   Msnap_sqlite.Pager.dispose (Db.pager wal_db);
-   Backend_wal.dispose bw;
-   Fs.dispose fs;
-   Device.dispose wal_dev);
+     (Metrics.mean_ns Probe.db_fsync /. 1e3));
 
   Sched.run @@ fun () ->
   (* MemSnap plugin: same storage engine, no files. *)
   let dev = Device.testbed ~mib:128 in
+  Sched.on_exit (fun () -> Device.dispose dev);
   let k = Msnap.boot ~format:true dev in
+  Sched.on_exit (fun () -> Msnap.dispose k);
   let be = Backend_msnap.create k ~db_name:"app.db" ~max_pages:16384 in
   let ms_db = Db.open_db (Backend_msnap.backend be) in
+  Sched.on_exit (fun () -> Msnap_sqlite.Pager.dispose (Db.pager ms_db));
   app_workload ms_db;
   say "memsnap plugin:            %4d msnap_persist, %d fsync, mean persist %.0f us"
     (Metrics.count Probe.db_memsnap) (Metrics.count Probe.db_fsync)
@@ -67,13 +70,11 @@ let () =
   Device.fail_power dev ~torn_seed:99;
   Device.restore_power dev;
   let k2 = Msnap.boot ~format:false dev in
+  Sched.on_exit (fun () -> Msnap.dispose k2);
   let be2 = Backend_msnap.create k2 ~db_name:"app.db" ~max_pages:16384 in
   let db2 = Db.open_db (Backend_msnap.backend be2) in
+  Sched.on_exit (fun () -> Msnap_sqlite.Pager.dispose (Db.pager db2));
   let orders = Option.get (Db.table db2 "orders") in
   say "orders recovered: %d rows; order 123 = %S" (Db.count orders)
     (Option.get (Db.get orders (Db.key_of_int 123)));
-  assert (Db.count orders = 500);
-  List.iter (fun db -> Msnap_sqlite.Pager.dispose (Db.pager db)) [ ms_db; db2 ];
-  Msnap.dispose k;
-  Msnap.dispose k2;
-  Device.dispose dev
+  assert (Db.count orders = 500)

@@ -667,6 +667,7 @@ let recoverable ~region ~len ~cells =
         try boot ~format:false dev
         with Store.Corrupt msg -> raise (Msnap_faults.Recoverable.Unmountable msg)
       in
+      Sched.on_exit (fun () -> dispose k);
       { rec_kernel = k; rec_md = open_region k ~name:region ~len () }
 
     let check r history =
@@ -682,6 +683,4 @@ let recoverable ~region ~len ~cells =
           cells
       in
       Msnap_faults.Recoverable.check_state ~label history state
-
-    let dispose r = dispose r.rec_kernel
   end : Msnap_faults.Recoverable.S with type t = recovered)

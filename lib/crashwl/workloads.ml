@@ -11,6 +11,7 @@
    sets, fixed-size value cells where the engine offers them, no
    randomness, no time. *)
 
+module Sched = Msnap_sim.Sched
 module Device = Msnap_blockdev.Device
 module Store = Msnap_objstore.Store
 module Fs = Msnap_fs.Fs
@@ -25,8 +26,13 @@ module History = Msnap_faults.History
 module Checker = Msnap_faults.Checker
 
 (* Every workload runs on the same geometry: the two-disk testbed
-   stripe, so torn tails exercise the per-member seed derivation. *)
-let mk_dev () = Device.testbed ~mib:128
+   stripe, so torn tails exercise the per-member seed derivation. Each
+   run registers the teardown of what it builds ([Sched.on_exit]) where
+   it builds it, this device included. *)
+let mk_dev () =
+  let dev = Device.testbed ~mib:128 in
+  Sched.on_exit (fun () -> Device.dispose dev);
+  dev
 
 (* --- msnap: value cells in one region, one μCheckpoint per update --- *)
 
@@ -40,6 +46,7 @@ let msnap_steps = 30
 let msnap_run dev record =
   let hist = History.create () in
   let k = Msnap.boot ~format:true dev in
+  Sched.on_exit (fun () -> Msnap.dispose k);
   let md = Msnap.open_region k ~name:msnap_region ~len:msnap_region_len () in
   let values = Array.make (List.length msnap_cells) "" in
   let state () = List.mapi (fun i (l, _) -> (l, values.(i))) msnap_cells in
@@ -54,7 +61,6 @@ let msnap_run dev record =
     values.(i) <- v;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())
   done;
-  Msnap.dispose k;
   hist
 
 let msnap_workload =
@@ -78,6 +84,7 @@ let objstore_run dev record =
   let hist = History.create () in
   Store.format dev;
   let st = Store.mount dev in
+  Sched.on_exit (fun () -> Store.dispose st);
   let objs = List.map (fun n -> (n, Store.create st ~name:n ())) obj_names in
   let epochs = Hashtbl.create 4 in
   let tags = Hashtbl.create 16 in
@@ -105,7 +112,6 @@ let objstore_run dev record =
     Hashtbl.replace tags (n, idx) tag;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())
   done;
-  Store.dispose st;
   hist
 
 let objstore_workload =
@@ -126,6 +132,7 @@ let fs_steps = 30
 let fs_run dev record =
   let hist = History.create () in
   let fs = Fs.mkfs dev ~kind:Fs.Ffs in
+  Sched.on_exit (fun () -> Fs.dispose fs);
   (* mkfs is host-side; write the base snapshot the journal replays
      over before declaring readiness. *)
   Fs.sync_meta fs;
@@ -143,7 +150,6 @@ let fs_run dev record =
     Buffer.add_string contents data;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())
   done;
-  Fs.dispose fs;
   hist
 
 let fs_workload =
@@ -165,9 +171,12 @@ let sqlite_steps = 28
 let sqlite_run ~checkpoint_threshold dev record =
   let hist = History.create () in
   let fs = Fs.mkfs dev ~kind:Fs.Ffs in
+  Sched.on_exit (fun () -> Fs.dispose fs);
   Fs.sync_meta fs;
   let bw = Backend_wal.create fs ~db_name:sqlite_db ~checkpoint_threshold () in
+  Sched.on_exit (fun () -> Backend_wal.dispose bw);
   let db = Db.open_db (Backend_wal.backend bw) in
+  Sched.on_exit (fun () -> Msnap_sqlite.Pager.dispose (Db.pager db));
   let tb = Db.create_table db sqlite_table in
   let model = Hashtbl.create 16 in
   let state () =
@@ -183,9 +192,6 @@ let sqlite_run ~checkpoint_threshold dev record =
     Hashtbl.replace model key v;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())
   done;
-  Msnap_sqlite.Pager.dispose (Db.pager db);
-  Backend_wal.dispose bw;
-  Fs.dispose fs;
   hist
 
 let sqlite_script ~name ~checkpoint_threshold =
@@ -217,6 +223,7 @@ let pg_steps = 26
 let pg_run dev record =
   let hist = History.create () in
   let fs = Fs.mkfs dev ~kind:Fs.Ffs in
+  Sched.on_exit (fun () -> Fs.dispose fs);
   Fs.sync_meta fs;
   (* Huge checkpoint threshold: the heap files are never written, so
      redo replays full-page images + deltas over zeros — the classic
@@ -235,7 +242,6 @@ let pg_run dev record =
     History.step hist record ~label:(Printf.sprintf "s%d" s)
       ~state:(List.rev !rows)
   done;
-  Fs.dispose fs;
   hist
 
 let pg_workload =
@@ -258,6 +264,7 @@ let rocks_steps = 28
 let rocks_run dev record =
   let hist = History.create () in
   let k = Msnap.boot ~format:true dev in
+  Sched.on_exit (fun () -> Msnap.dispose k);
   let db = Rocks.open_db ~config:rocks_config (Rocks.Memsnap k) ~name:rocks_name in
   (* The first put persists the skip list's header page; only from here
      on is the region guaranteed recoverable. *)
@@ -277,7 +284,6 @@ let rocks_run dev record =
     Hashtbl.replace model key v;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())
   done;
-  Msnap.dispose k;
   hist
 
 let rocks_workload =

@@ -56,6 +56,7 @@ let recoverable ~table ?wal_checkpoint_bytes () =
         with Fs.Mount_error msg ->
           raise (Msnap_faults.Recoverable.Unmountable msg)
       in
+      Msnap_sim.Sched.on_exit (fun () -> Fs.dispose fs);
       let st, _applied = recover fs ?wal_checkpoint_bytes () in
       { rec_storage = st;
         rec_heap = Heap.recover st ~rel:table;
@@ -81,6 +82,4 @@ let recoverable ~table ?wal_checkpoint_bytes () =
                   "pg: tuple in block %d is not a key=value row" blockno)
       done;
       Msnap_faults.Recoverable.check_state ~label history !state
-
-    let dispose r = Fs.dispose r.rec_fs
   end : Msnap_faults.Recoverable.S with type t = recovered)

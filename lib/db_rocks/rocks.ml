@@ -282,6 +282,7 @@ let recoverable ?(config = default_config) ~name () =
         try Msnap.boot ~format:false dev
         with Store.Corrupt msg -> raise (Recoverable.Unmountable msg)
       in
+      Msnap_sim.Sched.on_exit (fun () -> Msnap.dispose k);
       let db =
         { st = open_state ~recovering:true ~config (Memsnap k) ~name;
           db_name = name }
@@ -290,6 +291,4 @@ let recoverable ?(config = default_config) ~name () =
 
     let check r history =
       Recoverable.check_state ~label history (dump r.db)
-
-    let dispose r = Msnap.dispose r.kernel
   end : Msnap_faults.Recoverable.S with type t = recovered)

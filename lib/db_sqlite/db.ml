@@ -122,10 +122,12 @@ let recoverable ~db_name ~table:tbl_name ?checkpoint_threshold () =
         with Msnap_fs.Fs.Mount_error msg ->
           raise (Msnap_faults.Recoverable.Unmountable msg)
       in
+      Msnap_sim.Sched.on_exit (fun () -> Msnap_fs.Fs.dispose fs);
       let bw = Backend_wal.recover fs ~db_name ?checkpoint_threshold () in
-      { rec_db = open_db (Backend_wal.backend bw);
-        rec_backend = bw;
-        rec_fs = fs }
+      Msnap_sim.Sched.on_exit (fun () -> Backend_wal.dispose bw);
+      let db = open_db (Backend_wal.backend bw) in
+      Msnap_sim.Sched.on_exit (fun () -> Pager.dispose db.pgr);
+      { rec_db = db; rec_backend = bw; rec_fs = fs }
 
     (* The recovered state is the tracked table's full contents; a
        table missing from the catalog dumps as empty (the pre-creation
@@ -140,9 +142,4 @@ let recoverable ~db_name ~table:tbl_name ?checkpoint_threshold () =
           List.rev !acc
       in
       Msnap_faults.Recoverable.check_state ~label history state
-
-    let dispose r =
-      Pager.dispose r.rec_db.pgr;
-      Backend_wal.dispose r.rec_backend;
-      Msnap_fs.Fs.dispose r.rec_fs
   end : Msnap_faults.Recoverable.S with type t = recovered)

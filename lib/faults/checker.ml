@@ -23,7 +23,8 @@ module Taskpool = Msnap_util.Taskpool
 type workload = {
   w_name : string;
   w_device : unit -> Device.t;
-      (* a fresh device with the same geometry, every call *)
+      (* a fresh device with the same geometry, every call, registered
+         for teardown with the running simulation *)
   w_run : Device.t -> Record.t -> History.t;
       (* the scripted workload; must run crash-free and call
          [History.mark_ready] + [History.step] as it goes *)
@@ -58,7 +59,6 @@ let record_run w =
       Device.attach_record dev record;
       let hist = w.w_run dev record in
       Device.detach_record dev;
-      Device.dispose dev;
       (record, hist))
 
 (* Crash points in canonical order: boundary-major, seed-minor.
@@ -91,37 +91,33 @@ let points ~boundaries ~opts =
   end
 
 (* One crash point, in its own simulation cell: reconstruct the image,
-   recover, check. Returns [None] on success. *)
+   recover, check. Returns [None] on success. A failed recovery or
+   check is caught inside the run, so the run returns and tears down
+   the device and whatever [recover] mounted ([Sched.on_exit]), pass
+   or fail. *)
 let check_point w record hist ~prefix ~torn_seed =
   let fail msg = Some { f_prefix = prefix; f_torn_seed = torn_seed; f_msg = msg } in
   Sched.run (fun () ->
       let dev = w.w_device () in
-      Fun.protect
-        ~finally:(fun () -> Device.dispose dev)
-        (fun () ->
-          Image.materialize record ~prefix ~torn_seed dev;
-          let module R = (val w.w_recoverable : Recoverable.S) in
-          let hist = History.with_boundary hist prefix in
-          let before_ready = prefix < History.ready hist in
-          match R.recover dev with
-          | exception Recoverable.Unmountable msg ->
-            if before_ready then None
-            else fail (Printf.sprintf "unmountable: %s" msg)
+      Image.materialize record ~prefix ~torn_seed dev;
+      let module R = (val w.w_recoverable : Recoverable.S) in
+      let hist = History.with_boundary hist prefix in
+      let before_ready = prefix < History.ready hist in
+      match R.recover dev with
+      | exception Recoverable.Unmountable msg ->
+        if before_ready then None
+        else fail (Printf.sprintf "unmountable: %s" msg)
+      | exception exn ->
+        fail (Printf.sprintf "recover raised %s" (Printexc.to_string exn))
+      | st -> (
+        if before_ready then None
+        else
+          match R.check st hist with
+          | () -> None
+          | exception Recoverable.Check_failed msg -> fail msg
           | exception exn ->
-            fail (Printf.sprintf "recover raised %s" (Printexc.to_string exn))
-          | st ->
-            Fun.protect
-              ~finally:(fun () -> R.dispose st)
-              (fun () ->
-                if before_ready then None
-                else
-                  match R.check st hist with
-                  | () -> None
-                  | exception Recoverable.Check_failed msg -> fail msg
-                  | exception exn ->
-                    fail
-                      (Printf.sprintf "check raised %s"
-                         (Printexc.to_string exn)))))
+            fail
+              (Printf.sprintf "check raised %s" (Printexc.to_string exn))))
 
 let run ?(opts = default_opts) w =
   if opts.jobs > 0 then Taskpool.ensure_workers opts.jobs;

@@ -10,6 +10,8 @@
 type workload = {
   w_name : string;
   w_device : unit -> Msnap_blockdev.Device.t;
+      (** A fresh device, the same geometry every call, registered for
+          teardown with the running simulation ([Sched.on_exit]). *)
   w_run :
     Msnap_blockdev.Device.t -> Msnap_blockdev.Record.t -> History.t;
   w_recoverable : (module Recoverable.S);

@@ -3,7 +3,9 @@
    closure carries engine configuration (region names, filesystem kind,
    database names), so the checker and the crashcheck CLI drive msnap,
    the object store, sqlite, rocks, pg and the file system through the
-   same three calls. *)
+   same two calls. There is no teardown call: [recover] registers what
+   it mounts with the running simulation ([Sched.on_exit]), so it is
+   disposed when the run returns, whether [check] passed or not. *)
 
 exception Unmountable of string
 (* [recover] found no consistent on-media state to mount. Acceptable
@@ -19,17 +21,15 @@ module type S = sig
   val label : string
 
   val recover : Msnap_blockdev.Device.t -> t
-  (* Mount and recover the engine from the raw post-crash device.
+  (* Mount and recover the engine from the raw post-crash device, inside
+     a [Sched.run]. Registers the teardown of everything it mounts with
+     [Sched.on_exit], as it mounts it (the device is the caller's).
      Raises [Unmountable] when no consistent state exists on media. *)
 
   val check : t -> History.t -> unit
   (* Verify the recovered state equals some candidate step of the
      history (the crash boundary is [History.boundary]). Raises
      [Check_failed]. *)
-
-  val dispose : t -> unit
-  (* Host-side teardown of whatever [recover] built (the device itself
-     is disposed by the caller). *)
 end
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Check_failed s)) fmt

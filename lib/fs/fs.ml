@@ -1094,8 +1094,12 @@ let recoverable ~kind ~files =
     let label = "fs"
 
     let recover dev =
-      try mount dev ~kind
-      with Mount_error msg -> raise (Msnap_faults.Recoverable.Unmountable msg)
+      let fs =
+        try mount dev ~kind
+        with Mount_error msg -> raise (Msnap_faults.Recoverable.Unmountable msg)
+      in
+      Sched.on_exit (fun () -> dispose fs);
+      fs
 
     (* The recovered state is each tracked file's full contents: the FFS
        journal replays whole transactions, so every file must read back
@@ -1110,6 +1114,4 @@ let recoverable ~kind ~files =
           files
       in
       Msnap_faults.Recoverable.check_state ~label history state
-
-    let dispose = dispose
   end : Msnap_faults.Recoverable.S with type t = t)

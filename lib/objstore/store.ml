@@ -439,8 +439,12 @@ let recoverable ~objects ~blocks =
     let label = "objstore"
 
     let recover dev =
-      try mount dev
-      with Corrupt msg -> raise (Msnap_faults.Recoverable.Unmountable msg)
+      let st =
+        try mount dev
+        with Corrupt msg -> raise (Msnap_faults.Recoverable.Unmountable msg)
+      in
+      Sched.on_exit (fun () -> dispose st);
+      st
 
     (* The recovered state of each tracked object: its committed epoch
        (["@name"]) plus the tag of every populated block — commits are
@@ -468,6 +472,4 @@ let recoverable ~objects ~blocks =
           objects
       in
       Msnap_faults.Recoverable.check_state ~label history state
-
-    let dispose = dispose
   end : Msnap_faults.Recoverable.S with type t = t)

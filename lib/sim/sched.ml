@@ -66,6 +66,9 @@ and engine = {
      at run start and grown to Probe.count () on first use. *)
   mutable counts : int array;
   mutable hists : Histogram.t option array;
+  (* End-of-run teardown hooks, newest first; run only when the run
+     returns normally (see [on_exit]). *)
+  mutable exits : (unit -> unit) list;
   (* Sentinel of the parked-waker dlist, most recently parked first. *)
   parked : waker;
   mutable free_wakers : waker; (* free list, [nil_waker]-terminated *)
@@ -99,8 +102,8 @@ let rec nil_thread =
 and nil_engine =
   { clock = 0; runq = nil_runq; live = 0; cur = nil_thread;
     t_none = nil_thread; next_tid = 0; failure = None; buckets = [||];
-    counts = [||]; hists = [||]; parked = nil_waker; free_wakers = nil_waker;
-    ev = 0; walloc = 0; wreuse = 0 }
+    counts = [||]; hists = [||]; exits = []; parked = nil_waker;
+    free_wakers = nil_waker; ev = 0; walloc = 0; wreuse = 0 }
 
 and nil_waker =
   { w_thread = nil_thread; w_state = 5 (* st_nil *); w_k = dummy_k;
@@ -425,6 +428,10 @@ let probe_hists () =
   if Array.length e.hists < Probe.count () then grow_metrics e;
   e.hists
 
+let on_exit f =
+  let e = engine () in
+  e.exits <- f :: e.exits
+
 let running () = !(engine_slot ()) <> None
 
 let run main =
@@ -438,8 +445,9 @@ let run main =
   let buckets = Array.make Probe.Bucket.count 0 in
   let rec e =
     { clock = 0; runq; live = 0; cur = t_none; t_none; next_tid = 0;
-      failure = None; buckets; counts = [||]; hists = [||]; parked = psent;
-      free_wakers = nil_waker; ev = 0; walloc = 0; wreuse = 0 }
+      failure = None; buckets; counts = [||]; hists = [||]; exits = [];
+      parked = psent; free_wakers = nil_waker; ev = 0; walloc = 0;
+      wreuse = 0 }
   and psent =
     { w_thread = t_none; w_state = st_nil; w_k = dummy_k; w_engine = e;
       w_resume = ignore; w_prev = psent; w_next = psent;
@@ -470,12 +478,10 @@ let run main =
       end
     in
     go psent.w_next true;
-    let live = e.live in
-    let names = Buffer.contents buf in
-    finalize ();
     raise
       (Deadlock
-         (Printf.sprintf "%d thread(s) blocked forever: %s" live names))
+         (Printf.sprintf "%d thread(s) blocked forever: %s" e.live
+            (Buffer.contents buf)))
   in
   let rec loop () =
     if e.failure <> None then ()
@@ -494,11 +500,12 @@ let run main =
    with exn ->
      finalize ();
      raise exn);
-  let failure = e.failure in
   finalize ();
-  match failure with
-  | Some exn -> raise exn
-  | None -> (
-    match !result with
-    | Some v -> v
-    | None -> failwith "Sched.run: main thread did not complete")
+  match (e.failure, !result) with
+  | Some exn, _ -> raise exn
+  | None, None -> failwith "Sched.run: main thread did not complete"
+  | None, Some v ->
+    (* The engine is gone: a hook that reads the clock or charges time
+       raises, so teardown stays host-only. *)
+    List.iter (fun f -> f ()) e.exits;
+    v

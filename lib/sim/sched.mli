@@ -31,7 +31,18 @@ exception Violation of string
 val run : (unit -> 'a) -> 'a
 (** [run main] executes [main] as the first thread of a fresh simulation and
     returns its result once every spawned thread has finished. Resets the
-    clock, CPU accounting and metric columns. Not reentrant. *)
+    clock, CPU accounting, metric columns and {!on_exit} hooks. Not
+    reentrant. *)
+
+val on_exit : (unit -> unit) -> unit
+(** Register a host-only teardown (typically an [X.dispose]) with the
+    running simulation. When {!run}'s [main] returns normally, the hooks
+    run newest first, after the engine is gone: a hook that reads the
+    clock, charges time or registers another hook raises
+    [Invalid_argument]. A run that raises (a thread failure, {!Deadlock})
+    runs none of them, since buffer ownership may be mid-transfer and a
+    dropped buffer is only a leak. Outside {!run}, raises
+    [Invalid_argument]. *)
 
 val now : unit -> int
 (** Current virtual time in nanoseconds. Must be called inside {!run}:

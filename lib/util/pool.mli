@@ -24,7 +24,11 @@
     - Recycle, or the buffer is lost to the pool until the process
       exits. Nothing reclaims a dropped pooled buffer; every owner of
       pooled memory (machines, stores, file systems, pagers) must be
-      disposed at the end of its run.
+      disposed at the end of its run. Whoever builds an owner inside a
+      simulation registers its dispose with [Msnap_sim.Sched.on_exit],
+      which runs it as the run returns and drops it if the run raises:
+      a dropped buffer is only a leak, one recycled too early a
+      corruption.
     - Pooling is host-only. A pooled buffer carries no simulated cost of
       its own; every [Sched.cpu] charge made around an allocation must
       be identical whether the buffer came from the free list or from a
@@ -41,9 +45,9 @@
       plain [Bytes.create] and [recycle] a no-op. Small buffers are
       minor-heap business the GC already handles well.
 
-    Free lists and slab cursors are per-domain ([Domain.DLS]), like
-    [Metrics]: bench experiments running on a `-j` pool never contend
-    for a free list or a slab. A buffer carved on one domain may be
+    Free lists and slab cursors are per-domain ([Domain.DLS]): bench
+    experiments running on a `-j` pool never contend for a free list
+    or a slab. A buffer carved on one domain may be
     recycled on another; it is then parked there.
 
     {2 Debug checks}

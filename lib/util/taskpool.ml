@@ -22,11 +22,12 @@
    - [await] never blocks while eligible work exists: it first claims
      its own task, then helps with other queued tasks. A domain that
      is already inside a task only helps [Light] tasks — an experiment
-     must never nest another whole experiment (and its domain-local
-     metrics/trace teardown) in the middle of its own measurement
-     window. Light tasks are required to be self-contained with
-     respect to domain-local state; the simulation cell layer
-     guarantees this by swapping every DLS store around the cell body.
+     must never nest another whole experiment (and its host accounting
+     frame) in the middle of its own measurement window. Light tasks
+     are required to be self-contained with respect to domain-local
+     state; the simulation cell layer guarantees this by running the
+     cell body under its own trace scope and output buffer, while
+     metrics and end-of-run teardown belong to each [Sched.run].
 
    - Zero workers is a valid configuration: tasks then run inline at
      [await], preserving serial execution order exactly. *)

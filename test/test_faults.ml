@@ -218,6 +218,31 @@ let test_workloads_return_buffers () =
         (outstanding ()))
     Msnap_crashwl.Workloads.all
 
+(* The failure path of the same rule: [recover] registers what it
+   mounts, so a check that fails at every point still hands every
+   buffer back through [Checker.run]. *)
+let test_failing_check_returns_buffers () =
+  let outstanding () = (Msnap_util.Pool.totals ()).Msnap_util.Pool.t_outstanding in
+  let opts = { Checker.default_opts with max_points = 12 } in
+  List.iter
+    (fun (w : Checker.workload) ->
+      let module R = (val w.Checker.w_recoverable) in
+      let failing =
+        { w with
+          Checker.w_recoverable =
+            (module struct
+              include R
+
+              let check _ _ = Msnap_faults.Recoverable.fail "always fails"
+            end : Msnap_faults.Recoverable.S) }
+      in
+      let before = outstanding () in
+      let r = Checker.run ~opts failing in
+      checkb (w.Checker.w_name ^ " fails") true (r.Checker.r_failures <> []);
+      checki (w.Checker.w_name ^ " outstanding pooled buffers") before
+        (outstanding ()))
+    Msnap_crashwl.Workloads.all
+
 let () =
   Alcotest.run "faults"
     [
@@ -245,5 +270,7 @@ let () =
           Alcotest.test_case "end to end" `Quick test_checker_end_to_end;
           Alcotest.test_case "workloads return pooled buffers" `Quick
             test_workloads_return_buffers;
+          Alcotest.test_case "a failing check returns pooled buffers" `Quick
+            test_failing_check_returns_buffers;
         ] );
     ]

@@ -480,7 +480,7 @@ let test_rocks_memsnap_recovery () =
         Rocks.put db ~key:(Printf.sprintf "%05d" i) ~value:(string_of_int i)
       done;
       let module RR = (val Rocks.recoverable ~config:small_config ~name:"db" ()) in
-      let& r = (RR.recover dev, RR.dispose) in
+      let r = RR.recover dev in
       let db2 = r.Rocks.db in
       checki "count" 300 (Rocks.count db2);
       check_opt "value" (Some "123") (Rocks.get db2 "00123"))
@@ -575,8 +575,7 @@ let test_increment_crash_consistency () =
       let db2 = r.Rocks.db in
       let sum = sum_values db2 32 in
       checkb "recovered uncorrupted, non-trivial prefix" true (sum >= 0);
-      checkb "made progress before crash" true (sum > 0);
-      RR.dispose r)
+      checkb "made progress before crash" true (sum > 0))
     ()
 
 let test_aurora_serializes_checkpoints () =

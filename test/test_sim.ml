@@ -117,6 +117,33 @@ let test_deadlock_detected () =
   in
   checkb "deadlock" true raised
 
+(* A deadlocked run is finalized once, like any other: its trace
+   timeline advances by the run plus one gap, and its host counters are
+   booked once (a one-event run either way). *)
+let test_deadlock_finalizes_once () =
+  let events f =
+    let before, _, _ = Sched.host_counters () in
+    f ();
+    let after, _, _ = Sched.host_counters () in
+    after - before
+  in
+  let deadlocked () =
+    match
+      Sched.run (fun () ->
+          Sched.delay 30;
+          let m = Sync.Mutex.create () in
+          Sync.Mutex.lock m;
+          Sync.Mutex.lock m)
+    with
+    | () -> Alcotest.fail "no deadlock"
+    | exception Sched.Deadlock _ -> ()
+  in
+  let (), d = Trace.collect deadlocked in
+  checki "span is the run plus its gap" 1_030 d.Trace.d_span;
+  checki "host events booked once"
+    (events (fun () -> Sched.run (fun () -> Sched.delay 30)))
+    (events deadlocked)
+
 let test_exception_propagates () =
   let raised =
     try
@@ -875,6 +902,119 @@ let test_cell_raise_leaves_forcer_untouched () =
       checki (label ^ ": timeline untouched") before.Trace.d_span
         after.Trace.d_span)
 
+(* --- end-of-run hooks --- *)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* Hooks run newest first once the run, spawned threads included, has
+   finished, and the engine is gone by then: reading the clock or
+   registering another hook from a hook raises. *)
+let test_on_exit_newest_first () =
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  let in_hook = ref [] in
+  let v =
+    Sched.run (fun () ->
+        Sched.on_exit (note "a");
+        let t =
+          Sched.spawn (fun () ->
+              Sched.delay 10;
+              Sched.on_exit (note "c"))
+        in
+        Sched.on_exit (note "b");
+        Sched.on_exit (fun () ->
+            in_hook :=
+              [ ("running", Sched.running ());
+                ("now raises", raises_invalid Sched.now);
+                ("on_exit raises",
+                 raises_invalid (fun () -> Sched.on_exit ignore)) ]);
+        Sched.join t;
+        checkb "nothing ran inside the run" true (!log = []);
+        7)
+  in
+  checki "value" 7 v;
+  checks "newest first" "c,b,a" (String.concat "," (List.rev !log));
+  Alcotest.(check (list (pair string bool)))
+    "the engine is gone"
+    [ ("running", false); ("now raises", true); ("on_exit raises", true) ]
+    !in_hook
+
+(* A run that raises runs none of its hooks: neither a thread failure
+   nor a deadlock. *)
+let test_on_exit_dropped_on_failure () =
+  let fired = ref 0 in
+  let hook () = incr fired in
+  checkb "thread failure re-raised" true
+    (match
+       Sched.run (fun () ->
+           Sched.on_exit hook;
+           let t =
+             Sched.spawn (fun () ->
+                 Sched.on_exit hook;
+                 Sched.delay 5;
+                 failwith "boom")
+           in
+           Sched.join t)
+     with
+    | () -> false
+    | exception Failure _ -> true);
+  checkb "deadlock re-raised" true
+    (match
+       Sched.run (fun () ->
+           Sched.on_exit hook;
+           let m = Sync.Mutex.create () in
+           Sync.Mutex.lock m;
+           Sync.Mutex.lock m)
+     with
+    | () -> false
+    | exception Sched.Deadlock _ -> true);
+  checki "no hook ran" 0 !fired
+
+let test_on_exit_outside_run () =
+  checkb "before any run" true (raises_invalid (fun () -> Sched.on_exit ignore));
+  Sched.run (fun () -> Sched.on_exit ignore);
+  checkb "after a run" true (raises_invalid (fun () -> Sched.on_exit ignore))
+
+(* Hooks belong to the run that registered them: one a raising run
+   dropped, or one that already fired, never fires at the end of the
+   next run on the same domain. *)
+let test_on_exit_not_carried_over () =
+  let fired = ref [] in
+  let hook s () = fired := s :: !fired in
+  (match
+     Sched.run (fun () ->
+         Sched.on_exit (hook "dropped");
+         failwith "boom")
+   with
+  | () -> ()
+  | exception Failure _ -> ());
+  Sched.run (fun () -> Sched.on_exit (hook "first"));
+  Sched.run (fun () -> Sched.on_exit (hook "second"));
+  Sched.run ignore;
+  checks "each fired once, with its own run" "first,second"
+    (String.concat "," (List.rev !fired))
+
+(* A cell body's runs tear down as each returns, on whichever domain
+   runs the body, before the body goes on. *)
+let test_on_exit_cell_body () =
+  at_workers (fun label ->
+      let fired = Atomic.make 0 in
+      let c =
+        Cell.submit (fun () ->
+            Sched.run (fun () ->
+                Sched.on_exit (fun () -> Atomic.incr fired);
+                Sched.delay 10);
+            let after_first = Atomic.get fired in
+            Sched.run (fun () -> Sched.on_exit (fun () -> Atomic.incr fired));
+            (after_first, Atomic.get fired))
+      in
+      let after_first, after_second = Cell.force c in
+      checki (label ^ ": first run's hook fired as it returned") 1 after_first;
+      checki (label ^ ": second run's hook fired once") 2 after_second;
+      Sched.run ignore;
+      checki (label ^ ": the forcer's run fires none") 2 (Atomic.get fired))
+
 let test_determinism_end_to_end () =
   (* The same program must produce the identical trace twice. *)
   let program () =
@@ -910,6 +1050,7 @@ let () =
           tc "interleave" test_concurrent_delays_interleave;
           tc "fifo ties" test_same_time_fifo;
           tc "deadlock" test_deadlock_detected;
+          tc "a deadlocked run finalizes once" test_deadlock_finalizes_once;
           tc "exception" test_exception_propagates;
           tc "child exception" test_child_exception_propagates;
           tc "reusable after failure" test_run_not_nested_state;
@@ -961,6 +1102,14 @@ let () =
           tc "summary reconciles buckets" test_trace_summary_reconciles_with_buckets;
           tc "export json shape" test_trace_export_json;
           tc "summary exact past cap" test_trace_buffer_cap_keeps_summary_exact;
+        ] );
+      ( "on_exit",
+        [
+          tc "hooks run newest first after the run" test_on_exit_newest_first;
+          tc "a raising run drops every hook" test_on_exit_dropped_on_failure;
+          tc "outside a run raises" test_on_exit_outside_run;
+          tc "a hook never fires in the next run" test_on_exit_not_carried_over;
+          tc "a cell body's hooks fire with its own run" test_on_exit_cell_body;
         ] );
       ( "cell",
         [

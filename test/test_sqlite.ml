@@ -623,7 +623,7 @@ let test_disposed_machines_return_buffers () =
        fill db 40;
        checkb "checkpoints ran" true (Backend_wal.checkpoints_done be > 0));
       let module R = (val Db.recoverable ~db_name:"w.db" ~table:"t" ()) in
-      R.dispose (R.recover dev));
+      ignore (R.recover dev));
   checki "wal: outstanding pooled buffers" before (outstanding ())
 
 let test_wal_checkpoint_triggers () =
