@@ -42,13 +42,14 @@ let check_range t off len =
          (size t))
 
 (* Run one job per device concurrently; wait for all of them, then
-   raise the first failure in member order. *)
+   raise the first failure in member order. When nothing else is due,
+   the first member's job runs in the caller's fiber ([Sync.fork_join]). *)
 let fanout t per_dev jobs =
-  let launch (dev, job) =
-    if job = [] then None
-    else Some (Sync.fork ~name:"stripe-io" (fun () -> per_dev t.disks.(dev) job))
-  in
-  Sync.await_all (List.filter_map launch jobs)
+  Sync.fork_join ~name:"stripe-io"
+    (List.filter_map
+       (fun (dev, job) ->
+         if job = [] then None else Some (fun () -> per_dev t.disks.(dev) job))
+       jobs)
 
 (* Write coalescing: collapse consecutive per-member segments that are
    both device-offset-adjacent and contiguous in the same backing buffer

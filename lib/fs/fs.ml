@@ -580,10 +580,15 @@ let fsync_ffs t f dirty =
   journal_entries t ~seq dirty;
   (* Soft-updates dependency ordering allows only shallow overlap. *)
   let qd = 2 in
-  let pending = ref [] in (* newest first, as it is awaited *)
-  let flush_pending () =
-    Sync.await_all !pending;
-    pending := []
+  (* One window's writes, newest first. No scheduling point separates
+     their preps, so forking them together at the window's end equals
+     forking each as it is prepared. They are awaited oldest first: only
+     when both fail with different exceptions does that pick a different
+     one than newest first, and a power cut fails both alike. *)
+  let window = ref [] in
+  let flush_window () =
+    Sync.fork_join ~name:"ffs-write" (List.rev !window);
+    window := []
   in
   List.iter
     (fun (idx, cb) ->
@@ -606,12 +611,12 @@ let fsync_ffs t f dirty =
             unpin cb;
             raise exn
         in
-        pending := Sync.fork ~name:"ffs-write" write :: !pending;
-        if List.length !pending >= qd then flush_pending ()
+        window := write :: !window;
+        if List.length !window >= qd then flush_window ()
       end;
       cb.cb_dirty <- false)
     dirty;
-  flush_pending ();
+  flush_window ();
   (* Inode + block bitmap update, then the journal commit record. *)
   Device.write_slice t.dev ~off:0 (zero_slice t dev_bs);
   journal_commit t ~seq f dirty

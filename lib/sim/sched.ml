@@ -371,6 +371,38 @@ let spawn ?(name = "thread") body =
       start_thread e t body);
   t
 
+(* Third fast path, beside [advance]'s and the waker pool: a job the
+   caller would spawn and join at once runs in the caller's own fiber.
+   Spawning it would push its start at the current instant and park the
+   caller, and the scheduler would pop that start next, provided nothing
+   else is due now. Same [Minheap.min_prio] test as [advance]. The tid
+   is taken before the caller spawns anything else, because later tids
+   must not move. *)
+let is_due e =
+  let p = Minheap.min_prio e.runq in
+  p >= 0 && p <= e.clock
+
+let claim_inline () =
+  let e = engine () in
+  if e.cur == e.t_none || is_due e then false
+  else begin
+    e.next_tid <- e.next_tid + 1;
+    true
+  end
+
+(* A fresh thread charges the user bucket. When the job ends, the
+   spawned thread's exit would wake the joined caller at the current
+   instant: behind whatever is due now, if anything is, so yield then. *)
+let run_inline body =
+  let e = engine () in
+  let t = e.cur in
+  let saved = t.acct in
+  t.acct <- 0 (* Probe.Bucket.user *);
+  let failure = match body () with () -> None | exception x -> Some x in
+  t.acct <- saved;
+  if is_due e then yield ();
+  match failure with None -> () | Some x -> raise x
+
 let join target =
   if not target.finished then
     suspend (fun w ->

@@ -58,6 +58,30 @@ val join : tid -> unit
 (** Block until the thread finishes. Reraises nothing: a thread failure
     aborts the whole simulation. *)
 
+(** {2 Spawn-and-join in the caller's fiber}
+
+    The primitive under {!Msnap_sim.Sync.fork_join}: the first of its
+    jobs runs in the waiting fiber instead of a thread of its own, with
+    the same simulated semantics as [spawn] followed at once by a wait
+    for it. The two calls come as a pair:
+    [if claim_inline () then (spawn the siblings; run_inline job)]. *)
+
+val claim_inline : unit -> bool
+(** [false], with nothing changed, if something else is due at the
+    current instant (the spawned thread would have queued behind it):
+    spawn the job instead. Otherwise takes the tid [spawn] would have
+    taken, so threads spawned afterwards keep their numbers, and
+    returns [true]; the caller then spawns any siblings and calls
+    {!run_inline}, with no scheduling point in between. *)
+
+val run_inline : (unit -> unit) -> unit
+(** Run the claimed job in the calling fiber as its own thread would
+    have run: {!cpu} is charged to the user bucket, and once it returns
+    or raises, the caller yields if something became due meanwhile,
+    since that is where the join's wake-up would have queued it. The
+    job's exception then propagates. The one visible difference: inside
+    the job, {!self} is the caller. *)
+
 val self : unit -> tid
 val tid_int : tid -> int
 val name : tid -> string

@@ -100,6 +100,8 @@ let fork ?name f =
   ignore (Sched.spawn ?name run);
   c
 
+(* Wait for every cell in list order, even past a failure, then raise
+   the first failure in that order. *)
 let rec await_all = function
   | [] -> ()
   | c :: cs -> (
@@ -108,6 +110,19 @@ let rec await_all = function
     | Error e ->
       List.iter (fun c -> ignore (Ivar.read c)) cs;
       raise e)
+
+let fork_join ?name = function
+  | [] -> ()
+  | job :: rest as jobs ->
+    if Sched.claim_inline () then begin
+      let cells = List.map (fork ?name) rest in
+      match Sched.run_inline job with
+      | () -> await_all cells
+      | exception e ->
+        List.iter (fun c -> ignore (Ivar.read c)) cells;
+        raise e
+    end
+    else await_all (List.map (fork ?name) jobs)
 
 module Group = struct
   (* Queued items with their cells, newest first; [busy] while a leader

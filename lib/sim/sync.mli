@@ -60,13 +60,20 @@ type 'a cell = ('a, exn) result Ivar.t
 val await : 'a cell -> 'a
 (** Block until filled; return the value or raise the exception. *)
 
-val fork : ?name:string -> (unit -> unit) -> unit cell
-(** Spawn a thread (as {!Sched.spawn}) whose outcome lands in the
-    returned cell; its exception never reaches {!Sched.run}. *)
+val fork_join : ?name:string -> (unit -> unit) list -> unit
+(** [fork_join jobs] runs the jobs as concurrent threads, waits for all
+    of them, even past a failure, and raises the first failure in list
+    order; no job's exception reaches {!Sched.run}. [?name] names the
+    threads.
 
-val await_all : unit cell list -> unit
-(** Wait for every cell in list order, even past a failure, then raise
-    the first failure in that order. *)
+    Its simulated semantics equal spawning one thread per job (as
+    {!Sched.spawn}, in list order) and awaiting their outcomes in list
+    order: the same interleaving, clock, CPU buckets, and tids for
+    every thread spawned afterwards. When nothing else is due at the
+    current instant, the first job runs in the caller's own fiber
+    ({!Sched.claim_inline}), saving a thread, a wake-up and two
+    run-queue events; inside that job {!Sched.self} is the caller, the
+    one intended difference. *)
 
 (** Flat combining (group commit). *)
 module Group : sig

@@ -7,6 +7,7 @@ module Rng = Msnap_util.Rng
 module Size = Msnap_util.Size
 module Disk = Msnap_blockdev.Disk
 module Device = Msnap_blockdev.Device
+module Stripe = Msnap_blockdev.Stripe
 module Slice = Msnap_util.Slice
 module Record = Msnap_blockdev.Record
 module Image = Msnap_faults.Image
@@ -189,6 +190,75 @@ let test_materialize_full_prefix () =
         (first_diff img final = None))
     [ ("disk", mk_disk); ("stripe", mk_stripe) ]
 
+(* Power cut under [Sync.fork_join]'s inline job: a stripe command's
+   first member job runs in the caller's fiber (nothing else is due when
+   it is issued) and is parked in [Disk.service] when the power goes. A
+   ticker's 512-byte write on the last member commits mid-command, and
+   the recorder, armed at that boundary, cuts power on every member.
+   The command covers stripe bytes [32K, 128K): 32 KiB on member 0 (the
+   inline job) and, on two members, 64 KiB on member 1 (forked), which
+   finishes last. *)
+let inline_cut ~members ~read () =
+  let unit_size = Size.kib 64 in
+  let off = Size.kib 32 and len = Size.kib (if members = 1 then 32 else 96) in
+  let tick_off = unit_size * (if members = 1 then 4 else 3) in
+  let mk () =
+    Device.of_stripe
+      (Stripe.create ~unit_size
+         (List.init members (fun i ->
+              Disk.create ~name:(Printf.sprintf "m%d" i) ~size:(Size.kib 512) ())))
+  in
+  let payload = Rng.bytes (Rng.create members) len in
+  (* Returns the boundary of the ticker's commit, the command's outcome
+     and when it reached the caller, and the media. *)
+  let pass ?arm () =
+    Sched.run (fun () ->
+        let dev = mk () in
+        let record = Record.create () in
+        Device.attach_record dev record;
+        Device.write_slice dev ~off:0 (Slice.of_bytes (Bytes.make (Size.kib 128) 'o'));
+        Option.iter (fun prefix -> Record.arm record ~prefix ~torn_seed:5) arm;
+        let tick_boundary = ref (-1) in
+        let ticker =
+          Sched.spawn (fun () ->
+              Sched.delay 1_000;
+              try
+                Device.write_slice dev ~off:tick_off
+                  (Slice.of_bytes (Bytes.make 512 't'));
+                tick_boundary := Record.boundaries record - 1
+              with Disk.Powered_off -> ())
+        in
+        (* Let the ticker start, so that nothing is due at the command. *)
+        Sched.yield ();
+        let t0 = Sched.now () in
+        let outcome =
+          match
+            if read then
+              Device.read_into dev ~off (Slice.of_bytes (Bytes.create len))
+            else Device.write_slice dev ~off (Slice.of_bytes payload)
+          with
+          | () -> "ok"
+          | exception Disk.Powered_off -> "powered off"
+        in
+        let took = Sched.now () - t0 in
+        Sched.join ticker;
+        if Record.fired record then Device.restore_power dev;
+        Device.detach_record dev;
+        let img = snapshot dev in
+        Device.dispose dev;
+        (record, !tick_boundary, outcome, took, img))
+  in
+  let record, prefix, outcome, _, _ = pass () in
+  let name = Printf.sprintf "%d member(s), %s" members (if read then "read" else "write") in
+  Alcotest.(check string) (name ^ ": uncut") "ok" outcome;
+  let _, _, outcome, took, live = pass ~arm:prefix () in
+  Alcotest.(check string) (name ^ ": the caller gets Powered_off") "powered off" outcome;
+  let dur bytes = Msnap_sim.Costs.(disk_base + disk_xfer bytes) in
+  checki (name ^ ": raised once the last member job finished")
+    (dur (if members = 1 then Size.kib 32 else Size.kib 64)) took;
+  let offline = offline_pass mk record ~prefix ~torn_seed:5 in
+  checkb (name ^ ": media = offline image") true (first_diff live offline = None)
+
 (* End-to-end checker smoke on a real engine workload: the serial and
    parallel runs must produce the identical report, and the invariant
    must hold at every point. *)
@@ -265,6 +335,17 @@ let () =
           Alcotest.test_case "full prefix" `Quick
             test_materialize_full_prefix;
         ] );
+      ( "inline-cut",
+        List.concat_map
+          (fun members ->
+            List.map
+              (fun read ->
+                Alcotest.test_case
+                  (Printf.sprintf "%d-member stripe %s" members
+                     (if read then "read_into" else "writev"))
+                  `Quick (inline_cut ~members ~read))
+              [ false; true ])
+          [ 1; 2 ] );
       ( "checker",
         [
           Alcotest.test_case "end to end" `Quick test_checker_end_to_end;

@@ -319,24 +319,214 @@ let test_group_failure () =
       checks "works again after a failure" "ok" (outcome c);
       checki "led by the caller" 300 (Sched.now ()))
 
-let test_fork_await_all () =
+let test_fork_join_first_failure () =
   let t, raised =
     Sched.run (fun () ->
         let job delay fail () =
           Sched.delay delay;
           if fail <> "" then failwith fail
         in
-        let cells =
-          [ Sync.fork (job 30 "first"); Sync.fork (job 10 "second");
-            Sync.fork (job 50 "") ]
+        let raised =
+          try
+            Sync.fork_join [ job 30 "first"; job 10 "second"; job 50 "" ];
+            ""
+          with Failure m -> m
         in
-        let raised = try Sync.await_all cells; "" with Failure m -> m in
-        Sync.await_all [];
-        Sync.await (Sync.fork (job 5 ""));
-        (Sched.now () - 5, raised))
+        (Sched.now (), raised))
   in
   checks "first failure in list order, not in time" "first" raised;
-  checki "waits for every cell" 50 t
+  checki "waits for every job" 50 t
+
+let test_fork_join_empty () =
+  Sched.run (fun () ->
+      Sync.fork_join [];
+      checki "no time passes" 0 (Sched.now ());
+      checki "no tid taken" 1 (Sched.tid_int (Sched.spawn ignore)))
+
+(* A lone job runs in the caller's fiber, yet is charged and numbered
+   as the thread it stands for. *)
+let test_fork_join_single () =
+  Sched.run (fun () ->
+      Sched.with_bucket Probe.Bucket.io (fun () ->
+          Sync.fork_join
+            [ (fun () ->
+                Sched.cpu 10;
+                Sched.delay 5) ];
+          Sched.cpu 1);
+      checki "clock" 16 (Sched.now ());
+      Alcotest.(check (list (pair string int)))
+        "the job is charged to user, the caller to io"
+        [ ("io", 1); ("user", 10) ] (Sched.account_report ());
+      checki "the job's tid stays taken" 2 (Sched.tid_int (Sched.spawn ignore));
+      let raised =
+        try Sync.fork_join [ (fun () -> failwith "lone") ]; ""
+        with Failure m -> m
+      in
+      checks "its failure is raised" "lone" raised)
+
+(* --- fork_join against its reference ---
+
+   The reference is the definition: one [Sched.spawn] per job in list
+   order, each outcome in an [Ivar], awaited in list order. A scenario
+   runs under both and everything simulated is compared: the log of
+   (event, clock) in execution order, the tids of threads spawned during
+   and after the call, the exception raised, [Sched.account_report] and
+   the final clock. [Sched.self] inside a job is deliberately not
+   observed: an inline job runs in the caller's fiber, the one intended
+   difference. *)
+
+type step =
+  | Delay of int
+  | Cpu of int
+  | Lock of int (* hold the shared mutex this long *)
+  | Sem of int (* hold one of the semaphore's two permits this long *)
+  | Spawn of int (* a thread that sleeps this long, then logs *)
+  | Nested of step list list (* a fork_join of these jobs *)
+  | Raise
+
+type scenario = {
+  jobs : step list list; (* 1-3 jobs *)
+  lead : int; (* the caller sleeps this long before the call *)
+  in_io : bool; (* the call is made inside [with_bucket io] *)
+  due_now : bool; (* a thread is spawned just before the call *)
+  bystanders : (int * step) list; (* (wake-up time, action) *)
+}
+
+let ref_fork_join jobs =
+  let ivs =
+    List.map
+      (fun job ->
+        let iv = Sync.Ivar.create () in
+        ignore
+          (Sched.spawn (fun () ->
+               Sync.Ivar.fill iv
+                 (match job () with () -> Ok () | exception e -> Error e)));
+        iv)
+      jobs
+  in
+  let first =
+    List.fold_left
+      (fun first iv ->
+        match (Sync.Ivar.read iv, first) with
+        | Error e, None -> Some e
+        | _ -> first)
+      None ivs
+  in
+  Option.iter raise first
+
+let run_scenario fork_join sc =
+  Sched.run (fun () ->
+      let log = ref [] in
+      let note s = log := (s, Sched.now ()) :: !log in
+      let threads = ref [] in
+      let spawn name body =
+        let t = Sched.spawn body in
+        threads := t :: !threads;
+        note (Printf.sprintf "%s spawns tid %d" name (Sched.tid_int t))
+      in
+      let m = Sync.Mutex.create () and sem = Sync.Semaphore.create 2 in
+      let rec step name = function
+        | Delay d -> Sched.delay d
+        | Cpu d -> Sched.cpu d
+        | Lock d -> Sync.Mutex.with_lock m (fun () -> Sched.delay d)
+        | Sem d ->
+          Sync.Semaphore.acquire sem;
+          Sched.delay d;
+          Sync.Semaphore.release sem
+        | Spawn d ->
+          spawn name (fun () ->
+              Sched.delay d;
+              note (name ^ "'s thread"))
+        | Nested jobs -> call name jobs
+        | Raise -> failwith name
+      and job name steps () =
+        List.iteri
+          (fun i s ->
+            let name = Printf.sprintf "%s.%d" name i in
+            step name s;
+            note name)
+          steps
+      and call name jobs =
+        fork_join (List.mapi (fun i js -> job (Printf.sprintf "%s/%d" name i) js) jobs)
+      in
+      List.iteri
+        (fun i (at, s) ->
+          let name = Printf.sprintf "bystander %d" i in
+          spawn name (fun () ->
+              Sched.delay at;
+              note name;
+              (try step name s with Failure _ -> ());
+              note (name ^ " done")))
+        sc.bystanders;
+      Sched.delay sc.lead;
+      if sc.due_now then spawn "caller" (fun () -> note "due now");
+      let body () =
+        match call "job" sc.jobs with
+        | () -> note "returns"
+        | exception Failure msg -> note ("raises " ^ msg)
+      in
+      if sc.in_io then Sched.with_bucket Probe.Bucket.io body else body ();
+      spawn "caller" ignore;
+      List.iter Sched.join !threads;
+      note "end";
+      (List.rev !log, Sched.account_report ()))
+
+let print_scenario sc =
+  let rec step = function
+    | Delay d -> Printf.sprintf "delay %d" d
+    | Cpu d -> Printf.sprintf "cpu %d" d
+    | Lock d -> Printf.sprintf "lock %d" d
+    | Sem d -> Printf.sprintf "sem %d" d
+    | Spawn d -> Printf.sprintf "spawn %d" d
+    | Nested js -> Printf.sprintf "fork_join %s" (jobs js)
+    | Raise -> "raise"
+  and jobs js =
+    "["
+    ^ String.concat "; "
+        (List.map (fun j -> "[" ^ String.concat ", " (List.map step j) ^ "]") js)
+    ^ "]"
+  in
+  Printf.sprintf "jobs %s lead %d in_io %b due_now %b bystanders [%s]"
+    (jobs sc.jobs) sc.lead sc.in_io sc.due_now
+    (String.concat "; "
+       (List.map (fun (at, s) -> Printf.sprintf "%d: %s" at (step s)) sc.bystanders))
+
+let gen_scenario =
+  let open QCheck.Gen in
+  (* Multiples of 5 ns, so that wake-ups tie often. *)
+  let ns lo hi = map (fun k -> 5 * k) (int_range lo hi) in
+  let rec step depth =
+    frequency
+      ([ (3, map (fun d -> Delay d) (ns 0 6));
+         (3, map (fun d -> Cpu d) (ns 1 6));
+         (2, map (fun d -> Lock d) (ns 1 4));
+         (2, map (fun d -> Sem d) (ns 1 4));
+         (1, map (fun d -> Spawn d) (ns 0 4));
+         (1, return Raise) ]
+      @ if depth = 0 then [] else [ (1, map (fun js -> Nested js) (jobs (depth - 1))) ])
+  and jobs depth = list_size (int_range 1 3) (list_size (int_range 0 4) (step depth)) in
+  let* jobs = jobs 1 in
+  let* lead = ns 0 2 in
+  let* in_io = bool in
+  let* due_now = frequency [ (1, return true); (3, return false) ] in
+  let* bystanders = list_size (int_range 0 3) (pair (ns 0 10) (step 0)) in
+  return { jobs; lead; in_io; due_now; bystanders }
+
+let prop_fork_join_reference =
+  QCheck.Test.make ~count:400 ~name:"fork_join = spawn + Ivar per job"
+    (QCheck.make ~print:print_scenario gen_scenario)
+    (fun sc ->
+      let got = run_scenario Sync.fork_join sc
+      and want = run_scenario ref_fork_join sc in
+      if got = want then true
+      else
+        let show (log, acct) =
+          String.concat "\n"
+            (List.map (fun (s, t) -> Printf.sprintf "  %6d %s" t s) log
+            @ List.map (fun (b, v) -> Printf.sprintf "  %s=%d" b v) acct)
+        in
+        QCheck.Test.fail_reportf "fork_join:\n%s\nreference:\n%s" (show got)
+          (show want))
 
 let test_metrics () =
   let x = Probe.make Probe.Host "x" in
@@ -1080,7 +1270,11 @@ let () =
           tc "ivar" test_ivar;
           tc "group: fifo rounds" test_group_fifo_rounds;
           tc "group: failure fails the queue, then recovers" test_group_failure;
-          tc "fork and await_all" test_fork_await_all;
+          tc "fork_join: first failure in list order"
+            test_fork_join_first_failure;
+          tc "fork_join: an empty list" test_fork_join_empty;
+          tc "fork_join: a single job" test_fork_join_single;
+          QCheck_alcotest.to_alcotest prop_fork_join_reference;
         ] );
       ( "metrics",
         [
