@@ -330,7 +330,10 @@ let commit_round t o batch =
     Balloc.free_now t.alloc result.Radix.freed;
     evict t result.Radix.freed
 
-let commit_async ?(flow = 0) t o pages =
+(* The CPU-side setup of a commit, then [launch worker] with the worker
+   that allocates blocks and submits to the group (not called for an
+   empty commit). Returns the epoch and the ticket. *)
+let start ~launch ~flow t o pages =
   if o.deleted then invalid_arg "Store.commit: deleted object";
   let iv = Sync.Ivar.create () in
   match pages with
@@ -374,11 +377,24 @@ let commit_async ?(flow = 0) t o pages =
             p_size = size; p_flow = flow }
           iv
     in
-    ignore (Sched.spawn ~name:"objstore-commit" worker);
+    launch worker;
     (epoch, iv)
 
+(* [Msnap.persist] starts one commit per region before it awaits any
+   (an asynchronous persist returns first), so the worker gets a thread
+   of its own. *)
+let commit_async ?(flow = 0) t o pages =
+  start t o pages ~flow ~launch:(fun worker ->
+      ignore (Sched.spawn ~name:"objstore-commit" worker))
+
+(* The caller waits at once, so the worker is a one-job [fork_join]: it
+   runs in the caller's fiber when nothing else is due. The worker
+   raises nothing (its outcome goes to the ticket). *)
 let commit t o pages =
-  let epoch, iv = commit_async t o pages in
+  let epoch, iv =
+    start t o pages ~flow:0 ~launch:(fun worker ->
+        Sync.fork_join ~name:"objstore-commit" [ worker ])
+  in
   Sync.await iv;
   epoch
 

@@ -61,7 +61,19 @@ val commit : t -> obj -> (int * Bytes.t) list -> int
     buffers must not change until the commit is durable (MemSnap
     guarantees this with its checkpoint-in-progress COW — the ownership
     rule of the data plane). Raises if the device fails mid-commit —
-    the store itself stays consistent (the previous epoch is intact). *)
+    the store itself stays consistent (the previous epoch is intact).
+
+    With no other thread committing to the object, it is simulated as
+    {!commit_async} followed by {!Msnap_sim.Sync.await}: the same epoch,
+    clock, device IO, tids and exception. The worker is a one-job
+    {!Msnap_sim.Sync.fork_join}, so when nothing else is due it runs in
+    the caller's fiber instead of a thread of its own. The one intended
+    difference: inside that worker, {!Msnap_sim.Sched.self} is the
+    caller. (The caller returns when its worker does, so a caller whose
+    worker leads a group round that other commits to the object join
+    returns after those rounds too. Aurora and the objstore crash
+    script, its callers outside the tests, never commit to one object
+    from two threads at once.) *)
 
 val commit_async : ?flow:int -> t -> obj -> (int * Bytes.t) list -> int * ticket
 (** Initiate the commit and return [(epoch, ticket)] after the CPU-side

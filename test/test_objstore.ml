@@ -658,6 +658,95 @@ let test_freed_images_recycled () =
           grown live_nodes)
     ()
 
+(* --- Store.commit against commit_async + await --- *)
+
+(* The definition [Store.commit] must match: the asynchronous commit,
+   whose worker is a thread of its own, then an await. *)
+let ref_commit s o pages =
+  let epoch, ticket = Store.commit_async s o pages in
+  Sync.await ticket;
+  epoch
+
+(* What the caller of one two-page commit sees: the epoch it returned
+   (or the exception it raised), the object's epoch, the time it took,
+   the device's stats, the tid of the next spawn, and the run's
+   run-queue pops (host side, to tell the paths apart). The page the
+   object starts with goes in through the reference. [bystander] makes
+   a thread due at the instant the commit starts its worker.
+   [cut_at] cuts the power that many ns into the call, from a thread
+   already parked in a delay there. A [Deadlock] escapes [Sched.run]. *)
+let commit_run ~commit ~bystander ?cut_at () =
+  let events () =
+    let e, _, _ = Sched.host_counters () in
+    e
+  in
+  let e0 = events () in
+  let seen =
+    Sched.run (fun () ->
+        let dev, s = mk_store () in
+        let o = Store.create s ~name:"o" () in
+        ignore (ref_commit s o [ (0, page 'a') ]);
+        let t0 = Sched.now () in
+        let cutter =
+          Option.map
+            (fun d ->
+              Sched.spawn (fun () ->
+                  Sched.delay d;
+                  Device.fail_power dev ~torn_seed:7))
+            cut_at
+        in
+        if cutter <> None then Sched.yield ();
+        (* Due as the commit's CPU-side setup ends and its worker starts. *)
+        if bystander then
+          ignore
+            (Sched.spawn (fun () ->
+                 Sched.delay (2 * Msnap_sim.Costs.io_initiate);
+                 Sched.cpu 50));
+        let result =
+          match commit s o [ (1, page 'b'); (2, page 'c') ] with
+          | e -> Printf.sprintf "epoch %d" e
+          | exception exn -> Printexc.to_string exn
+        in
+        let took = Sched.now () - t0 in
+        let next_tid = Sched.tid_int (Sched.spawn ignore) in
+        Option.iter Sched.join cutter;
+        let stats = Device.stats dev in
+        if cut_at <> None then Device.restore_power dev;
+        (result, Store.epoch o, took, stats, next_tid))
+  in
+  (seen, events () - e0)
+
+(* With nothing due at the call the worker runs in the caller's fiber,
+   which saves run-queue pops; with a bystander due it is spawned, and
+   the run is the reference's pop for pop. The caller sees the same in
+   both, with the power on and with it cut mid-command: a quarter of
+   the uncut commit's time lands in its first device command (data and
+   nodes), where the worker is parked in [Disk.service]. *)
+let test_commit_matches_reference () =
+  let (_, _, took, _, _), _ = commit_run ~commit:ref_commit ~bystander:false () in
+  List.iter
+    (fun (cut_at, bystander) ->
+      let name =
+        Printf.sprintf "%s, %s"
+          (if bystander then "bystander due" else "nothing due")
+          (match cut_at with None -> "power on" | Some _ -> "power cut")
+      in
+      let ((result, _, _, _, _) as seen), events =
+        commit_run ~commit:Store.commit ~bystander ?cut_at ()
+      and ref_seen, ref_events =
+        commit_run ~commit:ref_commit ~bystander ?cut_at ()
+      in
+      checkb (name ^ ": the caller sees the reference") true (seen = ref_seen);
+      checks (name ^ ": outcome")
+        (if cut_at = None then "epoch 2" else Printexc.to_string Disk.Powered_off)
+        result;
+      if bystander then checki (name ^ ": spawned, as the reference") ref_events events
+      else
+        checkb
+          (Printf.sprintf "%s: inline, fewer pops (%d vs %d)" name events ref_events)
+          true (events < ref_events))
+    [ (None, false); (None, true); (Some (took / 4), false); (Some (took / 4), true) ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "objstore"
@@ -691,6 +780,7 @@ let () =
           tc "concurrent same-object" test_store_concurrent_commits_same_object;
           tc "group commit" test_store_group_commit_batches;
           tc "crash mid-commit" test_store_crash_mid_commit;
+          tc "commit = commit_async + await" test_commit_matches_reference;
           tc "mount without format" test_store_no_superblock_is_corrupt;
           tc "set_meta durable" test_store_set_meta_durable;
           tc "list objects" test_store_list_objects;

@@ -83,31 +83,74 @@ let kernel_shadow slots s0 s1 =
   let r = Pte.shadow_leaf slots ~s0 ~s1 ~dirty in
   (Pte.leaf_present r, Array.to_list (Array.sub dirty 0 (Pte.leaf_dirty r)))
 
-(* Random leaves against the model: any combination of the four flags,
-   stray bits in the rest of the page offset (so slots that are not
-   present carry bits the kernels must leave alone), random frames, and
-   windows from one slot to the full leaf. Slot words, present counts,
-   dirty slots and their order must all agree, through a shadow and the
-   collapse after it. *)
+(* Random leaves against the model. Shadow works in 16-slot blocks from
+   the window's first slot, compacts only a block that holds a dirty
+   slot, and handles a shorter last block, so the leaves are drawn in
+   five shapes:
+   - random: any combination of the four flags, stray bits in the rest
+     of the page offset (so slots that are not present carry bits the
+     kernels must leave alone), random frames; about a quarter of the
+     slots are dirty, so a clean block is rare;
+   - sparse: no slot dirty but 0-3 picked from the block edges (window
+     offsets 15/16 and 31/32, leaf slots 15/16 and 31/32) and the
+     window's first and last slot; the other slots are random words
+     with writable cleared where present;
+   - all dirty, and none present.
+   Windows run from one slot to the full leaf, plus windows that start
+   and end mid-block. Slot words, present counts, dirty slots and their
+   order must all agree, through a shadow and the collapse after it. *)
 let prop_leaf_kernels_model =
   let fanout = Addr.fanout in
   let gen =
     QCheck.Gen.(
-      let* words =
-        array_size (return fanout)
-          (map2
-             (fun frame low -> (frame lsl Addr.page_shift) lor low)
-             (int_bound ((1 lsl 30) - 1))
-             (int_bound (Addr.page_size - 1)))
+      let word =
+        map2
+          (fun frame low -> (frame lsl Addr.page_shift) lor low)
+          (int_bound ((1 lsl 30) - 1))
+          (int_bound (Addr.page_size - 1))
       in
-      let* s0 = int_bound (fanout - 1) in
-      let* len =
+      let clean w = if Pte.present w then Pte.set_writable w false else w in
+      let dirty w = Pte.set_writable (w lor 1) true in
+      let* s0, s1 =
         frequency
-          [ (1, return 1); (1, return (fanout - s0)); (3, int_range 1 (fanout - s0)) ]
+          [ ( 3,
+              let* s0 = int_bound (fanout - 1) in
+              let* len =
+                frequency
+                  [ (1, return 1); (1, return (fanout - s0));
+                    (3, int_range 1 (fanout - s0)) ]
+              in
+              return (s0, s0 + len - 1) );
+            ( 2,
+              (* Starts and ends mid-block: s0 and the length are not
+                 multiples of 16. *)
+              let* s0 = map (fun (b, r) -> (16 * b) + r) (pair (int_bound 30) (int_range 1 15)) in
+              let* len =
+                map (fun (b, r) -> (16 * b) + r)
+                  (pair (int_bound ((fanout - s0 - 15) / 16)) (int_range 1 15))
+              in
+              return (s0, s0 + len - 1) ) ]
       in
-      return (words, s0, s0 + len - 1))
+      let* words = array_size (return fanout) word in
+      let* words =
+        frequency
+          [ (2, return words);
+            ( 3,
+              let edges =
+                List.filter
+                  (fun s -> s >= s0 && s <= s1)
+                  [ s0; s0 + 15; s0 + 16; s0 + 31; s0 + 32; 15; 16; 31; 32; s1 ]
+              in
+              let* picks = list_size (int_bound 3) (oneofl edges) in
+              let a = Array.map clean words in
+              List.iter (fun s -> a.(s) <- dirty a.(s)) picks;
+              return a );
+            (1, return (Array.map dirty words));
+            (1, return (Array.map (fun w -> w land lnot 1) words)) ]
+      in
+      return (words, s0, s1))
   in
-  QCheck.Test.make ~count:500 ~name:"shadow/collapse kernels agree with OCaml loops"
+  QCheck.Test.make ~count:1000 ~name:"shadow/collapse kernels agree with OCaml loops"
     (QCheck.make gen) (fun (words, s0, s1) ->
       let k = Array.copy words and m = Array.copy words in
       let k_sh = kernel_shadow k s0 s1 and m_sh = Leaf_ref.shadow m s0 s1 in
