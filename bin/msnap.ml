@@ -205,10 +205,11 @@ let cmd =
                   ~docv:"NAME")
        in
        let jobs =
-         Arg.(value & opt int 0
+         Arg.(value & opt int 1
               & info [ "j"; "jobs" ]
-                  ~doc:"Check crash points on $(docv) worker domains (0 = \
-                        serial; the report is identical either way)."
+                  ~doc:"Check crash points on $(docv) domains in total, \
+                        this one included (1 = serial; the report is \
+                        identical either way)."
                   ~docv:"N")
        in
        let max_points =

@@ -24,28 +24,56 @@ let default_config =
 let wal_record_header = 24
 let aurora_region_base = 0x5800 lsl 32
 
-(* MemTable entries carry a tag so deletes can flow into SSTable
-   tombstones: 'V' value, 'D' delete. *)
-let enc_value v = "V" ^ v
-let enc_tombstone = "D"
+module Memtable = struct
+  type t = {
+    list : string option Skiplist.t;
+    (* Scratch for [put]'s descent: puts are serialized under the write
+       group's lock, and readers use [pred0]. *)
+    path : string option Skiplist.node array;
+    mutable bytes : int;
+  }
 
-let dec = function
-  | "" -> None
-  | s -> if s.[0] = 'V' then Some (String.sub s 1 (String.length s - 1)) else None
+  let create ?seed () =
+    let list = Skiplist.create ?seed None in
+    { list; path = Skiplist.path list; bytes = 0 }
+
+  let list m = m.list
+  let bytes m = m.bytes
+
+  (* An entry's length as RocksDB tags it: a type byte, then the value
+     (none for a tombstone). *)
+  let entry_len = function Some v -> 1 + String.length v | None -> 1
+
+  let put m key v =
+    let n = Skiplist.succ (Skiplist.find_path m.list key m.path) in
+    if Skiplist.holds m.list n key then begin
+      m.bytes <- m.bytes + entry_len v - entry_len n.value;
+      Skiplist.set_value n v
+    end
+    else begin
+      let level = Skiplist.draw_level m.list in
+      Skiplist.link m.list m.path key v ~level;
+      m.bytes <- m.bytes + String.length key + entry_len v + (16 * level)
+    end
+
+  let clear m =
+    Skiplist.clear m.list;
+    m.bytes <- 0
+end
 
 type baseline_state = {
   fs : Fs.t;
   wal : Fs.file;
   mutable wal_size : int;
   mutable wal_zeros : Bytes.t; (* shared backing for zero-payload records *)
-  memtable : Skiplist.t;
+  memtable : Memtable.t;
   lsm : Lsm.t;
   lock : Sync.Mutex.t;
   flush_bytes : int;
   mutable n_flushes : int;
   (* RocksDB-style write groups: concurrent committers queue and a leader
      performs one WAL append + fsync for the whole group. *)
-  write_group : (string * string) list Sync.Group.t;
+  write_group : (string * string option) list Sync.Group.t;
 }
 
 type state =
@@ -85,7 +113,7 @@ let open_state ~recovering ?(config = default_config) backend ~name =
         wal = Fs.open_file fs (name ^ ".wal");
         wal_size = 0;
         wal_zeros = Bytes.empty;
-        memtable = Skiplist.create ();
+        memtable = Memtable.create ();
         lsm = Lsm.create fs ~name;
         lock = Sync.Mutex.create ();
         flush_bytes = config.memtable_flush_bytes;
@@ -120,7 +148,7 @@ let wal_append b pairs =
   let module Sched = Msnap_sim.Sched in
   List.iter
     (fun (k, v) ->
-      let len = wal_record_header + String.length k + String.length v in
+      let len = wal_record_header + String.length k + Memtable.entry_len v in
       (* Serializing the record is userspace "Log" work; the write and the
          fsync are kernel time (the Table 1 split). *)
       Sched.with_bucket Probe.Bucket.log (fun () -> Sched.cpu record_serialize_cost);
@@ -137,17 +165,13 @@ let wal_append b pairs =
       Metrics.timed Probe.db_fsync (fun () -> Fs.fsync b.fs b.wal))
 
 let maybe_flush b =
-  if Skiplist.approximate_bytes b.memtable >= b.flush_bytes then begin
+  if Memtable.bytes b.memtable >= b.flush_bytes then begin
     b.n_flushes <- b.n_flushes + 1;
     Metrics.incr Probe.db_memtable_flush;
     let pairs = ref [] in
-    (* Include tombstones: walk raw entries via iter (live) is not
-       enough, so decode from the tagged values. *)
-    Skiplist.iter b.memtable (fun k tagged ->
-        let v = if tagged = enc_tombstone then None else dec tagged in
-        pairs := (k, v) :: !pairs);
+    Skiplist.iter (Memtable.list b.memtable) (fun k v -> pairs := (k, v) :: !pairs);
     Lsm.add_run b.lsm (List.rev !pairs);
-    Skiplist.clear b.memtable;
+    Memtable.clear b.memtable;
     Fs.truncate b.fs b.wal 0;
     Metrics.timed Probe.db_fsync (fun () -> Fs.fsync b.fs b.wal);
     b.wal_size <- 0
@@ -159,37 +183,31 @@ let write_group_round b batch =
   let records = List.concat batch in
   Sync.Mutex.with_lock b.lock (fun () ->
       wal_append b records;
-      List.iter
-        (fun (k, v) -> Skiplist.insert b.memtable ~key:k ~value:v)
-        records;
+      List.iter (fun (k, v) -> Memtable.put b.memtable k v) records;
       maybe_flush b)
 
-let baseline_put_tagged b tagged_pairs =
+let baseline_write b pairs =
   let iv = Sync.Ivar.create () in
-  Sync.Group.submit b.write_group ~round:(write_group_round b) tagged_pairs iv;
+  Sync.Group.submit b.write_group ~round:(write_group_round b) pairs iv;
   Sync.await iv
 
 let baseline_put_batch b pairs =
-  baseline_put_tagged b (List.map (fun (k, v) -> (k, enc_value v)) pairs)
+  baseline_write b (List.map (fun (k, v) -> (k, Some v)) pairs)
 
-let baseline_delete b key = baseline_put_tagged b [ (key, enc_tombstone) ]
+let baseline_delete b key = baseline_write b [ (key, None) ]
 
 let baseline_get b key =
-  match Skiplist.find b.memtable key with
-  | Some tagged -> if tagged = enc_tombstone then None else dec tagged
-  | None -> (
-    match Lsm.get b.lsm key with
-    | None -> None
-    | Some None -> None
-    | Some (Some v) -> Some v)
+  match Skiplist.find (Memtable.list b.memtable) key with
+  | Some v -> v
+  | None -> Option.join (Lsm.get b.lsm key)
 
 let baseline_seek b key ~n =
   (* Merge the MemTable window with the LSM window, MemTable winning. *)
   let tbl = Hashtbl.create 64 in
   let taken = ref 0 in
-  Skiplist.iter_from b.memtable key (fun k tagged ->
+  Skiplist.iter_from (Memtable.list b.memtable) key (fun k v ->
       if !taken < 2 * n then begin
-        Hashtbl.replace tbl k (if tagged = enc_tombstone then None else dec tagged);
+        Hashtbl.replace tbl k v;
         incr taken;
         true
       end
@@ -250,8 +268,7 @@ let count t =
       List.iter
         (fun (k, v) -> Hashtbl.replace tbl k (Some v))
         (Lsm.collect_from lsm "" ~n:max_int));
-    Skiplist.iter b.memtable (fun k tagged ->
-        Hashtbl.replace tbl k (if tagged = enc_tombstone then None else dec tagged));
+    Skiplist.iter (Memtable.list b.memtable) (fun k v -> Hashtbl.replace tbl k v);
     Hashtbl.fold (fun _ v acc -> if v = None then acc else acc + 1) tbl 0
   | R ps -> Pskiplist.count ps
 

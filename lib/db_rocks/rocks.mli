@@ -45,6 +45,27 @@ val recoverable :
     WAL; recovery is only modelled for the region-backed design, which
     is what the paper's crash experiments exercise. *)
 
+(** The baseline's volatile MemTable: a {!Skiplist} whose payload is the
+    entry, [None] for a tombstone. *)
+module Memtable : sig
+  type t
+
+  val create : ?seed:int -> unit -> t
+
+  val put : t -> string -> string option -> unit
+  (** Insert or replace. Puts must be serialized; readers may run
+      while a put yields at a hop charge. *)
+
+  val list : t -> string option Skiplist.t
+
+  val bytes : t -> int
+  (** RocksDB's size estimate, which triggers the flush: key, entry and
+      16 bytes per level for each node, an entry counting as its
+      tagged length ([1 + len v], or [1] for a tombstone). *)
+
+  val clear : t -> unit
+end
+
 val put : t -> key:string -> value:string -> unit
 val put_batch : t -> (string * string) list -> unit
 val get : t -> string -> string option

@@ -9,54 +9,40 @@ let max_level = 12
    key is never compared — every probe guards [n != nil] first — and
    its empty [next] makes an accidental dereference an immediate
    error. *)
-type node = {
+type 'a node = {
   key : string;
-  mutable value : string;
-  mutable deleted : bool;
-  next : node array; (* length = node's level *)
+  mutable value : 'a;
+  next : 'a node array; (* length = node's level *)
 }
 
-type t = {
-  head : node;
-  nil : node;
-  (* Reusable predecessor scratch for the mutators ([insert]/[delete]).
-     Mutations must be externally serialized (Rocks runs them under the
-     write-group lock) — but a mutator may yield at [Sched.cpu] while
-     readers run: [find]/[iter_from]/[iter] never touch this scratch. *)
-  path : node array;
+type 'a t = {
+  head : 'a node;
+  nil : 'a node;
   rng : Rng.t;
   mutable level : int;
-  mutable count : int;
-  mutable bytes : int;
 }
 
 (* Userspace cost of one pointer chase + comparison. *)
 let hop_cost = 25
 
-let create ?(seed = 0x5C1B) () =
-  let nil = { key = ""; value = ""; deleted = false; next = [||] } in
-  let head =
-    { key = ""; value = ""; deleted = false;
-      next = Array.make max_level nil }
-  in
-  {
-    head;
-    nil;
-    path = Array.make max_level head;
-    rng = Rng.create seed;
-    level = 1;
-    count = 0;
-    bytes = 0;
-  }
+let create ?(seed = 0x5C1B) head_value =
+  let nil = { key = ""; value = head_value; next = [||] } in
+  let head = { key = ""; value = head_value; next = Array.make max_level nil } in
+  { head; nil; rng = Rng.create seed; level = 1 }
 
-let random_level t =
+let succ n = n.next.(0)
+let is_end t n = n == t.nil
+let holds t n key = n != t.nil && n.key = key
+let set_value n v = n.value <- v
+let path t = Array.make max_level t.head
+
+let draw_level t =
   let rec go l = if l < max_level && Rng.int t.rng 4 = 0 then go (l + 1) else l in
   go 1
 
 (* Level-0 predecessor of [key]: the full descent, charging one
-   [hop_cost] per probe including each level's failing one — the same
-   charge sequence as the seed's path walk. Allocation-free; used by
-   the read paths, which must not share the mutator scratch. *)
+   [hop_cost] per probe including each level's failing one.
+   Allocation-free. *)
 let pred0 t key =
   let nil = t.nil in
   let x = ref t.head in
@@ -70,14 +56,12 @@ let pred0 t key =
   done;
   !x
 
-(* Predecessors of [key] at every level, in the per-list scratch.
-   Mutators only; see [path]. *)
-let find_path t key =
-  let update = t.path in
-  (* Levels the walk won't visit must read as [head]: an insert that
-     grows the list links them directly off the head. *)
+(* [pred0]'s descent, recording each level's predecessor in [path]. *)
+let find_path t key path =
+  (* Levels the walk won't visit must read as [head]: a link that grows
+     the list links them directly off the head. *)
   for i = t.level to max_level - 1 do
-    update.(i) <- t.head
+    path.(i) <- t.head
   done;
   let nil = t.nil in
   let x = ref t.head in
@@ -88,73 +72,70 @@ let find_path t key =
       let n = (!x).next.(lvl) in
       if n != nil && n.key < key then x := n else continue_ := false
     done;
-    update.(lvl) <- !x
+    path.(lvl) <- !x
   done;
-  update
+  !x
 
-let insert t ~key ~value =
-  let update = find_path t key in
-  let n = update.(0).next.(0) in
-  if n != t.nil && n.key = key then begin
-    t.bytes <- t.bytes + String.length value - String.length n.value;
-    n.value <- value;
-    if n.deleted then begin
-      n.deleted <- false;
-      t.count <- t.count + 1
-    end
-  end
-  else begin
-    let lvl = random_level t in
-    if lvl > t.level then t.level <- lvl (* head already covers all levels *);
-    let node = { key; value; deleted = false; next = Array.make lvl t.nil } in
-    for i = 0 to lvl - 1 do
-      node.next.(i) <- update.(i).next.(i);
-      update.(i).next.(i) <- node
-    done;
-    t.count <- t.count + 1;
-    t.bytes <- t.bytes + String.length key + String.length value + (16 * lvl)
-  end
+(* The first node at level [i] from [x] on whose successor is not
+   below [key]. A caller that yielded since its descent may find nodes
+   linked after its path entry since: the walk is uncharged, so no
+   fiber runs inside it, and the levels stay sorted. *)
+let rec settle t x i key =
+  let n = x.next.(i) in
+  if n != t.nil && n.key < key then settle t n i key else x
+
+let link t path key value ~level =
+  if level > t.level then t.level <- level (* head already covers all levels *);
+  let node = { key; value; next = Array.make level t.nil } in
+  for i = 0 to level - 1 do
+    let x = settle t path.(i) i key in
+    node.next.(i) <- x.next.(i);
+    x.next.(i) <- node
+  done
+
+(* The unlinked node keeps its links, so a reader parked on it walks
+   on into the list. *)
+let unlink t path n =
+  for i = 0 to Array.length n.next - 1 do
+    let x = settle t path.(i) i n.key in
+    if x.next.(i) == n then x.next.(i) <- n.next.(i)
+  done
+
+(* [tails] starts as a fresh [path] and ends holding each level's last
+   node. *)
+let append t tails key value =
+  let level = draw_level t in
+  if level > t.level then t.level <- level;
+  let node = { key; value; next = Array.make level t.nil } in
+  for i = 0 to level - 1 do
+    tails.(i).next.(i) <- node;
+    tails.(i) <- node
+  done
 
 let find t key =
-  let n = (pred0 t key).next.(0) in
-  if n != t.nil && n.key = key && not n.deleted then Some n.value else None
-
-let delete t key =
-  let n = (pred0 t key).next.(0) in
-  if n != t.nil && n.key = key && not n.deleted then begin
-    (* Logical delete: the node stays linked (the seed behaviour). *)
-    n.deleted <- true;
-    t.count <- t.count - 1;
-    true
-  end
-  else false
+  let n = succ (pred0 t key) in
+  if holds t n key then Some n.value else None
 
 let iter_from t key f =
   let nil = t.nil in
   let rec visit n =
     if n != nil then begin
       Sched.cpu hop_cost;
-      if n.deleted then visit n.next.(0)
-      else if f n.key n.value then visit n.next.(0)
+      if f n.key n.value then visit n.next.(0)
     end
   in
-  visit (pred0 t key).next.(0)
+  visit (succ (pred0 t key))
 
 let iter t f =
   let nil = t.nil in
   let rec go n =
     if n != nil then begin
-      if not n.deleted then f n.key n.value;
+      f n.key n.value;
       go n.next.(0)
     end
   in
   go t.head.next.(0)
 
-let count t = t.count
-let approximate_bytes t = t.bytes
-
 let clear t =
   Array.fill t.head.next 0 max_level t.nil;
-  t.level <- 1;
-  t.count <- 0;
-  t.bytes <- 0
+  t.level <- 1

@@ -45,10 +45,10 @@ type opts = {
   seeds : int list;  (* torn seeds tried at each boundary *)
   max_points : int;  (* sampling kicks in above this *)
   sample_seed : int;
-  jobs : int;  (* worker domains; 0 = inline/serial *)
+  jobs : int;  (* domains in total, the caller's included; 1 = serial *)
 }
 
-let default_opts = { seeds = [ 1; 2; 3 ]; max_points = 600; sample_seed = 1; jobs = 0 }
+let default_opts = { seeds = [ 1; 2; 3 ]; max_points = 600; sample_seed = 1; jobs = 1 }
 
 (* The recording pass: one crash-free simulated run of the workload
    with the recorder attached. *)
@@ -120,7 +120,7 @@ let check_point w record hist ~prefix ~torn_seed =
               (Printf.sprintf "check raised %s" (Printexc.to_string exn))))
 
 let run ?(opts = default_opts) w =
-  if opts.jobs > 0 then Taskpool.ensure_workers opts.jobs;
+  Taskpool.ensure_workers (opts.jobs - 1);
   let record, hist = record_run w in
   let boundaries = Record.boundaries record in
   let pts = points ~boundaries ~opts in

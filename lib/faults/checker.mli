@@ -35,7 +35,10 @@ type opts = {
 }
 
 val default_opts : opts
-(** [{seeds = [1;2;3]; max_points = 600; sample_seed = 1; jobs = 0}] *)
+(** [{seeds = [1;2;3]; max_points = 600; sample_seed = 1; jobs = 1}].
+    [jobs] counts domains in total, the caller's included, as
+    [bench/main.exe -j] does: [jobs - 1] pool workers check crash
+    points beside the caller, and 1 (or less) is serial. *)
 
 val points : boundaries:int -> opts:opts -> (int * int) list
 (** The crash points the checker will visit, canonical order:

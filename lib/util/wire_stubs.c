@@ -58,8 +58,9 @@ static inline uint64_t load64_le(const unsigned char *p)
    bits; the clones differ in how wide the compiler vectorizes the eight
    lanes. One 4 KiB page, standalone on an AVX-512 Xeon: about 460 ns
    (default, SSE2), 290 ns (x86-64-v3, AVX2), 180 ns (x86-64-v4,
-   AVX-512). Other compilers and targets build the plain function. The
-   same definition is in lib/vm/pte_stubs.c; keep the two alike. */
+   AVX-512). Other compilers and targets build the plain function.
+   lib/vm/pte_stubs.c guards its clones the same way but builds no v4
+   clone, which does not pay there. */
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
     && __GNUC__ >= 12
 #define KERNEL_CLONES \

@@ -43,17 +43,20 @@
    may be shorter). */
 #define BLOCK 16
 
-/* Each kernel is compiled once per x86-64 ISA level and the loader picks
-   the clone the host supports (an ifunc). Every clone is the same C
-   source, integer arithmetic only, so every clone writes the same words
-   and returns the same counts and indices; the clones differ in vector
-   width. Standalone timings per clone are in EXPERIMENTS.md. The same
-   definition is in lib/util/wire_stubs.c; keep the two alike. Other
-   compilers and targets build the plain functions. */
+/* Each kernel is compiled for x86-64-v3 (AVX2) and the default ISA,
+   and the loader picks the clone the host supports (an ifunc). Every
+   clone is the same C source, integer arithmetic only, so every clone
+   writes the same words and returns the same counts and indices; the
+   clones differ in vector width. There is no x86-64-v4 clone: on an
+   AVX-512 host it shadowed within noise of v3 and collapsed slower
+   (timings per clone in EXPERIMENTS.md), so a v4 host runs v3.
+   lib/util/wire_stubs.c guards its clones the same way and keeps v4,
+   where the checksum gains from it. Other compilers and targets build
+   the plain functions. */
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
     && __GNUC__ >= 12
 #define KERNEL_CLONES \
-  __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+  __attribute__((target_clones("arch=x86-64-v3", "default")))
 #else
 #define KERNEL_CLONES
 #endif

@@ -260,13 +260,14 @@ let inline_cut ~members ~read () =
   checkb (name ^ ": media = offline image") true (first_diff live offline = None)
 
 (* End-to-end checker smoke on a real engine workload: the serial and
-   parallel runs must produce the identical report, and the invariant
-   must hold at every point. *)
+   parallel runs (three domains: two pool workers beside the caller)
+   must produce the identical report, and the invariant must hold at
+   every point. *)
 let test_checker_end_to_end () =
   let opts = { Checker.default_opts with max_points = 60 } in
   let w = Msnap_crashwl.Workloads.objstore_workload in
   let serial = Checker.run ~opts w in
-  let parallel = Checker.run ~opts:{ opts with jobs = 2 } w in
+  let parallel = Checker.run ~opts:{ opts with jobs = 3 } w in
   checkb "no failures" true (serial.Checker.r_failures = []);
   checki "points visited" 60 serial.Checker.r_points;
   checkb "serial = parallel report" true

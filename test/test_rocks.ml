@@ -23,42 +23,54 @@ let checkb = Alcotest.(check bool)
 let check_opt = Alcotest.(check (option string))
 let in_sim f () = Sched.run f
 
-(* --- volatile skiplist --- *)
+(* --- volatile skiplist: the baseline MemTable --- *)
+
+module Memtable = Rocks.Memtable
+
+let mt_find m key = Skiplist.find (Memtable.list m) key
+
+let mt_dump m =
+  let acc = ref [] in
+  Skiplist.iter (Memtable.list m) (fun k v -> acc := (k, v) :: !acc);
+  List.rev !acc
+
+let check_entry = Alcotest.(check (option (option string)))
 
 let test_skiplist_basic () =
   in_sim (fun () ->
-      let s = Skiplist.create () in
-      Skiplist.insert s ~key:"b" ~value:"2";
-      Skiplist.insert s ~key:"a" ~value:"1";
-      Skiplist.insert s ~key:"c" ~value:"3";
-      check_opt "find" (Some "2") (Skiplist.find s "b");
-      check_opt "missing" None (Skiplist.find s "x");
-      checki "count" 3 (Skiplist.count s);
-      Skiplist.insert s ~key:"b" ~value:"22";
-      check_opt "updated" (Some "22") (Skiplist.find s "b");
-      checki "no dup" 3 (Skiplist.count s);
-      checkb "delete" true (Skiplist.delete s "a");
-      checkb "delete missing" false (Skiplist.delete s "a");
-      checki "after delete" 2 (Skiplist.count s))
+      let m = Memtable.create () in
+      Memtable.put m "b" (Some "2");
+      Memtable.put m "a" (Some "1");
+      Memtable.put m "c" (Some "3");
+      check_entry "find" (Some (Some "2")) (mt_find m "b");
+      check_entry "missing" None (mt_find m "x");
+      Memtable.put m "b" (Some "22");
+      check_entry "updated" (Some (Some "22")) (mt_find m "b");
+      Memtable.put m "a" None;
+      check_entry "tombstone" (Some None) (mt_find m "a");
+      Alcotest.(check (list string)) "no dup" [ "a"; "b"; "c" ]
+        (List.map fst (mt_dump m)))
     ()
 
 let test_skiplist_order () =
   in_sim (fun () ->
-      let s = Skiplist.create () in
+      let m = Memtable.create () in
       let rng = Rng.create 5 in
       let keys = Array.init 2000 (fun i -> Printf.sprintf "%08d" i) in
       Rng.shuffle rng keys;
-      Array.iter (fun k -> Skiplist.insert s ~key:k ~value:k) keys;
+      Array.iter (fun k -> Memtable.put m k (Some k)) keys;
       let prev = ref "" in
       let ordered = ref true in
-      Skiplist.iter s (fun k _ ->
+      let n = ref 0 in
+      Skiplist.iter (Memtable.list m) (fun k _ ->
           if k <= !prev then ordered := false;
-          prev := k);
+          prev := k;
+          incr n);
       checkb "sorted" true !ordered;
-      checki "count" 2000 (Skiplist.count s);
+      checki "count" 2000 !n;
       (* iter_from starts at the bound. *)
       let first = ref "" in
-      Skiplist.iter_from s "00001000" (fun k _ ->
+      Skiplist.iter_from (Memtable.list m) "00001000" (fun k _ ->
           first := k;
           false);
       Alcotest.(check string) "lower bound" "00001000" !first)
@@ -71,27 +83,57 @@ let prop_skiplist_model =
     (fun ops ->
       Sched.run (fun () ->
           let module M = Map.Make (String) in
-          let s = Skiplist.create () in
+          let m = Memtable.create () in
           let model = ref M.empty in
           List.iter
             (fun (k, v) ->
               let key = Printf.sprintf "%06d" k in
-              match v with
-              | Some v ->
-                Skiplist.insert s ~key ~value:(string_of_int v);
-                model := M.add key (string_of_int v) !model
-              | None ->
-                ignore (Skiplist.delete s key);
-                model := M.remove key !model)
+              let v = Option.map string_of_int v in
+              Memtable.put m key v;
+              model := M.add key v !model)
             ops;
-          M.for_all (fun k v -> Skiplist.find s k = Some v) !model
-          && Skiplist.count s = M.cardinal !model))
+          M.for_all (fun k v -> mt_find m k = Some v) !model
+          && mt_dump m = M.bindings !model))
 
-(* Reference MemTable: the original option-boxed skip list, kept
-   verbatim as the oracle for the sentinel-node rewrite. Same RNG
-   stream (same seed, one [Rng.int _ 4] run per fresh insert), so the
-   tower heights — and therefore every [Sched.cpu] probe charge — must
-   line up exactly with the production structure. *)
+(* A writer that yields between its descent and its link (Pskiplist's
+   do) can find nodes linked after its path entry meanwhile: here "m"
+   is linked along a path taken before "k" was linked after the same
+   entry. Every level must stay sorted, and unlinking "k" must take it
+   off every level. *)
+let test_skiplist_stale_path () =
+  in_sim (fun () ->
+      let s = Skiplist.create () in
+      let level i =
+        let rec go (n : unit Skiplist.node) acc =
+          if Skiplist.is_end s n then List.rev acc else go n.next.(i) (n.key :: acc)
+        in
+        go (Skiplist.path s).(i).next.(i) []
+      in
+      let descend key =
+        let p = Skiplist.path s in
+        (Skiplist.find_path s key p, p)
+      in
+      let link key = Skiplist.link s (snd (descend key)) key () ~level:2 in
+      link "a";
+      link "z";
+      let _, stale = descend "m" in
+      link "k";
+      Skiplist.link s stale "m" () ~level:2;
+      let keys = Alcotest.(check (list string)) in
+      keys "level 1 sorted" [ "a"; "k"; "m"; "z" ] (level 1);
+      let prev, p = descend "k" in
+      Skiplist.unlink s p (Skiplist.succ prev);
+      keys "level 0 without k" [ "a"; "m"; "z" ] (level 0);
+      keys "level 1 without k" [ "a"; "m"; "z" ] (level 1))
+    ()
+
+(* Reference MemTable: the original option-boxed skip list over
+   'V'/'D'-tagged string entries, kept verbatim (less its unused
+   [delete] and [count]) as the oracle for the typed, sentinel-linked
+   MemTable. Same RNG stream (same seed, one
+   [Rng.int _ 4] run per fresh insert), so the tower heights — and
+   therefore every [Sched.cpu] probe charge — must line up exactly with
+   the production structure. *)
 module Ref_skiplist = struct
   let max_level = 12
 
@@ -168,15 +210,6 @@ module Ref_skiplist = struct
     | Some n when n.key = key && not n.deleted -> Some n.value
     | Some _ | None -> None
 
-  let delete t key =
-    let update = find_path t key in
-    match update.(0).next.(0) with
-    | Some n when n.key = key && not n.deleted ->
-      n.deleted <- true;
-      t.count <- t.count - 1;
-      true
-    | Some _ | None -> false
-
   let iter_from t key f =
     let update = find_path t key in
     let rec visit = function
@@ -197,7 +230,6 @@ module Ref_skiplist = struct
     in
     go t.head.next.(0)
 
-  let count t = t.count
   let approximate_bytes t = t.bytes
 
   let clear t =
@@ -207,11 +239,13 @@ module Ref_skiplist = struct
     t.bytes <- 0
 end
 
-(* Op streams over a small key pool (forcing updates, deletes and
-   delete→reinsert cycles), long enough that [random_level] grows the
-   index past level 1. Every observable — results, dump order, count,
-   byte estimate, and the simulated nanoseconds each op charges via
-   [Sched.cpu] — must match the reference exactly. *)
+(* Op streams over a small key pool (forcing updates, tombstones and
+   tombstone→reinsert cycles), long enough that the level draw grows the
+   index past level 1. A delete is a tombstone put: [None] on the
+   MemTable, "D" on the reference; a value is [Some v] and "V" ^ v.
+   Every observable — results, dump order, byte estimate, and the
+   simulated nanoseconds each op charges via [Sched.cpu] — must match
+   the reference exactly. *)
 let prop_skiplist_vs_reference =
   let op_gen =
     QCheck.Gen.(
@@ -231,20 +265,16 @@ let prop_skiplist_vs_reference =
     | `Iter_from (k, n) -> Printf.sprintf "iter %d/%d" k n
     | `Clear -> "clear"
   in
+  let tag = function Some v -> "V" ^ v | None -> "D" in
   QCheck.Test.make ~count:40 ~name:"skiplist matches reference op-for-op"
     (QCheck.make ~print:QCheck.Print.(list print_op)
        QCheck.Gen.(list_size (int_range 50 600) op_gen))
     (fun ops ->
       Sched.run (fun () ->
           let seed = 0xD1FF in
-          let s = Skiplist.create ~seed () in
+          let m = Memtable.create ~seed () in
           let r = Ref_skiplist.create ~seed () in
           let serial = ref 0 in
-          let dump iter t =
-            let acc = ref [] in
-            iter t (fun k v -> acc := (k, v) :: !acc);
-            List.rev !acc
-          in
           let timed f =
             let t0 = Sched.now () in
             let x = f () in
@@ -252,57 +282,56 @@ let prop_skiplist_vs_reference =
           in
           let ok = ref true in
           let check_eq a b = if a <> b then ok := false in
+          let put key v =
+            let ((), tn) = timed (fun () -> Memtable.put m key v) in
+            let ((), tr) =
+              timed (fun () -> Ref_skiplist.insert r ~key ~value:(tag v))
+            in
+            check_eq tn tr
+          in
           List.iter
             (fun op ->
               (match op with
               | `Insert k ->
-                let key = Printf.sprintf "%06d" k in
                 incr serial;
-                let value = Printf.sprintf "v%d" !serial in
-                let ((), tn) = timed (fun () -> Skiplist.insert s ~key ~value) in
-                let ((), tr) =
-                  timed (fun () -> Ref_skiplist.insert r ~key ~value)
-                in
-                check_eq tn tr
-              | `Delete k ->
-                let key = Printf.sprintf "%06d" k in
-                let bn, tn = timed (fun () -> Skiplist.delete s key) in
-                let br, tr = timed (fun () -> Ref_skiplist.delete r key) in
-                check_eq bn br;
-                check_eq tn tr
+                put (Printf.sprintf "%06d" k) (Some (Printf.sprintf "v%d" !serial))
+              | `Delete k -> put (Printf.sprintf "%06d" k) None
               | `Find k ->
                 let key = Printf.sprintf "%06d" k in
-                let vn, tn = timed (fun () -> Skiplist.find s key) in
+                let vn, tn = timed (fun () -> mt_find m key) in
                 let vr, tr = timed (fun () -> Ref_skiplist.find r key) in
-                check_eq vn vr;
+                check_eq (Option.map tag vn) vr;
                 check_eq tn tr
               | `Iter_from (k, n) ->
                 let key = Printf.sprintf "%06d" k in
-                let window iter_from t =
+                let window iter_from t tag =
                   let acc = ref [] and taken = ref 0 in
                   iter_from t key (fun k v ->
                       if !taken < n then begin
-                        acc := (k, v) :: !acc;
+                        acc := (k, tag v) :: !acc;
                         incr taken;
                         true
                       end
                       else false);
                   List.rev !acc
                 in
-                let wn, tn = timed (fun () -> window Skiplist.iter_from s) in
+                let wn, tn =
+                  timed (fun () ->
+                      window Skiplist.iter_from (Memtable.list m) tag)
+                in
                 let wr, tr =
-                  timed (fun () -> window Ref_skiplist.iter_from r)
+                  timed (fun () -> window Ref_skiplist.iter_from r Fun.id)
                 in
                 check_eq wn wr;
                 check_eq tn tr
               | `Clear ->
-                Skiplist.clear s;
+                Memtable.clear m;
                 Ref_skiplist.clear r);
-              check_eq (Skiplist.count s) (Ref_skiplist.count r);
-              check_eq (Skiplist.approximate_bytes s)
-                (Ref_skiplist.approximate_bytes r))
+              check_eq (Memtable.bytes m) (Ref_skiplist.approximate_bytes r))
             ops;
-          check_eq (dump Skiplist.iter s) (dump Ref_skiplist.iter r);
+          let dump = ref [] in
+          Ref_skiplist.iter r (fun k v -> dump := (k, v) :: !dump);
+          check_eq (List.map (fun (k, v) -> (k, tag v)) (mt_dump m)) (List.rev !dump);
           !ok))
 
 (* --- environments --- *)
@@ -315,18 +344,17 @@ let small_config = { Rocks.memtable_flush_bytes = Size.kib 64; region_pages = 40
 
 (* --- persistent skiplist --- *)
 
-let pskiplist_over k =
+let region_ops k =
   let md = Msnap.open_region k ~name:"ps" ~len:(4096 * 4096) () in
-  let ops =
-    {
-      Pskiplist.ro_write = (fun ~off b -> Msnap.write k md ~off b);
-      ro_read_into =
-        (fun ~off buf ~pos ~len -> Msnap.read_into k md ~off buf ~pos ~len);
-      ro_persist = (fun () -> ignore (Msnap.persist k ~region:md ()));
-      ro_pages = 4096;
-    }
-  in
-  Pskiplist.create ops
+  {
+    Pskiplist.ro_write = (fun ~off b -> Msnap.write k md ~off b);
+    ro_read_into =
+      (fun ~off buf ~pos ~len -> Msnap.read_into k md ~off buf ~pos ~len);
+    ro_persist = (fun () -> ignore (Msnap.persist k ~region:md ()));
+    ro_pages = 4096;
+  }
+
+let pskiplist_over k = Pskiplist.create (region_ops k)
 
 let test_pskiplist_basic () =
   in_dev ~mib:256 (fun dev ->
@@ -346,40 +374,112 @@ let test_pskiplist_basic () =
 let test_pskiplist_recovery () =
   in_dev ~mib:256 (fun dev ->
       let& k = msnap dev in
-      let md = Msnap.open_region k ~name:"ps" ~len:(4096 * 4096) () in
-      let ops =
-        {
-          Pskiplist.ro_write = (fun ~off b -> Msnap.write k md ~off b);
-          ro_read_into =
-        (fun ~off buf ~pos ~len -> Msnap.read_into k md ~off buf ~pos ~len);
-          ro_persist = (fun () -> ignore (Msnap.persist k ~region:md ()));
-          ro_pages = 4096;
-        }
-      in
-      let ps = Pskiplist.create ops in
+      let ps = pskiplist_over k in
       for i = 0 to 199 do
         Pskiplist.insert ps ~key:(Printf.sprintf "%04d" i) ~value:(Printf.sprintf "v%d" i)
       done;
       (* Reboot; rebuild the index from the persisted linked list. *)
       let& k2 = (Msnap.boot ~format:false dev, Msnap.dispose) in
-      let md2 = Msnap.open_region k2 ~name:"ps" ~len:(4096 * 4096) () in
-      let ops2 =
-        {
-          Pskiplist.ro_write = (fun ~off b -> Msnap.write k2 md2 ~off b);
-          ro_read_into =
-            (fun ~off buf ~pos ~len ->
-              Msnap.read_into k2 md2 ~off buf ~pos ~len);
-          ro_persist = (fun () -> ignore (Msnap.persist k2 ~region:md2 ()));
-          ro_pages = 4096;
-        }
-      in
-      let ps2 = Pskiplist.recover ops2 in
+      let ps2 = Pskiplist.recover (region_ops k2) in
       checki "count recovered" 200 (Pskiplist.count ps2);
       check_opt "value" (Some "v123") (Pskiplist.find ps2 "0123");
       (* Still writable after recovery. *)
       Pskiplist.insert ps2 ~key:"9999" ~value:"new";
       check_opt "post-recovery insert" (Some "new") (Pskiplist.find ps2 "9999"))
     ()
+
+(* 1-4 fibers write random batches over a 24-key pool in rounds, and a
+   few deletes run between the rounds: fiber [f] of [nf] owns the keys
+   [i] with [i mod nf = f], so neighbouring keys belong to different
+   fibers and their writers contend for the same predecessors' locks
+   (held until each μCheckpoint commits), while each key's history stays
+   sequential and a Map models it. The small pool forces in-place
+   updates, inserts after deletes and predecessors shared within a
+   batch. Afterwards every [find], the count and an [iter_from] window
+   agree with the model, and a reboot plus [recover] gives back the same
+   contents. Deletes do not run beside the writers: [delete] locks only
+   the predecessor, so it races a writer that links after the victim. *)
+let prop_pskiplist_concurrent =
+  let pool = 24 in
+  let batch = QCheck.Gen.(list_size (int_range 1 5) (pair (int_bound (pool - 1)) (int_bound 999))) in
+  let round nf =
+    QCheck.Gen.(
+      pair
+        (list_repeat nf (list_size (int_range 0 4) batch))
+        (list_size (int_range 0 4) (int_bound (pool - 1))))
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun nf ->
+      triple (return nf)
+        (list_size (int_range 1 5) (round nf))
+        (pair (int_bound (pool - 1)) (int_range 1 pool)))
+  in
+  let print (nf, rounds, (from, n)) =
+    let batch b = String.concat "," (List.map (fun (j, v) -> Printf.sprintf "%d=%d" j v) b) in
+    Printf.sprintf "%d fibers, window %d/%d:\n%s" nf from n
+      (String.concat "\n"
+         (List.map
+            (fun (fibers, dels) ->
+              String.concat " | "
+                (List.map (fun bs -> String.concat "; " (List.map batch bs)) fibers)
+              ^ " | del " ^ String.concat "," (List.map string_of_int dels))
+            rounds))
+  in
+  QCheck.Test.make ~count:40 ~name:"concurrent batches and deletes agree with Map model"
+    (QCheck.make ~print gen)
+    (fun (nf, rounds, (from, n)) ->
+      let key i = Printf.sprintf "k%02d" i in
+      let module M = Map.Make (String) in
+      let model = ref M.empty in
+      let ok = ref true in
+      let check_eq a b = if a <> b then ok := false in
+      let window ps from n =
+        let acc = ref [] in
+        Pskiplist.iter_from ps from (fun k v ->
+            acc := (k, v) :: !acc;
+            List.length !acc < n);
+        List.rev !acc
+      in
+      in_dev ~mib:256
+        (fun dev ->
+          let& k = msnap dev in
+          let ps = pskiplist_over k in
+          (* Op key [j] names fiber [f]'s [j mod (pool / nf)]-th key. *)
+          let write f batches =
+            List.iter
+              (fun b ->
+                let b =
+                  List.map (fun (j, v) -> (key ((j mod (pool / nf) * nf) + f), string_of_int v)) b
+                in
+                Pskiplist.insert_batch ps b;
+                List.iter (fun (k, v) -> model := M.add k v !model) b)
+              batches
+          in
+          List.iter
+            (fun (fibers, dels) ->
+              List.mapi (fun f batches -> Sched.spawn (fun () -> write f batches)) fibers
+              |> List.iter Sched.join;
+              List.iter
+                (fun i ->
+                  check_eq (Pskiplist.delete ps (key i)) (M.mem (key i) !model);
+                  model := M.remove (key i) !model)
+                dels)
+            rounds;
+          for i = 0 to pool - 1 do
+            check_eq (Pskiplist.find ps (key i)) (M.find_opt (key i) !model)
+          done;
+          check_eq (Pskiplist.count ps) (M.cardinal !model);
+          check_eq (window ps (key from) n)
+            (M.bindings !model
+            |> List.filter (fun (k, _) -> k >= key from)
+            |> List.filteri (fun i _ -> i < n));
+          let& k2 = (Msnap.boot ~format:false dev, Msnap.dispose) in
+          let ps2 = Pskiplist.recover (region_ops k2) in
+          check_eq (Pskiplist.count ps2) (M.cardinal !model);
+          check_eq (window ps2 "" max_int) (M.bindings !model))
+        ();
+      !ok)
 
 (* --- sstable / lsm --- *)
 
@@ -652,11 +752,13 @@ let () =
           tc "order" test_skiplist_order;
           QCheck_alcotest.to_alcotest prop_skiplist_model;
           QCheck_alcotest.to_alcotest prop_skiplist_vs_reference;
+          tc "stale path" test_skiplist_stale_path;
         ] );
       ( "pskiplist",
         [
           tc "basic" test_pskiplist_basic;
           tc "recovery" test_pskiplist_recovery;
+          QCheck_alcotest.to_alcotest prop_pskiplist_concurrent;
         ] );
       ( "sstable",
         [
