@@ -53,10 +53,10 @@ let () =
   Device.restore_power dev;
 
   say "== recover: remount the store, remap the region, rebuild skip pointers ==";
-  let module RR = (val Rocks.recoverable ~config ~name:"kv" ()) in
   let t0 = Sched.now () in
-  let r = RR.recover dev in
-  let db2 = r.Rocks.db in
+  let k2 = Msnap.boot ~format:false dev in
+  Sched.on_exit (fun () -> Msnap.dispose k2);
+  let db2 = Rocks.recover ~config k2 ~name:"kv" in
   say "recovered %d keys in %.2f ms" (Rocks.count db2)
     (float_of_int (Sched.now () - t0) /. 1e6);
   say "user:0001 = %s" (Option.get (Rocks.get db2 "user:0001"));

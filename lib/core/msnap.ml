@@ -627,60 +627,3 @@ let dirty_count_of_region t r =
     t.dirty 0
 
 let region_by_name t name = Hashtbl.find_opt t.regions name
-
-(* --- crash recovery contract --- *)
-
-(* Fixed-size value cells for crash workloads: a 256-byte slot holding a
-   u16 length + payload. The fixed footprint keeps every cell update the
-   same simulated write size regardless of the value, so a workload's
-   command stream depends only on its script. *)
-
-let cell_cap = 256
-let cell_max = cell_cap - 2
-
-let cell_write t md ~off v =
-  if String.length v > cell_max then invalid_arg "Msnap.cell_write: too long";
-  let b = Bytes.make cell_cap '\000' in
-  Bytes.set_uint16_le b 0 (String.length v);
-  Bytes.blit_string v 0 b 2 (String.length v);
-  write t md ~off b
-
-let cell_read t md ~off =
-  let b = read t md ~off ~len:cell_cap in
-  let n = Bytes.get_uint16_le b 0 in
-  if n > cell_max then None else Some (Bytes.sub_string b 2 n)
-
-type recovered = { rec_kernel : t; rec_md : md }
-
-let recoverable ~region ~len ~cells =
-  (module struct
-    type t = recovered
-
-    let label = "msnap"
-
-    (* Boot a whole fresh machine over the post-crash device (no valid
-       superblock -> unmountable) and remap the region at its fixed
-       address. Pages fault back in from the last committed μCheckpoint
-       on access. *)
-    let recover dev =
-      let k =
-        try boot ~format:false dev
-        with Store.Corrupt msg -> raise (Msnap_faults.Recoverable.Unmountable msg)
-      in
-      Sched.on_exit (fun () -> dispose k);
-      { rec_kernel = k; rec_md = open_region k ~name:region ~len () }
-
-    let check r history =
-      let state =
-        List.map
-          (fun (lbl, off) ->
-            match cell_read r.rec_kernel r.rec_md ~off with
-            | Some v -> (lbl, v)
-            | None ->
-              Msnap_faults.Recoverable.fail
-                "msnap: cell %s at +%#x recovered with a garbage length"
-                lbl off)
-          cells
-      in
-      Msnap_faults.Recoverable.check_state ~label history state
-  end : Msnap_faults.Recoverable.S with type t = recovered)

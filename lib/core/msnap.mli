@@ -129,22 +129,3 @@ val set_strict : t -> bool -> unit
 
 val region_by_name : t -> string -> md option
 (** Already-open region by name. *)
-
-(** {2 Crash recovery ({!Msnap_faults})} *)
-
-val cell_write : t -> md -> off:int -> string -> unit
-(** Store a value of at most 254 bytes (the 256-byte slot minus its
-    length prefix) in the fixed-size cell at [off]: every update writes
-    the full 256-byte slot, so the command stream a crash workload
-    issues is independent of the value lengths. *)
-
-type recovered = { rec_kernel : t; rec_md : md }
-(** A kernel and region rebuilt from a post-crash device by {!boot}. *)
-
-val recoverable :
-  region:string -> len:int -> cells:(string * int) list ->
-  (module Msnap_faults.Recoverable.S with type t = recovered)
-(** The crash-recovery contract for MemSnap itself: [recover] mounts
-    the store, boots a fresh kernel and remaps [region];
-    [check] reads every [(label, offset)] cell and compares against the
-    history's candidate steps. *)

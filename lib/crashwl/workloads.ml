@@ -7,9 +7,14 @@
    with the full expected state, so the checker can demand that recovery
    after a crash anywhere lands on a candidate step.
 
+   Each script also owns its recovery side: [<engine>_recover] mounts
+   the post-crash device through the engine's ordinary recovery entry
+   and returns a dump of the recovered state in the same encoding its
+   [state ()] records, so the checker compares the two without knowing
+   either engine or encoding.
+
    Scripts must be deterministic in their command stream: fixed key
-   sets, fixed-size value cells where the engine offers them, no
-   randomness, no time. *)
+   sets, fixed-size value cells, no randomness, no time. *)
 
 module Sched = Msnap_sim.Sched
 module Device = Msnap_blockdev.Device
@@ -21,6 +26,7 @@ module Backend_wal = Msnap_sqlite.Backend_wal
 module Storage = Msnap_pg.Storage
 module Pg = Msnap_pg.Pg
 module Redo = Msnap_pg.Redo
+module Heap = Msnap_pg.Heap
 module Rocks = Msnap_rocks.Rocks
 module History = Msnap_faults.History
 module Checker = Msnap_faults.Checker
@@ -34,6 +40,23 @@ let mk_dev () =
   Sched.on_exit (fun () -> Device.dispose dev);
   dev
 
+(* The one place an engine's mount error becomes the checker's
+   [Unmountable]: wrap the mount call itself, so an error from any later
+   recovery step still fails the point. *)
+let mount f =
+  try f () with Store.Corrupt msg | Fs.Mount_error msg ->
+    raise (Checker.Unmountable msg)
+
+(* A length-prefixed tag at the start of [b]; [None] when the prefix
+   is garbage. *)
+let put_tag b tag =
+  Bytes.set_uint16_le b 0 (String.length tag);
+  Bytes.blit_string tag 0 b 2 (String.length tag)
+
+let get_tag b =
+  let n = Bytes.get_uint16_le b 0 in
+  if n > Bytes.length b - 2 then None else Some (Bytes.sub_string b 2 n)
+
 (* --- msnap: value cells in one region, one μCheckpoint per update --- *)
 
 let msnap_region = "cwl"
@@ -42,6 +65,15 @@ let msnap_region_len = 64 * 4096
 (* One cell per page: per-thread dirty tracking is page-granular. *)
 let msnap_cells = List.init 6 (fun i -> (Printf.sprintf "c%d" i, i * 4096))
 let msnap_steps = 30
+
+(* A value cell is a fixed 256-byte slot: every update writes the full
+   slot, so the command stream is independent of the value lengths. *)
+let cell_cap = 256
+
+let cell_write k md ~off v =
+  let b = Bytes.make cell_cap '\000' in
+  put_tag b v;
+  Msnap.write k md ~off b
 
 let msnap_run dev record =
   let hist = History.create () in
@@ -56,22 +88,36 @@ let msnap_run dev record =
     let i = s mod List.length msnap_cells in
     let _, off = List.nth msnap_cells i in
     let v = Printf.sprintf "s%d" s in
-    Msnap.cell_write k md ~off v;
+    cell_write k md ~off v;
     ignore (Msnap.persist k ~region:md ());
     values.(i) <- v;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())
   done;
   hist
 
+(* Boot a whole fresh machine over the post-crash device and remap the
+   region at its fixed address; pages fault back in from the last
+   committed μCheckpoint as the dump reads each cell. *)
+let msnap_recover dev =
+  let k = mount (fun () -> Msnap.boot ~format:false dev) in
+  Sched.on_exit (fun () -> Msnap.dispose k);
+  let md = Msnap.open_region k ~name:msnap_region ~len:msnap_region_len () in
+  fun () ->
+    List.map
+      (fun (l, off) ->
+        match get_tag (Msnap.read k md ~off ~len:cell_cap) with
+        | Some v -> (l, v)
+        | None ->
+          Checker.fail "msnap: cell %s at +%#x recovered with a garbage length"
+            l off)
+      msnap_cells
+
 let msnap_workload =
   {
     Checker.w_name = "msnap";
     w_device = mk_dev;
     w_run = msnap_run;
-    w_recoverable =
-      (module (val Msnap.recoverable ~region:msnap_region
-                     ~len:msnap_region_len ~cells:msnap_cells)
-      : Msnap_faults.Recoverable.S);
+    w_recover = msnap_recover;
   }
 
 (* --- objstore: tagged-block commits to two objects --- *)
@@ -79,6 +125,12 @@ let msnap_workload =
 let obj_names = [ "alpha"; "beta" ]
 let obj_blocks = 4
 let obj_steps = 30
+
+(* A whole block led by its tag, which names the commit that wrote it. *)
+let tag_page tag =
+  let b = Bytes.make Msnap_objstore.Layout.block_size '\000' in
+  put_tag b tag;
+  b
 
 let objstore_run dev record =
   let hist = History.create () in
@@ -107,21 +159,43 @@ let objstore_run dev record =
     let n, o = List.nth objs (s mod 2) in
     let idx = s / 2 mod obj_blocks in
     let tag = Printf.sprintf "%s.%d.s%d" n idx s in
-    let ep = Store.commit st o [ (idx, Store.tag_page tag) ] in
+    let ep = Store.commit st o [ (idx, tag_page tag) ] in
     Hashtbl.replace epochs n ep;
     Hashtbl.replace tags (n, idx) tag;
     History.step hist record ~label:(Printf.sprintf "s%d" s) ~state:(state ())
   done;
   hist
 
+(* Each object's committed epoch plus the tag of every populated block:
+   commits are atomic header flips, so both must come from one step. *)
+let objstore_recover dev =
+  let st = mount (fun () -> Store.mount dev) in
+  Sched.on_exit (fun () -> Store.dispose st);
+  fun () ->
+    List.concat_map
+      (fun n ->
+        match Store.open_obj st ~name:n with
+        | None -> []
+        | Some o ->
+          ("@" ^ n, string_of_int (Store.epoch o))
+          :: List.filter_map
+               (fun i ->
+                 Option.map
+                   (fun b ->
+                     match get_tag b with
+                     | Some tag -> (n ^ ":" ^ string_of_int i, tag)
+                     | None ->
+                       Checker.fail "objstore: %s block %d has a garbage tag" n i)
+                   (Store.read_block st o i))
+               (List.init obj_blocks Fun.id))
+      obj_names
+
 let objstore_workload =
   {
     Checker.w_name = "objstore";
     w_device = mk_dev;
     w_run = objstore_run;
-    w_recoverable =
-      (module (val Store.recoverable ~objects:obj_names ~blocks:obj_blocks)
-      : Msnap_faults.Recoverable.S);
+    w_recover = objstore_recover;
   }
 
 (* --- fs: append-and-fsync to two files over the FFS journal --- *)
@@ -152,14 +226,25 @@ let fs_run dev record =
   done;
   hist
 
+(* Each file's full contents: the FFS journal replays whole
+   transactions, so every file reads back as it did after some acked
+   fsync. *)
+let fs_recover dev =
+  let fs = mount (fun () -> Fs.mount dev ~kind:Fs.Ffs) in
+  Sched.on_exit (fun () -> Fs.dispose fs);
+  fun () ->
+    List.map
+      (fun n ->
+        let f = Fs.open_file fs n in
+        (n, Bytes.to_string (Fs.read fs f ~off:0 ~len:(Fs.size fs f))))
+      fs_files
+
 let fs_workload =
   {
     Checker.w_name = "fs";
     w_device = mk_dev;
     w_run = fs_run;
-    w_recoverable =
-      (module (val Fs.recoverable ~kind:Fs.Ffs ~files:fs_files)
-      : Msnap_faults.Recoverable.S);
+    w_recover = fs_recover;
   }
 
 (* --- sqlite: one-row transactions on the WAL backend --- *)
@@ -194,15 +279,30 @@ let sqlite_run ~checkpoint_threshold dev record =
   done;
   hist
 
+(* Mount, replay the WAL's longest intact committed prefix over the db
+   file, and open the database on it. The dump is the table's rows; a
+   table missing from the catalog dumps as empty. *)
+let sqlite_recover ~checkpoint_threshold dev =
+  let fs = mount (fun () -> Fs.mount dev ~kind:Fs.Ffs) in
+  Sched.on_exit (fun () -> Fs.dispose fs);
+  let bw = Backend_wal.recover fs ~db_name:sqlite_db ~checkpoint_threshold () in
+  Sched.on_exit (fun () -> Backend_wal.dispose bw);
+  let db = Db.open_db (Backend_wal.backend bw) in
+  Sched.on_exit (fun () -> Msnap_sqlite.Pager.dispose (Db.pager db));
+  fun () ->
+    match Db.table db sqlite_table with
+    | None -> []
+    | Some tb ->
+      let acc = ref [] in
+      Db.iter tb (fun k v -> acc := (k, v) :: !acc);
+      List.rev !acc
+
 let sqlite_script ~name ~checkpoint_threshold =
   {
     Checker.w_name = name;
     w_device = mk_dev;
     w_run = sqlite_run ~checkpoint_threshold;
-    w_recoverable =
-      (module (val Db.recoverable ~db_name:sqlite_db ~table:sqlite_table
-                     ~checkpoint_threshold ())
-      : Msnap_faults.Recoverable.S);
+    w_recover = sqlite_recover ~checkpoint_threshold;
   }
 
 (* No checkpoints: the crash matrix exercises WAL replay alone. *)
@@ -244,15 +344,38 @@ let pg_run dev record =
   done;
   hist
 
+(* Mount and replay the WAL, then dump every live ([xmax = 0]) tuple as
+   the "key=value" row the script inserted. Replayed tuples all belong
+   to WAL-durable transactions, so commit status needs no (volatile)
+   clog. *)
+let pg_recover dev =
+  let fs = mount (fun () -> Fs.mount dev ~kind:Fs.Ffs) in
+  Sched.on_exit (fun () -> Fs.dispose fs);
+  let st, _applied = Redo.recover fs ~wal_checkpoint_bytes:max_int () in
+  let heap = Heap.recover st ~rel:pg_table in
+  fun () ->
+    let rows = ref [] in
+    for blockno = Heap.nblocks heap - 1 downto 0 do
+      Heap.iter_block heap blockno (fun _tid _xmin xmax data ->
+          if xmax = 0 then
+            match String.index_opt data '=' with
+            | Some i ->
+              rows :=
+                ( String.sub data 0 i,
+                  String.sub data (i + 1) (String.length data - i - 1) )
+                :: !rows
+            | None ->
+              Checker.fail "pg: tuple in block %d is not a key=value row"
+                blockno)
+    done;
+    !rows
+
 let pg_workload =
   {
     Checker.w_name = "pg";
     w_device = mk_dev;
     w_run = pg_run;
-    w_recoverable =
-      (module (val Redo.recoverable ~table:pg_table
-                     ~wal_checkpoint_bytes:max_int ())
-      : Msnap_faults.Recoverable.S);
+    w_recover = pg_recover;
   }
 
 (* --- rocks: WAL-free puts into the persistent skip list --- *)
@@ -286,14 +409,20 @@ let rocks_run dev record =
   done;
   hist
 
+(* Boot a whole fresh machine over the post-crash device and reopen the
+   skip list; the dump is its full contents, sorted by key. *)
+let rocks_recover dev =
+  let k = mount (fun () -> Msnap.boot ~format:false dev) in
+  Sched.on_exit (fun () -> Msnap.dispose k);
+  let db = Rocks.recover ~config:rocks_config k ~name:rocks_name in
+  fun () -> Rocks.seek db "" ~n:max_int
+
 let rocks_workload =
   {
     Checker.w_name = "rocks";
     w_device = mk_dev;
     w_run = rocks_run;
-    w_recoverable =
-      (module (val Rocks.recoverable ~config:rocks_config ~name:rocks_name ())
-      : Msnap_faults.Recoverable.S);
+    w_recover = rocks_recover;
   }
 
 let all =

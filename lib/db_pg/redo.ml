@@ -35,51 +35,3 @@ let recover fs ?wal_checkpoint_bytes () =
   done;
   Storage.redo_restore_wal st ~off:!pos ~cksum:!ck;
   (st, !applied)
-
-(* --- crash recovery contract --- *)
-
-type recovered = {
-  rec_storage : Storage.t;
-  rec_heap : Heap.t;
-  rec_fs : Fs.t;
-}
-
-let recoverable ~table ?wal_checkpoint_bytes () =
-  (module struct
-    type t = recovered
-
-    let label = "pg"
-
-    let recover dev =
-      let fs =
-        try Fs.mount dev ~kind:Fs.Ffs
-        with Fs.Mount_error msg ->
-          raise (Msnap_faults.Recoverable.Unmountable msg)
-      in
-      Msnap_sim.Sched.on_exit (fun () -> Fs.dispose fs);
-      let st, _applied = recover fs ?wal_checkpoint_bytes () in
-      { rec_storage = st;
-        rec_heap = Heap.recover st ~rel:table;
-        rec_fs = fs }
-
-    (* The recovered state is every live ([xmax = 0]) tuple of the
-       tracked relation, decoded as the "key=value" rows the crash
-       workloads insert. Replayed tuples all belong to WAL-durable
-       transactions, so commit status needs no (volatile) clog. *)
-    let check r history =
-      let state = ref [] in
-      for blockno = Heap.nblocks r.rec_heap - 1 downto 0 do
-        Heap.iter_block r.rec_heap blockno (fun _tid _xmin xmax data ->
-            if xmax = 0 then
-              match String.index_opt data '=' with
-              | Some i ->
-                state :=
-                  ( String.sub data 0 i,
-                    String.sub data (i + 1) (String.length data - i - 1) )
-                  :: !state
-              | None ->
-                Msnap_faults.Recoverable.fail
-                  "pg: tuple in block %d is not a key=value row" blockno)
-      done;
-      Msnap_faults.Recoverable.check_state ~label history !state
-  end : Msnap_faults.Recoverable.S with type t = recovered)

@@ -8,22 +8,3 @@ val recover :
     files' on-disk bytes are never trusted: every replayed block is
     rebased from its full-page image first. Raises
     [Storage.Redo_unsupported] on a log written by a mapped variant. *)
-
-(** {2 Crash recovery ({!Msnap_faults})} *)
-
-type recovered = {
-  rec_storage : Storage.t;
-  rec_heap : Heap.t;
-  rec_fs : Msnap_fs.Fs.t;
-}
-(** A buffered storage rebuilt from a post-crash device by WAL replay,
-    with the tracked relation's heap re-opened over it. *)
-
-val recoverable :
-  table:string -> ?wal_checkpoint_bytes:int -> unit ->
-  (module Msnap_faults.Recoverable.S with type t = recovered)
-(** The crash-recovery contract for the buffered variant: [recover]
-    mounts the FFS volume ([Fs.Mount_error] becomes [Unmountable]) and
-    runs {!recover}; [check] dumps the relation's live tuples as
-    "key=value" rows and compares against the history's candidate
-    steps. *)

@@ -4,8 +4,6 @@ module Aurora = Msnap_aurora.Aurora
 module Sync = Msnap_sim.Sync
 module Metrics = Msnap_sim.Metrics
 module Probe = Msnap_sim.Probe
-module Store = Msnap_objstore.Store
-module Recoverable = Msnap_faults.Recoverable
 module Slice = Msnap_util.Slice
 
 type backend =
@@ -277,35 +275,9 @@ let compactions t = match t.st with B b -> Lsm.compactions b.lsm | R _ -> 0
 
 (* --- crash recovery --- *)
 
-type recovered = { db : t; kernel : Msnap.t }
-
-(* The full recovered state, sorted by key — what a history step records. *)
-let dump db = seek db "" ~n:max_int
-
-let recoverable ?(config = default_config) ~name () =
-  (module struct
-    type t = recovered
-
-    let label = "rocks"
-
-    (* Rebuild the whole machine from the raw post-crash device: mount
-       the object store, boot a fresh MemSnap kernel over it, remap the
-       region and recompute the skip pointers from the persisted list.
-       The baseline would replay its WAL; recovery is only modelled for
-       the region-backed design, which is what the paper's crash
-       experiments exercise. *)
-    let recover dev =
-      let k =
-        try Msnap.boot ~format:false dev
-        with Store.Corrupt msg -> raise (Recoverable.Unmountable msg)
-      in
-      Msnap_sim.Sched.on_exit (fun () -> Msnap.dispose k);
-      let db =
-        { st = open_state ~recovering:true ~config (Memsnap k) ~name;
-          db_name = name }
-      in
-      { db; kernel = k }
-
-    let check r history =
-      Recoverable.check_state ~label history (dump r.db)
-  end : Msnap_faults.Recoverable.S with type t = recovered)
+(* Remap the region on a kernel booted over a post-crash device and
+   recompute the skip pointers from the persisted list. The baseline
+   would replay its WAL; recovery is only modelled for the region-backed
+   design, which is what the paper's crash experiments exercise. *)
+let recover ?config k ~name =
+  { st = open_state ~recovering:true ?config (Memsnap k) ~name; db_name = name }

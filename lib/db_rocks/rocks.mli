@@ -29,21 +29,13 @@ val default_config : config
 
 val open_db : ?config:config -> backend -> name:string -> t
 
-type recovered = { db : t; kernel : Msnap_core.Msnap.t }
-(** A database rebuilt from a post-crash device, with the kernel
-    [recover] booted around it. *)
-
-val recoverable :
-  ?config:config -> name:string -> unit ->
-  (module Msnap_faults.Recoverable.S with type t = recovered)
-(** The crash-recovery contract for the MemSnap-backed design: [recover]
-    mounts the object store on the raw device, boots a fresh kernel,
-    remaps the region and rebuilds the skip pointers from the persisted
-    list ({!Msnap_faults.Recoverable.Unmountable} when no valid
-    superblock survives). [check] compares the full key-value contents
-    against the history's candidate steps. The baseline would replay its
-    WAL; recovery is only modelled for the region-backed design, which
-    is what the paper's crash experiments exercise. *)
+val recover : ?config:config -> Msnap_core.Msnap.t -> name:string -> t
+(** Reopen the MemSnap-backed database [name] on a kernel booted over a
+    post-crash device ([Msnap.boot ~format:false]): remap the region and
+    rebuild the skip pointers from the persisted list. The baseline
+    would replay its WAL; recovery is only modelled for the
+    region-backed design, which is what the paper's crash experiments
+    exercise. *)
 
 (** The baseline's volatile MemTable: a {!Skiplist} whose payload is the
     entry, [None] for a tombstone. *)

@@ -89,7 +89,7 @@ let table t name = Hashtbl.find_opt t.tables name
 let put tbl ~key ~value = Btree.insert tbl.tree ~key ~value
 let get tbl key = Btree.find tbl.tree key
 let delete tbl key = Btree.delete tbl.tree key
-let iter_range tbl ?lo ?hi f = Btree.iter_range tbl.tree ?lo ?hi f
+let iter tbl f = Btree.iter_range tbl.tree f
 let count tbl = Btree.count tbl.tree
 
 let key_of_int v =
@@ -98,48 +98,3 @@ let key_of_int v =
   Bytes.to_string b
 
 let int_of_key s = Int64.to_int (String.get_int64_be s 0)
-
-(* --- crash recovery contract --- *)
-
-type recovered = {
-  rec_db : t;
-  rec_backend : Backend_wal.t;
-  rec_fs : Msnap_fs.Fs.t;
-}
-
-let recoverable ~db_name ~table:tbl_name ?checkpoint_threshold () =
-  (module struct
-    type t = recovered
-
-    let label = "sqlite"
-
-    (* Mount the file system, replay the WAL's longest intact committed
-       prefix over the db file, and open the database on the recovered
-       pager backend. *)
-    let recover dev =
-      let fs =
-        try Msnap_fs.Fs.mount dev ~kind:Msnap_fs.Fs.Ffs
-        with Msnap_fs.Fs.Mount_error msg ->
-          raise (Msnap_faults.Recoverable.Unmountable msg)
-      in
-      Msnap_sim.Sched.on_exit (fun () -> Msnap_fs.Fs.dispose fs);
-      let bw = Backend_wal.recover fs ~db_name ?checkpoint_threshold () in
-      Msnap_sim.Sched.on_exit (fun () -> Backend_wal.dispose bw);
-      let db = open_db (Backend_wal.backend bw) in
-      Msnap_sim.Sched.on_exit (fun () -> Pager.dispose db.pgr);
-      { rec_db = db; rec_backend = bw; rec_fs = fs }
-
-    (* The recovered state is the tracked table's full contents; a
-       table missing from the catalog dumps as empty (the pre-creation
-       steps record no rows). *)
-    let check r history =
-      let state =
-        match table r.rec_db tbl_name with
-        | None -> []
-        | Some tb ->
-          let acc = ref [] in
-          iter_range tb (fun k v -> acc := (k, v) :: !acc);
-          List.rev !acc
-      in
-      Msnap_faults.Recoverable.check_state ~label history state
-  end : Msnap_faults.Recoverable.S with type t = recovered)

@@ -32,26 +32,10 @@ val get : table -> string -> string option
 val delete : table -> string -> bool
 val count : table -> int
 
+val iter : table -> (string -> string -> unit) -> unit
+(** Every row, in key order. *)
+
 val key_of_int : int -> string
 (** Big-endian fixed-width encoding: numeric order = byte order. *)
 
 val int_of_key : string -> int
-
-(** {2 Crash recovery ({!Msnap_faults})} *)
-
-type recovered = {
-  rec_db : t;
-  rec_backend : Backend_wal.t;
-  rec_fs : Msnap_fs.Fs.t;
-}
-(** A database rebuilt from a post-crash device: mounted file system,
-    WAL-replayed backend, and the database opened over it. *)
-
-val recoverable :
-  db_name:string -> table:string -> ?checkpoint_threshold:int -> unit ->
-  (module Msnap_faults.Recoverable.S with type t = recovered)
-(** The crash-recovery contract for the WAL backend: [recover] mounts
-    the FFS volume ([Fs.Mount_error] becomes [Unmountable]) and replays
-    the WAL's longest intact committed prefix; [check] dumps the
-    tracked table's rows and compares against the history's candidate
-    steps. *)

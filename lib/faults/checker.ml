@@ -6,8 +6,8 @@
    crash points — every [(boundary, torn_seed)] pair when the space is
    small, a seeded reservoir sample otherwise — and for each point, in
    its own [Sched.run] cell: materializes the post-crash image on a
-   fresh device, runs the engine's [Recoverable.recover], and checks
-   the invariant against the history's candidate steps.
+   fresh device, mounts it through the workload's [w_recover], and
+   compares the state it dumps against the history's candidate steps.
 
    Every point is pure host-deterministic work keyed only by
    [(prefix, torn_seed)], so a failure report is a replayable
@@ -20,6 +20,11 @@ module Sched = Msnap_sim.Sched
 module Rng = Msnap_util.Rng
 module Taskpool = Msnap_util.Taskpool
 
+exception Unmountable of string
+exception Check_failed of string
+
+let fail fmt = Printf.ksprintf (fun s -> raise (Check_failed s)) fmt
+
 type workload = {
   w_name : string;
   w_device : unit -> Device.t;
@@ -28,7 +33,10 @@ type workload = {
   w_run : Device.t -> Record.t -> History.t;
       (* the scripted workload; must run crash-free and call
          [History.mark_ready] + [History.step] as it goes *)
-  w_recoverable : (module Recoverable.S);
+  w_recover : Device.t -> unit -> (string * string) list;
+      (* mount the post-crash device, registering teardown with
+         [Sched.on_exit]; the returned closure dumps the recovered state
+         in the encoding of the workload's steps *)
 }
 
 type failure = { f_prefix : int; f_torn_seed : int; f_msg : string }
@@ -90,31 +98,41 @@ let points ~boundaries ~opts =
     List.sort_uniq compare (Array.to_list res)
   end
 
+(* Does the recovered state match some candidate step at [boundary]?
+   Raises [Check_failed] with the floor and the recovered state
+   otherwise. *)
+let check_state ~label hist ~boundary state =
+  let sort = List.sort compare in
+  let matches step = sort step.History.s_state = sort state in
+  if not (List.exists matches (History.candidates hist ~boundary)) then
+    fail "%s: recovered state at boundary %d matches no step >= %d: %s"
+      label boundary
+      (History.lower_bound hist ~boundary)
+      (History.pp_state state)
+
 (* One crash point, in its own simulation cell: reconstruct the image,
    recover, check. Returns [None] on success. A failed recovery or
    check is caught inside the run, so the run returns and tears down
-   the device and whatever [recover] mounted ([Sched.on_exit]), pass
+   the device and whatever [w_recover] mounted ([Sched.on_exit]), pass
    or fail. *)
 let check_point w record hist ~prefix ~torn_seed =
   let fail msg = Some { f_prefix = prefix; f_torn_seed = torn_seed; f_msg = msg } in
   Sched.run (fun () ->
       let dev = w.w_device () in
       Image.materialize record ~prefix ~torn_seed dev;
-      let module R = (val w.w_recoverable : Recoverable.S) in
-      let hist = History.with_boundary hist prefix in
       let before_ready = prefix < History.ready hist in
-      match R.recover dev with
-      | exception Recoverable.Unmountable msg ->
+      match w.w_recover dev with
+      | exception Unmountable msg ->
         if before_ready then None
         else fail (Printf.sprintf "unmountable: %s" msg)
       | exception exn ->
         fail (Printf.sprintf "recover raised %s" (Printexc.to_string exn))
-      | st -> (
+      | dump -> (
         if before_ready then None
         else
-          match R.check st hist with
+          match check_state ~label:w.w_name hist ~boundary:prefix (dump ()) with
           | () -> None
-          | exception Recoverable.Check_failed msg -> fail msg
+          | exception Check_failed msg -> fail msg
           | exception exn ->
             fail
               (Printf.sprintf "check raised %s" (Printexc.to_string exn))))

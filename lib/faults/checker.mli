@@ -3,9 +3,26 @@
     boundary (with seeded torn tails) and demand that the engine's
     recovery lands on a candidate step of the value history.
 
+    An engine joins by its ordinary recovery function: the workload's
+    crash script wraps it in {!workload.w_recover}, which mounts the
+    device and returns a dump of the recovered state in the encoding
+    its history steps use. The checker compares that dump once, for
+    every engine.
+
     Every crash point is the replayable integer pair
     [(prefix, torn_seed)]; checking is deterministic host work, so a
     [-j] run produces bit-for-bit the serial report. *)
+
+exception Unmountable of string
+(** Raised by [w_recover] when no consistent on-media state exists.
+    Acceptable only for crashes before the workload's {!History.ready}
+    point (formatting still in flight); a failure anywhere else. *)
+
+exception Check_failed of string
+(** The recovered state is not what the crash script can accept. *)
+
+val fail : ('a, unit, string, 'b) format4 -> 'a
+(** Raise {!Check_failed} with a formatted message. *)
 
 type workload = {
   w_name : string;
@@ -14,7 +31,18 @@ type workload = {
           teardown with the running simulation ([Sched.on_exit]). *)
   w_run :
     Msnap_blockdev.Device.t -> Msnap_blockdev.Record.t -> History.t;
-  w_recoverable : (module Recoverable.S);
+  w_recover : Msnap_blockdev.Device.t -> unit -> (string * string) list;
+      (** Mount and recover the engine from the raw post-crash device,
+          inside the point's [Sched.run], registering the teardown of
+          what it mounts with [Sched.on_exit]; raise {!Unmountable} when
+          the media holds no mountable state. The returned closure
+          dumps the recovered state. Before {!History.ready} it is
+          never called; from there on, the dump must equal the state of
+          some candidate step ({!History.candidates}), else the point
+          fails with ["<w_name>: recovered state at boundary K matches
+          no step >= L: ..."]. An exception other than [Unmountable]
+          from the mount, or other than {!Check_failed} from the dump,
+          fails the point at any boundary. *)
 }
 
 type failure = { f_prefix : int; f_torn_seed : int; f_msg : string }

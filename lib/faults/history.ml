@@ -10,10 +10,9 @@ type t = {
   mutable h_steps : step list; (* newest first *)
   mutable h_nsteps : int;
   mutable h_ready : int; (* boundary count once setup finished; -1 = never *)
-  h_boundary : int; (* crash boundary under check; see [with_boundary] *)
 }
 
-let create () = { h_steps = []; h_nsteps = 0; h_ready = -1; h_boundary = -1 }
+let create () = { h_steps = []; h_nsteps = 0; h_ready = -1 }
 
 let mark_ready t record = t.h_ready <- Record.boundaries record
 
@@ -28,21 +27,13 @@ let steps t = Array.of_list (List.rev t.h_steps)
 let nsteps t = t.h_nsteps
 let ready t = t.h_ready
 
-let boundary t = t.h_boundary
-
-(* Shallow copy with its own boundary: check tasks running in parallel
-   each get one, so the shared recorded history is never mutated. *)
-let with_boundary t b =
-  { h_steps = t.h_steps; h_nsteps = t.h_nsteps; h_ready = t.h_ready;
-    h_boundary = b }
-
 (* Index of the newest step whose ack preceded the crash boundary: the
    recovery floor. -1 when the crash predates every ack. *)
-let lower_bound t =
+let lower_bound t ~boundary =
   let rec go best i = function
     | [] -> best
     | s :: tl ->
-      let best = if s.s_acked <= t.h_boundary && i > best then i else best in
+      let best = if s.s_acked <= boundary && i > best then i else best in
       go best (i - 1) tl
   in
   go (-1) (t.h_nsteps - 1) t.h_steps
@@ -50,9 +41,9 @@ let lower_bound t =
 (* The candidate states a correct recovery may surface: every step from
    the floor up (a crash can expose unacked-but-complete work, never
    lose acked work). *)
-let candidates t =
+let candidates t ~boundary =
   let all = steps t in
-  let lb = max 0 (lower_bound t) in
+  let lb = max 0 (lower_bound t ~boundary) in
   Array.to_list (Array.sub all lb (Array.length all - lb))
 
 let pp_state state =

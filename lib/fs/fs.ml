@@ -1089,34 +1089,3 @@ let dispose t =
   t.scratch_journal <- Bytes.empty
 
 let debug_blocks _t f = Hashtbl.fold (fun idx first acc -> (idx, first) :: acc) f.f_blocks []
-
-(* --- crash recovery contract --- *)
-
-let recoverable ~kind ~files =
-  (module struct
-    type nonrec t = t
-
-    let label = "fs"
-
-    let recover dev =
-      let fs =
-        try mount dev ~kind
-        with Mount_error msg -> raise (Msnap_faults.Recoverable.Unmountable msg)
-      in
-      Sched.on_exit (fun () -> dispose fs);
-      fs
-
-    (* The recovered state is each tracked file's full contents: the FFS
-       journal replays whole transactions, so every file must read back
-       exactly as it did after some acked fsync. *)
-    let check fs history =
-      let state =
-        List.map
-          (fun name ->
-            let f = open_file fs name in
-            let n = size fs f in
-            (name, Bytes.to_string (read fs f ~off:0 ~len:n)))
-          files
-      in
-      Msnap_faults.Recoverable.check_state ~label history state
-  end : Msnap_faults.Recoverable.S with type t = t)

@@ -119,13 +119,3 @@ val meta_text_length : t -> int
 
 val debug_blocks : t -> file -> (int * int) list
 (** The file's (fs-block idx, first device block) mappings, for tests. *)
-
-(** {2 Crash recovery ({!Msnap_faults})} *)
-
-val recoverable :
-  kind:kind -> files:string list ->
-  (module Msnap_faults.Recoverable.S with type t = t)
-(** The crash-recovery contract for the file system itself ([Ffs]
-    only): [recover] is {!mount} ([Mount_error] becomes [Unmountable]);
-    [check] reads back every tracked file's full contents and compares
-    against the history's candidate steps. *)

@@ -428,64 +428,3 @@ let dispose t =
   Itab.clear t.cache
 
 let free_blocks t = Balloc.free_blocks t.alloc
-
-(* --- crash recovery contract --- *)
-
-(* Tag pages for crash workloads: a full block whose first bytes are a
-   u16 length + payload, so a recovered block identifies which commit
-   wrote it. *)
-
-let tag_page tag =
-  if String.length tag > bsz - 2 then invalid_arg "Store.tag_page: too long";
-  let b = Bytes.make bsz '\000' in
-  Bytes.set_uint16_le b 0 (String.length tag);
-  Bytes.blit_string tag 0 b 2 (String.length tag);
-  b
-
-let page_tag b =
-  if Bytes.length b <> bsz then None
-  else
-    let n = Bytes.get_uint16_le b 0 in
-    if n > bsz - 2 then None else Some (Bytes.sub_string b 2 n)
-
-let recoverable ~objects ~blocks =
-  (module struct
-    type nonrec t = t
-
-    let label = "objstore"
-
-    let recover dev =
-      let st =
-        try mount dev
-        with Corrupt msg -> raise (Msnap_faults.Recoverable.Unmountable msg)
-      in
-      Sched.on_exit (fun () -> dispose st);
-      st
-
-    (* The recovered state of each tracked object: its committed epoch
-       (["@name"]) plus the tag of every populated block — commits are
-       atomic header flips, so both must come from the same step. *)
-    let check st history =
-      let state =
-        List.concat_map
-          (fun name ->
-            match open_obj st ~name with
-            | None -> []
-            | Some o ->
-              ("@" ^ name, string_of_int (epoch o))
-              :: List.filter_map
-                   (fun i ->
-                     match read_block st o i with
-                     | None -> None
-                     | Some b -> (
-                       match page_tag b with
-                       | Some tag ->
-                         Some (name ^ ":" ^ string_of_int i, tag)
-                       | None ->
-                         Msnap_faults.Recoverable.fail
-                           "objstore: %s block %d has a garbage tag" name i))
-                   (List.init blocks Fun.id))
-          objects
-      in
-      Msnap_faults.Recoverable.check_state ~label history state
-  end : Msnap_faults.Recoverable.S with type t = t)

@@ -99,19 +99,3 @@ val dispose : t -> unit
     again (no commit in flight, no later read). *)
 
 val free_blocks : t -> int
-
-(** {2 Crash recovery ({!Msnap_faults})} *)
-
-val tag_page : string -> Bytes.t
-(** A fresh one-block page carrying a length-prefixed tag — what crash
-    workloads commit so the recovery check can identify the block's
-    writer. *)
-
-val recoverable :
-  objects:string list -> blocks:int ->
-  (module Msnap_faults.Recoverable.S with type t = t)
-(** The crash-recovery contract for the store itself: [recover] is
-    {!mount} ([Corrupt] becomes [Unmountable]); [check] dumps, for each
-    tracked object, its epoch (pair [("@name", epoch)]) and the tag of
-    every populated block below [blocks] (pair [("name:idx", tag)]),
-    and compares against the history's candidate steps. *)

@@ -12,6 +12,7 @@ module Slice = Msnap_util.Slice
 module Record = Msnap_blockdev.Record
 module Image = Msnap_faults.Image
 module Checker = Msnap_faults.Checker
+module History = Msnap_faults.History
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -265,7 +266,7 @@ let inline_cut ~members ~read () =
    every point. *)
 let test_checker_end_to_end () =
   let opts = { Checker.default_opts with max_points = 60 } in
-  let w = Msnap_crashwl.Workloads.objstore_workload in
+  let w = Option.get (Msnap_crashwl.Workloads.by_name "objstore") in
   let serial = Checker.run ~opts w in
   let parallel = Checker.run ~opts:{ opts with jobs = 3 } w in
   checkb "no failures" true (serial.Checker.r_failures = []);
@@ -289,23 +290,20 @@ let test_workloads_return_buffers () =
         (outstanding ()))
     Msnap_crashwl.Workloads.all
 
-(* The failure path of the same rule: [recover] registers what it
-   mounts, so a check that fails at every point still hands every
+(* The failure path of the same rule: [w_recover] registers what it
+   mounts, so a dump that fails at every point still hands every
    buffer back through [Checker.run]. *)
 let test_failing_check_returns_buffers () =
   let outstanding () = (Msnap_util.Pool.totals ()).Msnap_util.Pool.t_outstanding in
   let opts = { Checker.default_opts with max_points = 12 } in
   List.iter
     (fun (w : Checker.workload) ->
-      let module R = (val w.Checker.w_recoverable) in
       let failing =
         { w with
-          Checker.w_recoverable =
-            (module struct
-              include R
-
-              let check _ _ = Msnap_faults.Recoverable.fail "always fails"
-            end : Msnap_faults.Recoverable.S) }
+          Checker.w_recover =
+            (fun dev ->
+              let _dump = w.Checker.w_recover dev in
+              fun () -> Checker.fail "always fails") }
       in
       let before = outstanding () in
       let r = Checker.run ~opts failing in
@@ -313,6 +311,97 @@ let test_failing_check_returns_buffers () =
       checki (w.Checker.w_name ^ " outstanding pooled buffers") before
         (outstanding ()))
     Msnap_crashwl.Workloads.all
+
+(* The checker's outcome rules, on a synthetic script over a raw
+   device: two flushed setup writes, [History.mark_ready], then three
+   acked steps of one flushed write each. The state is the step count.
+   The recorded history is kept so the cases can compute the ready
+   point and each boundary's floor. *)
+let synth_hist = ref (History.create ())
+
+let synth_run dev record =
+  let hist = History.create () in
+  let write i =
+    Device.write_slice dev ~off:(i * 4096)
+      (Slice.of_bytes (Bytes.make 4096 (Char.chr (Char.code 'a' + i))));
+    Device.flush dev
+  in
+  write 0;
+  write 1;
+  History.mark_ready hist record;
+  History.step hist record ~label:"setup" ~state:[ ("n", "0") ];
+  for s = 1 to 3 do
+    write (1 + s);
+    History.step hist record ~label:(Printf.sprintf "s%d" s)
+      ~state:[ ("n", string_of_int s) ]
+  done;
+  synth_hist := hist;
+  hist
+
+let synth w_recover =
+  let w_device () =
+    let dev = mk_stripe () in
+    Sched.on_exit (fun () -> Device.dispose dev);
+    dev
+  in
+  let r = Checker.run { Checker.w_name = "synth"; w_device; w_run = synth_run; w_recover } in
+  let ready = History.ready !synth_hist in
+  checkb "points on both sides of ready" true
+    (ready > 0 && ready < r.Checker.r_boundaries);
+  (r, ready)
+
+let check_failures name r ~expect =
+  checki (name ^ ": failure count") (List.length expect)
+    (List.length r.Checker.r_failures);
+  List.iter2
+    (fun (prefix, msg) f ->
+      checki (name ^ ": prefix") prefix f.Checker.f_prefix;
+      Alcotest.(check string) (name ^ ": message") msg f.Checker.f_msg)
+    expect r.Checker.r_failures
+
+(* Every point from [lo] up, boundary-major, seed-minor, with [msg]. *)
+let points_from r ~lo msg =
+  let nseeds = List.length Checker.default_opts.seeds in
+  List.concat_map
+    (fun prefix -> List.init nseeds (fun _ -> (prefix, msg prefix)))
+    (List.init (r.Checker.r_boundaries - lo) (fun i -> lo + i))
+
+let test_unmountable_after_ready () =
+  let r, ready = synth (fun _ -> raise (Checker.Unmountable "no superblock")) in
+  check_failures "unmountable" r
+    ~expect:(points_from r ~lo:ready (fun _ -> "unmountable: no superblock"));
+  let line = Printf.sprintf "FAIL synth prefix=%d torn_seed=1: unmountable:" ready in
+  let report = Checker.pp_report r in
+  checkb "report names the first failing point" true
+    (List.exists
+       (fun l -> String.starts_with ~prefix:line l)
+       (String.split_on_char '\n' report))
+
+let test_foreign_exception_fails_everywhere () =
+  let r, _ = synth (fun _ -> raise Not_found) in
+  check_failures "foreign" r
+    ~expect:(points_from r ~lo:0 (fun _ -> "recover raised Not_found"))
+
+let test_raising_dump_only_after_ready () =
+  let r, ready = synth (fun _ () -> failwith "boom") in
+  check_failures "raising dump" r
+    ~expect:(points_from r ~lo:ready (fun _ -> "check raised Failure(\"boom\")"))
+
+let test_wrong_dump_names_the_floor () =
+  let r, ready = synth (fun _ () -> [ ("n", "wrong") ]) in
+  check_failures "wrong dump" r
+    ~expect:
+      (points_from r ~lo:ready (fun prefix ->
+           Printf.sprintf
+             "synth: recovered state at boundary %d matches no step >= %d: n=\"wrong\""
+             prefix
+             (History.lower_bound !synth_hist ~boundary:prefix)))
+
+(* The newest step is a candidate at every boundary: a dump of it
+   passes everywhere. *)
+let test_newest_step_dump_passes () =
+  let r, _ = synth (fun _ () -> [ ("n", "3") ]) in
+  check_failures "newest step" r ~expect:[]
 
 let () =
   Alcotest.run "faults"
@@ -354,5 +443,18 @@ let () =
             test_workloads_return_buffers;
           Alcotest.test_case "a failing check returns pooled buffers" `Quick
             test_failing_check_returns_buffers;
+        ] );
+      ( "outcomes",
+        [
+          Alcotest.test_case "unmountable fails only after ready" `Quick
+            test_unmountable_after_ready;
+          Alcotest.test_case "a foreign exception fails every point" `Quick
+            test_foreign_exception_fails_everywhere;
+          Alcotest.test_case "a raising dump is never called before ready"
+            `Quick test_raising_dump_only_after_ready;
+          Alcotest.test_case "a wrong dump names boundary and floor" `Quick
+            test_wrong_dump_names_the_floor;
+          Alcotest.test_case "the newest step's dump passes" `Quick
+            test_newest_step_dump_passes;
         ] );
     ]

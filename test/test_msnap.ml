@@ -233,8 +233,8 @@ let test_no_frame_leak_after_cow () =
     ()
 
 (* A machine that is built, run and disposed (device, store, frames)
-   hands every buffer back, and so does a recovery through the
-   library's own contract. *)
+   hands every buffer back, and so does a second machine booted over
+   the same device to recover it. *)
 let test_disposed_machine_returns_buffers () =
   let before = outstanding () in
   in_dev ~mib:32 (fun dev ->
@@ -248,11 +248,8 @@ let test_disposed_machine_returns_buffers () =
        ignore (Msnap.persist k ~region:md ~mode:`Async ());
        Msnap.write_string k md ~off:0 "cow";
        ignore (Msnap.persist k ~region:md ()));
-      let module R =
-        (val Msnap.recoverable ~region:"db" ~len:(Size.kib 256)
-               ~cells:[ ("c0", 0) ])
-      in
-      ignore (R.recover dev))
+      let& k = (Msnap.boot ~format:false dev, Msnap.dispose) in
+      ignore (Msnap.open_region k ~name:"db" ~len:(Size.kib 256) ()))
     ();
   checki "outstanding pooled buffers" before (outstanding ())
 

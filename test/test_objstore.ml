@@ -28,6 +28,12 @@ let mk_store ?mib () =
 
 let page c = Bytes.make 4096 c
 
+(* A block whose contents spell [tag]: distinct tags, distinct blocks. *)
+let tagged tag =
+  let b = page '\000' in
+  Bytes.blit_string tag 0 b 0 (String.length tag);
+  b
+
 (* --- Layout --- *)
 
 let test_layout_superblock () =
@@ -501,7 +507,7 @@ let prop_cold_remount_differential =
                 (Store.commit s o
                    (List.map
                       (fun i ->
-                        (i, Store.tag_page (Printf.sprintf "%d@%d" i e)))
+                        (i, tagged (Printf.sprintf "%d@%d" i e)))
                       idxs)))
             batches;
           let probes =

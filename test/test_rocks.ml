@@ -579,9 +579,8 @@ let test_rocks_memsnap_recovery () =
       for i = 0 to 299 do
         Rocks.put db ~key:(Printf.sprintf "%05d" i) ~value:(string_of_int i)
       done;
-      let module RR = (val Rocks.recoverable ~config:small_config ~name:"db" ()) in
-      let r = RR.recover dev in
-      let db2 = r.Rocks.db in
+      let& k2 = (Msnap.boot ~format:false dev, Msnap.dispose) in
+      let db2 = Rocks.recover ~config:small_config k2 ~name:"db" in
       checki "count" 300 (Rocks.count db2);
       check_opt "value" (Some "123") (Rocks.get db2 "00123"))
     ()
@@ -670,9 +669,8 @@ let test_increment_crash_consistency () =
          batch commits atomically, the recovered sum is the number of
          committed increments — necessarily <= issued ones, and readable
          without corruption. *)
-      let module RR = (val Rocks.recoverable ~config:small_config ~name:"db" ()) in
-      let r = RR.recover dev in
-      let db2 = r.Rocks.db in
+      let& k2 = (Msnap.boot ~format:false dev, Msnap.dispose) in
+      let db2 = Rocks.recover ~config:small_config k2 ~name:"db" in
       let sum = sum_values db2 32 in
       checkb "recovered uncorrupted, non-trivial prefix" true (sum >= 0);
       checkb "made progress before crash" true (sum > 0))

@@ -592,8 +592,8 @@ let test_db_crash_uncommitted_lost_msnap () =
     ()
 
 (* A SQLite machine over MemSnap, and one over WAL+FFS recovered
-   through the library's contract, each hand every buffer back once
-   disposed. *)
+   by remounting and replaying its WAL, each hand every buffer back
+   once disposed. *)
 let test_disposed_machines_return_buffers () =
   let before = outstanding () in
   let fill db n =
@@ -622,8 +622,10 @@ let test_disposed_machines_return_buffers () =
        (* Few enough fsyncs that the FFS journal ring does not wrap. *)
        fill db 40;
        checkb "checkpoints ran" true (Backend_wal.checkpoints_done be > 0));
-      let module R = (val Db.recoverable ~db_name:"w.db" ~table:"t" ()) in
-      ignore (R.recover dev));
+      let& fs = (Fs.mount dev ~kind:Fs.Ffs, Fs.dispose) in
+      let& be = (Backend_wal.recover fs ~db_name:"w.db" (), Backend_wal.dispose) in
+      let& _db = (Db.open_db (Backend_wal.backend be), dispose_pager) in
+      ());
   checki "wal: outstanding pooled buffers" before (outstanding ())
 
 let test_wal_checkpoint_triggers () =
